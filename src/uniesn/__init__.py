@@ -10,15 +10,11 @@ spectral heuristics.
 
 from .windows import (
     InputWindow,
-    SupMetricEstimate,
     make_window,
-    shift_window,
     sample_ball,
     sample_product_ball,
-    sample_windows,
     sample_window_array,
     weighted_distance,
-    estimate_sup_gap,
 )
 from .linalg import operator_norm
 from .shallow import (
@@ -40,7 +36,6 @@ from .filters import (
     RawFilter,
     HorizonCapError,
     filter_from_json,
-    filter_to_json,
 )
 from .esn import (
     BlockStructure,

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .construct import (
+    CLOSED_FORM_TOL,
     BudgetError,
     ConstructionConfig,
     ConstructionError,
@@ -28,7 +29,13 @@ from .construct import (
     construct_universal_esn,
     split_lag_blocks,
 )
-from .esn import ESNParams, check_contraction, check_esp_empirical, check_nilpotent
+from .esn import (
+    ESNParams,
+    check_contraction,
+    check_esp_empirical,
+    check_finite_memory,
+    check_nilpotent,
+)
 from .filters import filter_from_json
 from .shallow import ShallowNet, WidthPolicy
 from .windows import InputWindow, sample_window_array
@@ -101,15 +108,13 @@ def _write_json(path: Path, obj: dict):
         fh.write("\n")
 
 
-def _truncation_status(result: ConstructionResult) -> str:
-    return "analytic_upper_bound" if result.target_certified else "uncertified_user_claim"
-
-
 def _budget_rows(result: ConstructionResult) -> list[tuple]:
+    """(term, value, status, limit) for each budget term, under its honest label."""
     b = result.budget
     third = b.eps / 3.0
+    truncation_status = "analytic_upper_bound" if result.target_certified else "uncertified_user_claim"
     return [
-        ("truncation", b.truncation_analytic, _truncation_status(result), third),
+        ("truncation", b.truncation_analytic, truncation_status, third),
         ("net_fit", b.net_fit_sampled, "sampled_sup", third),
         ("chain", b.chain_sampled, "sampled_sup", third),
         ("total", b.total_sampled, "sampled_sup", b.eps),
@@ -137,26 +142,15 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
         "widths": list(esn.structure.widths),
         "state_dim": esn.state_dim,
         "gain": result.gain,
-        "budget": {
-            "eps": result.budget.eps,
-            "truncation": result.budget.truncation_analytic,
-            "net_fit": result.budget.net_fit_sampled,
-            "chain": result.budget.chain_sampled,
-            "total": result.budget.total_sampled,
-        },
-        "budget_status": {
-            "truncation": _truncation_status(result),
-            "net_fit": "sampled_sup",
-            "chain": "sampled_sup",
-            "total": "sampled_sup",
-        },
+        "budget": {"eps": result.budget.eps, **result.budget.terms()},
+        "budget_status": {term: status for term, _, status, _ in _budget_rows(result)},
         "target_certified": result.target_certified,
         "per_lag_chain": result.chain_records,
         "net_fit_achieved_validation": result.net_fit_achieved,
         "closed_form_check": {
             "windows": result.closed_form_check_windows,
             "max_gap": result.closed_form_check_max,
-            "tolerance": 1e-10,
+            "tolerance": CLOSED_FORM_TOL,
         },
         "functional_evaluator": "closed_form",
         "sample_counts": {
@@ -235,14 +229,40 @@ def _boundary_directions(rng: np.random.Generator, n: int, d: int, M: float) -> 
     return dirs / norms * M
 
 
-def _verify_structured(esn: ESNParams, vcfg: dict, nets_path: Path | None) -> dict:
+def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
+    """Parse and validate the config's verification section, and load nets.json."""
+    vcfg = raw.get("verification", {})
+    M = vcfg["input_bound"] if "input_bound" in vcfg else raw.get("filter", {}).get("M", 1.0)
+    opts = {
+        "M": float(M),
+        "seed": int(vcfg.get("seed", 2024)),
+        "esp_trials": int(vcfg.get("esp_trials", 10)),
+        "fmp_trials": int(vcfg.get("fmp_trials", 1000)),
+        "window_len": int(vcfg.get("window_len", 30)),
+        "closed_form_windows": int(vcfg.get("closed_form_windows", 200)),
+        "out": Path(vcfg.get("out", Path(esn_path).parent / "verify.json")),
+        "nets": None,
+    }
+    for key in ("esp_trials", "fmp_trials", "closed_form_windows"):
+        if opts[key] < 1:
+            raise ConfigError(f"verification {key} must be >= 1, got {opts[key]}")
+    nets_path = Path(vcfg["nets"]) if vcfg.get("nets") else Path(esn_path).parent / "nets.json"
+    if esn.structure is not None and nets_path.exists():
+        K = esn.structure.horizon
+        nets = _load_json(nets_path)
+        split = split_lag_blocks(ShallowNet.from_json(nets["static_net"]), int(nets["lag_dim"]))
+        chain = [ShallowNet.from_json(o) for o in nets["identity_chain"]]
+        if len(chain) != split.horizon or (split.horizon, split.lag_dim) != (K, esn.in_dim):
+            raise ConfigError(f"{nets_path} does not fit the system in {esn_path}")
+        opts["nets"] = (split, chain)
+    return opts
+
+
+def _verify_structured(esn: ESNParams, opts: dict) -> dict:
     K = esn.structure.horizon
     d = esn.in_dim
-    M = float(vcfg.get("input_bound", 1.0))
-    seed = int(vcfg.get("seed", 2024))
-    esp_trials = int(vcfg.get("esp_trials", 10))
-    fmp_trials = int(vcfg.get("fmp_trials", 1000))
-    T = max(int(vcfg.get("window_len", 30)), K + 1)
+    M, seed, fmp_trials = opts["M"], opts["seed"], opts["fmp_trials"]
+    T = max(opts["window_len"], K + 1)
 
     checks: dict[str, dict] = {}
 
@@ -250,8 +270,8 @@ def _verify_structured(esn: ESNParams, vcfg: dict, nets_path: Path | None) -> di
     checks["nilpotency"] = {"passed": bool(ok and degree == K + 1), "degree": degree}
 
     probe = sample_window_array(d, M, K + 1, 3, seed)[-1]
-    esp = check_esp_empirical(esn, InputWindow(entries=probe, bound=M), esp_trials, seed + 1)
-    checks["echo_state"] = {"passed": bool(esp), "trials": esp_trials}
+    esp = check_esp_empirical(esn, InputWindow(entries=probe, bound=M), opts["esp_trials"], seed + 1)
+    checks["echo_state"] = {"passed": bool(esp), "trials": opts["esp_trials"]}
 
     arr = sample_window_array(d, M, T, fmp_trials, seed + 2)
     rng = np.random.default_rng(seed + 3)
@@ -261,18 +281,16 @@ def _verify_structured(esn: ESNParams, vcfg: dict, nets_path: Path | None) -> di
         modified[:, :past, :] = _boundary_directions(
             rng, fmp_trials * past, d, M
         ).reshape(fmp_trials, past, d)
-    same = np.array_equal(esn.functional_batch(arr), esn.functional_batch(modified))
-    checks["finite_memory"] = {"passed": bool(same), "trials": fmp_trials}
+    same = check_finite_memory(esn, arr, modified)
+    checks["finite_memory"] = {"passed": same, "trials": fmp_trials}
 
-    if nets_path is not None and nets_path.exists():
-        nets = _load_json(nets_path)
-        split = split_lag_blocks(ShallowNet.from_json(nets["static_net"]), int(nets["lag_dim"]))
-        chain = [ShallowNet.from_json(o) for o in nets["identity_chain"]]
-        n_check = min(int(vcfg.get("closed_form_windows", 200)), arr.shape[0])
+    if opts["nets"] is not None:
+        split, chain = opts["nets"]
+        n_check = min(opts["closed_form_windows"], arr.shape[0])
         rec = esn.functional_batch(arr[:n_check])
         direct = chained_functional(split, chain, arr[:n_check])
         gap = float(np.max(np.linalg.norm(rec - direct, axis=1)))
-        checks["closed_form"] = {"passed": bool(gap <= 1e-10), "max_gap": gap, "windows": n_check}
+        checks["closed_form"] = {"passed": bool(gap <= CLOSED_FORM_TOL), "max_gap": gap, "windows": n_check}
     else:
         checks["closed_form"] = {"skipped": True, "reason": "no nets.json available"}
 
@@ -282,25 +300,18 @@ def _verify_structured(esn: ESNParams, vcfg: dict, nets_path: Path | None) -> di
 def cmd_verify(esn_path: str, config_path: str) -> int:
     try:
         esn = ESNParams.from_json(_load_json(esn_path))
-        raw = _load_json(config_path)
+        opts = _verify_options(_load_json(config_path), esn, esn_path)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         _log(f"load error: {exc}")
         return EXIT_CONFIG
 
-    vcfg = dict(raw.get("verification", {}))
-    if "input_bound" not in vcfg and "filter" in raw:
-        vcfg["input_bound"] = raw["filter"].get("M", 1.0)
-
-    nets_path = vcfg.get("nets")
-    nets_path = Path(nets_path) if nets_path else Path(esn_path).parent / "nets.json"
-
     if esn.structure is not None:
-        checks = _verify_structured(esn, vcfg, nets_path)
+        checks = _verify_structured(esn, opts)
     else:
         rho = check_contraction(esn)
         checks = {"contraction": {"passed": bool(rho < 1.0), "value": rho}}
 
-    out_path = Path(vcfg.get("out", Path(esn_path).parent / "verify.json"))
+    out_path = opts["out"]
     all_passed = all(c.get("passed", True) for c in checks.values())
     _write_json(out_path, {"schema_version": SCHEMA_VERSION, "checks": checks, "passed": all_passed})
     for name, c in checks.items():
@@ -349,18 +360,18 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
                 repr(b.chain_sampled), repr(b.total_sampled),
                 f"{time.perf_counter() - t0:.3f}", "ok",
             ])
+            continue
         except BudgetError as exc:
             _log(f"eps={eps:g}: budget violation: {exc}")
-            rows.append([repr(eps), "", "", "", "", "", "", "", f"{time.perf_counter() - t0:.3f}", f"budget:{exc.term}"])
-            worst = worst or EXIT_BUDGET
+            status, code = f"budget:{exc.term}", EXIT_BUDGET
         except ConstructionError as exc:
             _log(f"eps={eps:g}: stage {exc.stage} failed: {exc}")
-            rows.append([repr(eps), "", "", "", "", "", "", "", f"{time.perf_counter() - t0:.3f}", f"stage:{exc.stage}"])
-            worst = worst or EXIT_STAGE
+            status, code = f"stage:{exc.stage}", EXIT_STAGE
         except (ConfigError, ValueError) as exc:
             _log(f"eps={eps:g}: config error: {exc}")
-            rows.append([repr(eps), "", "", "", "", "", "", "", f"{time.perf_counter() - t0:.3f}", "config"])
-            worst = worst or EXIT_CONFIG
+            status, code = "config", EXIT_CONFIG
+        rows.append([repr(eps)] + [""] * 7 + [f"{time.perf_counter() - t0:.3f}", status])
+        worst = worst or code
 
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:

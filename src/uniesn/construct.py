@@ -34,9 +34,10 @@ from .esn import BlockStructure, ESNParams, check_nilpotent
 from .filters import TargetFilter
 from .linalg import operator_norm
 from .shallow import FitToleranceError, ShallowNet, WidthPolicy, fit_identity, fit_to_tolerance
-from .windows import InputWindow, sample_ball, sample_product_ball, sample_window_array
+from .windows import sample_ball, sample_product_ball, sample_window_array
 
-_CLOSED_FORM_TOL = 1e-10
+#: Largest recursion-versus-closed-form gap a build or a verify accepts.
+CLOSED_FORM_TOL = 1e-10
 
 
 class ConstructionError(RuntimeError):
@@ -178,9 +179,8 @@ def build_identity_chain(
     tol = eps / (3.0 * gain) if horizon >= 1 else None
     chain = []
     for j, radius in enumerate(radii, start=1):
-        child_seed = int(np.random.SeedSequence([seed, j]).generate_state(1)[0])
         try:
-            net = fit_identity(d, radius, tol, policy, child_seed, margin=margin)
+            net = fit_identity(d, radius, tol, policy, _derived_seed(seed, j), margin=margin)
         except FitToleranceError as exc:
             raise ConstructionError(
                 "fit_identity_chain",
@@ -307,21 +307,15 @@ def assemble_esn(split: LagBlockNet, chain: list[ShallowNet]) -> ESNParams:
     return ESNParams(A=A, C=C, zeta=zeta, W=W, activation=split.net.activation, structure=structure)
 
 
-def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], w) -> np.ndarray:
+def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
     """Collector state at time 0, evaluated directly from the solved recursion.
 
     sigma(sum_j block_j @ chain_composition_j(z_{-j}) + bias): the unique
-    solution's collector block without running the state equation.  Accepts a
-    single window or a (B, T, d) batch; the independent oracle for the
+    solution's collector block without running the state equation, for a
+    (B, T, d) batch of windows; the independent oracle for the
     recursion-computed functional.
     """
     K = split.horizon
-    if isinstance(w, InputWindow):
-        arr = w.entries[None, :, :]
-        single = True
-    else:
-        arr = np.asarray(w, dtype=np.float64)
-        single = False
     B, T, d = arr.shape
     if T < K + 1:
         raise ValueError(f"window of length {T} too short: need >= {K + 1}")
@@ -329,30 +323,23 @@ def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], w) -> np.ndar
     for j in range(K + 1):
         z_j = arr[:, T - 1 - j, :]
         acc = acc + compose_chain(chain, j, z_j) @ split.lag_block(j).T
-    state = split.net.activation(acc)
-    return state[0] if single else state
+    return split.net.activation(acc)
 
 
-def direct_functional(split: LagBlockNet, w) -> np.ndarray:
-    """The static net applied to the true stacked lags (no chain in between)."""
+def direct_functional(split: LagBlockNet, arr: np.ndarray) -> np.ndarray:
+    """The static net applied to the true stacked lags of a (B, T, d) batch
+    (no chain in between)."""
     K = split.horizon
-    if isinstance(w, InputWindow):
-        arr = w.entries[None, :, :]
-        single = True
-    else:
-        arr = np.asarray(w, dtype=np.float64)
-        single = False
     B, T, d = arr.shape
     if T < K + 1:
         raise ValueError(f"window of length {T} too short: need >= {K + 1}")
     stacked = arr[:, T - 1 - K :, :].reshape(B, (K + 1) * d)
-    out = split.net.forward(stacked)
-    return out[0] if single else out
+    return split.net.forward(stacked)
 
 
-def chained_functional(split: LagBlockNet, chain: list[ShallowNet], w) -> np.ndarray:
-    """The constructed system's functional, via the closed form."""
-    state = closed_form_state(split, chain, w)
+def chained_functional(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
+    """The constructed system's functional on a (B, T, d) batch, via the closed form."""
+    state = closed_form_state(split, chain, arr)
     return state @ split.readout.T
 
 
@@ -485,11 +472,11 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     collector = recursion_states[:, esn.state_dim - split.net.width :]
     direct_states = closed_form_state(split, chain, check_arr)
     closed_form_gap = float(np.max(np.linalg.norm(collector - direct_states, axis=1))) if n_check else 0.0
-    if closed_form_gap > _CLOSED_FORM_TOL:
+    if closed_form_gap > CLOSED_FORM_TOL:
         raise ConstructionError(
             stage,
             f"recursion and closed form disagree by {closed_form_gap:g} "
-            f"(tolerance {_CLOSED_FORM_TOL:g})",
+            f"(tolerance {CLOSED_FORM_TOL:g})",
         )
     done(stage)
 

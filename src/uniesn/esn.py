@@ -15,16 +15,10 @@ import numpy as np
 
 from .linalg import operator_norm
 from .shallow import Activation, get_activation
-from .windows import InputWindow
+from .windows import InputWindow, freeze
 
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 100_000
-
-
-def _freeze(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C")
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -67,10 +61,10 @@ class ESNParams:
     structure: BlockStructure | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _freeze(self.A))
-        object.__setattr__(self, "C", _freeze(self.C))
-        object.__setattr__(self, "zeta", _freeze(self.zeta))
-        object.__setattr__(self, "W", _freeze(self.W))
+        object.__setattr__(self, "A", freeze(self.A))
+        object.__setattr__(self, "C", freeze(self.C))
+        object.__setattr__(self, "zeta", freeze(self.zeta))
+        object.__setattr__(self, "W", freeze(self.W))
         N = self.A.shape[0]
         if self.A.shape != (N, N):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -97,32 +91,6 @@ class ESNParams:
     def out_dim(self) -> int:
         return self.W.shape[0]
 
-    def step(self, x_prev, z) -> np.ndarray:
-        """One update: sigma(A x_prev + C z + zeta)."""
-        x_prev = np.asarray(x_prev, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        if x_prev.shape != (self.state_dim,):
-            raise ValueError(f"state shape {x_prev.shape} != ({self.state_dim},)")
-        if z.shape != (self.in_dim,):
-            raise ValueError(f"input shape {z.shape} != ({self.in_dim},)")
-        return self.activation(self.A @ x_prev + self.C @ z + self.zeta)
-
-    def run(self, w: InputWindow, x_init) -> np.ndarray:
-        """Iterate step over the window entries in time order.
-
-        Returns the (T, N) trajectory x_{-(T-1)}, ..., x_0 started from x_init.
-        """
-        if w.dim != self.in_dim:
-            raise ValueError(f"window dim {w.dim} != input dim {self.in_dim}")
-        x = np.asarray(x_init, dtype=np.float64)
-        if x.shape != (self.state_dim,):
-            raise ValueError(f"state shape {x.shape} != ({self.state_dim},)")
-        traj = np.empty((w.length, self.state_dim))
-        for t in range(w.length):
-            x = self.step(x, w.entries[t])
-            traj[t] = x
-        return traj
-
     def run_batch(self, arr: np.ndarray, x_init: np.ndarray | None = None) -> np.ndarray:
         """Final states for a (B, T, d) batch of windows, started from x_init.
 
@@ -137,19 +105,16 @@ class ESNParams:
             X = self.activation(X @ At + arr[:, t, :] @ Ct + self.zeta)
         return X
 
-    def functional(self, w: InputWindow) -> np.ndarray:
-        """W x_0 for the unique zero-extended solution of the state equation.
-
-        Structured systems need a window of length >= horizon+1; the result is
-        then independent of the initial state, so the zero state is used.
-        Unstructured systems must be contractive: the zero-input fixed point
-        (the exact state under all-zero extension) is found by iteration, then
-        the window is run from it.
-        """
-        return self.W @ self._solve_state(w)
-
     def functional_batch(self, arr: np.ndarray) -> np.ndarray:
-        """(B, T, d) batch of windows -> (B, m) outputs; see functional."""
+        """(B, T, d) batch of windows -> (B, m) outputs.
+
+        Each output is W x_0 for the unique zero-extended solution of the
+        state equation.  Structured systems need windows of length >=
+        horizon+1; the result is then independent of the initial state, so
+        the zero state is used.  Unstructured systems must be contractive:
+        the zero-input fixed point (the exact state under all-zero extension)
+        is found by iteration, then the windows are run from it.
+        """
         self._require_solvable(arr.shape[1])
         if self.structure is None:
             x0 = self._zero_input_fixed_point()
@@ -173,20 +138,13 @@ class ESNParams:
 
     def _zero_input_fixed_point(self) -> np.ndarray:
         x = np.zeros(self.state_dim)
-        zero_in = np.zeros(self.in_dim)
+        zero_in = np.zeros((1, 1, self.in_dim))
         for _ in range(_FIXED_POINT_MAX_ITER):
-            x_next = self.step(x, zero_in)
+            x_next = self.run_batch(zero_in, x_init=x)[0]
             if float(np.linalg.norm(x_next - x)) < _FIXED_POINT_TOL:
                 return x_next
             x = x_next
         raise RuntimeError("zero-input burn-in did not converge")
-
-    def _solve_state(self, w: InputWindow) -> np.ndarray:
-        self._require_solvable(w.length)
-        if self.structure is None:
-            x0 = self._zero_input_fixed_point()
-            return self.run(w, x0)[-1]
-        return self.run(w, np.zeros(self.state_dim))[-1]
 
     def to_json(self) -> dict:
         return {
@@ -218,18 +176,6 @@ class ESNParams:
             activation=get_activation(obj["activation"]),
             structure=structure,
         )
-
-
-def esn_step(p: ESNParams, x_prev, z) -> np.ndarray:
-    return p.step(x_prev, z)
-
-
-def esn_run(p: ESNParams, w: InputWindow, x_init) -> np.ndarray:
-    return p.run(w, x_init)
-
-
-def esn_functional(p: ESNParams, w: InputWindow) -> np.ndarray:
-    return p.functional(w)
 
 
 def check_nilpotent(p: ESNParams) -> tuple[bool, int]:
@@ -270,7 +216,9 @@ def check_esp_empirical(p: ESNParams, w: InputWindow, trials: int, seed: int) ->
 
     Structured systems must agree bitwise (init dependence vanishes after
     horizon+1 steps by structure); contractive unstructured systems within
-    1e-9 (geometric convergence is not exact).
+    1e-9 (geometric convergence is not exact).  Each trial is its own
+    one-window batch: rows of one matmul are not bitwise equal across row
+    positions, so stacking the trials would break the bitwise comparison.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -280,26 +228,25 @@ def check_esp_empirical(p: ESNParams, w: InputWindow, trials: int, seed: int) ->
             f">= {p.structure.horizon + 1}"
         )
     rng = np.random.default_rng(seed)
-    finals = []
-    for _ in range(trials):
-        x_init = rng.standard_normal(p.state_dim)
-        finals.append(p.run(w, x_init)[-1])
+    arr = w.entries[None, :, :]
+    finals = [p.run_batch(arr, x_init=rng.standard_normal(p.state_dim))[0] for _ in range(trials)]
     ref = finals[0]
     if p.structure is not None:
         return all(np.array_equal(ref, x) for x in finals[1:])
     return all(float(np.linalg.norm(ref - x)) < 1e-9 for x in finals[1:])
 
 
-def check_finite_memory(p: ESNParams, w1: InputWindow, w2: InputWindow) -> bool:
-    """Outputs must agree bitwise when the windows share their last horizon+1 entries."""
+def check_finite_memory(p: ESNParams, arr1: np.ndarray, arr2: np.ndarray) -> bool:
+    """Do two (B, T, d) batches that share their last horizon+1 entries give
+    bitwise-equal outputs, row i against row i?"""
     if p.structure is None:
         raise ValueError("finite-memory check needs block-structure metadata")
     K = p.structure.horizon
-    tail1 = w1.entries[w1.length - (K + 1) :]
-    tail2 = w2.entries[w2.length - (K + 1) :]
-    if w1.length < K + 1 or w2.length < K + 1 or not np.array_equal(tail1, tail2):
+    if arr1.shape != arr2.shape or arr1.shape[1] < K + 1:
+        raise ValueError(f"need equal-shape batches of windows with >= {K + 1} entries")
+    if not np.array_equal(arr1[:, -(K + 1) :], arr2[:, -(K + 1) :]):
         raise ValueError(f"windows must agree on their last {K + 1} entries")
-    return bool(np.array_equal(p.functional(w1), p.functional(w2)))
+    return bool(np.array_equal(p.functional_batch(arr1), p.functional_batch(arr2)))
 
 
 def check_contraction(p: ESNParams) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import operator_norm
-from .windows import InputWindow, shift_window
+from .windows import freeze
 
 _HORIZON_CAP = 10_000
 
@@ -44,22 +44,10 @@ class TargetFilter:
     #: claim (raw callables).  Reports label the truncation term accordingly.
     certified = True
 
-    def _check(self, w: InputWindow):
-        if w.dim != self.in_dim:
-            raise ValueError(f"window dim {w.dim} != filter input dim {self.in_dim}")
-
-    def evaluate(self, w: InputWindow) -> np.ndarray:
-        """The functional: output at time 0 for the zero-extended window."""
-        self._check(w)
-        return self.evaluate_batch(w.entries[None, :, :])[0]
-
-    def evaluate_at(self, w: InputWindow, k: int) -> np.ndarray:
-        """Filter output at time -k; by time invariance, the functional on the
-        window truncated at -k."""
-        return self.evaluate(shift_window(w, k))
-
     def evaluate_batch(self, arr: np.ndarray) -> np.ndarray:
-        """(B, T, d) batch of windows -> (B, out_dim) outputs."""
+        """The functional on a (B, T, d) batch of zero-extended windows: the
+        (B, out_dim) outputs at time 0.  By time invariance, the output at
+        time -k is the functional on ``arr[:, : T - k]``."""
         raise NotImplementedError
 
     def truncation_bound(self, horizon: int) -> float:
@@ -110,18 +98,10 @@ class FIRFilter(TargetFilter):
     coeffs: tuple = ()  # tuple of (out_dim, in_dim) arrays, lag order a_0..a_J
 
     def __post_init__(self):
-        frozen = []
+        object.__setattr__(self, "coeffs", tuple(freeze(a) for a in self.coeffs))
         for a in self.coeffs:
-            a = np.array(a, dtype=np.float64)
             if a.shape != (self.out_dim, self.in_dim):
                 raise ValueError(f"tap shape {a.shape} != ({self.out_dim}, {self.in_dim})")
-            a.flags.writeable = False
-            frozen.append(a)
-        object.__setattr__(self, "coeffs", tuple(frozen))
-
-    @property
-    def memory(self) -> int:
-        return len(self.coeffs) - 1
 
     def evaluate_batch(self, arr: np.ndarray) -> np.ndarray:
         out = np.zeros((arr.shape[0], self.out_dim))
@@ -153,11 +133,9 @@ class ExpFadingFilter(TargetFilter):
     decay: float = 0.5
 
     def __post_init__(self):
-        b = np.array(self.matrix, dtype=np.float64)
-        if b.shape != (self.out_dim, self.in_dim):
-            raise ValueError(f"matrix shape {b.shape} != ({self.out_dim}, {self.in_dim})")
-        b.flags.writeable = False
-        object.__setattr__(self, "matrix", b)
+        object.__setattr__(self, "matrix", freeze(self.matrix))
+        if self.matrix.shape != (self.out_dim, self.in_dim):
+            raise ValueError(f"matrix shape {self.matrix.shape} != ({self.out_dim}, {self.in_dim})")
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
 
@@ -196,37 +174,25 @@ class QuadTerm:
     b: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.b, dtype=np.float64).reshape(-1)
-        v.flags.writeable = False
-        object.__setattr__(self, "b", v)
+        object.__setattr__(self, "b", freeze(np.ravel(self.b)))
         if self.j < 0 or self.k < 0:
             raise ValueError(f"lags must be >= 0, got ({self.j}, {self.k})")
 
 
 @dataclass(frozen=True)
-class Volterra2Filter(TargetFilter):
+class Volterra2Filter(FIRFilter):
     """FIR part plus finitely many second-order interaction terms."""
 
-    coeffs: tuple = ()
     quad: tuple = ()  # tuple of QuadTerm
 
     def __post_init__(self):
-        frozen = []
-        for a in self.coeffs:
-            a = np.array(a, dtype=np.float64)
-            if a.shape != (self.out_dim, self.in_dim):
-                raise ValueError(f"tap shape {a.shape} != ({self.out_dim}, {self.in_dim})")
-            a.flags.writeable = False
-            frozen.append(a)
-        object.__setattr__(self, "coeffs", tuple(frozen))
+        super().__post_init__()
         for q in self.quad:
             if q.b.shape != (self.out_dim,):
                 raise ValueError(f"quad coefficient shape {q.b.shape} != ({self.out_dim},)")
 
     def evaluate_batch(self, arr: np.ndarray) -> np.ndarray:
-        out = np.zeros((arr.shape[0], self.out_dim))
-        for j, a in enumerate(self.coeffs):
-            out += _lagged(arr, j) @ a.T
+        out = super().evaluate_batch(arr)
         for q in self.quad:
             inner = np.sum(_lagged(arr, q.j) * _lagged(arr, q.k), axis=1)
             out += inner[:, None] * q.b[None, :]
@@ -234,13 +200,12 @@ class Volterra2Filter(TargetFilter):
 
     def truncation_bound(self, horizon: int) -> float:
         M = self.input_bound
-        linear = sum(operator_norm(a) for j, a in enumerate(self.coeffs) if j > horizon) * M
         quadratic = sum(
             float(np.linalg.norm(q.b)) * M * M
             for q in self.quad
             if q.j > horizon or q.k > horizon
         )
-        return float(linear + quadratic)
+        return float(super().truncation_bound(horizon) + quadratic)
 
     def to_json(self) -> dict:
         return {
@@ -313,7 +278,3 @@ def filter_from_json(obj: dict) -> TargetFilter:
             ),
         )
     raise ValueError(f"unknown filter kind {kind!r}")
-
-
-def filter_to_json(f: TargetFilter) -> dict:
-    return f.to_json()

@@ -9,12 +9,12 @@ hidden layer is frozen random, the readout solves a convex problem, and the
 whole fit is bitwise reproducible from its arguments.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import operator_norm
-from .windows import sample_ball
+from .windows import freeze, sample_ball
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,6 @@ def get_activation(kind: str) -> Activation:
         raise ValueError(f"unknown activation kind {kind!r}; known: {sorted(_ACTIVATIONS)}") from None
 
 
-def _freeze(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C")
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class ShallowNet:
     """readout @ sigma(hidden_matrix @ u + hidden_bias)."""
@@ -66,9 +60,9 @@ class ShallowNet:
     activation: Activation
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_matrix", _freeze(self.hidden_matrix))
-        object.__setattr__(self, "hidden_bias", _freeze(self.hidden_bias))
-        object.__setattr__(self, "readout", _freeze(self.readout))
+        object.__setattr__(self, "hidden_matrix", freeze(self.hidden_matrix))
+        object.__setattr__(self, "hidden_bias", freeze(self.hidden_bias))
+        object.__setattr__(self, "readout", freeze(self.readout))
         w, d = self.hidden_matrix.shape
         if self.hidden_bias.shape != (w,):
             raise ValueError(f"hidden_bias shape {self.hidden_bias.shape} != ({w},)")
@@ -88,17 +82,11 @@ class ShallowNet:
         return self.hidden_matrix.shape[0]
 
     def forward(self, u) -> np.ndarray:
-        """Evaluate the net at a single vector (d,) or a batch (n, d)."""
+        """Evaluate the net on a batch (n, d) of input vectors; returns (n, out_dim)."""
         u = np.asarray(u, dtype=np.float64)
-        if u.ndim == 1:
-            if u.shape[0] != self.in_dim:
-                raise ValueError(f"input dim {u.shape[0]} != {self.in_dim}")
-            return self.readout @ self.activation(self.hidden_matrix @ u + self.hidden_bias)
-        if u.ndim == 2:
-            if u.shape[1] != self.in_dim:
-                raise ValueError(f"input dim {u.shape[1]} != {self.in_dim}")
-            return self.activation(u @ self.hidden_matrix.T + self.hidden_bias) @ self.readout.T
-        raise ValueError(f"expected a vector or a batch of vectors, got ndim={u.ndim}")
+        if u.ndim != 2 or u.shape[1] != self.in_dim:
+            raise ValueError(f"expected a batch of shape (n, {self.in_dim}), got {u.shape}")
+        return self.activation(u @ self.hidden_matrix.T + self.hidden_bias) @ self.readout.T
 
     def to_json(self) -> dict:
         return {

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def freeze(arr) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of ``arr``."""
     out = np.array(arr, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
@@ -34,7 +35,7 @@ class InputWindow:
     bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze(self.entries))
+        object.__setattr__(self, "entries", freeze(self.entries))
         if self.entries.ndim != 2:
             raise ValueError(f"entries must be a (T, d) array, got shape {self.entries.shape}")
         T, d = self.entries.shape
@@ -58,15 +59,6 @@ class InputWindow:
     def dim(self) -> int:
         return self.entries.shape[1]
 
-    def at_time(self, t: int) -> np.ndarray:
-        """Entry at time t <= 0; zero vector beyond the stored past."""
-        if t > 0:
-            raise ValueError(f"window holds no future entries, got t={t}")
-        idx = self.length - 1 + t
-        if idx < 0:
-            return np.zeros(self.dim)
-        return self.entries[idx]
-
     def to_json(self) -> dict:
         return {
             "time_order": "past_to_present",
@@ -82,59 +74,10 @@ class InputWindow:
         return cls(entries=np.asarray(obj["entries"], dtype=np.float64), bound=float(obj["bound"]))
 
 
-@dataclass(frozen=True)
-class SupMetricEstimate:
-    """Maximum of a sampled set: a certified lower bound on the true sup."""
-
-    value: float
-    sample_count: int
-    sampler_seed: int
-
-
 def make_window(entries, M: float) -> InputWindow:
     """Validate a list of d-vectors as a window with per-entry norm <= M."""
     arr = np.atleast_2d(np.asarray(entries, dtype=np.float64))
     return InputWindow(entries=arr, bound=float(M))
-
-
-def shift_window(w: InputWindow, k: int) -> InputWindow:
-    """Drop the last ``k`` entries: the entry formerly at time -k becomes time 0.
-
-    Realizes time invariance: a filter's output at time -k equals its
-    functional evaluated on the input truncated at -k.
-    """
-    if k < 0:
-        raise ValueError(f"shift must be non-negative, got {k}")
-    if k >= w.length:
-        raise ValueError(f"cannot shift by {k}: window has only {w.length} entries")
-    if k == 0:
-        return w
-    return InputWindow(entries=w.entries[: w.length - k], bound=w.bound)
-
-
-def sample_ball(d: int, R: float, n: int, seed: int) -> np.ndarray:
-    """``n`` points drawn uniformly on the closed ball of radius R in d-space.
-
-    Returns an (n, d) array.  The first point is always the origin and the
-    second (when n >= 2) is the boundary probe R*e_1, so sampled maxima over
-    the ball always see the boundary.  Bitwise reproducible from ``seed``.
-    """
-    if d < 1 or n < 1:
-        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if not R > 0:
-        raise ValueError(f"radius must be positive, got {R}")
-    out = np.zeros((n, d))
-    if n >= 2:
-        out[1, 0] = R
-    if n > 2:
-        rng = np.random.default_rng(seed)
-        m = n - 2
-        dirs = rng.standard_normal((m, d))
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        radii = R * rng.random(m) ** (1.0 / d)
-        out[2:] = dirs / norms * radii[:, None]
-    return out
 
 
 def sample_product_ball(d: int, R: float, copies: int, n: int, seed: int) -> np.ndarray:
@@ -163,36 +106,23 @@ def sample_product_ball(d: int, R: float, copies: int, n: int, seed: int) -> np.
     return out
 
 
+def sample_ball(d: int, R: float, n: int, seed: int) -> np.ndarray:
+    """``n`` points drawn uniformly on the closed ball of radius R in d-space.
+
+    Returns an (n, d) array.  The first point is always the origin and the
+    second (when n >= 2) is the boundary probe R*e_1, so sampled maxima over
+    the ball always see the boundary.  Bitwise reproducible from ``seed``.
+    """
+    return sample_product_ball(d, R, 1, n, seed)
+
+
 def sample_window_array(d: int, M: float, T: int, n: int, seed: int) -> np.ndarray:
     """``n`` windows of length T as an (n, T, d) array, entries uniform on the M-ball.
 
     Row 0 is the all-zero window; row 1 (when n >= 2) is the constant boundary
     window with every entry M*e_1.
     """
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
-    if d < 1 or n < 1:
-        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if not M > 0:
-        raise ValueError(f"bound must be positive, got {M}")
-    out = np.zeros((n, T, d))
-    if n >= 2:
-        out[1, :, 0] = M
-    if n > 2:
-        rng = np.random.default_rng(seed)
-        m = n - 2
-        dirs = rng.standard_normal((m, T, d))
-        norms = np.linalg.norm(dirs, axis=2, keepdims=True)
-        norms[norms == 0] = 1.0
-        radii = M * rng.random((m, T)) ** (1.0 / d)
-        out[2:] = dirs / norms * radii[:, :, None]
-    return out
-
-
-def sample_windows(d: int, M: float, T: int, n: int, seed: int) -> list[InputWindow]:
-    """As :func:`sample_window_array`, wrapped into :class:`InputWindow` objects."""
-    arr = sample_window_array(d, M, T, n, seed)
-    return [InputWindow(entries=arr[i], bound=M) for i in range(n)]
+    return sample_product_ball(d, M, T, n, seed).reshape(n, T, d)
 
 
 def weighted_distance(w1: InputWindow, w2: InputWindow, decay: float = 0.5) -> float:
@@ -213,19 +143,3 @@ def weighted_distance(w1: InputWindow, w2: InputWindow, decay: float = 0.5) -> f
     diffs = np.linalg.norm(a - b, axis=1)
     weights = decay ** np.arange(T - 1, -1, -1, dtype=np.float64)
     return float(weights @ diffs)
-
-
-def estimate_sup_gap(f, g, windows: list[InputWindow], seed: int = 0) -> SupMetricEstimate:
-    """Sampled sup of ||f(w) - g(w)|| over the given windows.
-
-    The maximum over a finite sample is a lower bound on the true sup over
-    all admissible inputs; callers quote it together with the sample count.
-    """
-    if not windows:
-        raise ValueError("need at least one window")
-    best = 0.0
-    for w in windows:
-        gap = float(np.linalg.norm(np.asarray(f(w)) - np.asarray(g(w))))
-        if gap > best:
-            best = gap
-    return SupMetricEstimate(value=best, sample_count=len(windows), sampler_seed=seed)

@@ -41,6 +41,14 @@ def read_csv_skipping_schema(path: Path):
     return list(csv.DictReader(lines[1:]))
 
 
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """One construct run, shared by tests that only read its artifacts."""
+    tmp = tmp_path_factory.mktemp("built")
+    assert cli.main(["construct", str(write_config(tmp)), "--out", str(tmp / "out")]) == 0
+    return tmp / "out"
+
+
 class TestConstruct:
     def test_happy_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -179,6 +187,33 @@ class TestVerify:
     def test_unreadable_esn_is_load_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["verify", str(tmp_path / "missing.json"), str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "verification, nets_text",
+        [
+            ({"esp_trials": 0}, None),
+            ({"fmp_trials": 0}, None),
+            ({"fmp_trials": "many"}, None),
+            ({"closed_form_windows": 0}, None),
+            ({}, lambda nets: "{not json"),
+            ({}, lambda nets: json.dumps({"lag_dim": nets["lag_dim"]})),
+            ({}, lambda nets: json.dumps({**nets, "identity_chain": nets["identity_chain"][:-1]})),
+        ],
+        ids=[
+            "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
+            "nets_not_json", "nets_missing_keys", "nets_chain_too_short",
+        ],
+    )
+    def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, verification, nets_text):
+        cfg = write_config(tmp_path, verification=verification)
+        for name in ("esn.json", "nets.json"):
+            (tmp_path / name).write_bytes((built / name).read_bytes())
+        if nets_text is not None:
+            nets = json.loads((built / "nets.json").read_text())
+            (tmp_path / "nets.json").write_text(nets_text(nets))
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
+        assert "load error" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
 
 
 class TestSweep:

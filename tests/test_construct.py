@@ -23,7 +23,7 @@ from uniesn.esn import check_finite_memory, check_nilpotent
 from uniesn.filters import ExpFadingFilter, FIRFilter
 from uniesn.linalg import operator_norm
 from uniesn.shallow import ShallowNet, WidthPolicy, get_activation
-from uniesn.windows import InputWindow, sample_ball, sample_window_array
+from uniesn.windows import sample_ball, sample_window_array
 
 TANH = get_activation("tanh")
 
@@ -249,9 +249,9 @@ class TestAssemble:
 class TestClosedForm:
     def test_degenerate_formula(self):
         split = random_split(K=0, d=1, collector_width=4, seed=23)
-        w = InputWindow(entries=np.array([[0.4]]), bound=1.0)
+        arr = np.array([[[0.4]]])
         want = TANH(split.lag_block(0) @ np.array([0.4]) + split.bias)
-        np.testing.assert_allclose(closed_form_state(split, [], w), want, atol=1e-15)
+        np.testing.assert_allclose(closed_form_state(split, [], arr)[0], want, atol=1e-15)
 
     def test_matches_recursion_within_tolerance(self):
         rng = np.random.default_rng(24)
@@ -292,14 +292,6 @@ class TestDirectFunctional:
         arr = sample_window_array(2, 1.0, 6, 10, seed=33)
         stacked = arr[:, 3:, :].reshape(10, 6)
         assert np.array_equal(direct_functional(split, arr), split.net.forward(stacked))
-
-    def test_single_window_variant(self):
-        split = random_split(K=1, d=1, collector_width=4, seed=34)
-        arr = sample_window_array(1, 1.0, 3, 4, seed=35)
-        w = InputWindow(entries=arr[2], bound=1.0)
-        np.testing.assert_allclose(
-            direct_functional(split, w), direct_functional(split, arr)[2], rtol=1e-12
-        )
 
     def test_zero_ingredients_give_zero(self):
         net = ShallowNet(
@@ -361,12 +353,10 @@ class TestPipeline:
         res = construct_universal_esn(f, small_cfg(eps=0.4, seed=5))
         K = res.horizon
         T = 12
-        arr = sample_window_array(1, 1.0, T, 4, seed=41)[3]
-        w1 = InputWindow(entries=arr, bound=1.0)
+        arr = sample_window_array(1, 1.0, T, 4, seed=41)[3:]
         modified = arr.copy()
-        modified[: T - (K + 1)] = 1.0
-        w2 = InputWindow(entries=modified, bound=1.0)
-        assert check_finite_memory(res.esn, w1, w2)
+        modified[:, : T - (K + 1)] = 1.0
+        assert check_finite_memory(res.esn, arr, modified)
 
     def test_impossible_static_tolerance_tags_stage(self):
         f = ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)

@@ -62,13 +62,16 @@ def chain_esn(widths, d, m, seed):
 
 
 class TestStep:
+    """A single update sigma(A x + C z + zeta) is a one-entry batch."""
+
     def test_all_zero_system(self):
         p = scalar_esn(0.0, 0.0)
-        assert np.array_equal(p.step([3.7], [0.9]), [0.0])
+        assert np.array_equal(p.run_batch(np.array([[[0.9]]]), x_init=np.array([3.7])), [[0.0]])
 
     def test_direct_formula(self):
         p = scalar_esn(0.0, 1.0)
-        np.testing.assert_allclose(p.step([0.0], [0.5]), [0.46211715726], atol=1e-10)
+        got = p.run_batch(np.array([[[0.5]]]), x_init=np.array([0.0]))
+        np.testing.assert_allclose(got, [[0.46211715726]], atol=1e-10)
 
     def test_matches_hand_rolled_scalar_loop(self):
         rng = np.random.default_rng(20)
@@ -79,7 +82,7 @@ class TestStep:
         )
         x_prev = rng.standard_normal(N)
         z = rng.standard_normal(d)
-        got = p.step(x_prev, z)
+        got = p.run_batch(z[None, None, :], x_init=x_prev)[0]
         for i in range(N):
             pre = sum(p.A[i, j] * x_prev[j] for j in range(N))
             pre += sum(p.C[i, j] * z[j] for j in range(d))
@@ -89,91 +92,86 @@ class TestStep:
     def test_dimension_checks(self):
         p = scalar_esn(0.1, 1.0)
         with pytest.raises(ValueError):
-            p.step([0.0, 0.0], [0.1])
+            p.run_batch(np.array([[[0.1]]]), x_init=np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
-            p.step([0.0], [0.1, 0.2])
+            p.run_batch(np.array([[[0.1, 0.2]]]), x_init=np.array([0.0]))
 
 
 class TestRun:
     def test_single_entry_window_is_one_step(self):
         p = scalar_esn(0.5, 1.0, zeta=0.1)
-        w = make_window([(0.3,)], M=1.0)
-        traj = p.run(w, [0.2])
-        assert traj.shape == (1, 1)
-        assert np.array_equal(traj[0], p.step([0.2], [0.3]))
+        final = p.run_batch(np.array([[[0.3]]]), x_init=np.array([0.2]))
+        assert final.shape == (1, 1)
+        assert abs(final[0, 0] - math.tanh(0.5 * 0.2 + 0.3 + 0.1)) <= 1e-15
 
     def test_all_zero_system_stays_at_zero(self):
         p = scalar_esn(0.0, 0.0)
-        w = make_window([(0.5,), (0.5,), (0.5,)], M=1.0)
-        assert np.all(p.run(w, [0.0]) == 0.0)
+        arr = np.full((1, 3, 1), 0.5)
+        assert np.all(p.run_batch(arr, x_init=np.array([0.0])) == 0.0)
 
     def test_unrolling_matches_repeated_steps(self):
         p = random_esn(3, 1, 1, seed=21, spectral=0.8)
-        arr = sample_window_array(1, 1.0, 5, 3, seed=22)[2]
-        w = InputWindow(entries=arr, bound=1.0)
+        arr = sample_window_array(1, 1.0, 5, 3, seed=22)[2:]
         x = np.zeros(3)
-        traj = p.run(w, x)
         for t in range(5):
-            x = p.step(x, arr[t])
-            assert np.array_equal(traj[t], x)
+            x = p.run_batch(arr[:, t : t + 1], x_init=x)[0]
+            assert np.array_equal(p.run_batch(arr[:, : t + 1], x_init=np.zeros(3))[0], x)
 
     def test_run_batch_matches_run(self):
+        # one window at a time against the whole batch: rows of one matmul
+        # associate sums differently, so they agree to rounding, not bitwise
         p = random_esn(4, 2, 1, seed=23, spectral=0.7)
         arr = sample_window_array(2, 1.0, 6, 10, seed=24)
         finals = p.run_batch(arr)
         for i in range(10):
-            w = InputWindow(entries=arr[i], bound=1.0)
-            np.testing.assert_allclose(finals[i], p.run(w, np.zeros(4))[-1], atol=1e-12)
+            np.testing.assert_allclose(finals[i], p.run_batch(arr[i : i + 1])[0], atol=1e-12)
 
 
 class TestFunctional:
     def test_structured_init_independence_bitwise(self):
         p = chain_esn([3, 4, 5], d=2, m=1, seed=25)
         K = p.structure.horizon
-        arr = sample_window_array(2, 1.0, K + 1, 4, seed=26)[3]
-        w = InputWindow(entries=arr, bound=1.0)
+        arr = sample_window_array(2, 1.0, K + 1, 4, seed=26)[3:]
         rng = np.random.default_rng(27)
-        ref = p.run(w, rng.standard_normal(p.state_dim))[-1]
+        ref = p.run_batch(arr, x_init=rng.standard_normal(p.state_dim))
         for _ in range(5):
-            other = p.run(w, rng.standard_normal(p.state_dim))[-1]
+            other = p.run_batch(arr, x_init=rng.standard_normal(p.state_dim))
             assert np.array_equal(ref, other)
 
     def test_zero_readout_gives_zero(self):
         p = chain_esn([2, 3], d=1, m=2, seed=28)
         p = ESNParams(A=p.A, C=p.C, zeta=p.zeta, W=np.zeros((2, p.state_dim)),
                       activation=TANH, structure=p.structure)
-        w = make_window([(0.4,), (0.2,)], M=1.0)
-        assert np.array_equal(p.functional(w), [0.0, 0.0])
+        arr = np.array([[[0.4], [0.2]]])
+        assert np.array_equal(p.functional_batch(arr), [[0.0, 0.0]])
 
     def test_structured_window_too_short(self):
         p = chain_esn([2, 2, 3], d=1, m=1, seed=29)
         with pytest.raises(ValueError, match="too short"):
-            p.functional(make_window([(0.1,), (0.2,)], M=1.0))
+            p.functional_batch(np.array([[[0.1], [0.2]]]))
 
     def test_unstructured_needs_contraction(self):
         p = scalar_esn(2.0, 1.0)
         with pytest.raises(ValueError, match="unique solution"):
-            p.functional(make_window([(0.1,)], M=1.0))
+            p.functional_batch(np.array([[[0.1]]]))
 
     def test_contractive_functional_matches_long_zero_padding(self):
         # the fixed-point burn-in must agree with explicitly padding zeros
         p = random_esn(3, 1, 1, seed=30, spectral=0.5)
-        w_entries = sample_window_array(1, 1.0, 4, 3, seed=31)[2]
-        w = InputWindow(entries=w_entries, bound=1.0)
-        padded = InputWindow(entries=np.vstack([np.zeros((60, 1)), w_entries]), bound=1.0)
-        got = p.functional(w)
-        want = p.W @ p.run(padded, np.zeros(3))[-1]
+        arr = sample_window_array(1, 1.0, 4, 3, seed=31)[2:]
+        padded = np.concatenate([np.zeros((1, 60, 1)), arr], axis=1)
+        got = p.functional_batch(arr)
+        want = p.run_batch(padded) @ p.W.T
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_functional_batch_matches_functional(self):
-        # batched matmul and single matvec associate sums differently, so the
-        # two paths agree to rounding, not bitwise
+        # one window at a time against the whole batch: rows of one matmul
+        # associate sums differently, so they agree to rounding, not bitwise
         p = chain_esn([2, 3, 4], d=1, m=2, seed=32)
         arr = sample_window_array(1, 1.0, 6, 8, seed=33)
         batch = p.functional_batch(arr)
         for i in range(8):
-            w = InputWindow(entries=arr[i], bound=1.0)
-            np.testing.assert_allclose(batch[i], p.functional(w), atol=1e-12)
+            np.testing.assert_allclose(batch[i], p.functional_batch(arr[i : i + 1])[0], atol=1e-12)
 
 
 class TestNilpotency:
@@ -237,25 +235,32 @@ class TestFiniteMemory:
         p = chain_esn([3, 4, 5], d=2, m=1, seed=45)
         K = p.structure.horizon
         T = 12
-        arr = sample_window_array(2, 1.0, T, 3, seed=46)[2]
-        w1 = InputWindow(entries=arr, bound=1.0)
+        arr = sample_window_array(2, 1.0, T, 3, seed=46)
         modified = arr.copy()
-        modified[: T - (K + 1)] = np.array([1.0, 0.0])  # boundary-norm rewrite
-        w2 = InputWindow(entries=modified, bound=1.0)
-        assert check_finite_memory(p, w1, w2)
+        modified[:, : T - (K + 1)] = np.array([1.0, 0.0])  # boundary-norm rewrite
+        assert check_finite_memory(p, arr, modified)
 
     def test_identical_windows(self):
         p = chain_esn([2, 2], d=1, m=1, seed=47)
-        arr = sample_window_array(1, 1.0, 5, 3, seed=48)[2]
-        w = InputWindow(entries=arr, bound=1.0)
-        assert check_finite_memory(p, w, w)
+        arr = sample_window_array(1, 1.0, 5, 3, seed=48)
+        assert check_finite_memory(p, arr, arr)
 
     def test_tail_disagreement_rejected(self):
         p = chain_esn([2, 2], d=1, m=1, seed=49)
-        w1 = make_window([(0.1,), (0.2,), (0.3,)], M=1.0)
-        w2 = make_window([(0.1,), (0.2,), (0.4,)], M=1.0)
+        arr1 = np.array([[[0.1], [0.2], [0.3]]])
+        arr2 = np.array([[[0.1], [0.2], [0.4]]])
         with pytest.raises(ValueError):
-            check_finite_memory(p, w1, w2)
+            check_finite_memory(p, arr1, arr2)
+
+    def test_oldest_tail_entry_disagreement_rejected(self):
+        # windows that differ only at lag K still differ in their last K+1 entries
+        p = chain_esn([2, 2, 2], d=1, m=1, seed=49)
+        K = p.structure.horizon
+        arr1 = sample_window_array(1, 1.0, 6, 4, seed=50)
+        arr2 = arr1.copy()
+        arr2[:, -(K + 1)] = 0.5
+        with pytest.raises(ValueError, match="last 3 entries"):
+            check_finite_memory(p, arr1, arr2)
 
     def test_contractive_influence_decays_geometrically(self):
         # for an unstructured contractive system the influence of a rewrite
@@ -268,14 +273,12 @@ class TestFiniteMemory:
         w_norm = operator_norm(p.W)
         diam = 2 * np.sqrt(p.state_dim)  # tanh states live in [-1, 1]^N
         T = 24
-        arr = sample_window_array(1, 1.0, T, 3, seed=51)[2]
-        base = InputWindow(entries=arr, bound=1.0)
+        arr = sample_window_array(1, 1.0, T, 3, seed=51)[2:]
         prev_envelope = np.inf
         for q in (4, 8, 12, 16):
             modified = arr.copy()
-            modified[: T - q] = 1.0
-            other = InputWindow(entries=modified, bound=1.0)
-            gap = float(np.linalg.norm(p.functional(base) - p.functional(other)))
+            modified[:, : T - q] = 1.0
+            gap = float(np.linalg.norm(p.functional_batch(arr) - p.functional_batch(modified)))
             envelope = w_norm * rho**q * diam
             assert gap <= envelope + 1e-12
             assert envelope < prev_envelope

@@ -10,7 +10,7 @@ from uniesn.filters import (
     filter_from_json,
 )
 from uniesn.linalg import operator_norm
-from uniesn.windows import make_window, sample_window_array, sample_windows, shift_window, weighted_distance
+from uniesn.windows import make_window, sample_window_array, weighted_distance
 
 
 def fir(coeffs, d=1, m=1, M=1.0):
@@ -21,19 +21,22 @@ def expfading(decay=0.5, B=1.0, d=1, m=1, M=1.0):
     return ExpFadingFilter(in_dim=d, out_dim=m, input_bound=M, matrix=np.atleast_2d(B), decay=decay)
 
 
+def one(entries, M=1.0):
+    """A validated window as a one-window (1, T, d) batch."""
+    return make_window(entries, M).entries[None, :, :]
+
+
 class TestEvaluate:
     def test_fir_two_taps(self):
         f = fir([[1.0], [-0.5]])
-        w = make_window([(0.2,), (0.4,)], M=1.0)
-        np.testing.assert_allclose(f.evaluate(w), [1.0 * 0.4 - 0.5 * 0.2])
+        np.testing.assert_allclose(f.evaluate_batch(one([(0.2,), (0.4,)])), [[1.0 * 0.4 - 0.5 * 0.2]])
 
     def test_expfading_geometric_sum(self):
         f = expfading()
-        w = make_window([(1.0,), (1.0,), (1.0,)], M=1.0)
-        np.testing.assert_allclose(f.evaluate(w), [1.75])
+        np.testing.assert_allclose(f.evaluate_batch(one([(1.0,), (1.0,), (1.0,)])), [[1.75]])
 
     def test_zero_window_maps_to_zero(self):
-        w = make_window([(0.0,), (0.0,)], M=1.0)
+        arr = one([(0.0,), (0.0,)])
         filters = [
             fir([[1.0], [2.0]]),
             expfading(),
@@ -44,7 +47,7 @@ class TestEvaluate:
             ),
         ]
         for f in filters:
-            assert np.array_equal(f.evaluate(w), [0.0])
+            assert np.array_equal(f.evaluate_batch(arr), [[0.0]])
 
     def test_volterra_quadratic_term(self):
         f = Volterra2Filter(
@@ -52,47 +55,48 @@ class TestEvaluate:
             coeffs=(np.array([[1.0]]),),
             quad=(QuadTerm(j=0, k=1, b=np.array([2.0])),),
         )
-        w = make_window([(0.5,), (0.4,)], M=1.0)
         # linear: 1 * 0.4; quadratic: 2 * (0.4 * 0.5)
-        np.testing.assert_allclose(f.evaluate(w), [0.4 + 2 * 0.2])
+        np.testing.assert_allclose(f.evaluate_batch(one([(0.5,), (0.4,)])), [[0.4 + 2 * 0.2]])
 
     def test_dim_mismatch(self):
         f = expfading()
         with pytest.raises(ValueError):
-            f.evaluate(make_window([(0.1, 0.2)], M=1.0))
+            f.evaluate_batch(one([(0.1, 0.2)]))
 
     def test_evaluate_batch_matches_scalar_loop(self):
         f = expfading(decay=0.7)
         arr = sample_window_array(1, 1.0, 6, 20, seed=3)
         batch = f.evaluate_batch(arr)
         for i in range(20):
-            w = make_window(arr[i], M=1.0)
-            np.testing.assert_allclose(batch[i], f.evaluate(w), atol=1e-14)
+            want = sum(0.7 ** (5 - t) * arr[i, t, 0] for t in range(6))
+            np.testing.assert_allclose(batch[i], [want], atol=1e-14)
 
 
 class TestEvaluateAt:
-    def test_zero_shift_is_functional(self):
-        f = expfading()
-        w = make_window([(0.3,), (0.6,)], M=1.0)
-        assert np.array_equal(f.evaluate_at(w, 0), f.evaluate(w))
+    """By time invariance, the output at time -k is the functional on arr[:, : T - k]."""
 
     def test_memoryless_filter_reads_the_shifted_entry(self):
         f = fir([[1.0]])
-        w = make_window([(0.2,), (0.4,)], M=1.0)
-        np.testing.assert_allclose(f.evaluate_at(w, 1), [0.2])
+        arr = one([(0.2,), (0.4,)])
+        np.testing.assert_allclose(f.evaluate_batch(arr[:, :1]), [[0.2]])
 
     def test_expfading_one_entry_left(self):
         f = expfading()
-        w = make_window([(1.0,), (1.0,)], M=1.0)
-        np.testing.assert_allclose(f.evaluate_at(w, 1), [1.0])
+        arr = one([(1.0,), (1.0,)])
+        np.testing.assert_allclose(f.evaluate_batch(arr[:, :1]), [[1.0]])
 
     def test_time_invariance_exact(self):
-        f = expfading(decay=0.3)
-        arr = sample_window_array(1, 1.0, 8, 10, seed=5)
-        for i in range(10):
-            w = make_window(arr[i], M=1.0)
-            for k in range(w.length):
-                assert np.array_equal(f.evaluate_at(w, k), f.evaluate(shift_window(w, k)))
+        # the output at time -k equals the defining sum taken at time -k
+        taps = [1.0, -0.5, 0.25, 0.125]
+        f = fir([[a] for a in taps])
+        T = 8
+        arr = sample_window_array(1, 1.0, T, 10, seed=5)
+        for k in range(T):
+            want = np.zeros((10, 1))
+            for j, a in enumerate(taps):
+                if k + j < T:
+                    want += arr[:, T - 1 - k - j] * a
+            assert np.array_equal(f.evaluate_batch(arr[:, : T - k]), want)
 
 
 class TestTruncationBound:
@@ -192,9 +196,11 @@ class TestFadingMemoryProperty:
         # |H(z) - H(z')| <= ||B|| * weighted_distance(z, z', lambda)
         f = expfading(decay=0.5, B=-1.3)
         norm_b = operator_norm(f.matrix)
-        ws = sample_windows(1, 1.0, 7, 40, seed=12)
-        for w1, w2 in zip(ws[::2], ws[1::2]):
-            lhs = float(np.linalg.norm(f.evaluate(w1) - f.evaluate(w2)))
+        arr = sample_window_array(1, 1.0, 7, 40, seed=12)
+        outs = f.evaluate_batch(arr)
+        for i in range(0, 40, 2):
+            w1, w2 = make_window(arr[i], M=1.0), make_window(arr[i + 1], M=1.0)
+            lhs = float(np.linalg.norm(outs[i] - outs[i + 1]))
             rhs = norm_b * weighted_distance(w1, w2, f.decay)
             assert lhs <= rhs + 1e-12
 

@@ -30,15 +30,15 @@ def small_net(hidden, bias, readout):
 class TestForward:
     def test_tanh_of_zero(self):
         net = small_net([[1.0]], [0.0], [[1.0]])
-        assert np.array_equal(net.forward([0.0]), [0.0])
+        assert np.array_equal(net.forward([[0.0]]), [[0.0]])
 
     def test_direct_formula(self):
         net = small_net([[1.0]], [0.0], [[2.0]])
-        np.testing.assert_allclose(net.forward([0.5]), [0.92423431452], atol=1e-10)
+        np.testing.assert_allclose(net.forward([[0.5]]), [[0.92423431452]], atol=1e-10)
 
     def test_zero_readout_annihilates(self):
         net = small_net([[1.0, 2.0]], [0.3], [[0.0], [0.0]])
-        assert np.array_equal(net.forward([5.0, -7.0]), [0.0, 0.0])
+        assert np.array_equal(net.forward([[5.0, -7.0]]), [[0.0, 0.0]])
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(0)
@@ -46,12 +46,14 @@ class TestForward:
         X = rng.standard_normal((10, 3))
         batch = net.forward(X)
         for i in range(10):
-            np.testing.assert_allclose(batch[i], net.forward(X[i]), atol=1e-14)
+            np.testing.assert_allclose(batch[i], net.forward(X[i : i + 1])[0], atol=1e-14)
 
     def test_dimension_mismatch(self):
         net = small_net([[1.0]], [0.0], [[1.0]])
         with pytest.raises(ValueError):
-            net.forward([1.0, 2.0])
+            net.forward([[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            net.forward([1.0])  # a single vector is not a batch
 
     def test_outputs_globally_bounded(self):
         rng = np.random.default_rng(1)
@@ -161,7 +163,7 @@ class TestFitIdentity:
         pol = WidthPolicy(start_width=32, max_width=256, train_samples=800, val_samples=1600)
         tol = 0.05
         net = fit_identity(1, 1.0, tol, pol, seed=10)
-        assert float(np.abs(net.forward([0.0]))[0]) <= tol
+        assert float(np.abs(net.forward([[0.0]]))[0, 0]) <= tol
 
     def test_bound_inherited_on_smaller_ball(self):
         pol = WidthPolicy(start_width=32, max_width=256, train_samples=800, val_samples=1600)

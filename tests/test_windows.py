@@ -9,10 +9,7 @@ from uniesn.windows import (
     sample_ball,
     sample_product_ball,
     sample_window_array,
-    sample_windows,
-    shift_window,
     weighted_distance,
-    estimate_sup_gap,
 )
 
 
@@ -47,36 +44,6 @@ class TestMakeWindow:
         back = InputWindow.from_json(w.to_json())
         assert np.array_equal(back.entries, w.entries)
         assert back.bound == w.bound
-
-
-class TestShiftWindow:
-    def test_drops_most_recent(self):
-        w = make_window([(1.0,), (2.0,), (3.0,)], M=5.0)
-        s = shift_window(w, 1)
-        assert np.array_equal(s.entries, [[1.0], [2.0]])
-
-    def test_zero_shift_is_identity(self):
-        w = make_window([(1.0,)], M=5.0)
-        assert shift_window(w, 0) is w
-
-    def test_exhausted_window_errors(self):
-        w = make_window([(1.0,), (2.0,)], M=5.0)
-        with pytest.raises(ValueError, match="shift"):
-            shift_window(w, 2)
-
-    @given(
-        a=st.integers(min_value=0, max_value=3),
-        b=st.integers(min_value=0, max_value=3),
-        T=st.integers(min_value=1, max_value=10),
-    )
-    def test_shift_composes_additively(self, a, b, T):
-        if a + b >= T:
-            return
-        rng = np.random.default_rng(T * 100 + a * 10 + b)
-        w = InputWindow(entries=rng.uniform(-1, 1, (T, 1)), bound=2.0)
-        lhs = shift_window(shift_window(w, a), b)
-        rhs = shift_window(w, a + b)
-        assert np.array_equal(lhs.entries, rhs.entries)
 
 
 class TestSampleBall:
@@ -119,10 +86,27 @@ class TestSampleProductBall:
         assert np.array_equal(pts[1], expected)
 
 
+class TestSamplerFold:
+    """sample_ball and sample_window_array are views of the one product-ball sampler."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=7),
+        n=st.integers(min_value=1, max_value=300),
+        T=st.integers(min_value=1, max_value=30),
+        R=st.floats(min_value=1e-3, max_value=1e3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_samplers_equal_product_ball_bitwise(self, d, n, T, R, seed):
+        assert np.array_equal(sample_ball(d, R, n, seed), sample_product_ball(d, R, 1, n, seed))
+        want = sample_product_ball(d, R, T, n, seed).reshape(n, T, d)
+        assert np.array_equal(sample_window_array(d, R, T, n, seed), want)
+
+
 class TestSampleWindows:
     def test_contains_zero_window(self):
-        ws = sample_windows(1, 1.0, 5, 2, seed=0)
-        assert any(np.all(w.entries == 0.0) for w in ws)
+        arr = sample_window_array(1, 1.0, 5, 2, seed=0)
+        assert any(np.all(w == 0.0) for w in arr)
 
     def test_contains_boundary_window(self):
         arr = sample_window_array(3, 2.0, 4, 2, seed=0)
@@ -130,20 +114,13 @@ class TestSampleWindows:
         np.testing.assert_allclose(norms, 2.0)
 
     def test_all_entries_within_bound(self):
-        ws = sample_windows(1, 1.0, 5, 50, seed=0)
-        for w in ws:
-            assert np.all(np.abs(w.entries) <= 1.0)
+        arr = sample_window_array(1, 1.0, 5, 50, seed=0)
+        assert np.all(np.abs(arr) <= 1.0)
 
     def test_deterministic(self):
         a = sample_window_array(2, 1.0, 6, 40, seed=9)
         b = sample_window_array(2, 1.0, 6, 40, seed=9)
         assert np.array_equal(a, b)
-
-    def test_list_matches_array(self):
-        arr = sample_window_array(2, 1.0, 6, 7, seed=13)
-        ws = sample_windows(2, 1.0, 6, 7, seed=13)
-        for i, w in enumerate(ws):
-            assert np.array_equal(w.entries, arr[i])
 
 
 class TestWeightedDistance:
@@ -186,18 +163,3 @@ class TestWeightedDistance:
         assert dxy == dyx
         assert weighted_distance(x, x, 0.5) == 0.0
         assert dxy <= weighted_distance(x, z, 0.5) + weighted_distance(z, y, 0.5) + 1e-12
-
-
-class TestEstimateSupGap:
-    def test_max_over_samples(self):
-        ws = sample_windows(1, 1.0, 3, 20, seed=4)
-        f = lambda w: np.array([float(np.sum(w.entries))])
-        g = lambda w: np.array([0.0])
-        est = estimate_sup_gap(f, g, ws, seed=4)
-        expected = max(abs(float(np.sum(w.entries))) for w in ws)
-        assert est.value == expected
-        assert est.sample_count == 20
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_sup_gap(lambda w: 0, lambda w: 0, [], seed=0)
