@@ -10,6 +10,7 @@ systems.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,9 @@ class ESNParams:
             raise ValueError(
                 f"structure widths sum to {self.structure.total}, but N={N}"
             )
+        for name in ("A", "C", "zeta", "W"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} holds a non-finite entry")
 
     @property
     def state_dim(self) -> int:
@@ -91,18 +95,52 @@ class ESNParams:
     def out_dim(self) -> int:
         return self.W.shape[0]
 
+    @cached_property
+    def _structured(self) -> bool:
+        """Does A keep the block pattern its structure metadata declares?"""
+        return self.structure is not None and _pattern_holds(self.A, self.structure)
+
+    @cached_property
+    def _row_blocks(self) -> tuple:
+        """(rows, cols, A[rows, cols].T) for every block row of A that may be nonzero.
+
+        In a structured system each block row's allowed blocks are adjacent, so
+        one product per block row covers them.  Any other system, including a
+        structured one whose pattern fails, is one dense block.
+        """
+        N = self.state_dim
+        if not self._structured:
+            return ((slice(0, N), slice(0, N), self.A.T),)
+        off = self.structure.offsets()
+        cols: dict[int, list[int]] = {}
+        for r, c in _allowed_blocks(self.structure.horizon):
+            cols.setdefault(r, []).append(c)
+        out = []
+        for r, cs in cols.items():
+            rows, span = slice(off[r], off[r + 1]), slice(off[min(cs)], off[max(cs) + 1])
+            out.append((rows, span, self.A[rows, span].T))
+        return tuple(out)
+
     def run_batch(self, arr: np.ndarray, x_init: np.ndarray | None = None) -> np.ndarray:
         """Final states for a (B, T, d) batch of windows, started from x_init.
 
-        Only the time-0 state is returned, shape (B, N).
+        Every step of the window runs; a structured system multiplies only the
+        blocks of A its pattern allows.  Only the time-0 state is returned,
+        shape (B, N).
         """
         B, T, d = arr.shape
         if d != self.in_dim:
             raise ValueError(f"window dim {d} != input dim {self.in_dim}")
+        if x_init is not None and np.shape(x_init) != (self.state_dim,):
+            raise ValueError(f"x_init shape {np.shape(x_init)} != ({self.state_dim},)")
         X = np.zeros((B, self.state_dim)) if x_init is None else np.tile(x_init, (B, 1))
-        At, Ct = self.A.T, self.C.T
+        Ct = self.C.T
         for t in range(T):
-            X = self.activation(X @ At + arr[:, t, :] @ Ct + self.zeta)
+            pre = arr[:, t, :] @ Ct
+            for rows, cols, block_t in self._row_blocks:
+                pre[:, rows] += X[:, cols] @ block_t
+            pre += self.zeta
+            X = self.activation(pre)
         return X
 
     def functional_batch(self, arr: np.ndarray) -> np.ndarray:
@@ -147,12 +185,14 @@ class ESNParams:
         raise RuntimeError("zero-input burn-in did not converge")
 
     def to_json(self) -> dict:
-        return {
+        """Schema 2 for a structured system whose pattern holds: A is stored as
+        its allowed blocks (`A_blocks`, in `_allowed_blocks` order).  Any other
+        system stores the dense `A` with no `schema_version` (schema 1)."""
+        obj = {
             "N": self.state_dim,
             "d": self.in_dim,
             "m": self.out_dim,
             "activation": self.activation.kind,
-            "A": self.A.tolist(),
             "C": self.C.tolist(),
             "zeta": self.zeta.tolist(),
             "W": self.W.tolist(),
@@ -162,14 +202,32 @@ class ESNParams:
                 else None
             ),
         }
+        if self._structured:
+            off = self.structure.offsets()
+            obj["schema_version"] = 2
+            obj["A_blocks"] = [
+                self.A[off[r] : off[r + 1], off[c] : off[c + 1]].tolist()
+                for r, c in _allowed_blocks(self.structure.horizon)
+            ]
+        else:
+            obj["A"] = self.A.tolist()
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "ESNParams":
+        """Read schema 2 (block-stored A) or schema 1 (dense A, no schema_version)."""
         structure = None
         if obj.get("structure") is not None:
             structure = BlockStructure(widths=tuple(obj["structure"]["widths"]))
+        version = obj.get("schema_version", 1)
+        if version == 1:
+            A = np.asarray(obj["A"], dtype=np.float64)
+        elif version == 2:
+            A = _dense_from_blocks(obj, structure)
+        else:
+            raise ValueError(f"unknown esn.json schema_version {version!r}")
         return cls(
-            A=np.asarray(obj["A"], dtype=np.float64),
+            A=A,
             C=np.asarray(obj["C"], dtype=np.float64),
             zeta=np.asarray(obj["zeta"], dtype=np.float64),
             W=np.asarray(obj["W"], dtype=np.float64),
@@ -178,37 +236,69 @@ class ESNParams:
         )
 
 
+def _allowed_blocks(K: int) -> list[tuple[int, int]]:
+    """(block row, block column) of every block of A that may be nonzero, in
+    row-major order: the carrier chain A[r, r-1] for 1 <= r < K, then the
+    collector row A[K, j] for 0 <= j < K."""
+    return [(r, r - 1) for r in range(1, K)] + [(K, j) for j in range(K)]
+
+
+def _pattern_holds(A: np.ndarray, structure: BlockStructure) -> bool:
+    """Is A exactly zero outside its allowed blocks?
+
+    Such an A is strictly block-lower-triangular with K+1 block rows, so
+    A^(K+1) == 0 exactly when its entries are finite.
+    """
+    K = structure.horizon
+    off = structure.offsets()
+    allowed = set(_allowed_blocks(K))
+    return not any(
+        np.any(A[off[r] : off[r + 1], off[c] : off[c + 1]])
+        for r in range(K + 1)
+        for c in range(K + 1)
+        if (r, c) not in allowed
+    )
+
+
+def _dense_from_blocks(obj: dict, structure: BlockStructure | None) -> np.ndarray:
+    """Dense A from a schema-2 esn.json object; ValueError if it is malformed."""
+    if structure is None:
+        raise ValueError("schema 2 esn.json needs a block structure")
+    N = int(obj["N"])
+    if N != structure.total:
+        raise ValueError(f"N={N}, but the structure widths sum to {structure.total}")
+    allowed = _allowed_blocks(structure.horizon)
+    blocks = obj["A_blocks"]
+    if not isinstance(blocks, list) or len(blocks) != len(allowed):
+        raise ValueError(f"A_blocks must be a list of {len(allowed)} blocks")
+    widths, off = structure.widths, structure.offsets()
+    A = np.zeros((N, N))
+    for (r, c), block in zip(allowed, blocks):
+        block = np.asarray(block, dtype=np.float64)
+        if block.shape != (widths[r], widths[c]):
+            raise ValueError(
+                f"A_blocks entry for block ({r}, {c}) has shape {block.shape}, "
+                f"expected {(widths[r], widths[c])}"
+            )
+        A[off[r] : off[r + 1], off[c] : off[c + 1]] = block
+    return A
+
+
 def check_nilpotent(p: ESNParams) -> tuple[bool, int]:
-    """Verify the assembled sparsity pattern and that A^(horizon+1) == 0 exactly.
+    """Prove A^(horizon+1) == 0 from A's block pattern and finite entries.
 
     Allowed nonzero blocks: the sub-diagonal chain (block row r, column r-1)
-    for 1 <= r <= horizon, and the last block row at columns 0..horizon-1.
+    for 1 <= r < horizon, and the last block row at columns 0..horizon-1.
     Everything else, including the entire first block row and the last
-    diagonal block, must be exactly zero.  Returns (False, 0) on any violation.
+    diagonal block, must be exactly zero.  Such a matrix is strictly
+    block-lower-triangular with horizon+1 block rows, so its (horizon+1)-th
+    power vanishes exactly.  Returns (False, 0) on any violation.
     """
     if p.structure is None:
         raise ValueError("nilpotency check needs block-structure metadata")
-    K = p.structure.horizon
-    off = p.structure.offsets()
-    nblocks = K + 1
-    allowed = np.zeros((nblocks, nblocks), dtype=bool)
-    for r in range(1, K):
-        allowed[r, r - 1] = True  # identity-carrier chain
-    if K >= 1:
-        allowed[K, : K] = True  # collector row reads every carrier block
-    for r in range(nblocks):
-        for c in range(nblocks):
-            if allowed[r, c]:
-                continue
-            block = p.A[off[r] : off[r + 1], off[c] : off[c + 1]]
-            if np.any(block != 0.0):
-                return False, 0
-    power = np.eye(p.state_dim)
-    for _ in range(K + 1):
-        power = power @ p.A
-    if np.any(power != 0.0):
+    if not np.isfinite(p.A).all() or not _pattern_holds(p.A, p.structure):
         return False, 0
-    return True, K + 1
+    return True, p.structure.horizon + 1
 
 
 def check_esp_empirical(p: ESNParams, w: InputWindow, trials: int, seed: int) -> bool:

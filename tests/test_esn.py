@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniesn.esn import (
     BlockStructure,
@@ -344,6 +346,15 @@ class TestSerialization:
         assert back.structure is None
         assert np.array_equal(back.A, p.A)
 
+    @pytest.mark.parametrize("name", ["A", "C", "zeta", "W"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        p = chain_esn([2, 3], d=1, m=1, seed=56)
+        arrays = {k: np.array(getattr(p, k)) for k in ("A", "C", "zeta", "W")}
+        arrays[name].flat[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ESNParams(**arrays, activation=TANH, structure=p.structure)
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             ESNParams(A=np.zeros((2, 3)), C=np.zeros((2, 1)), zeta=np.zeros(2),
@@ -352,3 +363,80 @@ class TestSerialization:
             ESNParams(A=np.zeros((2, 2)), C=np.zeros((2, 1)), zeta=np.zeros(2),
                       W=np.zeros((1, 2)), activation=TANH,
                       structure=BlockStructure(widths=(3,)))
+
+
+def dense_reference(p, arr, x0):
+    """The state recursion with the full dense A, one window at a time."""
+    finals = []
+    for window in arr:
+        x = np.array(x0, dtype=np.float64)
+        for z in window:
+            x = np.tanh(p.A @ x + p.C @ z + p.zeta)
+        finals.append(x)
+    return np.array(finals)
+
+
+systems = st.builds(
+    lambda widths, d, m, seed: chain_esn(widths, d, m, seed),
+    widths=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
+    d=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestBlockRecursion:
+    """Structured systems run only their allowed blocks of A; nothing else may change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=systems, extra=st.integers(min_value=0, max_value=4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference(self, p, extra, seed):
+        T = p.structure.horizon + 1 + extra
+        arr = sample_window_array(p.in_dim, 1.0, T, 4, seed)
+        x0 = np.random.default_rng(seed).standard_normal(p.state_dim)
+        np.testing.assert_allclose(p.run_batch(arr, x_init=x0), dense_reference(p, arr, x0),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=systems, extra=st.integers(min_value=0, max_value=4), seed=st.integers(0, 2**32 - 1))
+    def test_init_independence_bitwise(self, p, extra, seed):
+        T = p.structure.horizon + 1 + extra
+        arr = sample_window_array(p.in_dim, 1.0, T, 3, seed)
+        rng = np.random.default_rng(seed)
+        ref = p.run_batch(arr)
+        for _ in range(3):
+            assert np.array_equal(p.run_batch(arr, x_init=rng.standard_normal(p.state_dim)), ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=systems)
+    def test_schema_2_round_trip_bitwise(self, p):
+        obj = json.loads(json.dumps(p.to_json()))
+        assert obj["schema_version"] == 2 and "A" not in obj
+        K = p.structure.horizon
+        assert len(obj["A_blocks"]) == max(2 * K - 1, 0)
+        back = ESNParams.from_json(obj)
+        for name in ("A", "C", "zeta", "W"):
+            assert np.array_equal(getattr(back, name), getattr(p, name))
+        assert back.structure == p.structure
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=systems, data=st.data())
+    def test_entry_outside_pattern_runs_dense(self, p, data):
+        K = p.structure.horizon
+        off = p.structure.offsets()
+        outside = [(r, c) for r in range(K + 1) for c in range(K + 1)
+                   if not ((c == r - 1 and r < K) or (r == K and c < K))]
+        r, c = data.draw(st.sampled_from(outside))
+        i = data.draw(st.integers(off[r], off[r + 1] - 1))
+        j = data.draw(st.integers(off[c], off[c + 1] - 1))
+        A = np.array(p.A)
+        A[i, j] = data.draw(st.floats(0.1, 2.0))
+        bad = ESNParams(A=A, C=p.C, zeta=p.zeta, W=p.W, activation=TANH, structure=p.structure)
+        assert check_nilpotent(bad) == (False, 0)
+        arr = sample_window_array(p.in_dim, 1.0, K + 3, 4, seed=57)
+        x0 = np.random.default_rng(58).standard_normal(p.state_dim)
+        np.testing.assert_allclose(bad.run_batch(arr, x_init=x0), dense_reference(bad, arr, x0),
+                                   rtol=0, atol=1e-12)
+        obj = bad.to_json()
+        assert "schema_version" not in obj and "A_blocks" not in obj
+        assert np.array_equal(ESNParams.from_json(obj).A, A)
