@@ -185,14 +185,12 @@ class ESNParams:
         raise RuntimeError("zero-input burn-in did not converge")
 
     def to_json(self) -> dict:
-        """Schema 2 for a structured system whose pattern holds: A is stored as
-        its allowed blocks (`A_blocks`, in `_allowed_blocks` order).  Any other
-        system stores the dense `A` with no `schema_version` (schema 1)."""
-        obj = {
+        return {
             "N": self.state_dim,
             "d": self.in_dim,
             "m": self.out_dim,
             "activation": self.activation.kind,
+            "A": self.A.tolist(),
             "C": self.C.tolist(),
             "zeta": self.zeta.tolist(),
             "W": self.W.tolist(),
@@ -202,32 +200,14 @@ class ESNParams:
                 else None
             ),
         }
-        if self._structured:
-            off = self.structure.offsets()
-            obj["schema_version"] = 2
-            obj["A_blocks"] = [
-                self.A[off[r] : off[r + 1], off[c] : off[c + 1]].tolist()
-                for r, c in _allowed_blocks(self.structure.horizon)
-            ]
-        else:
-            obj["A"] = self.A.tolist()
-        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "ESNParams":
-        """Read schema 2 (block-stored A) or schema 1 (dense A, no schema_version)."""
         structure = None
         if obj.get("structure") is not None:
             structure = BlockStructure(widths=tuple(obj["structure"]["widths"]))
-        version = obj.get("schema_version", 1)
-        if version == 1:
-            A = np.asarray(obj["A"], dtype=np.float64)
-        elif version == 2:
-            A = _dense_from_blocks(obj, structure)
-        else:
-            raise ValueError(f"unknown esn.json schema_version {version!r}")
         return cls(
-            A=A,
+            A=np.asarray(obj["A"], dtype=np.float64),
             C=np.asarray(obj["C"], dtype=np.float64),
             zeta=np.asarray(obj["zeta"], dtype=np.float64),
             W=np.asarray(obj["W"], dtype=np.float64),
@@ -237,9 +217,9 @@ class ESNParams:
 
 
 def _allowed_blocks(K: int) -> list[tuple[int, int]]:
-    """(block row, block column) of every block of A that may be nonzero, in
-    row-major order: the carrier chain A[r, r-1] for 1 <= r < K, then the
-    collector row A[K, j] for 0 <= j < K."""
+    """(block row, block column) of every block of A that may be nonzero: the
+    carrier chain A[r, r-1] for 1 <= r < K, then the collector row A[K, j]
+    for 0 <= j < K."""
     return [(r, r - 1) for r in range(1, K)] + [(K, j) for j in range(K)]
 
 
@@ -247,7 +227,7 @@ def _pattern_holds(A: np.ndarray, structure: BlockStructure) -> bool:
     """Is A exactly zero outside its allowed blocks?
 
     Such an A is strictly block-lower-triangular with K+1 block rows, so
-    A^(K+1) == 0 exactly when its entries are finite.
+    A^(K+1) == 0 exactly.
     """
     K = structure.horizon
     off = structure.offsets()
@@ -260,43 +240,20 @@ def _pattern_holds(A: np.ndarray, structure: BlockStructure) -> bool:
     )
 
 
-def _dense_from_blocks(obj: dict, structure: BlockStructure | None) -> np.ndarray:
-    """Dense A from a schema-2 esn.json object; ValueError if it is malformed."""
-    if structure is None:
-        raise ValueError("schema 2 esn.json needs a block structure")
-    N = int(obj["N"])
-    if N != structure.total:
-        raise ValueError(f"N={N}, but the structure widths sum to {structure.total}")
-    allowed = _allowed_blocks(structure.horizon)
-    blocks = obj["A_blocks"]
-    if not isinstance(blocks, list) or len(blocks) != len(allowed):
-        raise ValueError(f"A_blocks must be a list of {len(allowed)} blocks")
-    widths, off = structure.widths, structure.offsets()
-    A = np.zeros((N, N))
-    for (r, c), block in zip(allowed, blocks):
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != (widths[r], widths[c]):
-            raise ValueError(
-                f"A_blocks entry for block ({r}, {c}) has shape {block.shape}, "
-                f"expected {(widths[r], widths[c])}"
-            )
-        A[off[r] : off[r + 1], off[c] : off[c + 1]] = block
-    return A
-
-
 def check_nilpotent(p: ESNParams) -> tuple[bool, int]:
-    """Prove A^(horizon+1) == 0 from A's block pattern and finite entries.
+    """Prove A^(horizon+1) == 0 from A's block pattern.
 
     Allowed nonzero blocks: the sub-diagonal chain (block row r, column r-1)
     for 1 <= r < horizon, and the last block row at columns 0..horizon-1.
     Everything else, including the entire first block row and the last
     diagonal block, must be exactly zero.  Such a matrix is strictly
     block-lower-triangular with horizon+1 block rows, so its (horizon+1)-th
-    power vanishes exactly.  Returns (False, 0) on any violation.
+    power vanishes exactly: ESNParams rejects non-finite entries, so no
+    inf * 0 can spoil the zeros.  Returns (False, 0) on any violation.
     """
     if p.structure is None:
         raise ValueError("nilpotency check needs block-structure metadata")
-    if not np.isfinite(p.A).all() or not _pattern_holds(p.A, p.structure):
+    if not p._structured:
         return False, 0
     return True, p.structure.horizon + 1
 

@@ -7,7 +7,6 @@ import pytest
 
 from uniesn import cli
 from uniesn.construct import BudgetError
-from uniesn.esn import ESNParams
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -34,13 +33,6 @@ def write_config(path: Path, **overrides) -> Path:
     p = path / "config.json"
     p.write_text(json.dumps(cfg))
     return p
-
-
-def dense_v1(esn: dict) -> dict:
-    """A schema-2 esn.json object rewritten as schema 1: dense "A", no schema_version."""
-    v1 = {k: v for k, v in esn.items() if k not in ("schema_version", "A_blocks")}
-    v1["A"] = ESNParams.from_json(esn).A.tolist()
-    return v1
 
 
 def read_csv_skipping_schema(path: Path):
@@ -164,28 +156,24 @@ class TestVerify:
         assert verdict["checks"]["closed_form"]["passed"]
 
     def test_corrupted_reservoir_flagged(self, constructed):
-        # a schema-1 file (dense "A", no schema_version): the corrupted entry
-        # lies outside the block pattern, so the v1 reader and the dense
-        # recursion are what run
         cfg, out = constructed
         esn = json.loads((out / "esn.json").read_text())
-        v1 = dense_v1(esn)
-        v1["A"][0][-1] = 1.0  # first block row must be zero
+        esn["A"][0][-1] = 1.0  # first block row must be zero
         corrupted = out / "esn_corrupt.json"
-        corrupted.write_text(json.dumps(v1))
+        corrupted.write_text(json.dumps(esn))
         code = cli.main(["verify", str(corrupted), str(cfg)])
         assert code == 5
         verdict = json.loads((out / "verify.json").read_text())
         assert not verdict["checks"]["nilpotency"]["passed"]
 
-    def test_perturbed_stored_block_flagged(self, built, tmp_path):
-        # inside the pattern the system stays nilpotent, but it no longer
-        # matches the nets it was assembled from
+    def test_perturbed_collector_entry_flagged(self, built, tmp_path):
+        # inside the pattern the system stays nilpotent and runs the block
+        # recursion, but it no longer matches the nets it was assembled from
         cfg = write_config(tmp_path)
         (tmp_path / "nets.json").write_bytes((built / "nets.json").read_bytes())
         esn = json.loads((built / "esn.json").read_text())
-        assert esn["schema_version"] == 2 and "A" not in esn
-        esn["A_blocks"][-1][0][0] += 0.5  # collector row, last carrier block
+        widths = esn["structure"]["widths"]
+        esn["A"][sum(widths[:-1])][sum(widths[:-2])] += 0.5  # collector row, last carrier block
         (tmp_path / "esn.json").write_text(json.dumps(esn))
         assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 5
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
@@ -193,29 +181,19 @@ class TestVerify:
         assert not checks["closed_form"]["passed"]
 
     @pytest.mark.parametrize(
-        "schema, edit",
+        "edit",
         [
-            (2, lambda e: e["A_blocks"][0].pop()),
-            (2, lambda e: e.pop("A_blocks")),
-            (2, lambda e: e["A_blocks"].pop()),
-            (2, lambda e: e.update(N=e["N"] + 1)),
-            (2, lambda e: e.update(schema_version=3)),
-            (2, lambda e: e["zeta"].__setitem__(0, float("nan"))),
-            (2, lambda e: e["A_blocks"][-1][0].__setitem__(0, float("inf"))),
-            (1, lambda e: e["C"][0].__setitem__(0, float("nan"))),
-            (1, lambda e: e["A"][-1].__setitem__(0, float("-inf"))),
+            lambda e: e["zeta"].__setitem__(0, float("nan")),
+            lambda e: e["A"][-1].__setitem__(0, float("inf")),
+            lambda e: e["C"][0].__setitem__(0, float("nan")),
+            lambda e: e["W"][0].__setitem__(0, float("-inf")),
         ],
-        ids=[
-            "block_wrong_shape", "blocks_missing", "block_count", "N_not_widths", "unknown_schema",
-            "nan_zeta", "inf_block", "v1_nan_C", "v1_inf_A",
-        ],
+        ids=["nan_zeta", "inf_A", "nan_C", "neg_inf_W"],
     )
-    def test_malformed_esn_is_load_error(self, built, tmp_path, capsys, schema, edit):
+    def test_non_finite_esn_is_load_error(self, built, tmp_path, capsys, edit):
         cfg = write_config(tmp_path)
         (tmp_path / "nets.json").write_bytes((built / "nets.json").read_bytes())
         esn = json.loads((built / "esn.json").read_text())
-        if schema == 1:
-            esn = dense_v1(esn)
         edit(esn)
         (tmp_path / "esn.json").write_text(json.dumps(esn))
         assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
