@@ -11,6 +11,7 @@ timings are not.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ import numpy as np
 
 from .construct import (
     CLOSED_FORM_TOL,
+    SAMPLE_COUNTS,
     BudgetError,
     ConstructionConfig,
     ConstructionError,
@@ -36,8 +38,8 @@ from .esn import (
     check_finite_memory,
     check_nilpotent,
 )
-from .filters import filter_from_json
-from .shallow import ShallowNet, WidthPolicy
+from .filters import TargetFilter, filter_from_json
+from .shallow import ShallowNet
 from .windows import InputWindow, sample_window_array
 
 EXIT_OK = 0
@@ -65,41 +67,15 @@ def _load_json(path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _policy_from(obj: dict | None) -> WidthPolicy:
-    obj = obj or {}
-    kwargs = {}
-    for key in ("start_width", "max_width", "train_samples", "val_samples"):
-        if key in obj:
-            kwargs[key] = int(obj[key])
-    for key in ("ridge", "scale"):
-        if key in obj and obj[key] is not None:
-            kwargs[key] = float(obj[key])
-    return WidthPolicy(**kwargs)
-
-
 def _construction_from(obj: dict, seed_override: int | None) -> ConstructionConfig:
-    try:
-        eps = float(obj["eps"])
-    except KeyError:
-        raise ConfigError("construction config needs an 'eps'") from None
-    seed = int(obj.get("seed", 0))
+    """The construction section as a config; the seed is the flag's, else
+    UNIESN_SEED's, else the section's."""
+    section = dict(obj)
     if os.environ.get("UNIESN_SEED"):
-        seed = int(os.environ["UNIESN_SEED"])
+        section["seed"] = int(os.environ["UNIESN_SEED"])
     if seed_override is not None:
-        seed = seed_override
-    kwargs = {}
-    for key in ("chain_samples", "budget_windows", "budget_window_len", "closed_form_check_windows"):
-        if key in obj:
-            kwargs[key] = int(obj[key])
-    if "margin" in obj:
-        kwargs["margin"] = float(obj["margin"])
-    return ConstructionConfig(
-        eps=eps,
-        seed=seed,
-        static_policy=_policy_from(obj.get("static_policy")),
-        identity_policy=_policy_from(obj.get("identity_policy")),
-        **kwargs,
-    )
+        section["seed"] = seed_override
+    return ConstructionConfig(**section)
 
 
 def _write_json(path: Path, obj: dict):
@@ -108,30 +84,18 @@ def _write_json(path: Path, obj: dict):
         fh.write("\n")
 
 
-def _budget_rows(result: ConstructionResult) -> list[tuple]:
-    """(term, value, status, limit) for each budget term, under its honest label."""
-    b = result.budget
-    third = b.eps / 3.0
-    truncation_status = "analytic_upper_bound" if result.target_certified else "uncertified_user_claim"
-    return [
-        ("truncation", b.truncation_analytic, truncation_status, third),
-        ("net_fit", b.net_fit_sampled, "sampled_sup", third),
-        ("chain", b.chain_sampled, "sampled_sup", third),
-        ("total", b.total_sampled, "sampled_sup", b.eps),
-    ]
-
-
 def _write_budget_csv(path: Path, result: ConstructionResult):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
         writer.writerow(["term", "value", "status", "limit"])
-        for term, value, status, limit in _budget_rows(result):
+        for term, value, status, limit in result.budget.rows():
             writer.writerow([term, repr(float(value)), status, repr(float(limit))])
 
 
 def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spec: dict) -> dict:
     esn = result.esn
+    rows = result.budget.rows()
     return {
         "schema_version": SCHEMA_VERSION,
         "target": filter_spec,
@@ -142,9 +106,9 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
         "widths": list(esn.structure.widths),
         "state_dim": esn.state_dim,
         "gain": result.gain,
-        "budget": {"eps": result.budget.eps, **result.budget.terms()},
-        "budget_status": {term: status for term, _, status, _ in _budget_rows(result)},
-        "target_certified": result.target_certified,
+        "budget": {"eps": result.budget.eps, **{term: value for term, value, _, _ in rows}},
+        "budget_status": {term: status for term, _, status, _ in rows},
+        "target_certified": result.budget.certified,
         "per_lag_chain": result.chain_records,
         "net_fit_achieved_validation": result.net_fit_achieved,
         "closed_form_check": {
@@ -153,12 +117,7 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
             "tolerance": CLOSED_FORM_TOL,
         },
         "functional_evaluator": "closed_form",
-        "sample_counts": {
-            "chain_samples": cfg.chain_samples,
-            "budget_windows": cfg.budget_windows,
-            "budget_window_len": cfg.budget_window_len,
-            "closed_form_check_windows": cfg.closed_form_check_windows,
-        },
+        "sample_counts": {key: getattr(cfg, key) for key in SAMPLE_COUNTS},
         "width_table": {
             "static_net": {"width": result.split.net.width, "achieved": result.net_fit_achieved},
             "identity_chain": [net.width for net in result.chain],
@@ -166,16 +125,14 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
     }
 
 
-def _run_one(filter_spec: dict, cfg: ConstructionConfig) -> ConstructionResult:
-    f = filter_from_json(filter_spec)
+def _run_one(f: TargetFilter, cfg: ConstructionConfig) -> ConstructionResult:
     result = construct_universal_esn(f, cfg)
     for stage, secs in result.wall_times.items():
         _log(f"stage {stage}: {secs:.3f}s")
-    b = result.budget
+    terms = " ".join(f"{term}={value:.4g}" for term, value, _, _ in result.budget.rows())
     _log(
         f"horizon={result.horizon} state_dim={result.esn.state_dim} gain={result.gain:.4g} "
-        f"budget: truncation={b.truncation_analytic:.4g} net_fit={b.net_fit_sampled:.4g} "
-        f"chain={b.chain_sampled:.4g} total={b.total_sampled:.4g} (< eps={b.eps:g})"
+        f"budget: {terms} (< eps={result.budget.eps:g})"
     )
     return result
 
@@ -183,7 +140,7 @@ def _run_one(filter_spec: dict, cfg: ConstructionConfig) -> ConstructionResult:
 def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> int:
     try:
         raw = _load_json(config_path)
-        filter_spec = raw["filter"]
+        f = filter_from_json(raw["filter"])
         cfg = _construction_from(raw.get("construction", {}), seed)
         out = Path(out_dir or raw.get("output", {}).get("dir", "."))
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
@@ -191,7 +148,7 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
         return EXIT_CONFIG
 
     try:
-        result = _run_one(filter_spec, cfg)
+        result = _run_one(f, cfg)
     except BudgetError as exc:
         _log(f"budget violation: {exc}")
         return EXIT_BUDGET
@@ -212,7 +169,7 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
             "identity_chain": [net.to_json() for net in result.chain],
         },
     )
-    _write_json(out / "report.json", _report_dict(result, cfg, filter_spec))
+    _write_json(out / "report.json", _report_dict(result, cfg, raw["filter"]))
     _write_budget_csv(out / "budget.csv", result)
     _write_json(
         out / "timings.json",
@@ -229,20 +186,19 @@ def _boundary_directions(rng: np.random.Generator, n: int, d: int, M: float) -> 
     return dirs / norms * M
 
 
+#: Integer options of the verification section, with their defaults.
+VERIFY_INTS = {"seed": 2024, "esp_trials": 10, "fmp_trials": 1000, "window_len": 30, "closed_form_windows": 200}
+
+
 def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
     """Parse and validate the config's verification section, and load nets.json."""
     vcfg = raw.get("verification", {})
+    unknown = set(vcfg) - {*VERIFY_INTS, "input_bound", "out", "nets"}
+    if unknown:
+        raise ConfigError(f"unknown verification keys {sorted(unknown)}")
     M = vcfg["input_bound"] if "input_bound" in vcfg else raw.get("filter", {}).get("M", 1.0)
-    opts = {
-        "M": float(M),
-        "seed": int(vcfg.get("seed", 2024)),
-        "esp_trials": int(vcfg.get("esp_trials", 10)),
-        "fmp_trials": int(vcfg.get("fmp_trials", 1000)),
-        "window_len": int(vcfg.get("window_len", 30)),
-        "closed_form_windows": int(vcfg.get("closed_form_windows", 200)),
-        "out": Path(vcfg.get("out", Path(esn_path).parent / "verify.json")),
-        "nets": None,
-    }
+    opts = {key: int(vcfg.get(key, default)) for key, default in VERIFY_INTS.items()}
+    opts.update(M=float(M), out=Path(vcfg.get("out", Path(esn_path).parent / "verify.json")), nets=None)
     for key in ("esp_trials", "fmp_trials", "closed_form_windows"):
         if opts[key] < 1:
             raise ConfigError(f"verification {key} must be >= 1, got {opts[key]}")
@@ -330,8 +286,9 @@ SWEEP_COLUMNS = [
 def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: int | None) -> int:
     try:
         raw = _load_json(config_path)
-        filter_spec = raw["filter"]
-        base = dict(raw.get("construction", {}))
+        f = filter_from_json(raw["filter"])
+        # Every point replaces eps; any valid one checks the rest of the section.
+        base = _construction_from({**raw.get("construction", {}), "eps": 1.0}, seed)
         if eps_arg:
             eps_list = [float(x) for x in eps_arg.split(",") if x.strip()]
         else:
@@ -347,17 +304,13 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
     rows = []
     worst = EXIT_OK
     for eps in eps_list:
-        base["eps"] = eps
         t0 = time.perf_counter()
         try:
-            cfg = _construction_from(base, seed)
-            result = _run_one(filter_spec, cfg)
-            b = result.budget
+            result = _run_one(f, dataclasses.replace(base, eps=eps))
             rows.append([
                 repr(eps), result.horizon, result.esn.state_dim,
                 "|".join(str(w) for w in result.esn.structure.widths),
-                repr(b.truncation_analytic), repr(b.net_fit_sampled),
-                repr(b.chain_sampled), repr(b.total_sampled),
+                *(repr(value) for _, value, _, _ in result.budget.rows()),
                 f"{time.perf_counter() - t0:.3f}", "ok",
             ])
             continue
@@ -367,7 +320,7 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
         except ConstructionError as exc:
             _log(f"eps={eps:g}: stage {exc.stage} failed: {exc}")
             status, code = f"stage:{exc.stage}", EXIT_STAGE
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             _log(f"eps={eps:g}: config error: {exc}")
             status, code = "config", EXIT_CONFIG
         rows.append([repr(eps)] + [""] * 7 + [f"{time.perf_counter() - t0:.3f}", status])

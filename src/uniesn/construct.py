@@ -69,9 +69,18 @@ class BudgetError(ConstructionError):
         self.limit = limit
 
 
+#: The sample-count fields of ConstructionConfig, each at least 1.
+SAMPLE_COUNTS = ("chain_samples", "budget_windows", "budget_window_len", "closed_form_check_windows")
+
+
 @dataclass(frozen=True)
 class ConstructionConfig:
-    """Tolerance, seed, fitting policies, and sample counts for one build."""
+    """Tolerance, seed, fitting policies, and sample counts for one build.
+
+    This is the construction config's schema: values are cast on
+    construction, a policy may be given as a dict of WidthPolicy fields, an
+    unknown key raises TypeError and an out-of-range value ValueError.
+    """
 
     eps: float
     seed: int = 0
@@ -84,10 +93,19 @@ class ConstructionConfig:
     closed_form_check_windows: int = 200
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        cast = {"eps": float, "seed": int, "margin": float, **dict.fromkeys(SAMPLE_COUNTS, int)}
+        for key, kind in cast.items():
+            object.__setattr__(self, key, kind(getattr(self, key)))
+        for key in ("static_policy", "identity_policy"):
+            if not isinstance(getattr(self, key), WidthPolicy):
+                object.__setattr__(self, key, WidthPolicy(**getattr(self, key)))
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 < self.margin <= 1:
             raise ValueError(f"margin must lie in (0, 1], got {self.margin}")
+        for key in SAMPLE_COUNTS:
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +146,8 @@ class LagBlockNet:
 
 def split_lag_blocks(net: ShallowNet, d: int) -> LagBlockNet:
     """Partition the hidden matrix of a stacked-lag net into per-lag blocks."""
+    if d < 1:
+        raise ValueError(f"lag dim must be >= 1, got {d}")
     if net.in_dim % d != 0:
         raise ValueError(f"input dim {net.in_dim} is not a multiple of lag dim {d}")
     copies = net.in_dim // d
@@ -347,9 +367,10 @@ def chained_functional(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndar
 class ErrorBudget:
     """The three-way error split and its empirical verdict.
 
-    truncation_analytic is a true upper bound; the sampled terms are maxima
-    over finite samples, hence lower bounds on their sups.  On success each
-    of the three is below eps/3 and the sampled total is below eps.
+    truncation_analytic is a true upper bound when the target is certified
+    and a user's claim otherwise; the sampled terms are maxima over finite
+    samples, hence lower bounds on their sups.  rows() is the one statement
+    of each term's label and limit.
     """
 
     eps: float
@@ -357,15 +378,24 @@ class ErrorBudget:
     net_fit_sampled: float
     chain_sampled: float
     total_sampled: float
-    per_lag_chain_errors: tuple
+    certified: bool
 
-    def terms(self) -> dict:
-        return {
-            "truncation": self.truncation_analytic,
-            "net_fit": self.net_fit_sampled,
-            "chain": self.chain_sampled,
-            "total": self.total_sampled,
-        }
+    def rows(self) -> list[tuple]:
+        """(term, value, status, limit) for each term, in check order."""
+        third = self.eps / 3.0
+        truncation = "analytic_upper_bound" if self.certified else "uncertified_user_claim"
+        return [
+            ("truncation", self.truncation_analytic, truncation, third),
+            ("net_fit", self.net_fit_sampled, "sampled_sup", third),
+            ("chain", self.chain_sampled, "sampled_sup", third),
+            ("total", self.total_sampled, "sampled_sup", self.eps),
+        ]
+
+    def check(self):
+        """Raise BudgetError for the first term not strictly below its limit."""
+        for term, value, _, limit in self.rows():
+            if not value < limit:
+                raise BudgetError(term, value, limit)
 
 
 @dataclass(frozen=True)
@@ -383,7 +413,6 @@ class ConstructionResult:
     closed_form_check_max: float
     closed_form_check_windows: int
     wall_times: dict
-    target_certified: bool = True
 
 
 def _derived_seed(base: int, tag: int) -> int:
@@ -471,7 +500,7 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     recursion_states = esn.run_batch(check_arr)
     collector = recursion_states[:, esn.state_dim - split.net.width :]
     direct_states = closed_form_state(split, chain, check_arr)
-    closed_form_gap = float(np.max(np.linalg.norm(collector - direct_states, axis=1))) if n_check else 0.0
+    closed_form_gap = float(np.max(np.linalg.norm(collector - direct_states, axis=1)))
     if closed_form_gap > CLOSED_FORM_TOL:
         raise ConstructionError(
             stage,
@@ -481,35 +510,21 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     done(stage)
 
     stage = staged("budget")
-    truncation_analytic = f.truncation_bound(K)
     target_vals = f.evaluate_batch(arr)
     stacked = arr[:, T - 1 - K :, :].reshape(arr.shape[0], (K + 1) * d)
     truncated_vals = target(stacked)
     net_vals = split.net.forward(stacked)
     chained_vals = chained_functional(split, chain, arr)
 
-    net_fit_sampled = float(np.max(np.linalg.norm(truncated_vals - net_vals, axis=1)))
-    chain_sampled = float(np.max(np.linalg.norm(net_vals - chained_vals, axis=1)))
-    total_sampled = float(np.max(np.linalg.norm(target_vals - chained_vals, axis=1)))
-
     budget = ErrorBudget(
         eps=eps,
-        truncation_analytic=float(truncation_analytic),
-        net_fit_sampled=net_fit_sampled,
-        chain_sampled=chain_sampled,
-        total_sampled=total_sampled,
-        per_lag_chain_errors=tuple(r["sup_error"] for r in chain_records),
+        truncation_analytic=float(f.truncation_bound(K)),
+        net_fit_sampled=float(np.max(np.linalg.norm(truncated_vals - net_vals, axis=1))),
+        chain_sampled=float(np.max(np.linalg.norm(net_vals - chained_vals, axis=1))),
+        total_sampled=float(np.max(np.linalg.norm(target_vals - chained_vals, axis=1))),
+        certified=bool(f.certified),
     )
-    third = eps / 3.0
-    for term, value in (
-        ("truncation", budget.truncation_analytic),
-        ("net_fit", budget.net_fit_sampled),
-        ("chain", budget.chain_sampled),
-    ):
-        if not value < third:
-            raise BudgetError(term, value, third)
-    if not budget.total_sampled < eps:
-        raise BudgetError("total", budget.total_sampled, eps)
+    budget.check()
     done(stage)
 
     return ConstructionResult(
@@ -524,5 +539,4 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
         closed_form_check_max=closed_form_gap,
         closed_form_check_windows=n_check,
         wall_times=times,
-        target_certified=bool(getattr(f, "certified", True)),
     )

@@ -257,6 +257,8 @@ def filter_from_json(obj: dict) -> TargetFilter:
     """Build a filter from its JSON spec; see each family's to_json for layout."""
     kind = obj.get("kind")
     d, m, M = int(obj["d"]), int(obj["m"]), float(obj["M"])
+    if d < 1 or m < 1 or not 0 < M < np.inf:
+        raise ValueError(f"filter needs d, m >= 1 and a finite positive M, got d={d}, m={m}, M={M}")
     if kind == "fir":
         return FIRFilter(
             in_dim=d, out_dim=m, input_bound=M,

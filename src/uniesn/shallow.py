@@ -132,7 +132,11 @@ class FitToleranceError(RuntimeError):
 
 @dataclass(frozen=True)
 class WidthPolicy:
-    """Doubling schedule and sampling budget for fit_to_tolerance."""
+    """Doubling schedule and sampling budget for fit_to_tolerance.
+
+    Values are cast on construction (so a parsed JSON object may be passed
+    as keyword arguments) and out-of-range values raise ValueError.
+    """
 
     start_width: int = 32
     max_width: int = 4096
@@ -140,6 +144,21 @@ class WidthPolicy:
     val_samples: int = 2048
     ridge: float = 1e-10
     scale: float | None = None  # None: 2 / fitting radius
+
+    def __post_init__(self):
+        for key in ("start_width", "max_width", "train_samples", "val_samples"):
+            object.__setattr__(self, key, int(getattr(self, key)))
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.max_width < self.start_width:
+            raise ValueError(f"max_width {self.max_width} is below start_width {self.start_width}")
+        object.__setattr__(self, "ridge", float(self.ridge))
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
+        if self.scale is not None:
+            object.__setattr__(self, "scale", float(self.scale))
+            if not 0 < self.scale < np.inf:
+                raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     def widths(self):
         w = self.start_width

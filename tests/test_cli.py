@@ -84,6 +84,36 @@ class TestConstruct:
         cfg.write_text(json.dumps(raw))
         assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c["construction"].update(budget_windws=5),
+            lambda c: c["construction"]["static_policy"].update(start_widht=32),
+            lambda c: c["construction"]["identity_policy"].update(max_width=16),
+            lambda c: c["construction"]["static_policy"].update(start_width=0),
+            lambda c: c["construction"]["identity_policy"].update(train_samples=0),
+            lambda c: c["construction"].update(budget_windows=0),
+            lambda c: c["construction"].update(eps=float("inf")),
+            lambda c: c["construction"].update(closed_form_check_windows=0),
+            lambda c: c["filter"].update(M=float("nan")),
+            lambda c: c["filter"].update(M=float("inf")),
+        ],
+        ids=[
+            "unknown_key", "unknown_policy_key", "max_below_start_width", "start_width_zero",
+            "train_samples_zero", "budget_windows_zero", "eps_infinite", "closed_form_check_windows_zero",
+            "filter_M_nan", "filter_M_infinite",
+        ],
+    )
+    def test_bad_config_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, edit):
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        edit(raw)
+        cfg.write_text(json.dumps(raw))
+        monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a stage ran"))
+        assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_impossible_fit_is_stage_failure(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -232,10 +262,13 @@ class TestVerify:
             ({}, lambda nets: "{not json"),
             ({}, lambda nets: json.dumps({"lag_dim": nets["lag_dim"]})),
             ({}, lambda nets: json.dumps({**nets, "identity_chain": nets["identity_chain"][:-1]})),
+            ({}, lambda nets: json.dumps({**nets, "lag_dim": 0})),
+            ({"fmp_trial": 50}, None),
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
-            "nets_not_json", "nets_missing_keys", "nets_chain_too_short",
+            "nets_not_json", "nets_missing_keys", "nets_chain_too_short", "nets_lag_dim_zero",
+            "unknown_key",
         ],
     )
     def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, verification, nets_text):
@@ -273,6 +306,19 @@ class TestSweep:
     def test_empty_eps_list_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, sweep={"eps": []})
         assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+
+    def test_invalid_section_exits_before_any_build(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, construction={"budget_windws": 5})
+        monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a build ran"))
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+        assert not (tmp_path / "sweep").exists()
+
+    def test_bad_eps_is_a_config_row_and_sweep_continues(self, tmp_path):
+        cfg = write_config(tmp_path)
+        code = cli.main(["sweep", str(cfg), "--eps", "inf,0.5", "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        rows = read_csv_skipping_schema(tmp_path / "sweep" / "sweep.csv")
+        assert [r["status"] for r in rows] == ["config", "ok"]
 
     def test_failed_row_recorded_and_sweep_continues(self, tmp_path):
         cfg = write_config(

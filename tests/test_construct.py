@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uniesn.construct import (
     BudgetError,
     ChainBoundError,
     ConstructionConfig,
     ConstructionError,
+    ErrorBudget,
     LagBlockNet,
     assemble_esn,
     build_identity_chain,
@@ -413,7 +416,7 @@ class TestPipeline:
         assert not f.certified
         assert f.choose_horizon(0.1) == 2
         res = construct_universal_esn(f, small_cfg(eps=0.5, seed=303))
-        assert res.target_certified is False
+        assert res.budget.certified is False
         assert res.budget.total_sampled < 0.5
 
     def test_deterministic_given_seed(self):
@@ -423,3 +426,67 @@ class TestPipeline:
         assert np.array_equal(r1.esn.A, r2.esn.A)
         assert np.array_equal(r1.esn.C, r2.esn.C)
         assert r1.budget == r2.budget
+
+
+class TestConfigSchema:
+    def test_policy_dicts_and_parsed_values(self):
+        policy = {"start_width": 8, "max_width": 64, "train_samples": 100, "val_samples": 200}
+        cfg = ConstructionConfig(eps="0.3", seed="7", static_policy=policy, chain_samples=5.0)
+        assert cfg == ConstructionConfig(eps=0.3, seed=7, static_policy=WidthPolicy(**policy), chain_samples=5)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"eps": 0.0}, {"eps": float("inf")}, {"eps": float("nan")}, {"margin": 0.0}, {"margin": 1.5},
+            {"chain_samples": 0}, {"budget_windows": 0}, {"budget_window_len": 0},
+            {"closed_form_check_windows": 0}, {"identity_policy": {"start_width": 0}},
+        ],
+    )
+    def test_out_of_range_is_value_error(self, bad):
+        with pytest.raises(ValueError):
+            ConstructionConfig(**{"eps": 0.3, **bad})
+
+    @pytest.mark.parametrize("bad", [{"budget_windws": 5}, {"static_policy": {"start_widht": 8}}])
+    def test_unknown_key_is_type_error(self, bad):
+        with pytest.raises(TypeError):
+            ConstructionConfig(eps=0.3, **bad)
+
+
+TERMS = ["truncation", "net_fit", "chain", "total"]
+
+
+@st.composite
+def budgets(draw):
+    """Budgets whose values straddle their limits, equality included."""
+    eps = draw(st.floats(min_value=1e-6, max_value=1e3))
+    limits = [eps / 3.0] * 3 + [eps]
+    values = [
+        draw(st.one_of(st.just(limit), st.floats(min_value=0.0, max_value=2.0).map(lambda r: r * limit)))
+        for limit in limits
+    ]
+    return ErrorBudget(eps, *values, certified=draw(st.booleans()))
+
+
+class TestBudgetPolicy:
+    @given(budget=budgets())
+    def test_rows_carry_honest_labels_and_limits(self, budget):
+        rows = budget.rows()
+        assert [row[0] for row in rows] == TERMS
+        assert [row[1] for row in rows] == [
+            budget.truncation_analytic, budget.net_fit_sampled, budget.chain_sampled, budget.total_sampled,
+        ]
+        assert [row[3] for row in rows] == [budget.eps / 3.0] * 3 + [budget.eps]
+        status = {term: s for term, _, s, _ in rows}
+        assert status["truncation"] == ("analytic_upper_bound" if budget.certified else "uncertified_user_claim")
+        for term in TERMS[1:]:
+            assert status[term] == "sampled_sup"
+
+    @given(budget=budgets())
+    def test_check_names_the_first_term_at_or_above_its_limit(self, budget):
+        over = [(term, value, limit) for term, value, _, limit in budget.rows() if value >= limit]
+        if not over:
+            budget.check()
+            return
+        with pytest.raises(BudgetError) as exc_info:
+            budget.check()
+        assert (exc_info.value.term, exc_info.value.value, exc_info.value.limit) == over[0]

@@ -224,3 +224,13 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             filter_from_json({"kind": "iir", "d": 1, "m": 1, "M": 1.0})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"M": float("nan")}, {"M": float("inf")}, {"M": 0.0}, {"M": -1.0}, {"d": 0}, {"m": 0}],
+        ids=["M_nan", "M_inf", "M_zero", "M_negative", "d_zero", "m_zero"],
+    )
+    def test_rejects_bad_dims_and_bound(self, bad):
+        spec = {"kind": "exp_fading", "lambda": 0.5, "B": [[1.0]], "d": 1, "m": 1, "M": 1.0, **bad}
+        with pytest.raises(ValueError, match="filter needs"):
+            filter_from_json(spec)

@@ -151,6 +151,25 @@ class TestFitToTolerance:
         assert achieved <= tol * 0.8
 
 
+class TestWidthPolicy:
+    def test_casts_parsed_values(self):
+        pol = WidthPolicy(start_width="8", max_width=16.0, train_samples=10, val_samples=20, ridge="0", scale=1)
+        assert pol == WidthPolicy(start_width=8, max_width=16, train_samples=10, val_samples=20, ridge=0.0, scale=1.0)
+        assert list(pol.widths()) == [8, 16]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"start_width": 0}, {"max_width": 0}, {"train_samples": 0}, {"val_samples": -1},
+            {"start_width": 64, "max_width": 32}, {"ridge": -1e-9}, {"ridge": float("inf")},
+            {"scale": 0.0}, {"scale": float("nan")},
+        ],
+    )
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            WidthPolicy(**bad)
+
+
 class TestFitIdentity:
     def test_meets_tolerance_on_ball(self):
         pol = WidthPolicy(start_width=32, max_width=256, train_samples=800, val_samples=1600)
