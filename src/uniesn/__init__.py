@@ -11,7 +11,6 @@ spectral heuristics.
 from .windows import (
     InputWindow,
     make_window,
-    sample_ball,
     sample_product_ball,
     sample_window_array,
     weighted_distance,
@@ -25,7 +24,6 @@ from .shallow import (
     get_activation,
     fit_random_feature,
     fit_to_tolerance,
-    fit_identity,
     lipschitz_bound,
 )
 from .filters import (

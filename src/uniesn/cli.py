@@ -50,6 +50,9 @@ EXIT_VERIFY = 5
 
 SCHEMA_VERSION = 1
 
+#: The sections a run config may hold; each is a JSON object.
+CONFIG_SECTIONS = ("filter", "construction", "verification", "sweep", "output")
+
 
 class ConfigError(ValueError):
     pass
@@ -65,6 +68,20 @@ def _load_json(path) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_config(path) -> dict:
+    """Read a run config: a JSON object of known sections, each an object."""
+    raw = _load_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a run config must be a JSON object")
+    unknown = set(raw) - set(CONFIG_SECTIONS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config sections {sorted(unknown)}")
+    for key, section in raw.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}: config section {key!r} must be a JSON object")
+    return raw
 
 
 def _construction_from(obj: dict, seed_override: int | None) -> ConstructionConfig:
@@ -139,7 +156,7 @@ def _run_one(f: TargetFilter, cfg: ConstructionConfig) -> ConstructionResult:
 
 def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> int:
     try:
-        raw = _load_json(config_path)
+        raw = _load_config(config_path)
         f = filter_from_json(raw["filter"])
         cfg = _construction_from(raw.get("construction", {}), seed)
         out = Path(out_dir or raw.get("output", {}).get("dir", "."))
@@ -199,6 +216,10 @@ def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
     M = vcfg["input_bound"] if "input_bound" in vcfg else raw.get("filter", {}).get("M", 1.0)
     opts = {key: int(vcfg.get(key, default)) for key, default in VERIFY_INTS.items()}
     opts.update(M=float(M), out=Path(vcfg.get("out", Path(esn_path).parent / "verify.json")), nets=None)
+    if not 0 < opts["M"] < np.inf:
+        raise ConfigError(f"verification input_bound (default: filter M) must be finite and > 0, got {M}")
+    if opts["seed"] < 0:
+        raise ConfigError(f"verification seed must be >= 0, got {opts['seed']}")
     for key in ("esp_trials", "fmp_trials", "closed_form_windows"):
         if opts[key] < 1:
             raise ConfigError(f"verification {key} must be >= 1, got {opts[key]}")
@@ -256,7 +277,7 @@ def _verify_structured(esn: ESNParams, opts: dict) -> dict:
 def cmd_verify(esn_path: str, config_path: str) -> int:
     try:
         esn = ESNParams.from_json(_load_json(esn_path))
-        opts = _verify_options(_load_json(config_path), esn, esn_path)
+        opts = _verify_options(_load_config(config_path), esn, esn_path)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         _log(f"load error: {exc}")
         return EXIT_CONFIG
@@ -285,7 +306,7 @@ SWEEP_COLUMNS = [
 
 def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: int | None) -> int:
     try:
-        raw = _load_json(config_path)
+        raw = _load_config(config_path)
         f = filter_from_json(raw["filter"])
         # Every point replaces eps; any valid one checks the rest of the section.
         base = _construction_from({**raw.get("construction", {}), "eps": 1.0}, seed)

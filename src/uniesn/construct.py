@@ -33,8 +33,8 @@ import numpy as np
 from .esn import BlockStructure, ESNParams, check_nilpotent
 from .filters import TargetFilter
 from .linalg import operator_norm
-from .shallow import FitToleranceError, ShallowNet, WidthPolicy, fit_identity, fit_to_tolerance
-from .windows import sample_ball, sample_product_ball, sample_window_array
+from .shallow import FitToleranceError, ShallowNet, WidthPolicy, fit_to_tolerance
+from .windows import sample_product_ball, sample_window_array
 
 #: Largest recursion-versus-closed-form gap a build or a verify accepts.
 CLOSED_FORM_TOL = 1e-10
@@ -101,6 +101,8 @@ class ConstructionConfig:
                 object.__setattr__(self, key, WidthPolicy(**getattr(self, key)))
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.margin <= 1:
             raise ValueError(f"margin must lie in (0, 1], got {self.margin}")
         for key in SAMPLE_COUNTS:
@@ -200,7 +202,9 @@ def build_identity_chain(
     chain = []
     for j, radius in enumerate(radii, start=1):
         try:
-            net = fit_identity(d, radius, tol, policy, _derived_seed(seed, j), margin=margin)
+            net, _ = fit_to_tolerance(
+                lambda x: x, d, radius, tol, policy, _derived_seed(seed, j), margin=margin
+            )
         except FitToleranceError as exc:
             raise ConstructionError(
                 "fit_identity_chain",
@@ -240,7 +244,7 @@ def verify_chain_bound(
         return []
     d = chain[0].in_dim
     step = eps / (3.0 * gain)
-    points = sample_ball(d, M, n_samples, seed)
+    points = sample_product_ball(d, M, 1, n_samples, seed)
     current = points
     records = []
     for j in range(1, K + 1):
@@ -426,7 +430,7 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     BudgetError if every stage succeeds but a budget term misses its share.
     """
     eps = cfg.eps
-    d, m, M = f.in_dim, f.out_dim, f.input_bound
+    d, M = f.in_dim, f.input_bound
     times: dict[str, float] = {}
 
     def staged(stage):
@@ -444,21 +448,10 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     done(stage)
 
     stage = staged("fit_static_net")
-    target = f.truncated_map(K)
-    sampler = lambda n, s: sample_product_ball(d, M, K + 1, n, s)
-    # The fitting region is a product of K+1 balls; its circumradius, not the
-    # per-lag radius, is what keeps the default hidden scale responsive.
-    stacked_radius = M * float(np.sqrt(K + 1))
     try:
         net, net_fit_achieved = fit_to_tolerance(
-            target,
-            domain_dim=(K + 1) * d,
-            radius=stacked_radius,
-            tol=eps / 3.0,
-            policy=cfg.static_policy,
-            seed=_derived_seed(cfg.seed, 1),
-            margin=cfg.margin,
-            sampler=sampler,
+            f.truncated_map(K), d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1),
+            copies=K + 1, margin=cfg.margin,
         )
     except FitToleranceError as exc:
         raise ConstructionError(stage, str(exc)) from exc
@@ -511,9 +504,8 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
 
     stage = staged("budget")
     target_vals = f.evaluate_batch(arr)
-    stacked = arr[:, T - 1 - K :, :].reshape(arr.shape[0], (K + 1) * d)
-    truncated_vals = target(stacked)
-    net_vals = split.net.forward(stacked)
+    truncated_vals = f.evaluate_batch(arr[:, T - 1 - K :])
+    net_vals = direct_functional(split, arr)
     chained_vals = chained_functional(split, chain, arr)
 
     budget = ErrorBudget(

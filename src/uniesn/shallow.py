@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import operator_norm
-from .windows import freeze, sample_ball
+from .windows import freeze, sample_product_ball
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,9 @@ class ShallowNet:
             raise ValueError(f"hidden_bias shape {self.hidden_bias.shape} != ({w},)")
         if self.readout.ndim != 2 or self.readout.shape[1] != w:
             raise ValueError(f"readout shape {self.readout.shape} incompatible with width {w}")
+        for name in ("hidden_matrix", "hidden_bias", "readout"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} holds a non-finite entry")
 
     @property
     def in_dim(self) -> int:
@@ -143,7 +146,7 @@ class WidthPolicy:
     train_samples: int = 1024
     val_samples: int = 2048
     ridge: float = 1e-10
-    scale: float | None = None  # None: 2 / fitting radius
+    scale: float | None = None  # None: 2 / circumradius of the fitting domain
 
     def __post_init__(self):
         for key in ("start_width", "max_width", "train_samples", "val_samples"):
@@ -167,11 +170,8 @@ class WidthPolicy:
             w *= 2
 
 
-def fit_random_feature(
-    inputs, targets, width: int, ridge: float, scale: float, seed: int,
-    activation: str = "tanh",
-) -> ShallowNet:
-    """Frozen random hidden layer + ridge least-squares readout.
+def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, seed: int) -> ShallowNet:
+    """Frozen random tanh hidden layer + ridge least-squares readout.
 
     ``width`` random units are drawn i.i.d. uniform on [-scale, scale] (rows
     and biases alike); one extra unit with a zero input row and bias 1 is
@@ -199,7 +199,7 @@ def fit_random_feature(
     bias[:width] = rng.uniform(-scale, scale, size=width)
     bias[width] = 1.0
 
-    act = get_activation(activation)
+    act = _ACTIVATIONS["tanh"]
     phi = act(X @ hidden.T + bias)  # (n, width+1)
     gram = phi.T @ phi / n
     gram[np.diag_indices(width)] += ridge  # leave the constant unit unpenalized
@@ -221,23 +221,22 @@ def _sup_error(net: ShallowNet, target, points: np.ndarray) -> float:
 
 def fit_to_tolerance(
     target,
-    domain_dim: int,
+    d: int,
     radius: float,
     tol: float,
     policy: WidthPolicy,
     seed: int,
     *,
+    copies: int = 1,
     margin: float = 0.8,
-    sampler=None,
 ) -> tuple[ShallowNet, float]:
-    """Fit ``target`` on the radius-ball to a sampled sup error <= tol * margin.
+    """Fit ``target`` on a product of balls to a sampled sup error <= tol * margin.
 
-    ``target`` maps a batch (n, domain_dim) to (n, out_dim).  Widths double
-    from policy.start_width until the error on a held-out validation sample
-    clears tol * margin; the margin leaves headroom because a sampled sup is
-    only a lower bound on the true one.  ``sampler(n, seed) -> (n, domain_dim)``
-    overrides the default uniform-ball sampling (the product-of-balls domain
-    of the stacked-lag fit needs this).
+    The fitting domain is the product of ``copies`` radius-balls in d-space,
+    points stacked to (n, copies * d); ``target`` maps such a batch to
+    (n, out_dim).  Widths double from policy.start_width until the error on
+    a held-out validation sample clears tol * margin; the margin leaves
+    headroom because a sampled sup is only a lower bound on the true one.
 
     Raises FitToleranceError, carrying the best achieved error, if max_width
     is not enough.
@@ -246,15 +245,15 @@ def fit_to_tolerance(
         raise ValueError(f"tol must be positive, got {tol}")
     if not 0 < margin <= 1:
         raise ValueError(f"margin must lie in (0, 1], got {margin}")
-    if sampler is None:
-        sampler = lambda n, s: sample_ball(domain_dim, radius, n, s)
     ss = np.random.SeedSequence(seed)
     train_seed, val_seed, base_weight_seed = (int(s) for s in ss.generate_state(3))
-    X_train = sampler(policy.train_samples, train_seed)
+    X_train = sample_product_ball(d, radius, copies, policy.train_samples, train_seed)
     Y_train = np.asarray(target(X_train), dtype=np.float64)
-    X_val = sampler(policy.val_samples, val_seed)
+    X_val = sample_product_ball(d, radius, copies, policy.val_samples, val_seed)
 
-    scale = policy.scale if policy.scale is not None else 2.0 / radius
+    # The domain's circumradius, not the per-ball radius, is what keeps the
+    # default hidden scale responsive as the number of balls grows.
+    scale = policy.scale if policy.scale is not None else 2.0 / (radius * float(np.sqrt(copies)))
     best_err = np.inf
     best_net = None
     for attempt, width in enumerate(policy.widths()):
@@ -273,11 +272,3 @@ def fit_to_tolerance(
         achieved=best_err,
         width=best_net.width if best_net else 0,
     )
-
-
-def fit_identity(d: int, radius: float, tol: float, policy: WidthPolicy, seed: int, *, margin: float = 0.8) -> ShallowNet:
-    """Fit the identity map on the radius-ball in d-space; returns the net."""
-    net, _ = fit_to_tolerance(
-        lambda x: x, domain_dim=d, radius=radius, tol=tol, policy=policy, seed=seed, margin=margin
-    )
-    return net

@@ -84,7 +84,9 @@ def sample_product_ball(d: int, R: float, copies: int, n: int, seed: int) -> np.
     """``n`` points of the product of ``copies`` d-balls, stacked to (n, copies*d).
 
     Each d-slot is sampled independently and uniformly on its ball.  Row 0 is
-    all zeros; row 1 (when n >= 2) puts the boundary probe R*e_1 in every slot.
+    all zeros; row 1 (when n >= 2) puts the boundary probe R*e_1 in every slot,
+    so sampled maxima always see the boundary.  Bitwise reproducible from
+    ``seed``.
     """
     if copies < 1:
         raise ValueError(f"need copies >= 1, got {copies}")
@@ -104,16 +106,6 @@ def sample_product_ball(d: int, R: float, copies: int, n: int, seed: int) -> np.
         radii = R * rng.random((m, copies)) ** (1.0 / d)
         out[2:] = (dirs / norms * radii[:, :, None]).reshape(m, copies * d)
     return out
-
-
-def sample_ball(d: int, R: float, n: int, seed: int) -> np.ndarray:
-    """``n`` points drawn uniformly on the closed ball of radius R in d-space.
-
-    Returns an (n, d) array.  The first point is always the origin and the
-    second (when n >= 2) is the boundary probe R*e_1, so sampled maxima over
-    the ball always see the boundary.  Bitwise reproducible from ``seed``.
-    """
-    return sample_product_ball(d, R, 1, n, seed)
 
 
 def sample_window_array(d: int, M: float, T: int, n: int, seed: int) -> np.ndarray:

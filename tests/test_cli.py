@@ -41,6 +41,16 @@ def read_csv_skipping_schema(path: Path):
     return list(csv.DictReader(lines[1:]))
 
 
+def edited_nets(edit):
+    """A nets_text for the verification tests: nets.json with one entry edited."""
+
+    def text(nets):
+        edit(nets)
+        return json.dumps(nets)
+
+    return text
+
+
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
     """One construct run, shared by tests that only read its artifacts."""
@@ -97,11 +107,17 @@ class TestConstruct:
             lambda c: c["construction"].update(closed_form_check_windows=0),
             lambda c: c["filter"].update(M=float("nan")),
             lambda c: c["filter"].update(M=float("inf")),
+            lambda c: c.update(filter=[1]),
+            lambda c: c.update(output="out"),
+            lambda c: c.update(sweep=[0.5]),
+            lambda c: c.update(verfication=c.pop("verification")),
+            lambda c: c["construction"].update(seed=-5),
         ],
         ids=[
             "unknown_key", "unknown_policy_key", "max_below_start_width", "start_width_zero",
             "train_samples_zero", "budget_windows_zero", "eps_infinite", "closed_form_check_windows_zero",
-            "filter_M_nan", "filter_M_infinite",
+            "filter_M_nan", "filter_M_infinite", "filter_not_object", "output_not_object",
+            "sweep_not_object", "misspelled_section", "seed_negative",
         ],
     )
     def test_bad_config_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, edit):
@@ -113,6 +129,15 @@ class TestConstruct:
         assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, env", [(["--seed", "-5"], None), ([], "-5")], ids=["flag", "env"])
+    def test_negative_seed_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, argv, env):
+        if env is not None:
+            monkeypatch.setenv("UNIESN_SEED", env)
+        monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a stage ran"))
+        cfg = write_config(tmp_path)
+        assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out"), *argv]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_impossible_fit_is_stage_failure(self, tmp_path, capsys):
         cfg = write_config(
@@ -248,31 +273,48 @@ class TestVerify:
         path.write_text(json.dumps(esn_obj))
         assert cli.main(["verify", str(path), str(cfg)]) == 5
 
+    def test_config_not_an_object_is_load_error(self, built, tmp_path, capsys):
+        (tmp_path / "config.json").write_text("[1]")
+        assert cli.main(["verify", str(built / "esn.json"), str(tmp_path / "config.json")]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_unreadable_esn_is_load_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["verify", str(tmp_path / "missing.json"), str(cfg)]) == 2
 
     @pytest.mark.parametrize(
-        "verification, nets_text",
+        "overrides, nets_text",
         [
-            ({"esp_trials": 0}, None),
-            ({"fmp_trials": 0}, None),
-            ({"fmp_trials": "many"}, None),
-            ({"closed_form_windows": 0}, None),
+            ({"verification": {"esp_trials": 0}}, None),
+            ({"verification": {"fmp_trials": 0}}, None),
+            ({"verification": {"fmp_trials": "many"}}, None),
+            ({"verification": {"closed_form_windows": 0}}, None),
             ({}, lambda nets: "{not json"),
             ({}, lambda nets: json.dumps({"lag_dim": nets["lag_dim"]})),
             ({}, lambda nets: json.dumps({**nets, "identity_chain": nets["identity_chain"][:-1]})),
             ({}, lambda nets: json.dumps({**nets, "lag_dim": 0})),
-            ({"fmp_trial": 50}, None),
+            ({"verification": {"fmp_trial": 50}}, None),
+            ({"verification": []}, None),
+            ({"filter": [1]}, None),
+            ({"output": "out"}, None),
+            ({"verfication": {"fmp_trials": 5}}, None),
+            ({"verification": {"input_bound": -1}}, None),
+            ({"verification": {"input_bound": float("nan")}}, None),
+            ({"filter": {"M": float("nan")}}, None),
+            ({"verification": {"seed": -5}}, None),
+            ({}, edited_nets(lambda nets: nets["static_net"]["readout"][0].__setitem__(0, float("nan")))),
+            ({}, edited_nets(lambda nets: nets["identity_chain"][0]["hidden_bias"].__setitem__(0, float("inf")))),
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
             "nets_not_json", "nets_missing_keys", "nets_chain_too_short", "nets_lag_dim_zero",
-            "unknown_key",
+            "unknown_key", "section_not_object", "filter_not_object", "output_not_object",
+            "misspelled_section", "input_bound_negative", "input_bound_nan", "filter_M_nan",
+            "seed_negative", "nets_nan_readout", "nets_inf_bias",
         ],
     )
-    def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, verification, nets_text):
-        cfg = write_config(tmp_path, verification=verification)
+    def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, overrides, nets_text):
+        cfg = write_config(tmp_path, **overrides)
         for name in ("esn.json", "nets.json"):
             (tmp_path / name).write_bytes((built / name).read_bytes())
         if nets_text is not None:
@@ -311,6 +353,13 @@ class TestSweep:
         cfg = write_config(tmp_path, construction={"budget_windws": 5})
         monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a build ran"))
         assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+        assert not (tmp_path / "sweep").exists()
+
+    def test_unknown_section_exits_before_any_build(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, swep={"eps": [0.5]})
+        monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a build ran"))
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+        assert "unknown config sections ['swep']" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     def test_bad_eps_is_a_config_row_and_sweep_continues(self, tmp_path):

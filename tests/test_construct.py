@@ -26,7 +26,7 @@ from uniesn.esn import check_finite_memory, check_nilpotent
 from uniesn.filters import ExpFadingFilter, FIRFilter
 from uniesn.linalg import operator_norm
 from uniesn.shallow import ShallowNet, WidthPolicy, get_activation
-from uniesn.windows import sample_ball, sample_window_array
+from uniesn.windows import sample_product_ball, sample_window_array
 
 TANH = get_activation("tanh")
 
@@ -127,7 +127,7 @@ class TestIdentityChain:
         tol = eps / (3 * gain)
         radii = identity_chain_radii(M, K, eps, gain)
         for net, radius in zip(chain, radii):
-            fresh = sample_ball(1, radius, 4000, seed=999)
+            fresh = sample_product_ball(1, radius, 1, 4000, seed=999)
             err = np.max(np.abs(net.forward(fresh) - fresh))
             assert err <= tol
 
@@ -439,7 +439,7 @@ class TestConfigSchema:
         [
             {"eps": 0.0}, {"eps": float("inf")}, {"eps": float("nan")}, {"margin": 0.0}, {"margin": 1.5},
             {"chain_samples": 0}, {"budget_windows": 0}, {"budget_window_len": 0},
-            {"closed_form_check_windows": 0}, {"identity_policy": {"start_width": 0}},
+            {"closed_form_check_windows": 0}, {"identity_policy": {"start_width": 0}}, {"seed": -1},
         ],
     )
     def test_out_of_range_is_value_error(self, bad):

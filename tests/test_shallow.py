@@ -8,7 +8,6 @@ from uniesn.shallow import (
     FitToleranceError,
     ShallowNet,
     WidthPolicy,
-    fit_identity,
     fit_random_feature,
     fit_to_tolerance,
     get_activation,
@@ -150,6 +149,26 @@ class TestFitToTolerance:
         net, achieved = fit_to_tolerance(lambda x: np.tanh(2 * x), 1, 1.0, tol, pol, seed=8)
         assert achieved <= tol * 0.8
 
+    @pytest.mark.parametrize("d, radius, copies", [(1, 1.0, 1), (1, 1.0, 6), (2, 0.5, 4), (3, 2.0, 3)])
+    def test_product_domain_and_default_scale(self, d, radius, copies):
+        # The domain is copies radius-balls stacked; the default scale is
+        # 2 / circumradius, radius * sqrt(copies).
+        pol = WidthPolicy(start_width=64, max_width=64, train_samples=200, val_samples=200)
+        seen = []
+
+        def target(x):
+            seen.append(x)
+            return x[:, :1]
+
+        net, _ = fit_to_tolerance(target, d, radius, 1.0, pol, seed=3, copies=copies)
+        assert net.in_dim == copies * d
+        slots = np.concatenate(seen).reshape(-1, copies, d)
+        assert np.all(np.linalg.norm(slots, axis=2) <= radius * (1 + 1e-12))
+        bound = 2.0 / (radius * np.sqrt(copies))
+        random_units = np.column_stack([net.hidden_matrix[:-1], net.hidden_bias[:-1]])
+        assert np.all(np.abs(random_units) <= bound)
+        assert np.max(np.abs(random_units)) > 0.9 * bound
+
 
 class TestWidthPolicy:
     def test_casts_parsed_values(self):
@@ -171,9 +190,11 @@ class TestWidthPolicy:
 
 
 class TestFitIdentity:
+    """Identity nets, as the chain fits them: fit_to_tolerance(lambda x: x, ...)."""
+
     def test_meets_tolerance_on_ball(self):
         pol = WidthPolicy(start_width=32, max_width=256, train_samples=800, val_samples=1600)
-        net = fit_identity(1, 1.0, 0.05, pol, seed=10)
+        net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, 0.05, pol, seed=10)
         grid = np.linspace(-1, 1, 2001).reshape(-1, 1)
         err = np.max(np.abs(net.forward(grid) - grid))
         assert err <= 0.04
@@ -181,12 +202,12 @@ class TestFitIdentity:
     def test_small_at_origin(self):
         pol = WidthPolicy(start_width=32, max_width=256, train_samples=800, val_samples=1600)
         tol = 0.05
-        net = fit_identity(1, 1.0, tol, pol, seed=10)
+        net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, tol, pol, seed=10)
         assert float(np.abs(net.forward([[0.0]]))[0, 0]) <= tol
 
     def test_bound_inherited_on_smaller_ball(self):
         pol = WidthPolicy(start_width=32, max_width=256, train_samples=800, val_samples=1600)
-        net = fit_identity(1, 1.0, 0.05, pol, seed=10)
+        net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, 0.05, pol, seed=10)
         grid_small = np.linspace(-0.5, 0.5, 1001).reshape(-1, 1)
         grid_full = np.linspace(-1, 1, 2001).reshape(-1, 1)
         err_small = np.max(np.abs(net.forward(grid_small) - grid_small))
@@ -204,6 +225,15 @@ class TestSerialization:
         assert np.array_equal(back.hidden_bias, net.hidden_bias)
         assert np.array_equal(back.readout, net.readout)
         assert back.activation.kind == net.activation.kind
+
+    @pytest.mark.parametrize("name", ["hidden_matrix", "hidden_bias", "readout"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        obj = small_net([[1.0, 2.0]], [0.3], [[0.5]]).to_json()
+        obj[name] = np.asarray(obj[name])
+        obj[name].flat[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ShallowNet.from_json(obj)
 
     def test_activation_registry(self):
         assert get_activation("tanh").lipschitz_const == 1.0

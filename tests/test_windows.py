@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from uniesn.windows import (
     InputWindow,
     make_window,
-    sample_ball,
     sample_product_ball,
     sample_window_array,
     weighted_distance,
@@ -47,28 +46,30 @@ class TestMakeWindow:
 
 
 class TestSampleBall:
+    """One ball: the product sampler with copies=1."""
+
     def test_mandated_probes_present(self):
-        pts = sample_ball(1, 1.0, 3, seed=7)
+        pts = sample_product_ball(1, 1.0, 1, 3, seed=7)
         assert any(np.array_equal(p, [0.0]) for p in pts)
         assert any(np.array_equal(p, [1.0]) for p in pts)
 
     def test_all_norms_within_radius(self):
-        pts = sample_ball(2, 2.0, 100, seed=1)
+        pts = sample_product_ball(2, 2.0, 1, 100, seed=1)
         assert pts.shape == (100, 2)
         assert np.all(np.linalg.norm(pts, axis=1) <= 2.0)
 
     def test_boundary_probe_guarantees_coverage(self):
-        pts = sample_ball(1, 0.5, 1000, seed=3)
+        pts = sample_product_ball(1, 0.5, 1, 1000, seed=3)
         assert np.max(np.abs(pts)) >= 0.49
 
     def test_bitwise_reproducible(self):
-        a = sample_ball(3, 1.5, 500, seed=11)
-        b = sample_ball(3, 1.5, 500, seed=11)
+        a = sample_product_ball(3, 1.5, 1, 500, seed=11)
+        b = sample_product_ball(3, 1.5, 1, 500, seed=11)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = sample_ball(3, 1.5, 500, seed=11)
-        b = sample_ball(3, 1.5, 500, seed=12)
+        a = sample_product_ball(3, 1.5, 1, 500, seed=11)
+        b = sample_product_ball(3, 1.5, 1, 500, seed=12)
         assert not np.array_equal(a, b)
 
 
@@ -87,7 +88,7 @@ class TestSampleProductBall:
 
 
 class TestSamplerFold:
-    """sample_ball and sample_window_array are views of the one product-ball sampler."""
+    """sample_window_array is a view of the one product-ball sampler."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -98,7 +99,6 @@ class TestSamplerFold:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_samplers_equal_product_ball_bitwise(self, d, n, T, R, seed):
-        assert np.array_equal(sample_ball(d, R, n, seed), sample_product_ball(d, R, 1, n, seed))
         want = sample_product_ball(d, R, T, n, seed).reshape(n, T, d)
         assert np.array_equal(sample_window_array(d, R, T, n, seed), want)
 
