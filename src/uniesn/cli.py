@@ -95,9 +95,45 @@ def _construction_from(obj: dict, seed_override: int | None) -> ConstructionConf
     return ConstructionConfig(**section)
 
 
+def _json_chunks(obj, indent: str):
+    """Stream ``json.dump(obj, indent=2, sort_keys=True)`` as text chunks.
+
+    ``indent`` is the indentation of the line ``obj`` starts on.  Dict keys
+    must be strings.  A list of floats is one chunk, joined in one pass of
+    float.__repr__: that is the bulk of a dense esn.json, and the pure-Python
+    encoder behind json.dump's indent yields every float on its own.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be str")
+        opener, closer = "{", "}"
+        items = [(json.dumps(key) + ": ", value) for key, value in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)) and obj:
+        try:
+            text = sep.join(map(float.__repr__, obj))
+        except TypeError:  # not all floats
+            opener, closer = "[", "]"
+            items = [("", value) for value in obj]
+        else:
+            # A finite float's repr has no "n"; nan and inf must read NaN and Infinity.
+            text = sep.join(map(json.dumps, obj)) if "n" in text else text
+            yield "[\n" + inner + text + "\n" + indent + "]"
+            return
+    else:  # a scalar, {} or []
+        yield json.dumps(obj)
+        return
+    for i, (head, value) in enumerate(items):
+        yield (sep if i else opener + "\n" + inner) + head
+        yield from _json_chunks(value, inner)
+    yield "\n" + indent + closer
+
+
 def _write_json(path: Path, obj: dict):
+    """Write ``json.dump(obj, indent=2, sort_keys=True)`` and a newline, streamed."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.writelines(_json_chunks(obj, ""))
         fh.write("\n")
 
 

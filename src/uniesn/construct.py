@@ -346,7 +346,7 @@ def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarr
     acc = np.tile(split.bias, (B, 1))
     for j in range(K + 1):
         z_j = arr[:, T - 1 - j, :]
-        acc = acc + compose_chain(chain, j, z_j) @ split.lag_block(j).T
+        acc += compose_chain(chain, j, z_j) @ split.lag_block(j).T
     return split.net.activation(acc)
 
 

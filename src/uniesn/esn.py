@@ -124,23 +124,38 @@ class ESNParams:
     def run_batch(self, arr: np.ndarray, x_init: np.ndarray | None = None) -> np.ndarray:
         """Final states for a (B, T, d) batch of windows, started from x_init.
 
-        Every step of the window runs; a structured system multiplies only the
-        blocks of A its pattern allows.  Only the time-0 state is returned,
-        shape (B, N).
+        The carriers run at every step of the window from x_init, multiplying
+        only the blocks of A the pattern allows once it is proven.  The
+        collector row runs only at the last step, and only when the pattern
+        is proven; otherwise every row runs at every step.  Only the time-0
+        state is returned, shape (B, N).
         """
         B, T, d = arr.shape
         if d != self.in_dim:
             raise ValueError(f"window dim {d} != input dim {self.in_dim}")
-        if x_init is not None and np.shape(x_init) != (self.state_dim,):
-            raise ValueError(f"x_init shape {np.shape(x_init)} != ({self.state_dim},)")
-        X = np.zeros((B, self.state_dim)) if x_init is None else np.tile(x_init, (B, 1))
+        N = self.state_dim
+        if x_init is not None and np.shape(x_init) != (N,):
+            raise ValueError(f"x_init shape {np.shape(x_init)} != ({N},)")
+        X = np.empty((B, N))  # float64 whatever x_init is: the steps write into it
+        X[:] = 0.0 if x_init is None else x_init
+        # Under a proven pattern A's collector column block is zero, so no step
+        # reads the collector's state: before the last step only the carriers,
+        # the leading entries, are live.  Otherwise every entry is.
+        before_last = int(self.structure.offsets()[-2]) if self._structured else N
         Ct = self.C.T
         for t in range(T):
-            pre = arr[:, t, :] @ Ct
+            live = N if t == T - 1 else before_last
+            # The input product is cut to the live columns only with one input
+            # channel: each entry is then one rounded product, whatever kernel
+            # BLAS picks for the shape.  With more, the kernel sets the
+            # summation order, so the product keeps its full width and the bits
+            # of the every-step recursion.
+            pre = (arr[:, t, :] @ Ct[:, : live if d == 1 else N])[:, :live]
             for rows, cols, block_t in self._row_blocks:
-                pre[:, rows] += X[:, cols] @ block_t
-            pre += self.zeta
-            X = self.activation(pre)
+                if rows.start < live:
+                    pre[:, rows] += X[:, cols] @ block_t
+            pre += self.zeta[:live]
+            X[:, :live] = self.activation(pre)
         return X
 
     def functional_batch(self, arr: np.ndarray) -> np.ndarray:

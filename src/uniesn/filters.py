@@ -102,6 +102,8 @@ class FIRFilter(TargetFilter):
         for a in self.coeffs:
             if a.shape != (self.out_dim, self.in_dim):
                 raise ValueError(f"tap shape {a.shape} != ({self.out_dim}, {self.in_dim})")
+            if not np.isfinite(a).all():
+                raise ValueError("filter tap holds a non-finite entry")
 
     def evaluate_batch(self, arr: np.ndarray) -> np.ndarray:
         out = np.zeros((arr.shape[0], self.out_dim))
@@ -136,6 +138,8 @@ class ExpFadingFilter(TargetFilter):
         object.__setattr__(self, "matrix", freeze(self.matrix))
         if self.matrix.shape != (self.out_dim, self.in_dim):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({self.out_dim}, {self.in_dim})")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("filter matrix holds a non-finite entry")
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
 
@@ -177,6 +181,8 @@ class QuadTerm:
         object.__setattr__(self, "b", freeze(np.ravel(self.b)))
         if self.j < 0 or self.k < 0:
             raise ValueError(f"lags must be >= 0, got ({self.j}, {self.k})")
+        if not np.isfinite(self.b).all():
+            raise ValueError("quad coefficient holds a non-finite entry")
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,9 @@ class ShallowNet:
         u = np.asarray(u, dtype=np.float64)
         if u.ndim != 2 or u.shape[1] != self.in_dim:
             raise ValueError(f"expected a batch of shape (n, {self.in_dim}), got {u.shape}")
-        return self.activation(u @ self.hidden_matrix.T + self.hidden_bias) @ self.readout.T
+        pre = u @ self.hidden_matrix.T
+        pre += self.hidden_bias
+        return self.activation(pre) @ self.readout.T
 
     def to_json(self) -> dict:
         return {
@@ -200,10 +202,15 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     bias[width] = 1.0
 
     act = _ACTIVATIONS["tanh"]
-    phi = act(X @ hidden.T + bias)  # (n, width+1)
-    gram = phi.T @ phi / n
+    pre = X @ hidden.T
+    pre += bias
+    phi = act(pre)  # (n, width+1)
+    del pre
+    gram = phi.T @ phi
+    gram /= n
     gram[np.diag_indices(width)] += ridge  # leave the constant unit unpenalized
     rhs = phi.T @ Y / n
+    del phi  # the solve's workspace is the peak; phi is not needed for it
     try:
         readout_t = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:

@@ -1,9 +1,12 @@
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniesn import cli
 from uniesn.construct import BudgetError
@@ -112,12 +115,21 @@ class TestConstruct:
             lambda c: c.update(sweep=[0.5]),
             lambda c: c.update(verfication=c.pop("verification")),
             lambda c: c["construction"].update(seed=-5),
+            lambda c: c["filter"].update(B=[[float("nan")]]),
+            lambda c: c["filter"].update(B=[[-float("inf")]]),
+            lambda c: c.update(filter={"kind": "fir", "coeffs": [[[0.5]], [[float("inf")]]], "d": 1, "m": 1, "M": 1.0}),
+            lambda c: c.update(filter={"kind": "volterra2", "coeffs": [[[float("nan")]]], "d": 1, "m": 1, "M": 1.0}),
+            lambda c: c.update(filter={
+                "kind": "volterra2", "coeffs": [[[0.5]]], "quad": [{"j": 0, "k": 1, "b": [float("nan")]}],
+                "d": 1, "m": 1, "M": 1.0,
+            }),
         ],
         ids=[
             "unknown_key", "unknown_policy_key", "max_below_start_width", "start_width_zero",
             "train_samples_zero", "budget_windows_zero", "eps_infinite", "closed_form_check_windows_zero",
             "filter_M_nan", "filter_M_infinite", "filter_not_object", "output_not_object",
             "sweep_not_object", "misspelled_section", "seed_negative",
+            "filter_B_nan", "filter_B_infinite", "fir_tap_infinite", "volterra2_coeff_nan", "quad_b_nan",
         ],
     )
     def test_bad_config_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, edit):
@@ -392,3 +404,37 @@ class TestStdoutDiscipline:
         captured = capsys.readouterr()
         assert captured.out.strip().splitlines() == [str(tmp_path / "out" / "report.json")]
         assert "stage" in captured.err
+
+
+json_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, float("nan"), float("inf"), -float("inf")]
+)
+json_numbers = json_floats | json_floats.map(np.float64)
+json_leaves = st.none() | st.booleans() | st.integers() | st.text() | json_numbers
+json_docs = st.recursive(
+    json_leaves | st.lists(json_numbers, min_size=1),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestWriteJson:
+    """The streamed writer gives json.dump's exact bytes."""
+
+    @staticmethod
+    def reference(obj) -> bytes:
+        buf = io.StringIO()
+        json.dump(obj, buf, indent=2, sort_keys=True)
+        return (buf.getvalue() + "\n").encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=json_docs)
+    def test_bytes_match_json_dump(self, tmp_path_factory, obj):
+        path = tmp_path_factory.mktemp("write") / "doc.json"
+        cli._write_json(path, obj)
+        assert path.read_bytes() == self.reference(obj)
+
+    def test_non_finite_floats_use_json_spelling(self, tmp_path):
+        cli._write_json(tmp_path / "doc.json", {"x": [1.5, float("nan"), np.float64("inf"), -float("inf")]})
+        text = (tmp_path / "doc.json").read_text()
+        assert text == '{\n  "x": [\n    1.5,\n    NaN,\n    Infinity,\n    -Infinity\n  ]\n}\n'
