@@ -40,7 +40,7 @@ from .esn import (
 )
 from .filters import TargetFilter, filter_from_json
 from .shallow import ShallowNet
-from .windows import InputWindow, sample_window_array
+from .windows import InputWindow, as_int, as_real, sample_window_array
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -178,8 +178,8 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
     }
 
 
-def _run_one(f: TargetFilter, cfg: ConstructionConfig) -> ConstructionResult:
-    result = construct_universal_esn(f, cfg)
+def _run_one(f: TargetFilter, cfg: ConstructionConfig, attempts: dict | None = None) -> ConstructionResult:
+    result = construct_universal_esn(f, cfg, attempts=attempts)
     for stage, secs in result.wall_times.items():
         _log(f"stage {stage}: {secs:.3f}s")
     terms = " ".join(f"{term}={value:.4g}" for term, value, _, _ in result.budget.rows())
@@ -250,8 +250,11 @@ def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown verification keys {sorted(unknown)}")
     M = vcfg["input_bound"] if "input_bound" in vcfg else raw.get("filter", {}).get("M", 1.0)
-    opts = {key: int(vcfg.get(key, default)) for key, default in VERIFY_INTS.items()}
-    opts.update(M=float(M), out=Path(vcfg.get("out", Path(esn_path).parent / "verify.json")), nets=None)
+    opts = {
+        key: as_int(vcfg.get(key, default), f"verification {key}") for key, default in VERIFY_INTS.items()
+    }
+    out = Path(vcfg.get("out", Path(esn_path).parent / "verify.json"))
+    opts.update(M=as_real(M, "verification input_bound"), out=out, nets=None)
     if not 0 < opts["M"] < np.inf:
         raise ConfigError(f"verification input_bound (default: filter M) must be finite and > 0, got {M}")
     if opts["seed"] < 0:
@@ -349,7 +352,7 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
         if eps_arg:
             eps_list = [float(x) for x in eps_arg.split(",") if x.strip()]
         else:
-            eps_list = [float(x) for x in raw.get("sweep", {}).get("eps", [])]
+            eps_list = [as_real(x, "sweep eps") for x in raw.get("sweep", {}).get("eps", [])]
         if not eps_list:
             raise ConfigError("sweep needs a non-empty eps list (config sweep.eps or --eps)")
         out = Path(out_dir or raw.get("output", {}).get("dir", "."))
@@ -360,16 +363,20 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     worst = EXIT_OK
+    # The points differ only in eps, so they often repeat a width attempt of
+    # an earlier point; the dict lives for this one sweep.
+    attempts = {}
     for eps in eps_list:
         t0 = time.perf_counter()
         try:
-            result = _run_one(f, dataclasses.replace(base, eps=eps))
+            result = _run_one(f, dataclasses.replace(base, eps=eps), attempts)
             rows.append([
                 repr(eps), result.horizon, result.esn.state_dim,
                 "|".join(str(w) for w in result.esn.structure.widths),
                 *(repr(value) for _, value, _, _ in result.budget.rows()),
                 f"{time.perf_counter() - t0:.3f}", "ok",
             ])
+            del result  # its dense A would otherwise sit under the next point's widest fit
             continue
         except BudgetError as exc:
             _log(f"eps={eps:g}: budget violation: {exc}")

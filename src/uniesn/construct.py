@@ -34,7 +34,7 @@ from .esn import BlockStructure, ESNParams, check_nilpotent
 from .filters import TargetFilter
 from .linalg import operator_norm
 from .shallow import FitToleranceError, ShallowNet, WidthPolicy, fit_to_tolerance
-from .windows import sample_product_ball, sample_window_array
+from .windows import as_int, as_real, sample_product_ball, sample_window_array
 
 #: Largest recursion-versus-closed-form gap a build or a verify accepts.
 CLOSED_FORM_TOL = 1e-10
@@ -93,9 +93,9 @@ class ConstructionConfig:
     closed_form_check_windows: int = 200
 
     def __post_init__(self):
-        cast = {"eps": float, "seed": int, "margin": float, **dict.fromkeys(SAMPLE_COUNTS, int)}
+        cast = {"eps": as_real, "seed": as_int, "margin": as_real, **dict.fromkeys(SAMPLE_COUNTS, as_int)}
         for key, kind in cast.items():
-            object.__setattr__(self, key, kind(getattr(self, key)))
+            object.__setattr__(self, key, kind(getattr(self, key), key))
         for key in ("static_policy", "identity_policy"):
             if not isinstance(getattr(self, key), WidthPolicy):
                 object.__setattr__(self, key, WidthPolicy(**getattr(self, key)))
@@ -190,12 +190,14 @@ def build_identity_chain(
     seed: int,
     *,
     margin: float = 0.8,
+    attempts: dict | None = None,
 ) -> list[ShallowNet]:
     """Fit one identity-approximator net per delay step.
 
     Net j is fitted on the ball of radius M + (j-1)*eps/(3*gain) to tolerance
     eps/(3*gain); the inflated radii cover the drift the earlier nets may
-    have introduced by the time net j sees the data.
+    have introduced by the time net j sees the data.  ``attempts`` is passed
+    on to fit_to_tolerance.
     """
     radii = identity_chain_radii(M, horizon, eps, gain)
     tol = eps / (3.0 * gain) if horizon >= 1 else None
@@ -203,7 +205,8 @@ def build_identity_chain(
     for j, radius in enumerate(radii, start=1):
         try:
             net, _ = fit_to_tolerance(
-                lambda x: x, d, radius, tol, policy, _derived_seed(seed, j), margin=margin
+                lambda x: x, d, radius, tol, policy, _derived_seed(seed, j),
+                margin=margin, attempts=attempts,
             )
         except FitToleranceError as exc:
             raise ConstructionError(
@@ -343,11 +346,13 @@ def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarr
     B, T, d = arr.shape
     if T < K + 1:
         raise ValueError(f"window of length {T} too short: need >= {K + 1}")
-    acc = np.tile(split.bias, (B, 1))
+    acc = np.empty((B, split.net.width))
+    acc[:] = split.bias
+    prod = np.empty_like(acc)
     for j in range(K + 1):
         z_j = arr[:, T - 1 - j, :]
-        acc += compose_chain(chain, j, z_j) @ split.lag_block(j).T
-    return split.net.activation(acc)
+        acc += np.matmul(compose_chain(chain, j, z_j), split.lag_block(j).T, out=prod)
+    return split.net.activation(acc, out=acc)
 
 
 def direct_functional(split: LagBlockNet, arr: np.ndarray) -> np.ndarray:
@@ -423,11 +428,15 @@ def _derived_seed(base: int, tag: int) -> int:
     return int(np.random.SeedSequence([base, tag]).generate_state(1)[0])
 
 
-def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> ConstructionResult:
+def construct_universal_esn(
+    f: TargetFilter, cfg: ConstructionConfig, *, attempts: dict | None = None
+) -> ConstructionResult:
     """Run the whole construction and certify its error budget.
 
     Raises ConstructionError (with a stage tag) if any stage fails, or
     BudgetError if every stage succeeds but a budget term misses its share.
+    ``attempts`` is passed on to every fit_to_tolerance call: builds that
+    share one dict reuse each other's identical width attempts.
     """
     eps = cfg.eps
     d, M = f.in_dim, f.input_bound
@@ -451,7 +460,7 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     try:
         net, net_fit_achieved = fit_to_tolerance(
             f.truncated_map(K), d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1),
-            copies=K + 1, margin=cfg.margin,
+            copies=K + 1, margin=cfg.margin, attempts=attempts,
         )
     except FitToleranceError as exc:
         raise ConstructionError(stage, str(exc)) from exc
@@ -466,7 +475,8 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     if K >= 1 and not gain > 0:
         raise ConstructionError(stage, "error gain is zero with K >= 1; nothing to calibrate against")
     chain = build_identity_chain(
-        d, M, K, eps, gain, cfg.identity_policy, _derived_seed(cfg.seed, 2), margin=cfg.margin
+        d, M, K, eps, gain, cfg.identity_policy, _derived_seed(cfg.seed, 2),
+        margin=cfg.margin, attempts=attempts,
     )
     done(stage)
 

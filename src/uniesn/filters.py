@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import operator_norm
-from .windows import freeze
+from .windows import as_int, as_real, freeze
 
 _HORIZON_CAP = 10_000
 
@@ -262,7 +262,7 @@ class RawFilter(TargetFilter):
 def filter_from_json(obj: dict) -> TargetFilter:
     """Build a filter from its JSON spec; see each family's to_json for layout."""
     kind = obj.get("kind")
-    d, m, M = int(obj["d"]), int(obj["m"]), float(obj["M"])
+    d, m, M = as_int(obj["d"], "filter d"), as_int(obj["m"], "filter m"), as_real(obj["M"], "filter M")
     if d < 1 or m < 1 or not 0 < M < np.inf:
         raise ValueError(f"filter needs d, m >= 1 and a finite positive M, got d={d}, m={m}, M={M}")
     if kind == "fir":
@@ -274,14 +274,17 @@ def filter_from_json(obj: dict) -> TargetFilter:
         return ExpFadingFilter(
             in_dim=d, out_dim=m, input_bound=M,
             matrix=np.asarray(obj["B"], dtype=np.float64),
-            decay=float(obj["lambda"]),
+            decay=as_real(obj["lambda"], "filter lambda"),
         )
     if kind == "volterra2":
         return Volterra2Filter(
             in_dim=d, out_dim=m, input_bound=M,
             coeffs=tuple(np.asarray(a, dtype=np.float64) for a in obj.get("coeffs", [])),
             quad=tuple(
-                QuadTerm(j=int(q["j"]), k=int(q["k"]), b=np.asarray(q["b"], dtype=np.float64))
+                QuadTerm(
+                    j=as_int(q["j"], "quad j"), k=as_int(q["k"], "quad k"),
+                    b=np.asarray(q["b"], dtype=np.float64),
+                )
                 for q in obj.get("quad", [])
             ),
         )

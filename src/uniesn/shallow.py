@@ -9,12 +9,13 @@ hidden layer is frozen random, the readout solves a convex problem, and the
 whole fit is bitwise reproducible from its arguments.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import operator_norm
-from .windows import freeze, sample_product_ball
+from .windows import as_int, as_real, freeze, sample_product_ball
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,15 @@ class Activation:
     lipschitz_const: float
     sup_bound: float
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """sigma(x), written into ``out`` when given (``out`` may be ``x``)."""
         if self.kind == "tanh":
-            return np.tanh(x)
+            return np.tanh(x, out=out)
         if self.kind == "logistic":
-            return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+            y = np.negative(np.asarray(x, dtype=np.float64), out=out)
+            np.exp(y, out=y)
+            y += 1.0
+            return np.divide(1.0, y, out=y)
         raise ValueError(f"unknown activation kind {self.kind!r}")
 
 
@@ -91,7 +96,7 @@ class ShallowNet:
             raise ValueError(f"expected a batch of shape (n, {self.in_dim}), got {u.shape}")
         pre = u @ self.hidden_matrix.T
         pre += self.hidden_bias
-        return self.activation(pre) @ self.readout.T
+        return self.activation(pre, out=pre) @ self.readout.T
 
     def to_json(self) -> dict:
         return {
@@ -152,16 +157,16 @@ class WidthPolicy:
 
     def __post_init__(self):
         for key in ("start_width", "max_width", "train_samples", "val_samples"):
-            object.__setattr__(self, key, int(getattr(self, key)))
+            object.__setattr__(self, key, as_int(getattr(self, key), key))
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.max_width < self.start_width:
             raise ValueError(f"max_width {self.max_width} is below start_width {self.start_width}")
-        object.__setattr__(self, "ridge", float(self.ridge))
+        object.__setattr__(self, "ridge", as_real(self.ridge, "ridge"))
         if not 0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.scale is not None:
-            object.__setattr__(self, "scale", float(self.scale))
+            object.__setattr__(self, "scale", as_real(self.scale, "scale"))
             if not 0 < self.scale < np.inf:
                 raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
@@ -204,8 +209,7 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     act = _ACTIVATIONS["tanh"]
     pre = X @ hidden.T
     pre += bias
-    phi = act(pre)  # (n, width+1)
-    del pre
+    phi = act(pre, out=pre)  # (n, width+1), written over pre
     gram = phi.T @ phi
     gram /= n
     gram[np.diag_indices(width)] += ridge  # leave the constant unit unpenalized
@@ -220,10 +224,12 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     return ShallowNet(hidden_matrix=hidden, hidden_bias=bias, readout=readout_t.T, activation=act)
 
 
-def _sup_error(net: ShallowNet, target, points: np.ndarray) -> float:
-    pred = net.forward(points)
-    want = np.asarray(target(points), dtype=np.float64)
-    return float(np.max(np.linalg.norm(pred - want, axis=1)))
+def _digest(*arrays) -> bytes:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).data)
+    return h.digest()
 
 
 def fit_to_tolerance(
@@ -236,6 +242,7 @@ def fit_to_tolerance(
     *,
     copies: int = 1,
     margin: float = 0.8,
+    attempts: dict | None = None,
 ) -> tuple[ShallowNet, float]:
     """Fit ``target`` on a product of balls to a sampled sup error <= tol * margin.
 
@@ -247,6 +254,14 @@ def fit_to_tolerance(
 
     Raises FitToleranceError, carrying the best achieved error, if max_width
     is not enough.
+
+    ``attempts``, when given, stores each attempt's (net, sampled error) under
+    a key that covers every input the pair depends on: a digest of the
+    training and validation points and of the target's values on both, the
+    ridge, the hidden scale, the width and the weight seed.  A later call
+    with the same dict reuses any attempt whose key it repeats, so its result
+    is bitwise that of a call without the dict.  The caller owns the dict and
+    its lifetime.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -257,6 +272,8 @@ def fit_to_tolerance(
     X_train = sample_product_ball(d, radius, copies, policy.train_samples, train_seed)
     Y_train = np.asarray(target(X_train), dtype=np.float64)
     X_val = sample_product_ball(d, radius, copies, policy.val_samples, val_seed)
+    Y_val = np.asarray(target(X_val), dtype=np.float64)
+    data_key = _digest(X_train, Y_train, X_val, Y_val) if attempts is not None else None
 
     # The domain's circumradius, not the per-ball radius, is what keeps the
     # default hidden scale responsive as the number of balls grows.
@@ -264,11 +281,17 @@ def fit_to_tolerance(
     best_err = np.inf
     best_net = None
     for attempt, width in enumerate(policy.widths()):
-        net = fit_random_feature(
-            X_train, Y_train, width=width, ridge=policy.ridge, scale=scale,
-            seed=base_weight_seed + attempt,
-        )
-        err = _sup_error(net, target, X_val)
+        weight_seed = base_weight_seed + attempt
+        key = (data_key, policy.ridge, scale, width, weight_seed)
+        if attempts is not None and key in attempts:
+            net, err = attempts[key]
+        else:
+            net = fit_random_feature(
+                X_train, Y_train, width=width, ridge=policy.ridge, scale=scale, seed=weight_seed
+            )
+            err = float(np.max(np.linalg.norm(net.forward(X_val) - Y_val, axis=1)))
+            if attempts is not None:
+                attempts[key] = net, err
         if err < best_err:
             best_err, best_net = err, net
         if err <= tol * margin:

@@ -23,6 +23,21 @@ def freeze(arr) -> np.ndarray:
     return out
 
 
+def as_int(value, name: str) -> int:
+    """A parsed integer field: integral numbers and numeric strings cast, while
+    booleans and non-integral numbers raise ValueError instead of truncating."""
+    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """A parsed real field; a boolean raises ValueError instead of reading as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class InputWindow:
     """The last ``T`` entries of a bounded input sequence.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniesn import cli
+from uniesn import cli, shallow
 from uniesn.construct import BudgetError
 
 
@@ -123,6 +123,17 @@ class TestConstruct:
                 "kind": "volterra2", "coeffs": [[[0.5]]], "quad": [{"j": 0, "k": 1, "b": [float("nan")]}],
                 "d": 1, "m": 1, "M": 1.0,
             }),
+            lambda c: c["construction"].update(budget_windows=True),
+            lambda c: c["construction"].update(seed=1.9),
+            lambda c: c["construction"].update(margin=True),
+            lambda c: c["construction"].update(eps=True),
+            lambda c: c["construction"].update(budget_window_len=float("inf")),
+            lambda c: c["construction"]["static_policy"].update(train_samples=1500.5),
+            lambda c: c["construction"]["identity_policy"].update(train_samples=True),
+            lambda c: c["construction"]["static_policy"].update(ridge=True),
+            lambda c: c["construction"]["identity_policy"].update(scale=True),
+            lambda c: c["filter"].update(d=1.5),
+            lambda c: c["filter"].update(M=True),
         ],
         ids=[
             "unknown_key", "unknown_policy_key", "max_below_start_width", "start_width_zero",
@@ -130,6 +141,9 @@ class TestConstruct:
             "filter_M_nan", "filter_M_infinite", "filter_not_object", "output_not_object",
             "sweep_not_object", "misspelled_section", "seed_negative",
             "filter_B_nan", "filter_B_infinite", "fir_tap_infinite", "volterra2_coeff_nan", "quad_b_nan",
+            "budget_windows_bool", "seed_fraction", "margin_bool", "eps_bool", "budget_window_len_infinite",
+            "train_samples_fraction", "identity_train_samples_bool", "ridge_bool", "scale_bool", "filter_d_fraction",
+            "filter_M_bool",
         ],
     )
     def test_bad_config_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, edit):
@@ -316,6 +330,12 @@ class TestVerify:
             ({"verification": {"seed": -5}}, None),
             ({}, edited_nets(lambda nets: nets["static_net"]["readout"][0].__setitem__(0, float("nan")))),
             ({}, edited_nets(lambda nets: nets["identity_chain"][0]["hidden_bias"].__setitem__(0, float("inf")))),
+            ({"verification": {"fmp_trials": 50.5}}, None),
+            ({"verification": {"esp_trials": True}}, None),
+            ({"verification": {"seed": 1.9}}, None),
+            ({"verification": {"window_len": True}}, None),
+            ({"verification": {"closed_form_windows": float("inf")}}, None),
+            ({"verification": {"input_bound": True}}, None),
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
@@ -323,6 +343,8 @@ class TestVerify:
             "unknown_key", "section_not_object", "filter_not_object", "output_not_object",
             "misspelled_section", "input_bound_negative", "input_bound_nan", "filter_M_nan",
             "seed_negative", "nets_nan_readout", "nets_inf_bias",
+            "fmp_trials_fraction", "esp_trials_bool", "seed_fraction", "window_len_bool",
+            "closed_form_windows_infinite", "input_bound_bool",
         ],
     )
     def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, overrides, nets_text):
@@ -367,6 +389,13 @@ class TestSweep:
         assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
         assert not (tmp_path / "sweep").exists()
 
+    def test_boolean_eps_exits_before_any_build(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, sweep={"eps": [0.5, True]})
+        monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a build ran"))
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+        assert "sweep eps must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_unknown_section_exits_before_any_build(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, swep={"eps": [0.5]})
         monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a build ran"))
@@ -395,6 +424,68 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("stage:")
+
+
+@pytest.fixture(scope="module")
+def sweep_and_builds(tmp_path_factory):
+    """Two sweeps over two eps of one horizon, then a construct at each eps,
+    all in one process: each run's out dir, its fit count and the attempts
+    argument of each of its builds."""
+    tmp = tmp_path_factory.mktemp("sweep_and_builds")
+    eps_list = [0.3, 0.25]  # both give K=4
+    commands = {
+        f"sweep{i}": ["sweep", str(write_config(tmp, sweep={"eps": eps_list})), "--out", str(tmp / f"sweep{i}")]
+        for i in (1, 2)
+    }
+    for eps in eps_list:
+        (tmp / repr(eps)).mkdir()
+        cfg = write_config(tmp / repr(eps), construction={"eps": eps})
+        commands[repr(eps)] = ["construct", str(cfg), "--out", str(tmp / repr(eps) / "out")]
+    fits, builds = [], []
+    real_fit, real_build = shallow.fit_random_feature, cli.construct_universal_esn
+
+    def counting_fit(*a, **k):
+        fits.append(k["width"])
+        return real_fit(*a, **k)
+
+    def recording_build(*a, **k):
+        builds.append(k.get("attempts"))
+        return real_build(*a, **k)
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shallow, "fit_random_feature", counting_fit)
+        mp.setattr(cli, "construct_universal_esn", recording_build)
+        for name, argv in commands.items():
+            n_fits, n_builds = len(fits), len(builds)
+            assert cli.main(argv) == 0
+            runs[name] = {"out": Path(argv[-1]), "fits": len(fits) - n_fits, "attempts": builds[n_builds:]}
+    return runs
+
+
+class TestSweepReuse:
+    def test_rows_equal_separate_builds(self, sweep_and_builds):
+        rows = read_csv_skipping_schema(sweep_and_builds["sweep1"]["out"] / "sweep.csv")
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        for row in rows:
+            report = json.loads((sweep_and_builds[row["eps"]]["out"] / "report.json").read_text())
+            assert row["widths"] == "|".join(map(str, report["widths"]))
+            assert row["state_dim"] == repr(report["state_dim"])
+            for term in ("truncation", "net_fit", "chain", "total"):
+                assert row[term] == repr(report["budget"][term])
+
+    def test_repeated_sweeps_make_the_same_fits(self, sweep_and_builds):
+        first, second = sweep_and_builds["sweep1"], sweep_and_builds["sweep2"]
+        assert first["fits"] == second["fits"]
+        assert first["fits"] < sweep_and_builds["0.3"]["fits"] + sweep_and_builds["0.25"]["fits"]
+        # One dict per invocation, shared by its points.
+        assert [type(a) for a in first["attempts"]] == [dict, dict]
+        assert first["attempts"][0] is first["attempts"][1]
+        assert second["attempts"][0] is not first["attempts"][0]
+
+    def test_construct_never_reuses_a_fit(self, sweep_and_builds):
+        for eps in ("0.3", "0.25"):
+            assert sweep_and_builds[eps]["attempts"] == [None]
 
 
 class TestStdoutDiscipline:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniesn.construct import (
@@ -275,6 +275,21 @@ class TestClosedForm:
             gap = np.max(np.linalg.norm(collector - direct, axis=1))
             assert gap <= 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(0, 4), d=st.integers(1, 3), widths=st.lists(st.integers(1, 70), min_size=5, max_size=5),
+        B=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_matches_reference_loop_bitwise(self, K, d, widths, B, seed):
+        split = random_split(K=K, d=d, collector_width=widths[-1], seed=seed)
+        chain = [random_net(widths[j], d, d, seed=seed + 1 + j) for j in range(K)]
+        arr = sample_window_array(d, 1.0, K + 2, B, seed=seed)
+        T = arr.shape[1]
+        acc = np.tile(split.bias, (B, 1))  # one fresh product per lag, as written out
+        for j in range(K + 1):
+            acc += compose_chain(chain, j, arr[:, T - 1 - j, :]) @ split.lag_block(j).T
+        assert np.array_equal(closed_form_state(split, chain, arr), np.tanh(acc))
+
     def test_chained_functional_is_readout_of_state(self):
         split = random_split(K=2, d=1, collector_width=5, seed=25)
         chain = [random_net(3, 1, 1, seed=26), random_net(3, 1, 1, seed=27)]
@@ -440,6 +455,12 @@ class TestConfigSchema:
             {"eps": 0.0}, {"eps": float("inf")}, {"eps": float("nan")}, {"margin": 0.0}, {"margin": 1.5},
             {"chain_samples": 0}, {"budget_windows": 0}, {"budget_window_len": 0},
             {"closed_form_check_windows": 0}, {"identity_policy": {"start_width": 0}}, {"seed": -1},
+            # Integer fields take no booleans or fractions, real fields no booleans.
+            {"seed": 1.9}, {"seed": True}, {"budget_windows": True}, {"chain_samples": 2.5},
+            {"budget_window_len": float("inf")}, {"closed_form_check_windows": 30.5},
+            {"static_policy": {"start_width": 32.5}}, {"identity_policy": {"val_samples": True}},
+            {"eps": True}, {"margin": True}, {"static_policy": {"ridge": False}},
+            {"identity_policy": {"scale": True}},
         ],
     )
     def test_out_of_range_is_value_error(self, bad):

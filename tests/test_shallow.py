@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uniesn import shallow
 from uniesn.linalg import operator_norm
 from uniesn.shallow import (
     FitToleranceError,
@@ -53,6 +56,21 @@ class TestForward:
             net.forward([[1.0, 2.0]])
         with pytest.raises(ValueError):
             net.forward([1.0])  # a single vector is not a batch
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 200), d=st.integers(1, 4), width=st.integers(1, 80), m=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_logistic_in_place_bits(self, n, d, width, m, seed):
+        rng = np.random.default_rng(seed)
+        net = ShallowNet(
+            hidden_matrix=rng.standard_normal((width, d)), hidden_bias=rng.standard_normal(width),
+            readout=rng.standard_normal((m, width)), activation=get_activation("logistic"),
+        )
+        u = rng.uniform(-3, 3, (n, d))
+        pre = u @ net.hidden_matrix.T + net.hidden_bias  # one fresh array per operation, as written out
+        assert np.array_equal(net.forward(u), (1.0 / (1.0 + np.exp(-pre))) @ net.readout.T)
 
     def test_outputs_globally_bounded(self):
         rng = np.random.default_rng(1)
@@ -168,6 +186,93 @@ class TestFitToTolerance:
         random_units = np.column_stack([net.hidden_matrix[:-1], net.hidden_bias[:-1]])
         assert np.all(np.abs(random_units) <= bound)
         assert np.max(np.abs(random_units)) > 0.9 * bound
+
+
+def fit_outcome(*args, **kwargs):
+    """fit_to_tolerance's result as comparable bits, with the number of fits it ran."""
+    calls = []
+    real = shallow.fit_random_feature
+
+    def counting(*a, **k):
+        calls.append(k["width"])
+        return real(*a, **k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shallow, "fit_random_feature", counting)
+        try:
+            net, err = fit_to_tolerance(*args, **kwargs)
+        except FitToleranceError as exc:
+            return ("failed", exc.achieved, exc.width), len(calls)
+    arrays = (net.hidden_matrix, net.hidden_bias, net.readout)
+    return (tuple(a.tobytes() for a in arrays), err), len(calls)
+
+
+def wave(a):
+    return lambda x: np.sin(a * x[:, :1]) + 0.5 * x
+
+
+def perturbed(base, rows):
+    """``base``, except that its first output moves on a batch of ``rows`` points."""
+
+    def target(x):
+        y = np.array(base(x), dtype=np.float64)
+        if x.shape[0] == rows:
+            y[0, 0] += 1e-3
+        return y
+
+    return target
+
+
+small_problems = dict(
+    a=st.floats(0.5, 6.0), tol=st.floats(1e-3, 0.5), start=st.sampled_from([2, 4, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def small_policy(start, **overrides):
+    return WidthPolicy(**{"start_width": start, "max_width": 8 * start, "train_samples": 60,
+                          "val_samples": 80, **overrides})
+
+
+class TestAttemptReuse:
+    """A dict of attempts changes which fits run, never what they return."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**small_problems)
+    def test_first_call_and_repeat_are_bitwise_plain(self, a, tol, start, seed):
+        args = (wave(a), 2, 1.0, tol, small_policy(start), seed)
+        plain, plain_fits = fit_outcome(*args)
+        attempts = {}
+        first, first_fits = fit_outcome(*args, attempts=attempts)
+        repeat, repeat_fits = fit_outcome(*args, attempts=attempts)
+        assert first == plain and repeat == plain
+        assert first_fits == plain_fits == len(attempts)
+        assert repeat_fits == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(**small_problems, change=st.sampled_from(
+        ["train_target", "val_target", "sample_seed", "ridge", "scale", "start_width"]
+    ))
+    def test_changing_one_key_input_fits_afresh(self, a, tol, start, seed, change):
+        base = (wave(a), 2, 1.0, tol, small_policy(start), seed)
+        target, _, _, _, policy, seed2 = base
+        if change in ("train_target", "val_target"):  # the policy draws 60 training, 80 validation points
+            target = perturbed(target, 60 if change == "train_target" else 80)
+        elif change == "sample_seed":
+            seed2 = seed ^ 1
+        elif change == "ridge":
+            policy = small_policy(start, ridge=2e-10)
+        elif change == "scale":
+            policy = small_policy(start, scale=1.5)
+        else:
+            policy = small_policy(2 * start, max_width=8 * start)
+        varied = (target, 2, 1.0, tol, policy, seed2)
+        attempts = {}
+        fit_outcome(*base, attempts=attempts)
+        reused, reused_fits = fit_outcome(*varied, attempts=attempts)
+        plain, plain_fits = fit_outcome(*varied)
+        assert reused == plain
+        assert reused_fits == plain_fits
 
 
 class TestWidthPolicy:
