@@ -52,10 +52,7 @@ from .construct import (
     ErrorBudget,
     ConstructionResult,
     split_lag_blocks,
-    identity_error_gain,
-    identity_chain_radii,
     build_identity_chain,
-    compose_chain,
     verify_chain_bound,
     assemble_esn,
     closed_form_state,

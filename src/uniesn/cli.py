@@ -95,32 +95,56 @@ def _construction_from(obj: dict, seed_override: int | None) -> ConstructionConf
     return ConstructionConfig(**section)
 
 
+def _float_text(values: np.ndarray, indent: str) -> str:
+    """A 1-D float array as json.dump writes its list at ``indent``.
+
+    +0.0, the bulk of a dense esn.json, is the literal 0.0; only the other
+    entries go through float.__repr__.  A finite float's repr has no "n", so
+    an "n" means nan or inf, which must read NaN and Infinity.
+    """
+    if not values.size:
+        return "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    texts = ["0.0"] * len(values)
+    other = (values != 0) | np.signbit(values)
+    for i, text in zip(np.flatnonzero(other).tolist(), map(float.__repr__, values[other].tolist())):
+        texts[i] = text
+    text = sep.join(texts)
+    if "n" in text:
+        text = sep.join(map(json.dumps, values.tolist()))
+    return "[\n" + inner + text + "\n" + indent + "]"
+
+
 def _json_chunks(obj, indent: str):
     """Stream ``json.dump(obj, indent=2, sort_keys=True)`` as text chunks.
 
     ``indent`` is the indentation of the line ``obj`` starts on.  Dict keys
-    must be strings.  A list of floats is one chunk, joined in one pass of
-    float.__repr__: that is the bulk of a dense esn.json, and the pure-Python
-    encoder behind json.dump's indent yields every float on its own.
+    must be strings.  A float ndarray is written as its ``tolist()`` would be,
+    row by row, and a 1-D one or a list of floats is one chunk: that is the
+    bulk of a dense esn.json, and the pure-Python encoder behind json.dump's
+    indent yields every float on its own.
     """
     inner = indent + "  "
     sep = ",\n" + inner
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f":
+            raise TypeError(f"only float arrays are written, got {obj.dtype}")
+        if obj.ndim == 1:
+            yield _float_text(obj, indent)
+            return
+        obj = list(obj)
     if isinstance(obj, dict) and obj:
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("JSON object keys must be str")
         opener, closer = "{", "}"
         items = [(json.dumps(key) + ": ", value) for key, value in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)) and obj:
-        try:
-            text = sep.join(map(float.__repr__, obj))
-        except TypeError:  # not all floats
-            opener, closer = "[", "]"
-            items = [("", value) for value in obj]
-        else:
-            # A finite float's repr has no "n"; nan and inf must read NaN and Infinity.
-            text = sep.join(map(json.dumps, obj)) if "n" in text else text
-            yield "[\n" + inner + text + "\n" + indent + "]"
+        if all(isinstance(value, float) for value in obj):
+            yield _float_text(np.array(obj, dtype=np.float64), indent)
             return
+        opener, closer = "[", "]"
+        items = [("", value) for value in obj]
     else:  # a scalar, {} or []
         yield json.dumps(obj)
         return

@@ -200,15 +200,16 @@ class ESNParams:
         raise RuntimeError("zero-input burn-in did not converge")
 
     def to_json(self) -> dict:
+        """The esn.json object, with the matrices as (read-only) float arrays."""
         return {
             "N": self.state_dim,
             "d": self.in_dim,
             "m": self.out_dim,
             "activation": self.activation.kind,
-            "A": self.A.tolist(),
-            "C": self.C.tolist(),
-            "zeta": self.zeta.tolist(),
-            "W": self.W.tolist(),
+            "A": self.A,
+            "C": self.C,
+            "zeta": self.zeta,
+            "W": self.W,
             "structure": (
                 {"widths": list(self.structure.widths), "K": self.structure.horizon}
                 if self.structure is not None

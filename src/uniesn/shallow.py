@@ -99,14 +99,15 @@ class ShallowNet:
         return self.activation(pre, out=pre) @ self.readout.T
 
     def to_json(self) -> dict:
+        """The net's JSON object, with the weights as (read-only) float arrays."""
         return {
             "in_dim": self.in_dim,
             "out_dim": self.out_dim,
             "width": self.width,
             "activation": self.activation.kind,
-            "hidden_matrix": self.hidden_matrix.tolist(),
-            "hidden_bias": self.hidden_bias.tolist(),
-            "readout": self.readout.tolist(),
+            "hidden_matrix": self.hidden_matrix,
+            "hidden_bias": self.hidden_bias,
+            "readout": self.readout,
         }
 
     @classmethod

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -502,11 +503,29 @@ json_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=Tru
 )
 json_numbers = json_floats | json_floats.map(np.float64)
 json_leaves = st.none() | st.booleans() | st.integers() | st.text() | json_numbers
+array_entries = json_floats | st.sampled_from([0.0, 1.0, -3.0, 2.0**53, 1e308, -1e308])
+array_shapes = st.integers(0, 6).map(lambda n: (n,)) | st.tuples(st.integers(0, 4), st.integers(0, 4))
+float_arrays = array_shapes.flatmap(
+    lambda shape: st.lists(array_entries, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda entries: np.array(entries, dtype=np.float64).reshape(shape)
+    )
+)
 json_docs = st.recursive(
-    json_leaves | st.lists(json_numbers, min_size=1),
+    json_leaves | st.lists(json_numbers, min_size=1) | float_arrays,
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
     max_leaves=25,
 )
+
+
+def as_lists(obj):
+    """obj with every ndarray replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(value) for value in obj]
+    return obj
 
 
 class TestWriteJson:
@@ -515,7 +534,7 @@ class TestWriteJson:
     @staticmethod
     def reference(obj) -> bytes:
         buf = io.StringIO()
-        json.dump(obj, buf, indent=2, sort_keys=True)
+        json.dump(as_lists(obj), buf, indent=2, sort_keys=True)
         return (buf.getvalue() + "\n").encode("utf-8")
 
     @settings(max_examples=300, deadline=None)
@@ -524,6 +543,17 @@ class TestWriteJson:
         path = tmp_path_factory.mktemp("write") / "doc.json"
         cli._write_json(path, obj)
         assert path.read_bytes() == self.reference(obj)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (1, 4), (4, 1), (2, 3)])
+    def test_array_edge_shapes(self, tmp_path, shape):
+        entries = [float("nan"), 0.0, -0.0, float("inf"), 5e-324, -float("inf"), 1e308, -1e308, 7.0]
+        arr = np.resize(np.array(entries), shape)
+        cli._write_json(tmp_path / "doc.json", {"a": arr, "rows": list(arr)})
+        assert (tmp_path / "doc.json").read_bytes() == self.reference({"a": arr, "rows": list(arr)})
+
+    def test_non_float_array_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="float"):
+            cli._write_json(tmp_path / "doc.json", {"a": np.arange(3)})
 
     def test_non_finite_floats_use_json_spelling(self, tmp_path):
         cli._write_json(tmp_path / "doc.json", {"x": [1.5, float("nan"), np.float64("inf"), -float("inf")]})

@@ -1,9 +1,20 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uniesn
 from uniesn.construct import (
+    _BLOCK_ALIGN,
+    BUDGET_BLOCK,
+    _derived_seed,
+    _window_blocks,
     BudgetError,
     ChainBoundError,
     ConstructionConfig,
@@ -11,6 +22,7 @@ from uniesn.construct import (
     ErrorBudget,
     LagBlockNet,
     assemble_esn,
+    budget_errors,
     build_identity_chain,
     chained_functional,
     closed_form_state,
@@ -23,7 +35,7 @@ from uniesn.construct import (
     verify_chain_bound,
 )
 from uniesn.esn import check_finite_memory, check_nilpotent
-from uniesn.filters import ExpFadingFilter, FIRFilter
+from uniesn.filters import ExpFadingFilter, FIRFilter, filter_from_json
 from uniesn.linalg import operator_norm
 from uniesn.shallow import ShallowNet, WidthPolicy, get_activation
 from uniesn.windows import sample_product_ball, sample_window_array
@@ -441,6 +453,89 @@ class TestPipeline:
         assert np.array_equal(r1.esn.A, r2.esn.A)
         assert np.array_equal(r1.esn.C, r2.esn.C)
         assert r1.budget == r2.budget
+
+
+# The benchmark's second-order system: d=2, a static net of width 1025 at eps=0.5.
+VOLTERRA2 = {
+    "kind": "volterra2",
+    "coeffs": [[[0.6, 0.3]], [[-0.3, 0.2]], [[0.15, -0.1]], [[0.1, 0.05]]],
+    "quad": [{"j": 0, "k": 1, "b": [0.3]}, {"j": 1, "k": 3, "b": [-0.2]}],
+    "d": 2, "m": 1, "M": 1.0,
+}
+EXP_FADING = {"kind": "exp_fading", "lambda": 0.5, "B": [[1.0]], "d": 1, "m": 1, "M": 1.0}
+
+
+def check_blocks_match_one_batch(spec: dict, eps: float, seed: int):
+    """Build with 4100 budget windows, then compare the blocked per-window
+    errors on all of them and on the first 2049 with one-batch evaluations,
+    array against array."""
+    f = filter_from_json(spec)
+    cfg = small_cfg(eps=eps, seed=seed, budget_windows=4100)
+    res = construct_universal_esn(f, cfg)
+    split, chain, K = res.split, res.chain, res.horizon
+    T = max(cfg.budget_window_len, K + 1)
+    arr = sample_window_array(f.in_dim, f.input_bound, T, cfg.budget_windows, _derived_seed(seed, 4))
+    for n in (4100, 2049):
+        sizes = [s.stop - s.start for s in _window_blocks(n)]
+        assert len(set(sizes)) > 1, sizes  # an uneven split
+        net_vals = direct_functional(split, arr[:n])
+        chained_vals = chained_functional(split, chain, arr[:n])
+        want = np.stack([
+            np.linalg.norm(f.evaluate_batch(arr[:n, T - 1 - K :]) - net_vals, axis=1),
+            np.linalg.norm(net_vals - chained_vals, axis=1),
+            np.linalg.norm(f.evaluate_batch(arr[:n]) - chained_vals, axis=1),
+        ])
+        got = budget_errors(f, split, chain, arr[:n])
+        assert got.tobytes() == want.tobytes(), f"{int(np.sum(got != want))} entries differ at n={n}"
+        if n == cfg.budget_windows:
+            b = res.budget
+            assert (b.net_fit_sampled, b.chain_sampled, b.total_sampled) == tuple(np.max(want, axis=1))
+
+
+class TestBudgetBlocks:
+    @given(n=st.integers(1, 100_000))
+    def test_blocks_cover_in_near_equal_aligned_slices(self, n):
+        blocks = _window_blocks(n)
+        sizes = [s.stop - s.start for s in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(s.start % _BLOCK_ALIGN == 0 for s in blocks)
+        assert len(blocks) == -(-n // BUDGET_BLOCK)
+        assert max(sizes) <= BUDGET_BLOCK
+        assert n <= BUDGET_BLOCK or min(sizes) >= BUDGET_BLOCK // 2
+
+    @pytest.mark.parametrize("spec, eps, seed", [(EXP_FADING, 0.3, 99), (VOLTERRA2, 0.5, 7)])
+    def test_blocked_errors_equal_one_batch_bitwise(self, spec, eps, seed):
+        # With several BLAS threads the one batch's own bits depend on how
+        # BLAS splits its rows between threads, so both sides run on one.
+        code = (
+            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import test_construct; "
+            f"test_construct.check_blocks_match_one_batch({spec!r}, {eps!r}, {seed!r})"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(uniesn.__file__).parents[1])}
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def test_peak_memory_does_not_grow_with_budget_windows(self):
+        f = filter_from_json(EXP_FADING)
+        peaks, widths = [], set()
+        for n in (4096, 16384):
+            cfg = small_cfg(
+                eps=0.5, seed=3, budget_windows=n, budget_window_len=1, chain_samples=500,
+                static_policy=WidthPolicy(start_width=256, max_width=256, train_samples=1000, val_samples=1000),
+                identity_policy=WidthPolicy(start_width=32, max_width=1024, train_samples=500, val_samples=1000),
+            )
+            tracemalloc.start()
+            try:
+                widths.add(construct_universal_esn(f, cfg).split.net.width)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        (width,) = widths
+        # Less than one (block, width) float64 array; one batch held several
+        # (budget_windows, width) ones.
+        assert peaks[1] - peaks[0] < BUDGET_BLOCK * width * 8, peaks
 
 
 class TestConfigSchema:

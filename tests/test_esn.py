@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uniesn import cli
 from uniesn.esn import (
     BlockStructure,
     ESNParams,
@@ -330,19 +331,23 @@ class TestBoundedOutputs:
 
 
 class TestSerialization:
-    def test_round_trip_bitwise(self):
+    @staticmethod
+    def written_and_read(p: ESNParams, tmp_path) -> ESNParams:
+        cli._write_json(tmp_path / "esn.json", p.to_json())
+        return ESNParams.from_json(json.loads((tmp_path / "esn.json").read_text()))
+
+    def test_round_trip_bitwise(self, tmp_path):
         p = chain_esn([2, 3, 4], d=2, m=1, seed=55)
-        blob = json.dumps(p.to_json())
-        back = ESNParams.from_json(json.loads(blob))
+        back = self.written_and_read(p, tmp_path)
         assert np.array_equal(back.A, p.A)
         assert np.array_equal(back.C, p.C)
         assert np.array_equal(back.zeta, p.zeta)
         assert np.array_equal(back.W, p.W)
         assert back.structure.widths == p.structure.widths
 
-    def test_unstructured_round_trip(self):
+    def test_unstructured_round_trip(self, tmp_path):
         p = scalar_esn(0.5, 1.0, zeta=0.2, w=-1.0)
-        back = ESNParams.from_json(json.loads(json.dumps(p.to_json())))
+        back = self.written_and_read(p, tmp_path)
         assert back.structure is None
         assert np.array_equal(back.A, p.A)
 

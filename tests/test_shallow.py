@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniesn import shallow
+from uniesn import cli, shallow
 from uniesn.linalg import operator_norm
 from uniesn.shallow import (
     FitToleranceError,
@@ -321,11 +321,11 @@ class TestFitIdentity:
 
 
 class TestSerialization:
-    def test_json_round_trip_exact(self):
+    def test_json_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         net = small_net(rng.standard_normal((5, 2)), rng.standard_normal(5), rng.standard_normal((1, 5)))
-        blob = json.dumps(net.to_json())
-        back = ShallowNet.from_json(json.loads(blob))
+        cli._write_json(tmp_path / "net.json", net.to_json())
+        back = ShallowNet.from_json(json.loads((tmp_path / "net.json").read_text()))
         assert np.array_equal(back.hidden_matrix, net.hidden_matrix)
         assert np.array_equal(back.hidden_bias, net.hidden_bias)
         assert np.array_equal(back.readout, net.readout)
@@ -335,7 +335,7 @@ class TestSerialization:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, name, bad):
         obj = small_net([[1.0, 2.0]], [0.3], [[0.5]]).to_json()
-        obj[name] = np.asarray(obj[name])
+        obj[name] = np.array(obj[name])  # a writable copy
         obj[name].flat[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             ShallowNet.from_json(obj)
