@@ -13,7 +13,6 @@ from .windows import (
     make_window,
     sample_product_ball,
     sample_window_array,
-    weighted_distance,
 )
 from .linalg import operator_norm
 from .shallow import (

@@ -202,15 +202,13 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
     }
 
 
-def _run_one(f: TargetFilter, cfg: ConstructionConfig, attempts: dict | None = None) -> ConstructionResult:
+def _run_one(f: TargetFilter, cfg: ConstructionConfig, attempts=None, log=_log) -> ConstructionResult:
     result = construct_universal_esn(f, cfg, attempts=attempts)
     for stage, secs in result.wall_times.items():
-        _log(f"stage {stage}: {secs:.3f}s")
+        log(f"stage {stage}: {secs:.3f}s")
     terms = " ".join(f"{term}={value:.4g}" for term, value, _, _ in result.budget.rows())
-    _log(
-        f"horizon={result.horizon} state_dim={result.esn.state_dim} gain={result.gain:.4g} "
-        f"budget: {terms} (< eps={result.budget.eps:g})"
-    )
+    log(f"horizon={result.horizon} state_dim={result.esn.state_dim} gain={result.gain:.4g} "
+        f"budget: {terms} (< eps={result.budget.eps:g})")
     return result
 
 
@@ -367,7 +365,43 @@ SWEEP_COLUMNS = [
 ]
 
 
+_sweep_worker: tuple = ()  # (filter, base config, fit attempts) of this worker process
+
+
+def _start_sweep_worker(f: TargetFilter, base: ConstructionConfig):
+    """Pool initializer: the points of one worker share one dict of fit attempts."""
+    global _sweep_worker
+    _sweep_worker = (f, base, {})
+
+
+def _sweep_point(eps: float) -> tuple[list, list[str], int]:
+    """Build one sweep point in a worker: its row, its stderr lines, its exit code."""
+    f, base, attempts = _sweep_worker
+    lines = []
+    t0 = time.perf_counter()
+    cells, status, code = [""] * 7, "ok", EXIT_OK
+    try:
+        result = _run_one(f, dataclasses.replace(base, eps=eps), attempts, lines.append)
+        budget = [repr(value) for _, value, _, _ in result.budget.rows()]
+        cells = [result.horizon, result.esn.state_dim, "|".join(map(str, result.esn.structure.widths)), *budget]
+    except BudgetError as exc:
+        lines.append(f"eps={eps:g}: budget violation: {exc}")
+        status, code = f"budget:{exc.term}", EXIT_BUDGET
+    except ConstructionError as exc:
+        lines.append(f"eps={eps:g}: stage {exc.stage} failed: {exc}")
+        status, code = f"stage:{exc.stage}", EXIT_STAGE
+    except ValueError as exc:
+        lines.append(f"eps={eps:g}: config error: {exc}")
+        status, code = "config", EXIT_CONFIG
+    return [repr(eps), *cells, f"{time.perf_counter() - t0:.3f}", status], lines, code
+
+
 def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: int | None) -> int:
+    # Imported here: `import uniesn.cli` stays as cheap as construct and verify need.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         raw = _load_config(config_path)
         f = filter_from_json(raw["filter"])
@@ -385,34 +419,26 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
         return EXIT_CONFIG
 
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    worst = EXIT_OK
-    # The points differ only in eps, so they often repeat a width attempt of
-    # an earlier point; the dict lives for this one sweep.
-    attempts = {}
-    for eps in eps_list:
-        t0 = time.perf_counter()
-        try:
-            result = _run_one(f, dataclasses.replace(base, eps=eps), attempts)
-            rows.append([
-                repr(eps), result.horizon, result.esn.state_dim,
-                "|".join(str(w) for w in result.esn.structure.widths),
-                *(repr(value) for _, value, _, _ in result.budget.rows()),
-                f"{time.perf_counter() - t0:.3f}", "ok",
-            ])
-            del result  # its dense A would otherwise sit under the next point's widest fit
-            continue
-        except BudgetError as exc:
-            _log(f"eps={eps:g}: budget violation: {exc}")
-            status, code = f"budget:{exc.term}", EXIT_BUDGET
-        except ConstructionError as exc:
-            _log(f"eps={eps:g}: stage {exc.stage} failed: {exc}")
-            status, code = f"stage:{exc.stage}", EXIT_STAGE
-        except ValueError as exc:
-            _log(f"eps={eps:g}: config error: {exc}")
-            status, code = "config", EXIT_CONFIG
-        rows.append([repr(eps)] + [""] * 7 + [f"{time.perf_counter() - t0:.3f}", status])
-        worst = worst or code
+    rows, died, worst = [], [], EXIT_OK
+    # Forked workers inherit the modules, f and base without pickling.  The
+    # smallest eps needs the widest fits, so it starts first.
+    workers = min(len(eps_list), len(os.sched_getaffinity(0)))
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, context, initializer=_start_sweep_worker, initargs=(f, base)) as pool:
+        order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
+        futures = {i: pool.submit(_sweep_point, eps_list[i]) for i in order}
+        for i, eps in enumerate(eps_list):
+            try:
+                row, lines, code = futures[i].result()
+            except BrokenProcessPool:
+                died.append(f"{eps:g}")
+                row, lines, code = [repr(eps)] + [""] * 8 + ["worker_died"], [], EXIT_STAGE
+            for line in lines:
+                _log(line)
+            rows.append(row)
+            worst = worst or code
+    if died:
+        _log(f"a sweep worker died; eps points not finished: {', '.join(died)}")
 
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:

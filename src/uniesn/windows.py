@@ -74,20 +74,6 @@ class InputWindow:
     def dim(self) -> int:
         return self.entries.shape[1]
 
-    def to_json(self) -> dict:
-        return {
-            "time_order": "past_to_present",
-            "dim": self.dim,
-            "bound": self.bound,
-            "entries": self.entries.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "InputWindow":
-        if obj.get("time_order") != "past_to_present":
-            raise ValueError(f"unsupported time_order {obj.get('time_order')!r}")
-        return cls(entries=np.asarray(obj["entries"], dtype=np.float64), bound=float(obj["bound"]))
-
 
 def make_window(entries, M: float) -> InputWindow:
     """Validate a list of d-vectors as a window with per-entry norm <= M."""
@@ -130,23 +116,3 @@ def sample_window_array(d: int, M: float, T: int, n: int, seed: int) -> np.ndarr
     window with every entry M*e_1.
     """
     return sample_product_ball(d, M, T, n, seed).reshape(n, T, d)
-
-
-def weighted_distance(w1: InputWindow, w2: InputWindow, decay: float = 0.5) -> float:
-    """Geometric-weight distance sum_{t<=0} decay^|t| * ||z1_t - z2_t||.
-
-    Metrizes the product topology on fixed-bound sequences; the shorter window
-    is zero-extended to the common length.
-    """
-    if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay must lie in (0, 1), got {decay}")
-    if w1.dim != w2.dim:
-        raise ValueError(f"dimension mismatch: {w1.dim} vs {w2.dim}")
-    T = max(w1.length, w2.length)
-    a = np.zeros((T, w1.dim))
-    b = np.zeros((T, w2.dim))
-    a[T - w1.length :] = w1.entries
-    b[T - w2.length :] = w2.entries
-    diffs = np.linalg.norm(a - b, axis=1)
-    weights = decay ** np.arange(T - 1, -1, -1, dtype=np.float64)
-    return float(weights @ diffs)

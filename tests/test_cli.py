@@ -1,7 +1,12 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -429,39 +434,66 @@ class TestSweep:
 
 @pytest.fixture(scope="module")
 def sweep_and_builds(tmp_path_factory):
-    """Two sweeps over two eps of one horizon, then a construct at each eps,
-    all in one process: each run's out dir, its fit count and the attempts
-    argument of each of its builds."""
+    """Sweeps over two eps of one horizon, then a construct at each eps, all
+    from one process: each run's out dir, its stderr, the widths it fitted and
+    the attempts argument of each of its builds.  sweep1 and sweep2 see one
+    usable CPU, so one worker builds both points; sweep_2cpu sees two.  Sweep
+    points build in forked workers, whose memory never reaches this process,
+    so the patched fit and build append to log files."""
     tmp = tmp_path_factory.mktemp("sweep_and_builds")
     eps_list = [0.3, 0.25]  # both give K=4
+    sweep_cfg = str(write_config(tmp, sweep={"eps": eps_list}))
     commands = {
-        f"sweep{i}": ["sweep", str(write_config(tmp, sweep={"eps": eps_list})), "--out", str(tmp / f"sweep{i}")]
-        for i in (1, 2)
+        name: (["sweep", sweep_cfg, "--out", str(tmp / name)], cpus)
+        for name, cpus in (("sweep1", {0}), ("sweep2", {0}), ("sweep_2cpu", {0, 1}))
     }
     for eps in eps_list:
         (tmp / repr(eps)).mkdir()
         cfg = write_config(tmp / repr(eps), construction={"eps": eps})
-        commands[repr(eps)] = ["construct", str(cfg), "--out", str(tmp / repr(eps) / "out")]
-    fits, builds = [], []
+        commands[repr(eps)] = (["construct", str(cfg), "--out", str(tmp / repr(eps) / "out")], None)
+    fit_log, build_log = tmp / "fits.log", tmp / "builds.log"
+    fit_log.touch()
+    build_log.touch()
     real_fit, real_build = shallow.fit_random_feature, cli.construct_universal_esn
 
     def counting_fit(*a, **k):
-        fits.append(k["width"])
+        with open(fit_log, "a") as fh:
+            fh.write(f"{k['width']}\n")
         return real_fit(*a, **k)
 
     def recording_build(*a, **k):
-        builds.append(k.get("attempts"))
+        with open(build_log, "a") as fh:
+            fh.write(f"{type(k.get('attempts')).__name__}\n")
         return real_build(*a, **k)
 
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shallow, "fit_random_feature", counting_fit)
         mp.setattr(cli, "construct_universal_esn", recording_build)
-        for name, argv in commands.items():
-            n_fits, n_builds = len(fits), len(builds)
-            assert cli.main(argv) == 0
-            runs[name] = {"out": Path(argv[-1]), "fits": len(fits) - n_fits, "attempts": builds[n_builds:]}
+        for name, (argv, cpus) in commands.items():
+            if cpus is not None:
+                mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(cpus))
+            n_fits, n_builds = len(fit_log.read_text().splitlines()), len(build_log.read_text().splitlines())
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert cli.main(argv) == 0
+            runs[name] = {
+                "out": Path(argv[-1]),
+                "stderr": err.getvalue(),
+                "fits": fit_log.read_text().splitlines()[n_fits:],
+                "attempts": build_log.read_text().splitlines()[n_builds:],
+            }
     return runs
+
+
+def without_wall_time(path: Path) -> list:
+    """The lines of a sweep.csv, each split at its commas, with the wall_time_s column cut."""
+    wall = cli.SWEEP_COLUMNS.index("wall_time_s")
+    return [cells[:wall] + cells[wall + 1:] for cells in (line.split(",") for line in path.read_text().splitlines())]
+
+
+def masked_stage_times(text: str) -> str:
+    return re.sub(r"^stage (\w+): [0-9.]+s$", r"stage \1: #s", text, flags=re.M)
 
 
 class TestSweepReuse:
@@ -478,15 +510,74 @@ class TestSweepReuse:
     def test_repeated_sweeps_make_the_same_fits(self, sweep_and_builds):
         first, second = sweep_and_builds["sweep1"], sweep_and_builds["sweep2"]
         assert first["fits"] == second["fits"]
-        assert first["fits"] < sweep_and_builds["0.3"]["fits"] + sweep_and_builds["0.25"]["fits"]
-        # One dict per invocation, shared by its points.
-        assert [type(a) for a in first["attempts"]] == [dict, dict]
-        assert first["attempts"][0] is first["attempts"][1]
-        assert second["attempts"][0] is not first["attempts"][0]
+        # With one worker, its points share one dict of attempts.
+        assert len(first["fits"]) < len(sweep_and_builds["0.3"]["fits"]) + len(sweep_and_builds["0.25"]["fits"])
+        assert first["attempts"] == second["attempts"] == ["dict", "dict"]
+
+    def test_two_workers_give_the_same_rows(self, sweep_and_builds):
+        one, two = (sweep_and_builds[name]["out"] / "sweep.csv" for name in ("sweep1", "sweep_2cpu"))
+        assert without_wall_time(two) == without_wall_time(one)
+        assert sweep_and_builds["sweep_2cpu"]["attempts"] == ["dict", "dict"]
+
+    @pytest.mark.parametrize("sweep", ["sweep1", "sweep_2cpu"])
+    def test_stderr_holds_each_point_block_in_eps_order(self, sweep_and_builds, sweep):
+        # each point logs what a construct at its eps logs, in eps-list order
+        blocks = sweep_and_builds["0.3"]["stderr"] + sweep_and_builds["0.25"]["stderr"]
+        assert blocks.count("(< eps=") == 2
+        assert masked_stage_times(sweep_and_builds[sweep]["stderr"]) == masked_stage_times(blocks)
 
     def test_construct_never_reuses_a_fit(self, sweep_and_builds):
         for eps in ("0.3", "0.25"):
-            assert sweep_and_builds[eps]["attempts"] == [None]
+            assert sweep_and_builds[eps]["attempts"] == ["NoneType"]
+
+
+#: Runs ``uniesn sweep`` (argv[2:]) with one usable CPU; the worker that
+#: builds eps == argv[1] dies at once.
+DYING_SWEEP = """
+import os, sys
+from uniesn import cli
+
+real_build = cli.construct_universal_esn
+
+def build(f, cfg, **kw):
+    if cfg.eps == float(sys.argv[1]):
+        os._exit(9)
+    return real_build(f, cfg, **kw)
+
+cli.construct_universal_esn = build
+os.sched_getaffinity = lambda pid: {0}
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def run_src(args: list, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``python args`` with the package source on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+class TestSweepWorkers:
+    @pytest.mark.parametrize(
+        "dies, statuses, unfinished",
+        [("0.5", ["worker_died", "ok"], "0.5"), ("0.3", ["worker_died", "worker_died"], "0.5, 0.3")],
+        ids=["after_a_finished_point", "first"],
+    )
+    def test_dead_worker_ends_the_sweep(self, tmp_path, dies, statuses, unfinished):
+        # one worker takes 0.3 first (the smaller eps), then 0.5
+        cfg = write_config(tmp_path)
+        proc = run_src(["-c", DYING_SWEEP, dies, "sweep", str(cfg), "--out", str(tmp_path / "sweep")], timeout=120)
+        assert proc.returncode == 3
+        died = [line for line in proc.stderr.splitlines() if "worker died" in line]
+        assert died == [f"a sweep worker died; eps points not finished: {unfinished}"]
+        rows = read_csv_skipping_schema(tmp_path / "sweep" / "sweep.csv")
+        assert [r["eps"] for r in rows] == ["0.5", "0.3"]
+        assert [r["status"] for r in rows] == statuses
+
+    def test_import_leaves_out_the_pool(self):
+        code = "import sys, uniesn.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        proc = run_src(["-c", code], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestStdoutDiscipline:

@@ -10,7 +10,7 @@ from uniesn.filters import (
     filter_from_json,
 )
 from uniesn.linalg import operator_norm
-from uniesn.windows import make_window, sample_window_array, weighted_distance
+from uniesn.windows import make_window, sample_window_array
 
 
 def fir(coeffs, d=1, m=1, M=1.0):
@@ -193,15 +193,16 @@ class TestTruncatedMap:
 
 class TestFadingMemoryProperty:
     def test_expfading_modulus_of_continuity(self):
-        # |H(z) - H(z')| <= ||B|| * weighted_distance(z, z', lambda)
+        # |H(z) - H(z')| <= ||B|| * sum_{t<=0} lambda^|t| ||z_t - z'_t||
         f = expfading(decay=0.5, B=-1.3)
         norm_b = operator_norm(f.matrix)
-        arr = sample_window_array(1, 1.0, 7, 40, seed=12)
+        T = 7
+        arr = sample_window_array(1, 1.0, T, 40, seed=12)
         outs = f.evaluate_batch(arr)
+        weights = f.decay ** np.arange(T - 1, -1, -1, dtype=np.float64)  # rows run past to present
         for i in range(0, 40, 2):
-            w1, w2 = make_window(arr[i], M=1.0), make_window(arr[i + 1], M=1.0)
             lhs = float(np.linalg.norm(outs[i] - outs[i + 1]))
-            rhs = norm_b * weighted_distance(w1, w2, f.decay)
+            rhs = norm_b * float(weights @ np.linalg.norm(arr[i] - arr[i + 1], axis=1))
             assert lhs <= rhs + 1e-12
 
 

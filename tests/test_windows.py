@@ -8,7 +8,6 @@ from uniesn.windows import (
     make_window,
     sample_product_ball,
     sample_window_array,
-    weighted_distance,
 )
 
 
@@ -37,12 +36,6 @@ class TestMakeWindow:
         w = make_window([(0.5,)], M=1.0)
         with pytest.raises(ValueError):
             w.entries[0, 0] = 2.0
-
-    def test_json_round_trip(self):
-        w = make_window([(0.25, -0.5), (0.1, 0.9)], M=1.0)
-        back = InputWindow.from_json(w.to_json())
-        assert np.array_equal(back.entries, w.entries)
-        assert back.bound == w.bound
 
 
 class TestSampleBall:
@@ -121,45 +114,3 @@ class TestSampleWindows:
         a = sample_window_array(2, 1.0, 6, 40, seed=9)
         b = sample_window_array(2, 1.0, 6, 40, seed=9)
         assert np.array_equal(a, b)
-
-
-class TestWeightedDistance:
-    def test_identical_windows(self):
-        w = make_window([(0.3,), (0.4,)], M=1.0)
-        assert weighted_distance(w, w, 0.5) == 0.0
-
-    def test_single_entry(self):
-        w1 = make_window([(1.0,)], M=1.0)
-        w2 = make_window([(0.0,)], M=1.0)
-        assert weighted_distance(w1, w2, 0.5) == 1.0
-
-    def test_two_entries(self):
-        w1 = make_window([(1.0,), (1.0,)], M=1.0)
-        w2 = make_window([(0.0,), (0.0,)], M=1.0)
-        # 0.5 * 1 at time -1, 1 * 1 at time 0
-        assert weighted_distance(w1, w2, 0.5) == 1.5
-
-    def test_zero_extension_of_shorter(self):
-        w1 = make_window([(1.0,), (1.0,)], M=1.0)
-        w2 = make_window([(1.0,)], M=1.0)
-        # entries agree at time 0; w2's time -1 entry is an implicit zero
-        assert weighted_distance(w1, w2, 0.5) == 0.5
-
-    def test_decay_out_of_range(self):
-        w = make_window([(0.0,)], M=1.0)
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                weighted_distance(w, w, bad)
-
-    @settings(max_examples=50)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_metric_axioms_on_random_triples(self, seed):
-        rng = np.random.default_rng(seed)
-        T, d = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-        mk = lambda: InputWindow(entries=rng.uniform(-1, 1, (T, d)) / np.sqrt(d), bound=1.0)
-        x, y, z = mk(), mk(), mk()
-        dxy = weighted_distance(x, y, 0.5)
-        dyx = weighted_distance(y, x, 0.5)
-        assert dxy == dyx
-        assert weighted_distance(x, x, 0.5) == 0.0
-        assert dxy <= weighted_distance(x, z, 0.5) + weighted_distance(z, y, 0.5) + 1e-12
