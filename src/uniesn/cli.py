@@ -202,13 +202,15 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
     }
 
 
-def _run_one(f: TargetFilter, cfg: ConstructionConfig, attempts=None, log=_log) -> ConstructionResult:
+def _run_one(f: TargetFilter, cfg: ConstructionConfig, attempts: dict | None = None, log=_log) -> ConstructionResult:
     result = construct_universal_esn(f, cfg, attempts=attempts)
     for stage, secs in result.wall_times.items():
         log(f"stage {stage}: {secs:.3f}s")
     terms = " ".join(f"{term}={value:.4g}" for term, value, _, _ in result.budget.rows())
-    log(f"horizon={result.horizon} state_dim={result.esn.state_dim} gain={result.gain:.4g} "
-        f"budget: {terms} (< eps={result.budget.eps:g})")
+    log(
+        f"horizon={result.horizon} state_dim={result.esn.state_dim} gain={result.gain:.4g} "
+        f"budget: {terms} (< eps={result.budget.eps:g})"
+    )
     return result
 
 
@@ -365,7 +367,7 @@ SWEEP_COLUMNS = [
 ]
 
 
-_sweep_worker: tuple = ()  # (filter, base config, fit attempts) of this worker process
+_sweep_worker: tuple = ()  # (filter, base config, fit attempts) of a forked sweep worker
 
 
 def _start_sweep_worker(f: TargetFilter, base: ConstructionConfig):
@@ -374,9 +376,12 @@ def _start_sweep_worker(f: TargetFilter, base: ConstructionConfig):
     _sweep_worker = (f, base, {})
 
 
-def _sweep_point(eps: float) -> tuple[list, list[str], int]:
-    """Build one sweep point in a worker: its row, its stderr lines, its exit code."""
-    f, base, attempts = _sweep_worker
+def _sweep_in_worker(eps: float) -> tuple[list, list[str], int]:
+    return _sweep_point(*_sweep_worker, eps)
+
+
+def _sweep_point(f: TargetFilter, base: ConstructionConfig, attempts: dict, eps: float) -> tuple[list, list[str], int]:
+    """Build one sweep point: its row, its stderr lines, its exit code."""
     lines = []
     t0 = time.perf_counter()
     cells, status, code = [""] * 7, "ok", EXIT_OK
@@ -420,16 +425,20 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
 
     out.mkdir(parents=True, exist_ok=True)
     rows, died, worst = [], [], EXIT_OK
-    # Forked workers inherit the modules, f and base without pickling.  The
-    # smallest eps needs the widest fits, so it starts first.
-    workers = min(len(eps_list), len(os.sched_getaffinity(0)))
+    # This process builds the smallest eps, which needs the widest fits.  Forked
+    # workers inherit the modules, f and base without pickling and build the
+    # others, smallest eps first; with one usable CPU this process builds all.
+    order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
+    workers = min(len(eps_list), len(os.sched_getaffinity(0))) - 1
+    mine = order[:1] if workers else order
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, context, initializer=_start_sweep_worker, initargs=(f, base)) as pool:
-        order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
-        futures = {i: pool.submit(_sweep_point, eps_list[i]) for i in order}
+    with ProcessPoolExecutor(max(workers, 1), context, initializer=_start_sweep_worker, initargs=(f, base)) as pool:
+        futures = {i: pool.submit(_sweep_in_worker, eps_list[i]) for i in order if i not in mine}
+        attempts = {}
+        done = {i: _sweep_point(f, base, attempts, eps_list[i]) for i in mine}
         for i, eps in enumerate(eps_list):
             try:
-                row, lines, code = futures[i].result()
+                row, lines, code = done[i] if i in done else futures[i].result()
             except BrokenProcessPool:
                 died.append(f"{eps:g}")
                 row, lines, code = [repr(eps)] + [""] * 8 + ["worker_died"], [], EXIT_STAGE

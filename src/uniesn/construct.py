@@ -55,9 +55,6 @@ class ConstructionError(RuntimeError):
         super().__init__(message)
         self.stage = stage
 
-    def __reduce__(self):  # args holds only the message; rebuild from the fields
-        return ConstructionError, (self.stage, str(self))
-
 
 class ChainBoundError(ConstructionError):
     """The composed identity chain violated its inductive bound."""
@@ -66,9 +63,6 @@ class ChainBoundError(ConstructionError):
         super().__init__("verify_chain", message)
         self.j = j
         self.witness = witness
-
-    def __reduce__(self):
-        return ChainBoundError, (str(self), self.j, self.witness)
 
 
 class BudgetError(ConstructionError):
@@ -81,9 +75,6 @@ class BudgetError(ConstructionError):
         self.term = term
         self.value = value
         self.limit = limit
-
-    def __reduce__(self):
-        return BudgetError, (self.term, self.value, self.limit)
 
 
 #: The sample-count fields of ConstructionConfig, each at least 1.

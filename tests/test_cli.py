@@ -435,11 +435,12 @@ class TestSweep:
 @pytest.fixture(scope="module")
 def sweep_and_builds(tmp_path_factory):
     """Sweeps over two eps of one horizon, then a construct at each eps, all
-    from one process: each run's out dir, its stderr, the widths it fitted and
-    the attempts argument of each of its builds.  sweep1 and sweep2 see one
-    usable CPU, so one worker builds both points; sweep_2cpu sees two.  Sweep
-    points build in forked workers, whose memory never reaches this process,
-    so the patched fit and build append to log files."""
+    from one process: each run's out dir, its stderr, the widths it fitted and,
+    for each of its builds, the eps, the attempts argument and the pid of the
+    building process.  sweep1 and sweep2 see one usable CPU, so this process
+    builds both points; sweep_2cpu sees two, so a forked worker builds one.
+    A worker's memory never reaches this process, so the patched fit and
+    build append to log files."""
     tmp = tmp_path_factory.mktemp("sweep_and_builds")
     eps_list = [0.3, 0.25]  # both give K=4
     sweep_cfg = str(write_config(tmp, sweep={"eps": eps_list}))
@@ -463,7 +464,7 @@ def sweep_and_builds(tmp_path_factory):
 
     def recording_build(*a, **k):
         with open(build_log, "a") as fh:
-            fh.write(f"{type(k.get('attempts')).__name__}\n")
+            fh.write(f"{a[1].eps!r} {type(k.get('attempts')).__name__} {os.getpid()}\n")
         return real_build(*a, **k)
 
     runs = {}
@@ -481,9 +482,13 @@ def sweep_and_builds(tmp_path_factory):
                 "out": Path(argv[-1]),
                 "stderr": err.getvalue(),
                 "fits": fit_log.read_text().splitlines()[n_fits:],
-                "attempts": build_log.read_text().splitlines()[n_builds:],
+                "builds": [line.split() for line in build_log.read_text().splitlines()[n_builds:]],
             }
     return runs
+
+
+def attempts_of(run: dict) -> list:
+    return sorted(kind for _, kind, _ in run["builds"])
 
 
 def without_wall_time(path: Path) -> list:
@@ -510,14 +515,20 @@ class TestSweepReuse:
     def test_repeated_sweeps_make_the_same_fits(self, sweep_and_builds):
         first, second = sweep_and_builds["sweep1"], sweep_and_builds["sweep2"]
         assert first["fits"] == second["fits"]
-        # With one worker, its points share one dict of attempts.
+        # With one usable CPU, this process builds both points with one dict of attempts.
         assert len(first["fits"]) < len(sweep_and_builds["0.3"]["fits"]) + len(sweep_and_builds["0.25"]["fits"])
-        assert first["attempts"] == second["attempts"] == ["dict", "dict"]
+        assert attempts_of(first) == attempts_of(second) == ["dict", "dict"]
+        assert {pid for _, _, pid in first["builds"]} == {str(os.getpid())}
 
-    def test_two_workers_give_the_same_rows(self, sweep_and_builds):
+    def test_two_cpus_give_the_same_rows(self, sweep_and_builds):
         one, two = (sweep_and_builds[name]["out"] / "sweep.csv" for name in ("sweep1", "sweep_2cpu"))
         assert without_wall_time(two) == without_wall_time(one)
-        assert sweep_and_builds["sweep_2cpu"]["attempts"] == ["dict", "dict"]
+        assert attempts_of(sweep_and_builds["sweep_2cpu"]) == ["dict", "dict"]
+
+    def test_smallest_eps_builds_in_this_process(self, sweep_and_builds):
+        # the costliest point stays in the calling process; a forked worker builds the other
+        pids = {eps: pid for eps, _, pid in sweep_and_builds["sweep_2cpu"]["builds"]}
+        assert pids["0.25"] == str(os.getpid()) != pids["0.3"]
 
     @pytest.mark.parametrize("sweep", ["sweep1", "sweep_2cpu"])
     def test_stderr_holds_each_point_block_in_eps_order(self, sweep_and_builds, sweep):
@@ -528,11 +539,12 @@ class TestSweepReuse:
 
     def test_construct_never_reuses_a_fit(self, sweep_and_builds):
         for eps in ("0.3", "0.25"):
-            assert sweep_and_builds[eps]["attempts"] == ["NoneType"]
+            assert attempts_of(sweep_and_builds[eps]) == ["NoneType"]
 
 
-#: Runs ``uniesn sweep`` (argv[2:]) with one usable CPU; the worker that
-#: builds eps == argv[1] dies at once.
+#: Runs ``uniesn sweep`` (argv[2:]) with two usable CPUs, so this process
+#: builds the smallest eps and one worker builds the others; the worker dies
+#: at once when it builds eps == argv[1].
 DYING_SWEEP = """
 import os, sys
 from uniesn import cli
@@ -545,7 +557,7 @@ def build(f, cfg, **kw):
     return real_build(f, cfg, **kw)
 
 cli.construct_universal_esn = build
-os.sched_getaffinity = lambda pid: {0}
+os.sched_getaffinity = lambda pid: {0, 1}
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -559,18 +571,21 @@ def run_src(args: list, timeout: float) -> subprocess.CompletedProcess:
 class TestSweepWorkers:
     @pytest.mark.parametrize(
         "dies, statuses, unfinished",
-        [("0.5", ["worker_died", "ok"], "0.5"), ("0.3", ["worker_died", "worker_died"], "0.5, 0.3")],
+        [
+            ("0.5", ["worker_died", "ok", "ok"], "0.5"),
+            ("0.4", ["worker_died", "worker_died", "ok"], "0.5, 0.4"),
+        ],
         ids=["after_a_finished_point", "first"],
     )
     def test_dead_worker_ends_the_sweep(self, tmp_path, dies, statuses, unfinished):
-        # one worker takes 0.3 first (the smaller eps), then 0.5
-        cfg = write_config(tmp_path)
+        # this process builds 0.3; the worker takes 0.4 first (the smaller eps), then 0.5
+        cfg = write_config(tmp_path, sweep={"eps": [0.5, 0.4, 0.3]})
         proc = run_src(["-c", DYING_SWEEP, dies, "sweep", str(cfg), "--out", str(tmp_path / "sweep")], timeout=120)
         assert proc.returncode == 3
         died = [line for line in proc.stderr.splitlines() if "worker died" in line]
         assert died == [f"a sweep worker died; eps points not finished: {unfinished}"]
         rows = read_csv_skipping_schema(tmp_path / "sweep" / "sweep.csv")
-        assert [r["eps"] for r in rows] == ["0.5", "0.3"]
+        assert [r["eps"] for r in rows] == ["0.5", "0.4", "0.3"]
         assert [r["status"] for r in rows] == statuses
 
     def test_import_leaves_out_the_pool(self):

@@ -1,5 +1,4 @@
 import os
-import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -607,26 +606,3 @@ class TestBudgetPolicy:
         with pytest.raises(BudgetError) as exc_info:
             budget.check()
         assert (exc_info.value.term, exc_info.value.value, exc_info.value.limit) == over[0]
-
-
-class TestPickleErrors:
-    """A construction error crosses a process boundary with its type and fields."""
-
-    @staticmethod
-    def round_trip(exc):
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is type(exc)
-        assert str(back) == str(exc) and back.stage == exc.stage
-        return back
-
-    def test_construction_error(self):
-        self.round_trip(ConstructionError("budget", "x"))
-
-    def test_chain_bound_error(self):
-        back = self.round_trip(ChainBoundError("chain too loose", 2, np.array([0.5, -1.0])))
-        assert back.stage == "verify_chain" and back.j == 2
-        assert np.array_equal(back.witness, [0.5, -1.0])
-
-    def test_budget_error(self):
-        back = self.round_trip(BudgetError("net_fit", 0.1, 0.05))
-        assert (back.stage, back.term, back.value, back.limit) == ("budget", "net_fit", 0.1, 0.05)
