@@ -1,8 +1,9 @@
 """Command-line driver: construct, verify, sweep.
 
 stdout carries nothing but result paths; stderr carries human-readable stage
-logs.  Exit codes: 0 success, 2 config or load error, 3 pipeline stage
-failure, 4 budget violation, 5 verification property failure.
+logs.  Exit codes: 0 success, 2 config or load error or an output path that
+cannot be written, 3 pipeline stage failure, 4 budget violation, 5
+verification property failure.
 
 Wall-clock timings are written to a separate timings.json: report.json and
 esn.json are bitwise-deterministic functions of the config and seed, and
@@ -14,6 +15,7 @@ import csv
 import dataclasses
 import json
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -27,6 +29,7 @@ from .construct import (
     ConstructionConfig,
     ConstructionError,
     ConstructionResult,
+    LagBlockNet,
     chained_functional,
     construct_universal_esn,
     split_lag_blocks,
@@ -202,8 +205,70 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
     }
 
 
-def _run_one(f: TargetFilter, cfg: ConstructionConfig, attempts: dict | None = None, log=_log) -> ConstructionResult:
-    result = construct_universal_esn(f, cfg, attempts=attempts)
+def _nets_json(split: LagBlockNet, chain: list) -> dict:
+    return {
+        "lag_dim": split.lag_dim,
+        "static_net": split.net.to_json(),
+        "identity_chain": [net.to_json() for net in chain],
+    }
+
+
+class _SystemWriter:
+    """Writes esn.json and nets.json in a forked process while the build ends.
+
+    Every byte of both files is fixed once assemble has proven the block
+    pattern, so ``start`` (construct_universal_esn's on_assembled hook) forks
+    a writer that writes them under temporary names in ``out`` and ends with
+    os._exit, while this process runs the closed-form check and the budget.
+    ``commit`` reaps the writer and renames both files into place.  Leaving
+    the ``with`` block kills and reaps a writer not committed and removes
+    the temporary files, so a failed build adds nothing to ``out``.
+    """
+
+    def __init__(self, out: Path):
+        self.out = out
+        self.temps = {name: out / f".{name}.{os.getpid()}.tmp" for name in ("esn.json", "nets.json")}
+        self.pid = None
+
+    def start(self, esn: ESNParams, split: LagBlockNet, chain: list):
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                _write_json(self.temps["esn.json"], esn.to_json())
+                _write_json(self.temps["nets.json"], _nets_json(split, chain))
+                code = 0
+            except Exception as exc:
+                _log(f"cannot write esn.json and nets.json: {exc}")
+            finally:
+                os._exit(code)
+
+    def commit(self):
+        """Move the writer's files into place; OSError if it failed."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise OSError(f"the writer of esn.json and nets.json exited with status {code}")
+        for name, temp in self.temps.items():
+            os.replace(temp, self.out / name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        for temp in self.temps.values():
+            temp.unlink(missing_ok=True)
+
+
+def _run_one(
+    f: TargetFilter, cfg: ConstructionConfig, attempts: dict | None = None, log=_log, on_assembled=None
+) -> ConstructionResult:
+    result = construct_universal_esn(f, cfg, attempts=attempts, on_assembled=on_assembled)
     for stage, secs in result.wall_times.items():
         log(f"stage {stage}: {secs:.3f}s")
     terms = " ".join(f"{term}={value:.4g}" for term, value, _, _ in result.budget.rows())
@@ -220,38 +285,35 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
         f = filter_from_json(raw["filter"])
         cfg = _construction_from(raw.get("construction", {}), seed)
         out = Path(out_dir or raw.get("output", {}).get("dir", "."))
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, KeyError, TypeError, ValueError, OSError) as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
 
-    try:
-        result = _run_one(f, cfg)
-    except BudgetError as exc:
-        _log(f"budget violation: {exc}")
-        return EXIT_BUDGET
-    except ConstructionError as exc:
-        _log(f"stage {exc.stage} failed: {exc}")
-        return EXIT_STAGE
-    except ValueError as exc:
-        _log(f"config error: {exc}")
-        return EXIT_CONFIG
+    with _SystemWriter(out) as writer:
+        try:
+            result = _run_one(f, cfg, on_assembled=writer.start)
+        except BudgetError as exc:
+            _log(f"budget violation: {exc}")
+            return EXIT_BUDGET
+        except ConstructionError as exc:
+            _log(f"stage {exc.stage} failed: {exc}")
+            return EXIT_STAGE
+        except ValueError as exc:
+            _log(f"config error: {exc}")
+            return EXIT_CONFIG
 
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "esn.json", result.esn.to_json())
-    _write_json(
-        out / "nets.json",
-        {
-            "lag_dim": result.split.lag_dim,
-            "static_net": result.split.net.to_json(),
-            "identity_chain": [net.to_json() for net in result.chain],
-        },
-    )
-    _write_json(out / "report.json", _report_dict(result, cfg, raw["filter"]))
-    _write_budget_csv(out / "budget.csv", result)
-    _write_json(
-        out / "timings.json",
-        {"stages": result.wall_times, "total": sum(result.wall_times.values())},
-    )
+        try:
+            writer.commit()
+            _write_json(out / "report.json", _report_dict(result, cfg, raw["filter"]))
+            _write_budget_csv(out / "budget.csv", result)
+            _write_json(
+                out / "timings.json",
+                {"stages": result.wall_times, "total": sum(result.wall_times.values())},
+            )
+        except OSError as exc:
+            _log(f"cannot write the artifacts: {exc}")
+            return EXIT_CONFIG
     print(str(out / "report.json"))
     return EXIT_OK
 
@@ -278,6 +340,8 @@ def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
         key: as_int(vcfg.get(key, default), f"verification {key}") for key, default in VERIFY_INTS.items()
     }
     out = Path(vcfg.get("out", Path(esn_path).parent / "verify.json"))
+    if not out.parent.is_dir():
+        raise ConfigError(f"verification out {out}: {out.parent} is not a directory")
     opts.update(M=as_real(M, "verification input_bound"), out=out, nets=None)
     if not 0 < opts["M"] < np.inf:
         raise ConfigError(f"verification input_bound (default: filter M) must be finite and > 0, got {M}")
@@ -419,11 +483,11 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
         if not eps_list:
             raise ConfigError("sweep needs a non-empty eps list (config sweep.eps or --eps)")
         out = Path(out_dir or raw.get("output", {}).get("dir", "."))
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, KeyError, TypeError, ValueError, OSError) as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
 
-    out.mkdir(parents=True, exist_ok=True)
     rows, died, worst = [], [], EXIT_OK
     # This process builds the smallest eps, which needs the widest fits.  Forked
     # workers inherit the modules, f and base without pickling and build the

@@ -469,7 +469,7 @@ def _derived_seed(base: int, tag: int) -> int:
 
 
 def construct_universal_esn(
-    f: TargetFilter, cfg: ConstructionConfig, *, attempts: dict | None = None
+    f: TargetFilter, cfg: ConstructionConfig, *, attempts: dict | None = None, on_assembled=None
 ) -> ConstructionResult:
     """Run the whole construction and certify its error budget.
 
@@ -477,6 +477,9 @@ def construct_universal_esn(
     BudgetError if every stage succeeds but a budget term misses its share.
     ``attempts`` is passed on to every fit_to_tolerance call: builds that
     share one dict reuse each other's identical width attempts.
+    ``on_assembled(esn, split, chain)``, if given, is called once the
+    assembled system has passed the nilpotency check, before the closed-form
+    check and the budget; the system it sees is the one returned.
     """
     eps = cfg.eps
     d, M = f.in_dim, f.input_bound
@@ -532,6 +535,8 @@ def construct_universal_esn(
     if not ok or degree != K + 1:
         raise ConstructionError(stage, "assembled system failed the nilpotency check")
     done(stage)
+    if on_assembled is not None:
+        on_assembled(esn, split, chain)
 
     # Budget windows: fresh inputs, long enough to expose the truncation tail.
     T = max(cfg.budget_window_len, K + 1)

@@ -217,7 +217,10 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     rhs = phi.T @ Y / n
     del phi  # the solve's workspace is the peak; phi is not needed for it
     try:
-        readout_t = np.linalg.solve(gram, rhs)
+        # gram is exactly symmetric (phi.T @ phi is one triangle, mirrored),
+        # and its F-ordered transpose is LAPACK's layout: solve copies it
+        # straight instead of transposing.
+        readout_t = np.linalg.solve(gram.T, rhs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "normal equations are singular; increase ridge or width"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniesn import cli, shallow
+from uniesn import cli, construct, shallow
 from uniesn.construct import BudgetError
 
 
@@ -221,6 +221,93 @@ class TestConstruct:
         assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "f"), "--seed", "5"]) == 0
         report = json.loads((tmp_path / "f" / "report.json").read_text())
         assert report["seed"] == 5
+
+
+ARTIFACTS = ("esn.json", "nets.json", "report.json", "budget.csv", "timings.json")
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_budget(f, split, chain, arr):
+    """budget_errors with every per-window error above any eps of these tests."""
+    return np.full((3, arr.shape[0]), 10.0)
+
+
+class TestSystemWriter:
+    def test_bytes_equal_an_in_process_write(self, built, tmp_path):
+        raw = json.loads(write_config(tmp_path).read_text())
+        result = construct.construct_universal_esn(
+            cli.filter_from_json(raw["filter"]), cli._construction_from(raw["construction"], None)
+        )
+        cli._write_json(tmp_path / "esn.json", result.esn.to_json())
+        cli._write_json(tmp_path / "nets.json", cli._nets_json(result.split, result.chain))
+        for name in ("esn.json", "nets.json"):
+            assert (built / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert not list(built.glob(".*.tmp"))
+
+    def test_budget_failure_after_the_writer_started(self, tmp_path, monkeypatch, capsys):
+        started = []
+        real_start = cli._SystemWriter.start
+
+        def start(self, *args):
+            real_start(self, *args)
+            started.append(self.pid)
+
+        monkeypatch.setattr(cli._SystemWriter, "start", start)
+        monkeypatch.setattr(construct, "budget_errors", failing_budget)
+        cfg = write_config(tmp_path)
+        assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert len(started) == 1 and started[0] > 0
+        assert "budget violation" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+        assert_no_child()
+
+    def test_failed_rebuild_keeps_the_earlier_artifacts(self, built, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ARTIFACTS:
+            (out / name).write_bytes((built / name).read_bytes())
+        monkeypatch.setattr(construct, "budget_errors", failing_budget)
+        assert cli.main(["construct", str(write_config(tmp_path)), "--out", str(out)]) == 4
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            assert (out / name).read_bytes() == (built / name).read_bytes()
+        assert_no_child()
+
+    def test_failed_writer_is_exit_2_with_no_partial_artifact(self, tmp_path, monkeypatch, capsys):
+        real_write = cli._write_json
+
+        def write(path, obj):
+            if Path(path).name.startswith(".esn.json"):
+                real_write(path, {"partial": 1.0})
+                raise OSError("disk full")
+            real_write(path, obj)
+
+        monkeypatch.setattr(cli, "_write_json", write)
+        cfg = write_config(tmp_path)
+        assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "exited with status 1" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+        assert_no_child()
+
+
+@pytest.mark.parametrize("command", ["construct", "sweep", "verify"])
+def test_output_path_that_cannot_be_written_is_exit_2(command, built, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a stage ran"))
+    monkeypatch.setattr(cli, "_verify_structured", lambda *a, **k: pytest.fail("a check ran"))
+    if command == "verify":
+        cfg = write_config(tmp_path, verification={"out": "nodir/sub/verify.json"})
+        argv, message = ["verify", str(built / "esn.json"), str(cfg)], "load error"
+    else:
+        argv, message = [command, str(write_config(tmp_path)), "--out", "afile/x"], "config error"
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir()) == ["afile", "config.json"]
 
 
 class TestVerify:

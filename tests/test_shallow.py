@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniesn import cli, shallow
+from uniesn.filters import filter_from_json
 from uniesn.linalg import operator_norm
 from uniesn.shallow import (
     FitToleranceError,
@@ -16,6 +17,7 @@ from uniesn.shallow import (
     get_activation,
     lipschitz_bound,
 )
+from uniesn.windows import sample_product_ball
 
 TANH = get_activation("tanh")
 
@@ -140,6 +142,35 @@ class TestFitRandomFeature:
             fit_random_feature(np.zeros((0, 1)), np.zeros((0, 1)), 4, 1e-8, 1.0, 0)
         with pytest.raises(ValueError):
             fit_random_feature(np.zeros((3, 1)), np.zeros((4, 1)), 4, 1e-8, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "filter_spec, K",
+        [
+            ({"kind": "exp_fading", "lambda": 0.5, "B": [[1.0]], "d": 1, "m": 1, "M": 1.0}, 5),
+            (
+                {
+                    "kind": "volterra2", "coeffs": [[[0.6, 0.3]], [[-0.3, 0.2]], [[0.15, -0.1]], [[0.1, 0.05]]],
+                    "quad": [{"j": 0, "k": 1, "b": [0.3]}, {"j": 1, "k": 3, "b": [-0.2]}], "d": 2, "m": 1, "M": 1.0,
+                },
+                3,
+            ),
+        ],
+        ids=["exp_fading_d1", "volterra2_d2"],
+    )
+    @pytest.mark.parametrize("width", [32, 256, 600])  # 600 is above the 400 samples
+    def test_readout_solves_the_c_ordered_gram(self, filter_spec, K, width):
+        # The fit hands LAPACK the transpose of the exactly symmetric gram;
+        # the readout must be the bits that solving the gram itself gives.
+        f = filter_from_json(filter_spec)
+        X = sample_product_ball(f.in_dim, f.input_bound, K + 1, 400, seed=width)
+        Y = f.truncated_map(K)(X)
+        net = fit_random_feature(X, Y, width=width, ridge=1e-10, scale=0.8, seed=7)
+        phi = TANH(X @ net.hidden_matrix.T + net.hidden_bias)
+        gram = phi.T @ phi / len(X)
+        gram[np.diag_indices(width)] += 1e-10
+        assert gram.flags.c_contiguous
+        reference = np.linalg.solve(gram, phi.T @ Y / len(X)).T
+        assert np.array_equal(net.readout, reference)
 
 
 class TestFitToTolerance:
