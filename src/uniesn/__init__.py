@@ -23,14 +23,12 @@ from .shallow import (
     get_activation,
     fit_random_feature,
     fit_to_tolerance,
-    lipschitz_bound,
 )
 from .filters import (
     TargetFilter,
     FIRFilter,
     ExpFadingFilter,
     Volterra2Filter,
-    RawFilter,
     HorizonCapError,
     filter_from_json,
 )
@@ -40,7 +38,6 @@ from .esn import (
     check_nilpotent,
     check_esp_empirical,
     check_finite_memory,
-    check_contraction,
 )
 from .construct import (
     ConstructionConfig,

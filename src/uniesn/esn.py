@@ -5,8 +5,9 @@ assembled by the constructor carry block-structure metadata: the reservoir
 matrix A is strictly lower block-triangular with a single sub-diagonal chain
 plus a final collector row, hence nilpotent of degree K+1.  Nilpotency gives
 exact finite memory, which is how the echo state and fading memory properties
-are certified here; the contraction test is only a fallback for arbitrary
-systems.
+are certified here.  Every system carries that metadata; a system whose A
+breaks its declared pattern still runs, densely, and fails the nilpotency
+check.
 """
 
 from dataclasses import dataclass
@@ -14,12 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import operator_norm
 from .shallow import Activation, get_activation
 from .windows import InputWindow, freeze
-
-_FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class ESNParams:
     zeta: np.ndarray
     W: np.ndarray
     activation: Activation
-    structure: BlockStructure | None = None
+    structure: BlockStructure
 
     def __post_init__(self):
         object.__setattr__(self, "A", freeze(self.A))
@@ -75,7 +72,7 @@ class ESNParams:
             raise ValueError(f"zeta shape {self.zeta.shape} != ({N},)")
         if self.W.ndim != 2 or self.W.shape[1] != N:
             raise ValueError(f"W shape {self.W.shape} incompatible with N={N}")
-        if self.structure is not None and self.structure.total != N:
+        if self.structure.total != N:
             raise ValueError(
                 f"structure widths sum to {self.structure.total}, but N={N}"
             )
@@ -98,15 +95,15 @@ class ESNParams:
     @cached_property
     def _structured(self) -> bool:
         """Does A keep the block pattern its structure metadata declares?"""
-        return self.structure is not None and _pattern_holds(self.A, self.structure)
+        return _pattern_holds(self.A, self.structure)
 
     @cached_property
     def _row_blocks(self) -> tuple:
         """(rows, cols, A[rows, cols].T) for every block row of A that may be nonzero.
 
         In a structured system each block row's allowed blocks are adjacent, so
-        one product per block row covers them.  Any other system, including a
-        structured one whose pattern fails, is one dense block.
+        one product per block row covers them.  A system whose pattern fails is
+        one dense block.
         """
         N = self.state_dim
         if not self._structured:
@@ -162,42 +159,13 @@ class ESNParams:
         """(B, T, d) batch of windows -> (B, m) outputs.
 
         Each output is W x_0 for the unique zero-extended solution of the
-        state equation.  Structured systems need windows of length >=
-        horizon+1; the result is then independent of the initial state, so
-        the zero state is used.  Unstructured systems must be contractive:
-        the zero-input fixed point (the exact state under all-zero extension)
-        is found by iteration, then the windows are run from it.
+        state equation.  Windows need length >= horizon+1; the result is then
+        independent of the initial state, so the zero state is used.
         """
-        self._require_solvable(arr.shape[1])
-        if self.structure is None:
-            x0 = self._zero_input_fixed_point()
-            return self.run_batch(arr, x_init=x0) @ self.W.T
+        T, need = arr.shape[1], self.structure.horizon + 1
+        if T < need:
+            raise ValueError(f"window of length {T} too short: need >= {need}")
         return self.run_batch(arr) @ self.W.T
-
-    def _require_solvable(self, T: int):
-        if self.structure is not None:
-            need = self.structure.horizon + 1
-            if T < need:
-                raise ValueError(
-                    f"window of length {T} too short: structured system needs >= {need}"
-                )
-        else:
-            rho = check_contraction(self)
-            if not rho < 1.0:
-                raise ValueError(
-                    f"cannot certify a unique solution: L_sigma * ||A|| = {rho:g} >= 1 "
-                    "and no nilpotent structure is present"
-                )
-
-    def _zero_input_fixed_point(self) -> np.ndarray:
-        x = np.zeros(self.state_dim)
-        zero_in = np.zeros((1, 1, self.in_dim))
-        for _ in range(_FIXED_POINT_MAX_ITER):
-            x_next = self.run_batch(zero_in, x_init=x)[0]
-            if float(np.linalg.norm(x_next - x)) < _FIXED_POINT_TOL:
-                return x_next
-            x = x_next
-        raise RuntimeError("zero-input burn-in did not converge")
 
     def to_json(self) -> dict:
         """The esn.json object, with the matrices as (read-only) float arrays."""
@@ -210,25 +178,23 @@ class ESNParams:
             "C": self.C,
             "zeta": self.zeta,
             "W": self.W,
-            "structure": (
-                {"widths": list(self.structure.widths), "K": self.structure.horizon}
-                if self.structure is not None
-                else None
-            ),
+            "structure": {"widths": list(self.structure.widths), "K": self.structure.horizon},
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ESNParams":
-        structure = None
-        if obj.get("structure") is not None:
-            structure = BlockStructure(widths=tuple(obj["structure"]["widths"]))
+        """The system in an esn.json object; KeyError, TypeError or ValueError
+        if it is malformed."""
+        structure = obj.get("structure") if isinstance(obj, dict) else None
+        if not isinstance(structure, dict):
+            raise ValueError("esn.json has no structure object, which construct always writes")
         return cls(
             A=np.asarray(obj["A"], dtype=np.float64),
             C=np.asarray(obj["C"], dtype=np.float64),
             zeta=np.asarray(obj["zeta"], dtype=np.float64),
             W=np.asarray(obj["W"], dtype=np.float64),
             activation=get_activation(obj["activation"]),
-            structure=structure,
+            structure=BlockStructure(widths=tuple(structure["widths"])),
         )
 
 
@@ -267,8 +233,6 @@ def check_nilpotent(p: ESNParams) -> tuple[bool, int]:
     power vanishes exactly: ESNParams rejects non-finite entries, so no
     inf * 0 can spoil the zeros.  Returns (False, 0) on any violation.
     """
-    if p.structure is None:
-        raise ValueError("nilpotency check needs block-structure metadata")
     if not p._structured:
         return False, 0
     return True, p.structure.horizon + 1
@@ -277,33 +241,26 @@ def check_nilpotent(p: ESNParams) -> tuple[bool, int]:
 def check_esp_empirical(p: ESNParams, w: InputWindow, trials: int, seed: int) -> bool:
     """Do `trials` random initial states all lead to the same time-0 state?
 
-    Structured systems must agree bitwise (init dependence vanishes after
-    horizon+1 steps by structure); contractive unstructured systems within
-    1e-9 (geometric convergence is not exact).  Each trial is its own
-    one-window batch: rows of one matmul are not bitwise equal across row
-    positions, so stacking the trials would break the bitwise comparison.
+    They must agree bitwise: under a proven pattern, init dependence vanishes
+    after horizon+1 steps.  Each trial is its own one-window batch: rows of
+    one matmul are not bitwise equal across row positions, so stacking the
+    trials would break the bitwise comparison.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    if p.structure is not None and w.length < p.structure.horizon + 1:
+    if w.length < p.structure.horizon + 1:
         raise ValueError(
-            f"window of length {w.length} too short: structured system needs "
-            f">= {p.structure.horizon + 1}"
+            f"window of length {w.length} too short: need >= {p.structure.horizon + 1}"
         )
     rng = np.random.default_rng(seed)
     arr = w.entries[None, :, :]
     finals = [p.run_batch(arr, x_init=rng.standard_normal(p.state_dim))[0] for _ in range(trials)]
-    ref = finals[0]
-    if p.structure is not None:
-        return all(np.array_equal(ref, x) for x in finals[1:])
-    return all(float(np.linalg.norm(ref - x)) < 1e-9 for x in finals[1:])
+    return all(np.array_equal(finals[0], x) for x in finals[1:])
 
 
 def check_finite_memory(p: ESNParams, arr1: np.ndarray, arr2: np.ndarray) -> bool:
     """Do two (B, T, d) batches that share their last horizon+1 entries give
     bitwise-equal outputs, row i against row i?"""
-    if p.structure is None:
-        raise ValueError("finite-memory check needs block-structure metadata")
     K = p.structure.horizon
     if arr1.shape != arr2.shape or arr1.shape[1] < K + 1:
         raise ValueError(f"need equal-shape batches of windows with >= {K + 1} entries")
@@ -311,8 +268,3 @@ def check_finite_memory(p: ESNParams, arr1: np.ndarray, arr2: np.ndarray) -> boo
         raise ValueError(f"windows must agree on their last {K + 1} entries")
     return bool(np.array_equal(p.functional_batch(arr1), p.functional_batch(arr2)))
 
-
-def check_contraction(p: ESNParams) -> float:
-    """L_sigma * ||A||: below 1 this certifies a unique solution and fading
-    memory for any system of this form.  Assembled systems do not need it."""
-    return p.activation.lipschitz_const * operator_norm(p.A)

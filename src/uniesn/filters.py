@@ -4,7 +4,7 @@ Each filter here is an analytic family whose finite-memory truncation error
 has a closed-form upper bound.  That bound is what lets the construction
 spend exactly a third of its error budget on truncation and prove it, rather
 than invoking an existence theorem.  Arbitrary callables are deliberately
-not accepted on the certified path.
+not accepted.
 
 All filters act on zero-extended windows: entries older than the stored
 window are exactly zero, so the defining series are finite sums.
@@ -39,10 +39,6 @@ class TargetFilter:
     in_dim: int
     out_dim: int
     input_bound: float
-
-    #: Whether truncation_bound is an analytic fact (zoo families) or a user
-    #: claim (raw callables).  Reports label the truncation term accordingly.
-    certified = True
 
     def evaluate_batch(self, arr: np.ndarray) -> np.ndarray:
         """The functional on a (B, T, d) batch of zero-extended windows: the
@@ -87,9 +83,6 @@ class TargetFilter:
 
         return truncated
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FIRFilter(TargetFilter):
@@ -116,15 +109,6 @@ class FIRFilter(TargetFilter):
             sum(operator_norm(a) for j, a in enumerate(self.coeffs) if j > horizon)
             * self.input_bound
         )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "fir",
-            "coeffs": [a.tolist() for a in self.coeffs],
-            "d": self.in_dim,
-            "m": self.out_dim,
-            "M": self.input_bound,
-        }
 
 
 @dataclass(frozen=True)
@@ -157,16 +141,6 @@ class ExpFadingFilter(TargetFilter):
             * self.decay ** (horizon + 1)
             / (1.0 - self.decay)
         )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "exp_fading",
-            "lambda": self.decay,
-            "B": self.matrix.tolist(),
-            "d": self.in_dim,
-            "m": self.out_dim,
-            "M": self.input_bound,
-        }
 
 
 @dataclass(frozen=True)
@@ -213,54 +187,9 @@ class Volterra2Filter(FIRFilter):
         )
         return float(super().truncation_bound(horizon) + quadratic)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "volterra2",
-            "coeffs": [a.tolist() for a in self.coeffs],
-            "quad": [{"j": q.j, "k": q.k, "b": q.b.tolist()} for q in self.quad],
-            "d": self.in_dim,
-            "m": self.out_dim,
-            "M": self.input_bound,
-        }
-
-
-@dataclass(frozen=True)
-class RawFilter(TargetFilter):
-    """Escape hatch: an arbitrary user functional with a *claimed* memory.
-
-    ``fn`` maps a (B, T, d) batch of zero-extended windows to (B, out_dim)
-    and must, per the user's claim, depend only on the last
-    ``claimed_memory + 1`` entries.  Nothing here checks that claim: the
-    truncation term of any construction built on a raw filter is trusted,
-    not proven, and reports flag it as uncertified.
-    """
-
-    fn: object = None
-    claimed_memory: int = 0
-
-    certified = False
-
-    def __post_init__(self):
-        if self.fn is None or not callable(self.fn):
-            raise ValueError("RawFilter needs a callable fn")
-        if self.claimed_memory < 0:
-            raise ValueError(f"claimed_memory must be >= 0, got {self.claimed_memory}")
-
-    def evaluate_batch(self, arr: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.fn(arr), dtype=np.float64)
-        if out.shape != (arr.shape[0], self.out_dim):
-            raise ValueError(f"fn returned shape {out.shape}, expected ({arr.shape[0]}, {self.out_dim})")
-        return out
-
-    def truncation_bound(self, horizon: int) -> float:
-        return 0.0 if horizon >= self.claimed_memory else np.inf
-
-    def to_json(self) -> dict:
-        raise ValueError("raw filters hold an opaque callable and cannot be serialized")
-
 
 def filter_from_json(obj: dict) -> TargetFilter:
-    """Build a filter from its JSON spec; see each family's to_json for layout."""
+    """Build a filter from its JSON spec, the filter section of a run config."""
     kind = obj.get("kind")
     d, m, M = as_int(obj["d"], "filter d"), as_int(obj["m"], "filter m"), as_real(obj["M"], "filter M")
     if d < 1 or m < 1 or not 0 < M < np.inf:

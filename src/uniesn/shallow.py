@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import operator_norm
 from .windows import as_int, as_real, freeze, sample_product_ball
 
 
@@ -28,24 +27,15 @@ class Activation:
 
     kind: str
     lipschitz_const: float
-    sup_bound: float
 
     def __call__(self, x, out=None):
         """sigma(x), written into ``out`` when given (``out`` may be ``x``)."""
         if self.kind == "tanh":
             return np.tanh(x, out=out)
-        if self.kind == "logistic":
-            y = np.negative(np.asarray(x, dtype=np.float64), out=out)
-            np.exp(y, out=y)
-            y += 1.0
-            return np.divide(1.0, y, out=y)
         raise ValueError(f"unknown activation kind {self.kind!r}")
 
 
-_ACTIVATIONS = {
-    "tanh": Activation(kind="tanh", lipschitz_const=1.0, sup_bound=1.0),
-    "logistic": Activation(kind="logistic", lipschitz_const=0.25, sup_bound=1.0),
-}
+_ACTIVATIONS = {"tanh": Activation(kind="tanh", lipschitz_const=1.0)}
 
 
 def get_activation(kind: str) -> Activation:
@@ -118,18 +108,6 @@ class ShallowNet:
             readout=np.asarray(obj["readout"], dtype=np.float64),
             activation=get_activation(obj["activation"]),
         )
-
-
-def lipschitz_bound(net: ShallowNet) -> float:
-    """||readout|| * L_sigma * ||hidden_matrix|| in operator norms.
-
-    An upper bound on ||net(x) - net(y)|| / ||x - y||, exact enough for all
-    the error gains used in the construction.
-    """
-    r = operator_norm(net.readout)
-    if r == 0.0:
-        return 0.0
-    return r * net.activation.lipschitz_const * operator_norm(net.hidden_matrix)
 
 
 class FitToleranceError(RuntimeError):

@@ -23,7 +23,7 @@ from uniesn.construct import (
     verify_chain_bound,
 )
 from uniesn.esn import check_esp_empirical, check_nilpotent
-from uniesn.filters import ExpFadingFilter
+from uniesn.filters import filter_from_json
 from uniesn.linalg import operator_norm
 from uniesn.shallow import ShallowNet, WidthPolicy, get_activation
 from uniesn.windows import InputWindow, sample_window_array
@@ -32,10 +32,11 @@ TANH = get_activation("tanh")
 
 DEMO_EPS = 0.3
 DEMO_SEED = 20240811
+DEMO_FILTER = {"kind": "exp_fading", "lambda": 0.5, "B": [[1.0]], "d": 1, "m": 1, "M": 1.0}
 
 
 def demo_filter():
-    return ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)
+    return filter_from_json(DEMO_FILTER)
 
 
 def demo_config(eps=DEMO_EPS, seed=DEMO_SEED):
@@ -230,7 +231,7 @@ def test_08_truncation_oracle(acceptance_detail):
 
 def test_09_sweep_monotonicity(tmp_path, acceptance_detail):
     config = {
-        "filter": demo_filter().to_json(),
+        "filter": DEMO_FILTER,
         "construction": {
             "eps": DEMO_EPS,
             "seed": DEMO_SEED,
@@ -265,7 +266,7 @@ def test_09_sweep_monotonicity(tmp_path, acceptance_detail):
 
 def test_10_determinism(tmp_path, acceptance_detail):
     config = {
-        "filter": demo_filter().to_json(),
+        "filter": DEMO_FILTER,
         "construction": {
             "eps": DEMO_EPS,
             "seed": DEMO_SEED,

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +52,15 @@ def read_csv_skipping_schema(path: Path):
     return list(csv.DictReader(lines[1:]))
 
 
-def edited_nets(edit):
-    """A nets_text for the verification tests: nets.json with one entry edited."""
+def edited(name, edit):
+    """A file_text for the verification tests: the built ``name`` with its
+    parsed object edited in place."""
 
-    def text(nets):
-        edit(nets)
-        return json.dumps(nets)
+    def text(obj):
+        edit(obj)
+        return json.dumps(obj)
 
-    return text
+    return name, text
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +296,36 @@ class TestSystemWriter:
         assert list((tmp_path / "out").iterdir()) == []
         assert_no_child()
 
+    def test_sigterm_while_the_writer_runs_is_exit_143(self, built, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ARTIFACTS:
+            (out / name).write_bytes((built / name).read_bytes())
+        real_start = cli._SystemWriter.start
+
+        def start(self, *args):
+            real_start(self, *args)
+            for _ in range(1000):  # until the writer has made both temporary files
+                if self.temps["nets.json"].exists():
+                    break
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setattr(cli._SystemWriter, "start", start)
+        # SIG_IGN as the old handler: without construct's own, the build would finish
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        try:
+            with pytest.raises(SystemExit) as exc_info:
+                cli.main(["construct", str(write_config(tmp_path)), "--out", str(out)])
+        finally:
+            restored = signal.signal(signal.SIGTERM, previous)
+        assert exc_info.value.code == 143
+        assert restored == signal.SIG_IGN
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            assert (out / name).read_bytes() == (built / name).read_bytes()
+        assert_no_child()
+
 
 @pytest.mark.parametrize("command", ["construct", "sweep", "verify"])
 def test_output_path_that_cannot_be_written_is_exit_2(command, built, tmp_path, monkeypatch, capsys):
@@ -374,24 +407,6 @@ class TestVerify:
         assert "load error" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
 
-    def test_unstructured_contraction_path(self, tmp_path):
-        cfg = write_config(tmp_path)
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((4, 4))
-        A *= 0.5 / np.linalg.svd(A, compute_uv=False)[0]
-        esn_obj = {
-            "N": 4, "d": 1, "m": 1, "activation": "tanh",
-            "A": A.tolist(), "C": rng.standard_normal((4, 1)).tolist(),
-            "zeta": [0.0] * 4, "W": rng.standard_normal((1, 4)).tolist(),
-            "structure": None,
-        }
-        path = tmp_path / "plain_esn.json"
-        path.write_text(json.dumps(esn_obj))
-        assert cli.main(["verify", str(path), str(cfg)]) == 0
-        esn_obj["A"] = (np.asarray(A) * 4.0).tolist()  # now expansive
-        path.write_text(json.dumps(esn_obj))
-        assert cli.main(["verify", str(path), str(cfg)]) == 5
-
     def test_config_not_an_object_is_load_error(self, built, tmp_path, capsys):
         (tmp_path / "config.json").write_text("[1]")
         assert cli.main(["verify", str(built / "esn.json"), str(tmp_path / "config.json")]) == 2
@@ -402,16 +417,16 @@ class TestVerify:
         assert cli.main(["verify", str(tmp_path / "missing.json"), str(cfg)]) == 2
 
     @pytest.mark.parametrize(
-        "overrides, nets_text",
+        "overrides, file_text",
         [
             ({"verification": {"esp_trials": 0}}, None),
             ({"verification": {"fmp_trials": 0}}, None),
             ({"verification": {"fmp_trials": "many"}}, None),
             ({"verification": {"closed_form_windows": 0}}, None),
-            ({}, lambda nets: "{not json"),
-            ({}, lambda nets: json.dumps({"lag_dim": nets["lag_dim"]})),
-            ({}, lambda nets: json.dumps({**nets, "identity_chain": nets["identity_chain"][:-1]})),
-            ({}, lambda nets: json.dumps({**nets, "lag_dim": 0})),
+            ({}, ("nets.json", lambda nets: "{not json")),
+            ({}, ("nets.json", lambda nets: json.dumps({"lag_dim": nets["lag_dim"]}))),
+            ({}, ("nets.json", lambda nets: json.dumps({**nets, "identity_chain": nets["identity_chain"][:-1]}))),
+            ({}, ("nets.json", lambda nets: json.dumps({**nets, "lag_dim": 0}))),
             ({"verification": {"fmp_trial": 50}}, None),
             ({"verification": []}, None),
             ({"filter": [1]}, None),
@@ -421,14 +436,19 @@ class TestVerify:
             ({"verification": {"input_bound": float("nan")}}, None),
             ({"filter": {"M": float("nan")}}, None),
             ({"verification": {"seed": -5}}, None),
-            ({}, edited_nets(lambda nets: nets["static_net"]["readout"][0].__setitem__(0, float("nan")))),
-            ({}, edited_nets(lambda nets: nets["identity_chain"][0]["hidden_bias"].__setitem__(0, float("inf")))),
+            ({}, edited("nets.json", lambda nets: nets["static_net"]["readout"][0].__setitem__(0, float("nan")))),
+            ({}, edited("nets.json", lambda nets: nets["identity_chain"][0]["hidden_bias"].__setitem__(0, float("inf")))),
             ({"verification": {"fmp_trials": 50.5}}, None),
             ({"verification": {"esp_trials": True}}, None),
             ({"verification": {"seed": 1.9}}, None),
             ({"verification": {"window_len": True}}, None),
             ({"verification": {"closed_form_windows": float("inf")}}, None),
             ({"verification": {"input_bound": True}}, None),
+            ({}, edited("esn.json", lambda esn: esn.pop("structure"))),
+            ({}, edited("esn.json", lambda esn: esn.__setitem__("structure", None))),
+            ({}, edited("esn.json", lambda esn: esn.__setitem__("activation", "logistic"))),
+            ({}, ("esn.json", lambda esn: "[1]")),
+            ({"verification": {"nets": "/nonexistent/nets.json"}}, None),
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
@@ -438,15 +458,17 @@ class TestVerify:
             "seed_negative", "nets_nan_readout", "nets_inf_bias",
             "fmp_trials_fraction", "esp_trials_bool", "seed_fraction", "window_len_bool",
             "closed_form_windows_infinite", "input_bound_bool",
+            "esn_without_structure", "esn_null_structure", "esn_logistic", "esn_not_object",
+            "nets_missing_explicit_path",
         ],
     )
-    def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, overrides, nets_text):
+    def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, overrides, file_text):
         cfg = write_config(tmp_path, **overrides)
         for name in ("esn.json", "nets.json"):
             (tmp_path / name).write_bytes((built / name).read_bytes())
-        if nets_text is not None:
-            nets = json.loads((built / "nets.json").read_text())
-            (tmp_path / "nets.json").write_text(nets_text(nets))
+        if file_text is not None:
+            name, text = file_text
+            (tmp_path / name).write_text(text(json.loads((built / name).read_text())))
         assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
         assert "load error" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()

@@ -432,20 +432,6 @@ class TestPipeline:
         assert res.budget.truncation_analytic == 0.0
         assert res.budget.total_sampled < 0.5
 
-    def test_raw_filter_escape_hatch_flagged(self):
-        from uniesn.filters import RawFilter
-
-        def clipped_sum(arr):
-            tail = arr[:, -3:, :]  # depends on the last three entries only
-            return np.tanh(np.sum(tail, axis=(1, 2)))[:, None]
-
-        f = RawFilter(in_dim=1, out_dim=1, input_bound=1.0, fn=clipped_sum, claimed_memory=2)
-        assert not f.certified
-        assert f.choose_horizon(0.1) == 2
-        res = construct_universal_esn(f, small_cfg(eps=0.5, seed=303))
-        assert res.budget.certified is False
-        assert res.budget.total_sampled < 0.5
-
     def test_deterministic_given_seed(self):
         f = ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)
         r1 = construct_universal_esn(f, small_cfg(eps=0.4, seed=11))
@@ -580,7 +566,7 @@ def budgets(draw):
         draw(st.one_of(st.just(limit), st.floats(min_value=0.0, max_value=2.0).map(lambda r: r * limit)))
         for limit in limits
     ]
-    return ErrorBudget(eps, *values, certified=draw(st.booleans()))
+    return ErrorBudget(eps, *values)
 
 
 class TestBudgetPolicy:
@@ -593,7 +579,7 @@ class TestBudgetPolicy:
         ]
         assert [row[3] for row in rows] == [budget.eps / 3.0] * 3 + [budget.eps]
         status = {term: s for term, _, s, _ in rows}
-        assert status["truncation"] == ("analytic_upper_bound" if budget.certified else "uncertified_user_claim")
+        assert status["truncation"] == "analytic_upper_bound"
         for term in TERMS[1:]:
             assert status[term] == "sampled_sup"
 

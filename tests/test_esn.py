@@ -10,7 +10,6 @@ from uniesn import cli
 from uniesn.esn import (
     BlockStructure,
     ESNParams,
-    check_contraction,
     check_esp_empirical,
     check_finite_memory,
     check_nilpotent,
@@ -22,20 +21,22 @@ TANH = get_activation("tanh")
 
 
 def scalar_esn(a, c, zeta=0.0, w=1.0):
+    """A one-block system: a nonzero ``a`` fails its pattern and runs densely."""
     return ESNParams(
         A=np.array([[a]]), C=np.array([[c]]), zeta=np.array([zeta]),
-        W=np.array([[w]]), activation=TANH,
+        W=np.array([[w]]), activation=TANH, structure=BlockStructure(widths=(1,)),
     )
 
 
 def random_esn(N, d, m, seed, spectral=None):
+    """A one-block system with a random, hence pattern-failing, dense A."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((N, N))
     if spectral is not None:
         A *= spectral / np.linalg.svd(A, compute_uv=False)[0]
     return ESNParams(
         A=A, C=rng.standard_normal((N, d)), zeta=rng.standard_normal(N),
-        W=rng.standard_normal((m, N)), activation=TANH,
+        W=rng.standard_normal((m, N)), activation=TANH, structure=BlockStructure(widths=(N,)),
     )
 
 
@@ -82,6 +83,7 @@ class TestStep:
         p = ESNParams(
             A=rng.standard_normal((N, N)), C=rng.standard_normal((N, d)),
             zeta=rng.standard_normal(N), W=np.ones((1, N)), activation=TANH,
+            structure=BlockStructure(widths=(N,)),
         )
         x_prev = rng.standard_normal(N)
         z = rng.standard_normal(d)
@@ -153,20 +155,6 @@ class TestFunctional:
         with pytest.raises(ValueError, match="too short"):
             p.functional_batch(np.array([[[0.1], [0.2]]]))
 
-    def test_unstructured_needs_contraction(self):
-        p = scalar_esn(2.0, 1.0)
-        with pytest.raises(ValueError, match="unique solution"):
-            p.functional_batch(np.array([[[0.1]]]))
-
-    def test_contractive_functional_matches_long_zero_padding(self):
-        # the fixed-point burn-in must agree with explicitly padding zeros
-        p = random_esn(3, 1, 1, seed=30, spectral=0.5)
-        arr = sample_window_array(1, 1.0, 4, 3, seed=31)[2:]
-        padded = np.concatenate([np.zeros((1, 60, 1)), arr], axis=1)
-        got = p.functional_batch(arr)
-        want = p.run_batch(padded) @ p.W.T
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
     def test_functional_batch_matches_functional(self):
         # one window at a time against the whole batch: rows of one matmul
         # associate sums differently, so they agree to rounding, not bitwise
@@ -199,8 +187,9 @@ class TestNilpotency:
         assert not ok
 
     def test_requires_structure(self):
-        with pytest.raises(ValueError):
-            check_nilpotent(scalar_esn(0.0, 1.0))
+        with pytest.raises(TypeError, match="structure"):
+            ESNParams(A=np.zeros((1, 1)), C=np.ones((1, 1)), zeta=np.zeros(1),
+                      W=np.ones((1, 1)), activation=TANH)
 
     def test_power_is_exactly_zero(self):
         p = chain_esn([3, 3, 3], d=1, m=1, seed=36)
@@ -225,12 +214,6 @@ class TestEchoStateProperty:
         p = scalar_esn(0.0, 1.0)
         w = make_window([(0.3,)], M=1.0)
         assert check_esp_empirical(p, w, trials=10, seed=41)
-
-    def test_contractive_passes_with_long_window(self):
-        p = random_esn(3, 1, 1, seed=42, spectral=0.5)
-        arr = sample_window_array(1, 1.0, 50, 3, seed=43)[2]
-        w = InputWindow(entries=arr, bound=1.0)
-        assert check_esp_empirical(p, w, trials=10, seed=44)
 
 
 class TestFiniteMemory:
@@ -266,13 +249,14 @@ class TestFiniteMemory:
             check_finite_memory(p, arr1, arr2)
 
     def test_contractive_influence_decays_geometrically(self):
-        # for an unstructured contractive system the influence of a rewrite
-        # q steps in the past obeys ||W|| * rho^q * (state diameter) exactly
-        p = random_esn(4, 1, 1, seed=50, spectral=0.6)
-        rho = check_contraction(p)
-        assert rho < 1.0
+        # a dense system whose pattern fails still runs its recursion: with
+        # L_sigma * ||A|| = rho < 1 the influence of a rewrite q steps in the
+        # past obeys ||W|| * rho^q * (state diameter) exactly
         from uniesn.linalg import operator_norm
 
+        p = random_esn(4, 1, 1, seed=50, spectral=0.6)
+        rho = TANH.lipschitz_const * operator_norm(p.A)
+        assert rho < 1.0
         w_norm = operator_norm(p.W)
         diam = 2 * np.sqrt(p.state_dim)  # tanh states live in [-1, 1]^N
         T = 24
@@ -288,43 +272,12 @@ class TestFiniteMemory:
             prev_envelope = envelope
 
 
-class TestContraction:
-    def test_zero_matrix(self):
-        assert check_contraction(scalar_esn(0.0, 1.0)) == 0.0
-
-    def test_diagonal(self):
-        p = ESNParams(
-            A=np.diag([0.5, 0.5]), C=np.ones((2, 1)), zeta=np.zeros(2),
-            W=np.ones((1, 2)), activation=TANH,
-        )
-        assert check_contraction(p) == pytest.approx(0.5, abs=1e-12)
-
-    def test_against_2x2_closed_form(self):
-        rng = np.random.default_rng(52)
-        for _ in range(50):
-            A = rng.standard_normal((2, 2))
-            p = ESNParams(A=A, C=np.ones((2, 1)), zeta=np.zeros(2), W=np.ones((1, 2)),
-                          activation=TANH)
-            S = float(np.sum(A * A))
-            D = abs(float(np.linalg.det(A)))
-            want = np.sqrt((S + np.sqrt(max(S * S - 4 * D * D, 0.0))) / 2.0)
-            assert abs(check_contraction(p) - want) <= 1e-10 * max(1.0, want)
-
-    def test_contraction_implies_empirical_esp(self):
-        for seed in range(5):
-            p = random_esn(5, 1, 1, seed=60 + seed, spectral=0.8)
-            assert check_contraction(p) < 1.0
-            arr = sample_window_array(1, 1.0, 80, 3, seed=70 + seed)[2]
-            w = InputWindow(entries=arr, bound=1.0)
-            assert check_esp_empirical(p, w, trials=5, seed=80 + seed)
-
-
 class TestBoundedOutputs:
     def test_output_cap_under_adversarial_inputs(self):
         from uniesn.linalg import operator_norm
 
         p = chain_esn([3, 4, 6], d=1, m=2, seed=53)
-        cap = operator_norm(p.W) * np.sqrt(p.state_dim) * TANH.sup_bound
+        cap = operator_norm(p.W) * np.sqrt(p.state_dim)  # tanh states lie in [-1, 1]^N
         arr = sample_window_array(1, 1.0, p.structure.horizon + 1, 200, seed=54)
         outs = p.functional_batch(arr)
         assert np.all(np.linalg.norm(outs, axis=1) <= cap + 1e-9)
@@ -345,12 +298,6 @@ class TestSerialization:
         assert np.array_equal(back.W, p.W)
         assert back.structure.widths == p.structure.widths
 
-    def test_unstructured_round_trip(self, tmp_path):
-        p = scalar_esn(0.5, 1.0, zeta=0.2, w=-1.0)
-        back = self.written_and_read(p, tmp_path)
-        assert back.structure is None
-        assert np.array_equal(back.A, p.A)
-
     @pytest.mark.parametrize("name", ["A", "C", "zeta", "W"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, name, bad):
@@ -363,7 +310,7 @@ class TestSerialization:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             ESNParams(A=np.zeros((2, 3)), C=np.zeros((2, 1)), zeta=np.zeros(2),
-                      W=np.zeros((1, 2)), activation=TANH)
+                      W=np.zeros((1, 2)), activation=TANH, structure=BlockStructure(widths=(2,)))
         with pytest.raises(ValueError):
             ESNParams(A=np.zeros((2, 2)), C=np.zeros((2, 1)), zeta=np.zeros(2),
                       W=np.zeros((1, 2)), activation=TANH,

@@ -207,20 +207,25 @@ class TestFadingMemoryProperty:
 
 
 class TestJson:
-    def test_round_trips(self):
-        specs = [
-            {"kind": "exp_fading", "lambda": 0.5, "B": [[1.0]], "d": 1, "m": 1, "M": 1.0},
-            {"kind": "fir", "coeffs": [[[1.0, 0.0]], [[-0.5, 0.25]]], "d": 2, "m": 1, "M": 2.0},
-            {
-                "kind": "volterra2",
-                "coeffs": [[[1.0]]],
-                "quad": [{"j": 0, "k": 2, "b": [0.4]}],
-                "d": 1, "m": 1, "M": 1.0,
-            },
-        ]
-        for spec in specs:
-            f = filter_from_json(spec)
-            assert f.to_json() == spec
+    def test_parses_fields(self):
+        f = filter_from_json({"kind": "exp_fading", "lambda": 0.5, "B": [[1.0]], "d": 1, "m": 1, "M": 1.0})
+        assert type(f) is ExpFadingFilter
+        assert (f.in_dim, f.out_dim, f.input_bound, f.decay) == (1, 1, 1.0, 0.5)
+        assert np.array_equal(f.matrix, [[1.0]])
+
+        f = filter_from_json({"kind": "fir", "coeffs": [[[1.0, 0.0]], [[-0.5, 0.25]]], "d": 2, "m": 1, "M": 2.0})
+        assert type(f) is FIRFilter
+        assert (f.in_dim, f.out_dim, f.input_bound) == (2, 1, 2.0)
+        assert [a.tolist() for a in f.coeffs] == [[[1.0, 0.0]], [[-0.5, 0.25]]]
+
+        f = filter_from_json({
+            "kind": "volterra2", "coeffs": [[[1.0]]], "quad": [{"j": 0, "k": 2, "b": [0.4]}],
+            "d": 1, "m": 1, "M": 1.0,
+        })
+        assert type(f) is Volterra2Filter
+        assert (f.in_dim, f.out_dim, f.input_bound) == (1, 1, 1.0)
+        assert [a.tolist() for a in f.coeffs] == [[[1.0]]]
+        assert [(q.j, q.k, q.b.tolist()) for q in f.quad] == [(0, 2, [0.4])]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
