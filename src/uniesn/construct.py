@@ -46,6 +46,9 @@ BUDGET_BLOCK = 2048
 # product's bits depend on each row's offset within its unrolled kernel loop,
 # so this keeps every row at its one-batch offset.
 _BLOCK_ALIGN = 64
+# The closed form adds up its per-lag products in row tiles that start at
+# multiples of this many rows, so a few (tile, width) arrays stay in L2.
+_STATE_TILE = 64
 
 
 class ConstructionError(RuntimeError):
@@ -354,13 +357,24 @@ def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarr
     B, T, d = arr.shape
     if T < K + 1:
         raise ValueError(f"window of length {T} too short: need >= {K + 1}")
-    acc = np.empty((B, split.net.width))
-    acc[:] = split.bias
-    prod = np.empty_like(acc)
-    for j in range(K + 1):
-        z_j = arr[:, T - 1 - j, :]
-        acc += np.matmul(compose_chain(chain, j, z_j), split.lag_block(j).T, out=prod)
-    return split.net.activation(acc, out=acc)
+    lags = [compose_chain(chain, j, arr[:, T - 1 - j, :]) for j in range(K + 1)]
+    state = np.empty((B, split.net.width))
+    prod = np.empty((min(B, 2 * _STATE_TILE - 1), split.net.width))
+    for rows in _state_tiles(B):
+        acc = state[rows]
+        acc[:] = split.bias
+        for j, z_j in enumerate(lags):
+            acc += np.matmul(z_j[rows], split.lag_block(j).T, out=prod[: len(acc)])
+        split.net.activation(acc, out=acc)
+    return state
+
+
+def _state_tiles(n: int) -> list[slice]:
+    """Consecutive slices of range(n) that start at multiples of _STATE_TILE.
+    A remainder shorter than one tile joins the last tile: a 1-row product
+    takes numpy's matrix-vector path, which rounds differently."""
+    edges = [*range(0, max(n - _STATE_TILE, 0) + 1, _STATE_TILE), n]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def direct_functional(split: LagBlockNet, arr: np.ndarray) -> np.ndarray:

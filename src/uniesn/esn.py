@@ -63,9 +63,9 @@ class ESNParams:
         object.__setattr__(self, "C", freeze(self.C))
         object.__setattr__(self, "zeta", freeze(self.zeta))
         object.__setattr__(self, "W", freeze(self.W))
+        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
+            raise ValueError(f"A must be square, got shape {self.A.shape}")
         N = self.A.shape[0]
-        if self.A.shape != (N, N):
-            raise ValueError(f"A must be square, got {self.A.shape}")
         if self.C.ndim != 2 or self.C.shape[0] != N:
             raise ValueError(f"C shape {self.C.shape} incompatible with N={N}")
         if self.zeta.shape != (N,):
@@ -189,10 +189,10 @@ class ESNParams:
         if not isinstance(structure, dict):
             raise ValueError("esn.json has no structure object, which construct always writes")
         return cls(
-            A=np.asarray(obj["A"], dtype=np.float64),
-            C=np.asarray(obj["C"], dtype=np.float64),
-            zeta=np.asarray(obj["zeta"], dtype=np.float64),
-            W=np.asarray(obj["W"], dtype=np.float64),
+            A=obj["A"],
+            C=obj["C"],
+            zeta=obj["zeta"],
+            W=obj["W"],
             activation=get_activation(obj["activation"]),
             structure=BlockStructure(widths=tuple(structure["widths"])),
         )

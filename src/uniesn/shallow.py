@@ -103,9 +103,9 @@ class ShallowNet:
     @classmethod
     def from_json(cls, obj: dict) -> "ShallowNet":
         return cls(
-            hidden_matrix=np.asarray(obj["hidden_matrix"], dtype=np.float64),
-            hidden_bias=np.asarray(obj["hidden_bias"], dtype=np.float64),
-            readout=np.asarray(obj["readout"], dtype=np.float64),
+            hidden_matrix=obj["hidden_matrix"],
+            hidden_bias=obj["hidden_bias"],
+            readout=obj["readout"],
             activation=get_activation(obj["activation"]),
         )
 
@@ -186,14 +186,14 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     bias[width] = 1.0
 
     act = _ACTIVATIONS["tanh"]
-    pre = X @ hidden.T
-    pre += bias
-    phi = act(pre, out=pre)  # (n, width+1), written over pre
+    phi = X @ hidden.T
+    phi += bias
+    act(phi, out=phi)  # (n, width+1) features, in place
     gram = phi.T @ phi
     gram /= n
     gram[np.diag_indices(width)] += ridge  # leave the constant unit unpenalized
     rhs = phi.T @ Y / n
-    del phi  # the solve's workspace is the peak; phi is not needed for it
+    del phi  # the solve then holds only the gram and LAPACK's Fortran copy of it
     try:
         # gram is exactly symmetric (phi.T @ phi is one triangle, mirrored),
         # and its F-ordered transpose is LAPACK's layout: solve copies it

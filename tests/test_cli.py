@@ -448,6 +448,8 @@ class TestVerify:
             ({}, edited("esn.json", lambda esn: esn.__setitem__("structure", None))),
             ({}, edited("esn.json", lambda esn: esn.__setitem__("activation", "logistic"))),
             ({}, ("esn.json", lambda esn: "[1]")),
+            ({}, edited("esn.json", lambda esn: esn.__setitem__("A", None))),
+            ({}, edited("esn.json", lambda esn: esn.__setitem__("A", 2.0))),
             ({"verification": {"nets": "/nonexistent/nets.json"}}, None),
         ],
         ids=[
@@ -459,6 +461,7 @@ class TestVerify:
             "fmp_trials_fraction", "esp_trials_bool", "seed_fraction", "window_len_bool",
             "closed_form_windows_infinite", "input_bound_bool",
             "esn_without_structure", "esn_null_structure", "esn_logistic", "esn_not_object",
+            "esn_null_A", "esn_number_A",
             "nets_missing_explicit_path",
         ],
     )

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import uniesn
 from uniesn.construct import (
     _BLOCK_ALIGN,
+    _STATE_TILE,
     BUDGET_BLOCK,
     _derived_seed,
+    _state_tiles,
     _window_blocks,
     BudgetError,
     ChainBoundError,
@@ -478,6 +480,46 @@ def check_blocks_match_one_batch(spec: dict, eps: float, seed: int):
             assert (b.net_fit_sampled, b.chain_sampled, b.total_sampled) == tuple(np.max(want, axis=1))
 
 
+def check_tiles_match_one_shot(d: int):
+    """Compare closed_form_state with one accumulation over the whole batch,
+    array against array, for nets of build-like widths and batch sizes around
+    the tile size."""
+    K, width = 3, 1025
+    rng = np.random.default_rng(d)
+
+    def net(n_in, n_out, w):
+        return ShallowNet(
+            hidden_matrix=rng.uniform(-1, 1, (w, n_in)), hidden_bias=rng.uniform(-1, 1, w),
+            readout=rng.uniform(-1, 1, (n_out, w)) / w, activation=TANH,
+        )
+
+    split = split_lag_blocks(net((K + 1) * d, 1, width), d)
+    chain = [net(d, d, 65) for _ in range(K)]
+    T = K + 2
+    for B in (1, 2, _STATE_TILE - 1, _STATE_TILE + 1, 2 * _STATE_TILE + 1, 2049, 4097):
+        arr = sample_window_array(d, 1.0, T, B, seed=B)
+        want = np.empty((B, width))
+        want[:] = split.bias
+        for j in range(K + 1):
+            want += compose_chain(chain, j, arr[:, T - 1 - j, :]) @ split.lag_block(j).T
+        np.tanh(want, out=want)
+        got = closed_form_state(split, chain, arr)
+        assert got.tobytes() == want.tobytes(), f"{int(np.sum(got != want))} entries differ at d={d}, B={B}"
+
+
+def run_one_blas_thread(call: str):
+    """Run ``test_construct.<call>`` in a fresh interpreter with one BLAS thread.
+
+    With several threads a one-batch product's own bits depend on how BLAS
+    splits its rows between threads, so bitwise comparisons run on one.
+    """
+    code = f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import test_construct; test_construct.{call}"
+    env = {**os.environ, "PYTHONPATH": str(Path(uniesn.__file__).parents[1])}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 class TestBudgetBlocks:
     @given(n=st.integers(1, 100_000))
     def test_blocks_cover_in_near_equal_aligned_slices(self, n):
@@ -492,16 +534,20 @@ class TestBudgetBlocks:
 
     @pytest.mark.parametrize("spec, eps, seed", [(EXP_FADING, 0.3, 99), (VOLTERRA2, 0.5, 7)])
     def test_blocked_errors_equal_one_batch_bitwise(self, spec, eps, seed):
-        # With several BLAS threads the one batch's own bits depend on how
-        # BLAS splits its rows between threads, so both sides run on one.
-        code = (
-            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import test_construct; "
-            f"test_construct.check_blocks_match_one_batch({spec!r}, {eps!r}, {seed!r})"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(uniesn.__file__).parents[1])}
-        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr[-2000:]
+        run_one_blas_thread(f"check_blocks_match_one_batch({spec!r}, {eps!r}, {seed!r})")
+
+    @given(n=st.integers(1, 100_000))
+    def test_state_tiles_cover_in_aligned_tiles(self, n):
+        tiles = _state_tiles(n)
+        sizes = [s.stop - s.start for s in tiles]
+        assert tiles[0].start == 0 and tiles[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        assert all(s.start % _STATE_TILE == 0 for s in tiles)
+        assert all(min(n, _STATE_TILE) <= size <= 2 * _STATE_TILE - 1 for size in sizes)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_closed_form_tiles_equal_one_shot_bitwise(self, d):
+        run_one_blas_thread(f"check_tiles_match_one_shot({d})")
 
     def test_peak_memory_does_not_grow_with_budget_windows(self):
         f = filter_from_json(EXP_FADING)

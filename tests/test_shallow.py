@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,27 @@ class TestFitRandomFeature:
         assert gram.flags.c_contiguous
         reference = np.linalg.solve(gram, phi.T @ Y / len(X)).T
         assert np.array_equal(net.readout, reference)
+
+    def test_no_feature_matrix_is_held_at_the_solve(self, monkeypatch):
+        n, width = 600, 511
+        X = sample_product_ball(2, 1.0, 4, n, seed=3)
+        Y = np.sin(X[:, :1])
+        held = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        tracemalloc.start()
+        try:
+            fit_random_feature(X, Y, width=width, ridge=1e-8, scale=1.0, seed=5)
+        finally:
+            tracemalloc.stop()
+        gram_bytes = (width + 1) ** 2 * 8
+        feature_bytes = n * (width + 1) * 8
+        assert len(held) == 1 and held[0] < gram_bytes + feature_bytes / 2, held
 
 
 class TestFitToTolerance:
