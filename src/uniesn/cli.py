@@ -30,7 +30,7 @@ from .construct import (
     ConstructionError,
     ConstructionResult,
     LagBlockNet,
-    chained_functional,
+    closed_form_gap,
     construct_universal_esn,
     split_lag_blocks,
 )
@@ -271,10 +271,8 @@ def _terminated(signum, frame):
     raise SystemExit(128 + signum)  # the shell's status for a process killed by signum
 
 
-def _run_one(
-    f: TargetFilter, cfg: ConstructionConfig, attempts: dict | None = None, log=_log, on_assembled=None
-) -> ConstructionResult:
-    result = construct_universal_esn(f, cfg, attempts=attempts, on_assembled=on_assembled)
+def _run_one(f: TargetFilter, cfg: ConstructionConfig, log=_log, on_assembled=None) -> ConstructionResult:
+    result = construct_universal_esn(f, cfg, on_assembled=on_assembled)
     for stage, secs in result.wall_times.items():
         log(f"stage {stage}: {secs:.3f}s")
     terms = " ".join(f"{term}={value:.4g}" for term, value, _, _ in result.budget.rows())
@@ -369,7 +367,7 @@ def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
     return opts
 
 
-def _verify_structured(esn: ESNParams, opts: dict) -> dict:
+def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     K = esn.structure.horizon
     d = esn.in_dim
     M, seed, fmp_trials = opts["M"], opts["seed"], opts["fmp_trials"]
@@ -398,10 +396,11 @@ def _verify_structured(esn: ESNParams, opts: dict) -> dict:
     if opts["nets"] is not None:
         split, chain = opts["nets"]
         n_check = min(opts["closed_form_windows"], arr.shape[0])
-        rec = esn.functional_batch(arr[:n_check])
-        direct = chained_functional(split, chain, arr[:n_check])
-        gap = float(np.max(np.linalg.norm(rec - direct, axis=1)))
-        checks["closed_form"] = {"passed": bool(gap <= CLOSED_FORM_TOL), "max_gap": gap, "windows": n_check}
+        gap = closed_form_gap(esn, split, chain, arr[:n_check])
+        # The state gap leaves out W, which assemble_esn pads from the static readout.
+        readout = np.array_equal(esn.W, np.pad(split.readout, ((0, 0), (esn.state_dim - split.net.width, 0))))
+        passed = bool(gap <= CLOSED_FORM_TOL and readout)
+        checks["closed_form"] = {"passed": passed, "max_gap": gap, "readout_exact": readout, "windows": n_check}
     else:
         checks["closed_form"] = {"skipped": True, "reason": "no nets.json available"}
 
@@ -416,7 +415,7 @@ def cmd_verify(esn_path: str, config_path: str) -> int:
         _log(f"load error: {exc}")
         return EXIT_CONFIG
 
-    checks = _verify_structured(esn, opts)
+    checks = _verify_checks(esn, opts)
     out_path = opts["out"]
     all_passed = all(c.get("passed", True) for c in checks.values())
     _write_json(out_path, {"schema_version": SCHEMA_VERSION, "checks": checks, "passed": all_passed})
@@ -433,26 +432,13 @@ SWEEP_COLUMNS = [
 ]
 
 
-_sweep_worker: tuple = ()  # (filter, base config, fit attempts) of a forked sweep worker
-
-
-def _start_sweep_worker(f: TargetFilter, base: ConstructionConfig):
-    """Pool initializer: the points of one worker share one dict of fit attempts."""
-    global _sweep_worker
-    _sweep_worker = (f, base, {})
-
-
-def _sweep_in_worker(eps: float) -> tuple[list, list[str], int]:
-    return _sweep_point(*_sweep_worker, eps)
-
-
-def _sweep_point(f: TargetFilter, base: ConstructionConfig, attempts: dict, eps: float) -> tuple[list, list[str], int]:
+def _sweep_point(f: TargetFilter, base: ConstructionConfig, eps: float) -> tuple[list, list[str], int]:
     """Build one sweep point: its row, its stderr lines, its exit code."""
     lines = []
     t0 = time.perf_counter()
     cells, status, code = [""] * 7, "ok", EXIT_OK
     try:
-        result = _run_one(f, dataclasses.replace(base, eps=eps), attempts, lines.append)
+        result = _run_one(f, dataclasses.replace(base, eps=eps), lines.append)
         budget = [repr(value) for _, value, _, _ in result.budget.rows()]
         cells = [result.horizon, result.esn.state_dim, "|".join(map(str, result.esn.structure.widths)), *budget]
     except BudgetError as exc:
@@ -492,16 +478,14 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
 
     rows, died, worst = [], [], EXIT_OK
     # This process builds the smallest eps, which needs the widest fits.  Forked
-    # workers inherit the modules, f and base without pickling and build the
-    # others, smallest eps first; with one usable CPU this process builds all.
+    # workers inherit the modules and build the others, smallest eps first;
+    # with one usable CPU this process builds all.
     order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
     workers = min(len(eps_list), len(os.sched_getaffinity(0))) - 1
     mine = order[:1] if workers else order
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max(workers, 1), context, initializer=_start_sweep_worker, initargs=(f, base)) as pool:
-        futures = {i: pool.submit(_sweep_in_worker, eps_list[i]) for i in order if i not in mine}
-        attempts = {}
-        done = {i: _sweep_point(f, base, attempts, eps_list[i]) for i in mine}
+    with ProcessPoolExecutor(max(workers, 1), multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(_sweep_point, f, base, eps_list[i]) for i in order if i not in mine}
+        done = {i: _sweep_point(f, base, eps_list[i]) for i in mine}
         for i, eps in enumerate(eps_list):
             try:
                 row, lines, code = done[i] if i in done else futures[i].result()

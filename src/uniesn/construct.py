@@ -201,14 +201,12 @@ def build_identity_chain(
     seed: int,
     *,
     margin: float = 0.8,
-    attempts: dict | None = None,
 ) -> list[ShallowNet]:
     """Fit one identity-approximator net per delay step.
 
     Net j is fitted on the ball of radius M + (j-1)*eps/(3*gain) to tolerance
     eps/(3*gain); the inflated radii cover the drift the earlier nets may
-    have introduced by the time net j sees the data.  ``attempts`` is passed
-    on to fit_to_tolerance.
+    have introduced by the time net j sees the data.
     """
     radii = identity_chain_radii(M, horizon, eps, gain)
     tol = eps / (3.0 * gain) if horizon >= 1 else None
@@ -216,8 +214,7 @@ def build_identity_chain(
     for j, radius in enumerate(radii, start=1):
         try:
             net, _ = fit_to_tolerance(
-                lambda x: x, d, radius, tol, policy, _derived_seed(seed, j),
-                margin=margin, attempts=attempts,
+                lambda x: x, d, radius, tol, policy, _derived_seed(seed, j), margin=margin
             )
         except FitToleranceError as exc:
             raise ConstructionError(
@@ -369,6 +366,13 @@ def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarr
     return state
 
 
+def closed_form_gap(esn: ESNParams, split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> float:
+    """Largest row-norm gap, over a (B, T, d) batch of windows, between the
+    recursion's collector state at time 0 and closed_form_state."""
+    collector = esn.run_batch(arr)[:, esn.state_dim - split.net.width :]
+    return float(np.max(np.linalg.norm(collector - closed_form_state(split, chain, arr), axis=1)))
+
+
 def _state_tiles(n: int) -> list[slice]:
     """Consecutive slices of range(n) that start at multiples of _STATE_TILE.
     A remainder shorter than one tile joins the last tile: a 1-row product
@@ -480,14 +484,12 @@ def _derived_seed(base: int, tag: int) -> int:
 
 
 def construct_universal_esn(
-    f: TargetFilter, cfg: ConstructionConfig, *, attempts: dict | None = None, on_assembled=None
+    f: TargetFilter, cfg: ConstructionConfig, *, on_assembled=None
 ) -> ConstructionResult:
     """Run the whole construction and certify its error budget.
 
     Raises ConstructionError (with a stage tag) if any stage fails, or
     BudgetError if every stage succeeds but a budget term misses its share.
-    ``attempts`` is passed on to every fit_to_tolerance call: builds that
-    share one dict reuse each other's identical width attempts.
     ``on_assembled(esn, split, chain)``, if given, is called once the
     assembled system has passed the nilpotency check, before the closed-form
     check and the budget; the system it sees is the one returned.
@@ -514,7 +516,7 @@ def construct_universal_esn(
     try:
         net, net_fit_achieved = fit_to_tolerance(
             f.truncated_map(K), d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1),
-            copies=K + 1, margin=cfg.margin, attempts=attempts,
+            copies=K + 1, margin=cfg.margin,
         )
     except FitToleranceError as exc:
         raise ConstructionError(stage, str(exc)) from exc
@@ -529,8 +531,7 @@ def construct_universal_esn(
     if K >= 1 and not gain > 0:
         raise ConstructionError(stage, "error gain is zero with K >= 1; nothing to calibrate against")
     chain = build_identity_chain(
-        d, M, K, eps, gain, cfg.identity_policy, _derived_seed(cfg.seed, 2),
-        margin=cfg.margin, attempts=attempts,
+        d, M, K, eps, gain, cfg.identity_policy, _derived_seed(cfg.seed, 2), margin=cfg.margin
     )
     done(stage)
 
@@ -555,16 +556,10 @@ def construct_universal_esn(
 
     stage = staged("verify_closed_form")
     n_check = min(cfg.closed_form_check_windows, cfg.budget_windows)
-    check_arr = arr[:n_check]
-    recursion_states = esn.run_batch(check_arr)
-    collector = recursion_states[:, esn.state_dim - split.net.width :]
-    direct_states = closed_form_state(split, chain, check_arr)
-    closed_form_gap = float(np.max(np.linalg.norm(collector - direct_states, axis=1)))
-    if closed_form_gap > CLOSED_FORM_TOL:
+    gap = closed_form_gap(esn, split, chain, arr[:n_check])
+    if gap > CLOSED_FORM_TOL:
         raise ConstructionError(
-            stage,
-            f"recursion and closed form disagree by {closed_form_gap:g} "
-            f"(tolerance {CLOSED_FORM_TOL:g})",
+            stage, f"recursion and closed form disagree by {gap:g} (tolerance {CLOSED_FORM_TOL:g})"
         )
     done(stage)
 
@@ -589,7 +584,7 @@ def construct_universal_esn(
         gain=gain,
         net_fit_achieved=net_fit_achieved,
         chain_records=chain_records,
-        closed_form_check_max=closed_form_gap,
+        closed_form_check_max=gap,
         closed_form_check_windows=n_check,
         wall_times=times,
     )

@@ -9,7 +9,6 @@ hidden layer is frozen random, the readout solves a convex problem, and the
 whole fit is bitwise reproducible from its arguments.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,14 +205,6 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     return ShallowNet(hidden_matrix=hidden, hidden_bias=bias, readout=readout_t.T, activation=act)
 
 
-def _digest(*arrays) -> bytes:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(repr(a.shape).encode())
-        h.update(np.ascontiguousarray(a).data)
-    return h.digest()
-
-
 def fit_to_tolerance(
     target,
     d: int,
@@ -224,7 +215,6 @@ def fit_to_tolerance(
     *,
     copies: int = 1,
     margin: float = 0.8,
-    attempts: dict | None = None,
 ) -> tuple[ShallowNet, float]:
     """Fit ``target`` on a product of balls to a sampled sup error <= tol * margin.
 
@@ -236,14 +226,6 @@ def fit_to_tolerance(
 
     Raises FitToleranceError, carrying the best achieved error, if max_width
     is not enough.
-
-    ``attempts``, when given, stores each attempt's (net, sampled error) under
-    a key that covers every input the pair depends on: a digest of the
-    training and validation points and of the target's values on both, the
-    ridge, the hidden scale, the width and the weight seed.  A later call
-    with the same dict reuses any attempt whose key it repeats, so its result
-    is bitwise that of a call without the dict.  The caller owns the dict and
-    its lifetime.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -255,7 +237,6 @@ def fit_to_tolerance(
     Y_train = np.asarray(target(X_train), dtype=np.float64)
     X_val = sample_product_ball(d, radius, copies, policy.val_samples, val_seed)
     Y_val = np.asarray(target(X_val), dtype=np.float64)
-    data_key = _digest(X_train, Y_train, X_val, Y_val) if attempts is not None else None
 
     # The domain's circumradius, not the per-ball radius, is what keeps the
     # default hidden scale responsive as the number of balls grows.
@@ -263,17 +244,10 @@ def fit_to_tolerance(
     best_err = np.inf
     best_net = None
     for attempt, width in enumerate(policy.widths()):
-        weight_seed = base_weight_seed + attempt
-        key = (data_key, policy.ridge, scale, width, weight_seed)
-        if attempts is not None and key in attempts:
-            net, err = attempts[key]
-        else:
-            net = fit_random_feature(
-                X_train, Y_train, width=width, ridge=policy.ridge, scale=scale, seed=weight_seed
-            )
-            err = float(np.max(np.linalg.norm(net.forward(X_val) - Y_val, axis=1)))
-            if attempts is not None:
-                attempts[key] = net, err
+        net = fit_random_feature(
+            X_train, Y_train, width=width, ridge=policy.ridge, scale=scale, seed=base_weight_seed + attempt
+        )
+        err = float(np.max(np.linalg.norm(net.forward(X_val) - Y_val, axis=1)))
         if err < best_err:
             best_err, best_net = err, net
         if err <= tol * margin:

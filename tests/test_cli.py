@@ -332,7 +332,7 @@ def test_output_path_that_cannot_be_written_is_exit_2(command, built, tmp_path, 
     monkeypatch.chdir(tmp_path)
     Path("afile").write_text("")
     monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a stage ran"))
-    monkeypatch.setattr(cli, "_verify_structured", lambda *a, **k: pytest.fail("a check ran"))
+    monkeypatch.setattr(cli, "_verify_checks", lambda *a, **k: pytest.fail("a check ran"))
     if command == "verify":
         cfg = write_config(tmp_path, verification={"out": "nodir/sub/verify.json"})
         argv, message = ["verify", str(built / "esn.json"), str(cfg)], "load error"
@@ -361,6 +361,7 @@ class TestVerify:
         assert verdict["checks"]["echo_state"]["passed"]
         assert verdict["checks"]["finite_memory"]["passed"]
         assert verdict["checks"]["closed_form"]["passed"]
+        assert verdict["checks"]["closed_form"]["readout_exact"] is True
 
     def test_corrupted_reservoir_flagged(self, constructed):
         cfg, out = constructed
@@ -386,6 +387,19 @@ class TestVerify:
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         assert checks["nilpotency"]["passed"]
         assert not checks["closed_form"]["passed"]
+
+    def test_perturbed_readout_entry_flagged(self, built, tmp_path):
+        # the state gap never reads W, so verify compares it with the static readout
+        cfg = write_config(tmp_path)
+        (tmp_path / "nets.json").write_bytes((built / "nets.json").read_bytes())
+        esn = json.loads((built / "esn.json").read_text())
+        esn["W"][0][-1] += 1e-9
+        (tmp_path / "esn.json").write_text(json.dumps(esn))
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 5
+        closed_form = json.loads((tmp_path / "verify.json").read_text())["checks"]["closed_form"]
+        assert closed_form["max_gap"] <= 1e-10
+        assert closed_form["readout_exact"] is False
+        assert not closed_form["passed"]
 
     @pytest.mark.parametrize(
         "edit",
@@ -547,8 +561,8 @@ class TestSweep:
 @pytest.fixture(scope="module")
 def sweep_and_builds(tmp_path_factory):
     """Sweeps over two eps of one horizon, then a construct at each eps, all
-    from one process: each run's out dir, its stderr, the widths it fitted and,
-    for each of its builds, the eps, the attempts argument and the pid of the
+    from one process: each run's out dir, its stderr, the width and weight seed
+    of each fit it ran and, for each of its builds, the eps and the pid of the
     building process.  sweep1 and sweep2 see one usable CPU, so this process
     builds both points; sweep_2cpu sees two, so a forked worker builds one.
     A worker's memory never reaches this process, so the patched fit and
@@ -571,12 +585,12 @@ def sweep_and_builds(tmp_path_factory):
 
     def counting_fit(*a, **k):
         with open(fit_log, "a") as fh:
-            fh.write(f"{k['width']}\n")
+            fh.write(f"{k['width']} {k['seed']}\n")
         return real_fit(*a, **k)
 
     def recording_build(*a, **k):
         with open(build_log, "a") as fh:
-            fh.write(f"{a[1].eps!r} {type(k.get('attempts')).__name__} {os.getpid()}\n")
+            fh.write(f"{a[1].eps!r} {os.getpid()}\n")
         return real_build(*a, **k)
 
     runs = {}
@@ -597,10 +611,6 @@ def sweep_and_builds(tmp_path_factory):
                 "builds": [line.split() for line in build_log.read_text().splitlines()[n_builds:]],
             }
     return runs
-
-
-def attempts_of(run: dict) -> list:
-    return sorted(kind for _, kind, _ in run["builds"])
 
 
 def without_wall_time(path: Path) -> list:
@@ -627,19 +637,23 @@ class TestSweepReuse:
     def test_repeated_sweeps_make_the_same_fits(self, sweep_and_builds):
         first, second = sweep_and_builds["sweep1"], sweep_and_builds["sweep2"]
         assert first["fits"] == second["fits"]
-        # With one usable CPU, this process builds both points with one dict of attempts.
-        assert len(first["fits"]) < len(sweep_and_builds["0.3"]["fits"]) + len(sweep_and_builds["0.25"]["fits"])
-        assert attempts_of(first) == attempts_of(second) == ["dict", "dict"]
-        assert {pid for _, _, pid in first["builds"]} == {str(os.getpid())}
+        assert {pid for _, pid in first["builds"]} == {str(os.getpid())}
+
+    def test_one_cpu_sweep_makes_the_fits_of_separate_constructs(self, sweep_and_builds):
+        # with one usable CPU this process builds 0.25, then 0.3, each afresh
+        assert [eps for eps, _ in sweep_and_builds["sweep1"]["builds"]] == ["0.25", "0.3"]
+        separate = sweep_and_builds["0.25"]["fits"] + sweep_and_builds["0.3"]["fits"]
+        assert sweep_and_builds["sweep1"]["fits"] == separate
 
     def test_two_cpus_give_the_same_rows(self, sweep_and_builds):
         one, two = (sweep_and_builds[name]["out"] / "sweep.csv" for name in ("sweep1", "sweep_2cpu"))
         assert without_wall_time(two) == without_wall_time(one)
-        assert attempts_of(sweep_and_builds["sweep_2cpu"]) == ["dict", "dict"]
+        # the worker's fits interleave with this process's in the log
+        assert sorted(sweep_and_builds["sweep_2cpu"]["fits"]) == sorted(sweep_and_builds["sweep1"]["fits"])
 
     def test_smallest_eps_builds_in_this_process(self, sweep_and_builds):
         # the costliest point stays in the calling process; a forked worker builds the other
-        pids = {eps: pid for eps, _, pid in sweep_and_builds["sweep_2cpu"]["builds"]}
+        pids = {eps: pid for eps, pid in sweep_and_builds["sweep_2cpu"]["builds"]}
         assert pids["0.25"] == str(os.getpid()) != pids["0.3"]
 
     @pytest.mark.parametrize("sweep", ["sweep1", "sweep_2cpu"])
@@ -648,10 +662,6 @@ class TestSweepReuse:
         blocks = sweep_and_builds["0.3"]["stderr"] + sweep_and_builds["0.25"]["stderr"]
         assert blocks.count("(< eps=") == 2
         assert masked_stage_times(sweep_and_builds[sweep]["stderr"]) == masked_stage_times(blocks)
-
-    def test_construct_never_reuses_a_fit(self, sweep_and_builds):
-        for eps in ("0.3", "0.25"):
-            assert attempts_of(sweep_and_builds[eps]) == ["NoneType"]
 
 
 #: Runs ``uniesn sweep`` (argv[2:]) with two usable CPUs, so this process

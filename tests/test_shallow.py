@@ -3,10 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from uniesn import cli, shallow
+from uniesn import cli
 from uniesn.filters import filter_from_json
 from uniesn.linalg import operator_norm
 from uniesn.shallow import (
@@ -203,93 +201,6 @@ class TestFitToTolerance:
         random_units = np.column_stack([net.hidden_matrix[:-1], net.hidden_bias[:-1]])
         assert np.all(np.abs(random_units) <= bound)
         assert np.max(np.abs(random_units)) > 0.9 * bound
-
-
-def fit_outcome(*args, **kwargs):
-    """fit_to_tolerance's result as comparable bits, with the number of fits it ran."""
-    calls = []
-    real = shallow.fit_random_feature
-
-    def counting(*a, **k):
-        calls.append(k["width"])
-        return real(*a, **k)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shallow, "fit_random_feature", counting)
-        try:
-            net, err = fit_to_tolerance(*args, **kwargs)
-        except FitToleranceError as exc:
-            return ("failed", exc.achieved, exc.width), len(calls)
-    arrays = (net.hidden_matrix, net.hidden_bias, net.readout)
-    return (tuple(a.tobytes() for a in arrays), err), len(calls)
-
-
-def wave(a):
-    return lambda x: np.sin(a * x[:, :1]) + 0.5 * x
-
-
-def perturbed(base, rows):
-    """``base``, except that its first output moves on a batch of ``rows`` points."""
-
-    def target(x):
-        y = np.array(base(x), dtype=np.float64)
-        if x.shape[0] == rows:
-            y[0, 0] += 1e-3
-        return y
-
-    return target
-
-
-small_problems = dict(
-    a=st.floats(0.5, 6.0), tol=st.floats(1e-3, 0.5), start=st.sampled_from([2, 4, 8]),
-    seed=st.integers(0, 2**32 - 1),
-)
-
-
-def small_policy(start, **overrides):
-    return WidthPolicy(**{"start_width": start, "max_width": 8 * start, "train_samples": 60,
-                          "val_samples": 80, **overrides})
-
-
-class TestAttemptReuse:
-    """A dict of attempts changes which fits run, never what they return."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(**small_problems)
-    def test_first_call_and_repeat_are_bitwise_plain(self, a, tol, start, seed):
-        args = (wave(a), 2, 1.0, tol, small_policy(start), seed)
-        plain, plain_fits = fit_outcome(*args)
-        attempts = {}
-        first, first_fits = fit_outcome(*args, attempts=attempts)
-        repeat, repeat_fits = fit_outcome(*args, attempts=attempts)
-        assert first == plain and repeat == plain
-        assert first_fits == plain_fits == len(attempts)
-        assert repeat_fits == 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(**small_problems, change=st.sampled_from(
-        ["train_target", "val_target", "sample_seed", "ridge", "scale", "start_width"]
-    ))
-    def test_changing_one_key_input_fits_afresh(self, a, tol, start, seed, change):
-        base = (wave(a), 2, 1.0, tol, small_policy(start), seed)
-        target, _, _, _, policy, seed2 = base
-        if change in ("train_target", "val_target"):  # the policy draws 60 training, 80 validation points
-            target = perturbed(target, 60 if change == "train_target" else 80)
-        elif change == "sample_seed":
-            seed2 = seed ^ 1
-        elif change == "ridge":
-            policy = small_policy(start, ridge=2e-10)
-        elif change == "scale":
-            policy = small_policy(start, scale=1.5)
-        else:
-            policy = small_policy(2 * start, max_width=8 * start)
-        varied = (target, 2, 1.0, tol, policy, seed2)
-        attempts = {}
-        fit_outcome(*base, attempts=attempts)
-        reused, reused_fits = fit_outcome(*varied, attempts=attempts)
-        plain, plain_fits = fit_outcome(*varied)
-        assert reused == plain
-        assert reused_fits == plain_fits
 
 
 class TestWidthPolicy:
