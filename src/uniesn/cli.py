@@ -64,10 +64,22 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
+class _FloatTexts(dict):
+    """json's parse_float: each text held here maps to one shared float, and
+    any other text misses and goes to float, so -0.0 keeps its sign."""
+
+    __missing__ = staticmethod(float)
+
+
+# Every "0.0", the bulk of a dense esn.json, is one +0.0 instead of a float
+# object each; a dict hit is also faster than a call of float.
+_parse_float = _FloatTexts({"0.0": 0.0}).__getitem__
+
+
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_parse_float)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
@@ -351,7 +363,7 @@ def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
         raise ConfigError(f"verification input_bound (default: filter M) must be finite and > 0, got {M}")
     if opts["seed"] < 0:
         raise ConfigError(f"verification seed must be >= 0, got {opts['seed']}")
-    for key in ("esp_trials", "fmp_trials", "closed_form_windows"):
+    for key in ("esp_trials", "fmp_trials", "window_len", "closed_form_windows"):
         if opts[key] < 1:
             raise ConfigError(f"verification {key} must be >= 1, got {opts[key]}")
     # The sibling nets.json may be absent; a configured path must be read.

@@ -355,13 +355,22 @@ def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarr
     if T < K + 1:
         raise ValueError(f"window of length {T} too short: need >= {K + 1}")
     lags = [compose_chain(chain, j, arr[:, T - 1 - j, :]) for j in range(K + 1)]
+    # With one input channel each product entry is one rounded product, as a
+    # k=1 matmul rounds it, so np.multiply by a contiguous lag row gives the
+    # same bits faster.  With more, BLAS keeps the summation order.
+    if d == 1:
+        product = np.multiply
+        blocks = [np.ascontiguousarray(split.lag_block(j).T) for j in range(K + 1)]
+    else:
+        product = np.matmul
+        blocks = [split.lag_block(j).T for j in range(K + 1)]
     state = np.empty((B, split.net.width))
     prod = np.empty((min(B, 2 * _STATE_TILE - 1), split.net.width))
     for rows in _state_tiles(B):
         acc = state[rows]
         acc[:] = split.bias
-        for j, z_j in enumerate(lags):
-            acc += np.matmul(z_j[rows], split.lag_block(j).T, out=prod[: len(acc)])
+        for z_j, block in zip(lags, blocks):
+            acc += product(z_j[rows], block, out=prod[: len(acc)])
         split.net.activation(acc, out=acc)
     return state
 

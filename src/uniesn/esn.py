@@ -125,7 +125,8 @@ class ESNParams:
         only the blocks of A the pattern allows once it is proven.  The
         collector row runs only at the last step, and only when the pattern
         is proven; otherwise every row runs at every step.  Only the time-0
-        state is returned, shape (B, N).
+        state is returned, shape (B, N).  The step buffers are allocated once
+        per call, so the call holds X and about two more (B, N) arrays.
         """
         B, T, d = arr.shape
         if d != self.in_dim:
@@ -140,19 +141,28 @@ class ESNParams:
         # the leading entries, are live.  Otherwise every entry is.
         before_last = int(self.structure.offsets()[-2]) if self._structured else N
         Ct = self.C.T
+        # Each step's pre-activation and block product are contiguous
+        # reshapes of these, as wide as the step needs.
+        pre_buf = np.empty(B * N)
+        prod_buf = np.empty(B * max((rows.stop - rows.start for rows, _, _ in self._row_blocks), default=0))
         for t in range(T):
             live = N if t == T - 1 else before_last
             # The input product is cut to the live columns only with one input
-            # channel: each entry is then one rounded product, whatever kernel
-            # BLAS picks for the shape.  With more, the kernel sets the
+            # channel: each entry is then one rounded product, which is what
+            # np.multiply computes.  With more, the BLAS kernel sets the
             # summation order, so the product keeps its full width and the bits
             # of the every-step recursion.
-            pre = (arr[:, t, :] @ Ct[:, : live if d == 1 else N])[:, :live]
+            if d == 1:
+                pre = pre_buf[: B * live].reshape(B, live)
+                np.multiply(arr[:, t, :], Ct[:, :live], out=pre)
+            else:
+                pre = np.matmul(arr[:, t, :], Ct, out=pre_buf.reshape(B, N))[:, :live]
             for rows, cols, block_t in self._row_blocks:
                 if rows.start < live:
-                    pre[:, rows] += X[:, cols] @ block_t
+                    width = rows.stop - rows.start
+                    pre[:, rows] += np.matmul(X[:, cols], block_t, out=prod_buf[: B * width].reshape(B, width))
             pre += self.zeta[:live]
-            X[:, :live] = self.activation(pre)
+            X[:, :live] = self.activation(pre, out=pre)
         return X
 
     def functional_batch(self, arr: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniesn import cli, construct, shallow
@@ -437,6 +437,8 @@ class TestVerify:
             ({"verification": {"fmp_trials": 0}}, None),
             ({"verification": {"fmp_trials": "many"}}, None),
             ({"verification": {"closed_form_windows": 0}}, None),
+            ({"verification": {"window_len": 0}}, None),
+            ({"verification": {"window_len": -3}}, None),
             ({}, ("nets.json", lambda nets: "{not json")),
             ({}, ("nets.json", lambda nets: json.dumps({"lag_dim": nets["lag_dim"]}))),
             ({}, ("nets.json", lambda nets: json.dumps({**nets, "identity_chain": nets["identity_chain"][:-1]}))),
@@ -468,6 +470,7 @@ class TestVerify:
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
+            "window_len_zero", "window_len_negative",
             "nets_not_json", "nets_missing_keys", "nets_chain_too_short", "nets_lag_dim_zero",
             "unknown_key", "section_not_object", "filter_not_object", "output_not_object",
             "misspelled_section", "input_bound_negative", "input_bound_nan", "filter_M_nan",
@@ -787,3 +790,29 @@ class TestWriteJson:
         cli._write_json(tmp_path / "doc.json", {"x": [1.5, float("nan"), np.float64("inf"), -float("inf")]})
         text = (tmp_path / "doc.json").read_text()
         assert text == '{\n  "x": [\n    1.5,\n    NaN,\n    Infinity,\n    -Infinity\n  ]\n}\n'
+
+
+class TestLoadJson:
+    """The reader gives json.load's exact floats, with one shared +0.0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(width=64), max_size=40))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e22, 0.1])
+    def test_floats_match_json_load_bitwise(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("load") / "doc.json"
+        arr = np.array(values, dtype=np.float64)
+        cli._write_json(path, {"a": arr, "rows": [arr, arr[::-1]]})
+        with open(path, encoding="utf-8") as fh:
+            ref = json.load(fh)
+        got = cli._load_json(path)
+        for key in ("a", "rows"):
+            assert np.array(got[key], dtype=np.float64).tobytes() == np.array(ref[key], dtype=np.float64).tobytes()
+
+    def test_dense_A_shares_one_zero(self, built):
+        A = cli._load_json(built / "esn.json")["A"]
+        entries = [x for row in A for x in row]
+        arr = np.array(entries)
+        not_plus_zero = np.count_nonzero((arr != 0) | np.signbit(arr))
+        assert not_plus_zero < len(entries)
+        assert len({id(x) for x in entries}) == not_plus_zero + 1

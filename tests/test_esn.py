@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,11 +374,31 @@ class TestBlockRecursion:
     # A one-entry carrier prefix with three input channels: cutting the input
     # product to that width changes the BLAS kernel and its rounding.
     @example(p=chain_esn([1, 2], 3, 1, 3), extra=0, seed=0)
+    # One input channel and four windows: the input product is np.multiply.
+    @example(p=chain_esn([3, 2, 5], 1, 1, 7), extra=1, seed=3)
     def test_matches_every_step_loop_bitwise(self, p, extra, seed):
         T = p.structure.horizon + 1 + extra
         arr = sample_window_array(p.in_dim, 1.0, T, 4, seed)
         x0 = np.random.default_rng(seed).standard_normal(p.state_dim)
         assert np.array_equal(p.run_batch(arr, x_init=x0), every_step_block_loop(p, arr, x0))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_step_buffers_are_allocated_once(self, d):
+        # A collector half as wide as the state: X, one (B, N) step buffer and
+        # one (B, collector) product buffer make 2.5 (B, N) arrays, where a
+        # step that allocates its input product and activation holds 3.  The
+        # slack covers numpy's fixed-size ufunc buffers.
+        p = chain_esn([8, 8, 8, 24], d=d, m=1, seed=61)
+        B, N = 8192, p.state_dim
+        arr = sample_window_array(d, 1.0, p.structure.horizon + 1, B, seed=62)
+        p.run_batch(arr[:1])  # the cached row blocks are made on the first call
+        tracemalloc.start()
+        try:
+            p.run_batch(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * N + 24) * B * 8 + 262144
 
     @given(p=systems, seed=st.integers(0, 2**32 - 1))
     def test_empty_window_returns_initial_state(self, p, seed):
