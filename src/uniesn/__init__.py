@@ -8,19 +8,12 @@ echo state and fading memory properties hold by structure rather than by
 spectral heuristics.
 """
 
-from .windows import (
-    InputWindow,
-    make_window,
-    sample_product_ball,
-    sample_window_array,
-)
+from .windows import sample_product_ball, sample_window_array
 from .linalg import operator_norm
 from .shallow import (
-    Activation,
     ShallowNet,
     WidthPolicy,
     FitToleranceError,
-    get_activation,
     fit_random_feature,
     fit_to_tolerance,
 )
@@ -53,7 +46,6 @@ from .construct import (
     assemble_esn,
     closed_form_state,
     direct_functional,
-    chained_functional,
     construct_universal_esn,
 )
 

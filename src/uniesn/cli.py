@@ -42,7 +42,7 @@ from .esn import (
 )
 from .filters import TargetFilter, filter_from_json
 from .shallow import ShallowNet
-from .windows import InputWindow, as_int, as_real, sample_window_array
+from .windows import as_int, as_real, sample_window_array
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -371,7 +371,8 @@ def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
     if vcfg.get("nets") or nets_path.exists():
         K = esn.structure.horizon
         nets = _load_json(nets_path)
-        split = split_lag_blocks(ShallowNet.from_json(nets["static_net"]), int(nets["lag_dim"]))
+        lag_dim = as_int(nets["lag_dim"], "nets.json lag_dim")
+        split = split_lag_blocks(ShallowNet.from_json(nets["static_net"]), lag_dim)
         chain = [ShallowNet.from_json(o) for o in nets["identity_chain"]]
         if len(chain) != split.horizon or (split.horizon, split.lag_dim) != (K, esn.in_dim):
             raise ConfigError(f"{nets_path} does not fit the system in {esn_path}")
@@ -391,7 +392,7 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     checks["nilpotency"] = {"passed": bool(ok and degree == K + 1), "degree": degree}
 
     probe = sample_window_array(d, M, K + 1, 3, seed)[-1]
-    esp = check_esp_empirical(esn, InputWindow(entries=probe, bound=M), opts["esp_trials"], seed + 1)
+    esp = check_esp_empirical(esn, probe, opts["esp_trials"], seed + 1)
     checks["echo_state"] = {"passed": bool(esp), "trials": opts["esp_trials"]}
 
     arr = sample_window_array(d, M, T, fmp_trials, seed + 2)
@@ -430,7 +431,11 @@ def cmd_verify(esn_path: str, config_path: str) -> int:
     checks = _verify_checks(esn, opts)
     out_path = opts["out"]
     all_passed = all(c.get("passed", True) for c in checks.values())
-    _write_json(out_path, {"schema_version": SCHEMA_VERSION, "checks": checks, "passed": all_passed})
+    try:
+        _write_json(out_path, {"schema_version": SCHEMA_VERSION, "checks": checks, "passed": all_passed})
+    except OSError as exc:
+        _log(f"cannot write {out_path}: {exc}")
+        return EXIT_CONFIG
     for name, c in checks.items():
         status = "skipped" if c.get("skipped") else ("pass" if c.get("passed") else "FAIL")
         _log(f"check {name}: {status}")
@@ -512,11 +517,15 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
         _log(f"a sweep worker died; eps points not finished: {', '.join(died)}")
 
     sweep_path = out / "sweep.csv"
-    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
+    try:
+        with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+            writer = csv.writer(fh)
+            writer.writerow(SWEEP_COLUMNS)
+            writer.writerows(rows)
+    except OSError as exc:
+        _log(f"cannot write {sweep_path}: {exc}")
+        return EXIT_CONFIG
     print(str(sweep_path))
     return worst
 

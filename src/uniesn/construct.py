@@ -7,9 +7,9 @@ The pipeline mirrors the constructive argument it implements:
 2.  Fit a shallow static net to the truncated functional on the product of
     per-lag balls, to sampled sup error below eps/3.
 3.  Split the static net's hidden matrix into per-lag column blocks and form
-    the error gain: readout norm times activation Lipschitz constant times
-    the lag-weighted sum of block norms.  Per-identity-net error times this
-    gain bounds the output error of ferrying inputs through the reservoir.
+    the error gain: readout norm times the lag-weighted sum of block norms
+    (tanh is 1-Lipschitz).  Per-identity-net error times this gain bounds
+    the output error of ferrying inputs through the reservoir.
 4.  Fit one identity-approximator net per delay step, each on a slightly
     inflated ball, to per-net tolerance eps / (3 * gain); verify the composed
     chain drifts less than j * eps / (3 * gain) after j steps and stays inside
@@ -168,17 +168,17 @@ def split_lag_blocks(net: ShallowNet, d: int) -> LagBlockNet:
     return LagBlockNet(net=net, column_blocks=blocks)
 
 
-def identity_error_gain(readout, lipschitz_const: float, lag_blocks) -> float:
-    """||readout|| * L_sigma * sum_j ||block_j|| * j over lags j = 0..K.
+def identity_error_gain(readout, lag_blocks) -> float:
+    """||readout|| * sum_j ||block_j|| * j over lags j = 0..K.
 
     The factor by which a per-step identity-approximation error is amplified
-    in the final output; lag 0 carries weight zero because the present input
-    is never ferried.
+    in the final output: tanh is 1-Lipschitz, so it adds no factor.  Lag 0
+    carries weight zero because the present input is never ferried.
     """
     blocks = list(lag_blocks)
     r = operator_norm(np.asarray(readout, dtype=np.float64))
     total = sum(j * operator_norm(np.asarray(b, dtype=np.float64)) for j, b in enumerate(blocks))
-    return float(r * lipschitz_const * total)
+    return float(r * total)
 
 
 def identity_chain_radii(M: float, horizon: int, eps: float, gain: float) -> list[float]:
@@ -309,8 +309,6 @@ def assemble_esn(split: LagBlockNet, chain: list[ShallowNet]) -> ESNParams:
             raise ValueError(
                 f"identity net {j} maps {net.in_dim}->{net.out_dim}, expected {d}->{d}"
             )
-        if net.activation.kind != split.net.activation.kind:
-            raise ValueError("all nets must share one activation")
 
     carrier_widths = [net.width for net in chain]
     collector_width = split.net.width
@@ -339,13 +337,13 @@ def assemble_esn(split: LagBlockNet, chain: list[ShallowNet]) -> ESNParams:
     W = np.zeros((m, N))
     W[:, off[K] :] = split.readout
 
-    return ESNParams(A=A, C=C, zeta=zeta, W=W, activation=split.net.activation, structure=structure)
+    return ESNParams(A=A, C=C, zeta=zeta, W=W, structure=structure)
 
 
 def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
     """Collector state at time 0, evaluated directly from the solved recursion.
 
-    sigma(sum_j block_j @ chain_composition_j(z_{-j}) + bias): the unique
+    tanh(sum_j block_j @ chain_composition_j(z_{-j}) + bias): the unique
     solution's collector block without running the state equation, for a
     (B, T, d) batch of windows; the independent oracle for the
     recursion-computed functional.
@@ -371,7 +369,7 @@ def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarr
         acc[:] = split.bias
         for z_j, block in zip(lags, blocks):
             acc += product(z_j[rows], block, out=prod[: len(acc)])
-        split.net.activation(acc, out=acc)
+        np.tanh(acc, out=acc)
     return state
 
 
@@ -401,12 +399,6 @@ def direct_functional(split: LagBlockNet, arr: np.ndarray) -> np.ndarray:
     return split.net.forward(stacked)
 
 
-def chained_functional(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
-    """The constructed system's functional on a (B, T, d) batch, via the closed form."""
-    state = closed_form_state(split, chain, arr)
-    return state @ split.readout.T
-
-
 def _window_blocks(n: int) -> list[slice]:
     """Consecutive near-equal slices of range(n) that start at multiples of
     _BLOCK_ALIGN, each at most BUDGET_BLOCK long.  None is shorter than
@@ -423,8 +415,9 @@ def budget_errors(f: TargetFilter, split: LagBlockNet, chain: list[ShallowNet], 
     the rows of a (3, B) array.
 
     net_fit compares the truncated target with the static net, chain the
-    static net with the constructed system, total the target with the
-    system.  The windows are evaluated one block at a time.
+    static net with the constructed system (its closed form, read out),
+    total the target with the system.  The windows are evaluated one block
+    at a time.
     """
     K = split.horizon
     T = arr.shape[1]
@@ -432,7 +425,7 @@ def budget_errors(f: TargetFilter, split: LagBlockNet, chain: list[ShallowNet], 
     for rows in _window_blocks(arr.shape[0]):
         block = arr[rows]
         net_vals = direct_functional(split, block)
-        chained_vals = chained_functional(split, chain, block)
+        chained_vals = closed_form_state(split, chain, block) @ split.readout.T
         errors[0, rows] = np.linalg.norm(f.evaluate_batch(block[:, T - 1 - K :]) - net_vals, axis=1)
         errors[1, rows] = np.linalg.norm(net_vals - chained_vals, axis=1)
         errors[2, rows] = np.linalg.norm(f.evaluate_batch(block) - chained_vals, axis=1)
@@ -524,17 +517,15 @@ def construct_universal_esn(
     stage = staged("fit_static_net")
     try:
         net, net_fit_achieved = fit_to_tolerance(
-            f.truncated_map(K), d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1),
-            copies=K + 1, margin=cfg.margin,
+            lambda u: f.evaluate_batch(u.reshape(len(u), K + 1, d)),  # stacked lags, most-delayed first
+            d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1), copies=K + 1, margin=cfg.margin,
         )
     except FitToleranceError as exc:
         raise ConstructionError(stage, str(exc)) from exc
     done(stage)
 
     split = split_lag_blocks(net, d)
-    gain = identity_error_gain(
-        split.readout, net.activation.lipschitz_const, [split.lag_block(j) for j in range(K + 1)]
-    )
+    gain = identity_error_gain(split.readout, [split.lag_block(j) for j in range(K + 1)])
 
     stage = staged("fit_identity_chain")
     if K >= 1 and not gain > 0:

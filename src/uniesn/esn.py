@@ -1,6 +1,6 @@
 """Echo state network state-space systems and their property checks.
 
-The system is x_t = sigma(A x_{t-1} + C z_t + zeta), y_t = W x_t.  Systems
+The system is x_t = tanh(A x_{t-1} + C z_t + zeta), y_t = W x_t.  Systems
 assembled by the constructor carry block-structure metadata: the reservoir
 matrix A is strictly lower block-triangular with a single sub-diagonal chain
 plus a final collector row, hence nilpotent of degree K+1.  Nilpotency gives
@@ -15,8 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .shallow import Activation, get_activation
-from .windows import InputWindow, freeze
+from .windows import as_int, freeze
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class BlockStructure:
     widths: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        object.__setattr__(self, "widths", tuple(as_int(w, "structure widths") for w in self.widths))
         if len(self.widths) < 1 or any(w < 1 for w in self.widths):
             raise ValueError(f"widths must be a non-empty tuple of positives, got {self.widths}")
 
@@ -55,7 +54,6 @@ class ESNParams:
     C: np.ndarray
     zeta: np.ndarray
     W: np.ndarray
-    activation: Activation
     structure: BlockStructure
 
     def __post_init__(self):
@@ -162,7 +160,7 @@ class ESNParams:
                     width = rows.stop - rows.start
                     pre[:, rows] += np.matmul(X[:, cols], block_t, out=prod_buf[: B * width].reshape(B, width))
             pre += self.zeta[:live]
-            X[:, :live] = self.activation(pre, out=pre)
+            X[:, :live] = np.tanh(pre, out=pre)
         return X
 
     def functional_batch(self, arr: np.ndarray) -> np.ndarray:
@@ -183,7 +181,7 @@ class ESNParams:
             "N": self.state_dim,
             "d": self.in_dim,
             "m": self.out_dim,
-            "activation": self.activation.kind,
+            "activation": "tanh",
             "A": self.A,
             "C": self.C,
             "zeta": self.zeta,
@@ -198,14 +196,12 @@ class ESNParams:
         structure = obj.get("structure") if isinstance(obj, dict) else None
         if not isinstance(structure, dict):
             raise ValueError("esn.json has no structure object, which construct always writes")
-        return cls(
-            A=obj["A"],
-            C=obj["C"],
-            zeta=obj["zeta"],
-            W=obj["W"],
-            activation=get_activation(obj["activation"]),
-            structure=BlockStructure(widths=tuple(structure["widths"])),
-        )
+        if obj["activation"] != "tanh":
+            raise ValueError(f"unknown activation {obj['activation']!r}; systems are tanh")
+        blocks = BlockStructure(widths=tuple(structure["widths"]))
+        if as_int(structure["K"], "structure K") != blocks.horizon:
+            raise ValueError(f"structure K={structure['K']} does not match {len(blocks.widths)} widths")
+        return cls(A=obj["A"], C=obj["C"], zeta=obj["zeta"], W=obj["W"], structure=blocks)
 
 
 def _allowed_blocks(K: int) -> list[tuple[int, int]]:
@@ -248,8 +244,9 @@ def check_nilpotent(p: ESNParams) -> tuple[bool, int]:
     return True, p.structure.horizon + 1
 
 
-def check_esp_empirical(p: ESNParams, w: InputWindow, trials: int, seed: int) -> bool:
-    """Do `trials` random initial states all lead to the same time-0 state?
+def check_esp_empirical(p: ESNParams, window: np.ndarray, trials: int, seed: int) -> bool:
+    """Do `trials` random initial states all lead to the same time-0 state
+    on a (T, d) window?
 
     They must agree bitwise: under a proven pattern, init dependence vanishes
     after horizon+1 steps.  Each trial is its own one-window batch: rows of
@@ -258,12 +255,13 @@ def check_esp_empirical(p: ESNParams, w: InputWindow, trials: int, seed: int) ->
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    if w.length < p.structure.horizon + 1:
-        raise ValueError(
-            f"window of length {w.length} too short: need >= {p.structure.horizon + 1}"
-        )
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim != 2:
+        raise ValueError(f"window must be a (T, d) array, got shape {window.shape}")
+    if len(window) < p.structure.horizon + 1:
+        raise ValueError(f"window of length {len(window)} too short: need >= {p.structure.horizon + 1}")
     rng = np.random.default_rng(seed)
-    arr = w.entries[None, :, :]
+    arr = window[None, :, :]
     finals = [p.run_batch(arr, x_init=rng.standard_normal(p.state_dim))[0] for _ in range(trials)]
     return all(np.array_equal(finals[0], x) for x in finals[1:])
 

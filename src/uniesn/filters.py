@@ -63,26 +63,6 @@ class TargetFilter:
             "the filter's memory decays too slowly or the budget is too small"
         )
 
-    def truncated_map(self, horizon: int):
-        """The finite-memory restriction as a map on stacked lag vectors.
-
-        Returns a function taking batches of horizon+1 stacked lag vectors
-        (most-delayed first, the present last) and returning (B, out_dim)
-        outputs.  This is the fitting target for the static network stage.
-        """
-        if horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {horizon}")
-        d = self.in_dim
-        copies = horizon + 1
-
-        def truncated(u):
-            u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-            if u.shape[1] != copies * d:
-                raise ValueError(f"stacked input dim {u.shape[1]} != {copies * d}")
-            return self.evaluate_batch(u.reshape(u.shape[0], copies, d))
-
-        return truncated
-
 
 @dataclass(frozen=True)
 class FIRFilter(TargetFilter):

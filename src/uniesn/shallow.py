@@ -3,6 +3,8 @@
 These nets do double duty: one approximates the truncated target functional
 on a product of balls, and a chain of them approximates the identity map so
 that past inputs can be ferried through the reservoir one step at a time.
+The activation is always tanh: bounded, 1-Lipschitz and non-constant, the
+three facts every estimate downstream leans on.
 
 Training is random features plus ridge least squares, never backprop: the
 hidden layer is frozen random, the readout solves a convex problem, and the
@@ -17,41 +19,12 @@ from .windows import as_int, as_real, freeze, sample_product_ball
 
 
 @dataclass(frozen=True)
-class Activation:
-    """A scalar activation, applied componentwise.
-
-    Must be Lipschitz, bounded, and non-constant; those three facts are what
-    every estimate downstream leans on.
-    """
-
-    kind: str
-    lipschitz_const: float
-
-    def __call__(self, x, out=None):
-        """sigma(x), written into ``out`` when given (``out`` may be ``x``)."""
-        if self.kind == "tanh":
-            return np.tanh(x, out=out)
-        raise ValueError(f"unknown activation kind {self.kind!r}")
-
-
-_ACTIVATIONS = {"tanh": Activation(kind="tanh", lipschitz_const=1.0)}
-
-
-def get_activation(kind: str) -> Activation:
-    try:
-        return _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}; known: {sorted(_ACTIVATIONS)}") from None
-
-
-@dataclass(frozen=True)
 class ShallowNet:
-    """readout @ sigma(hidden_matrix @ u + hidden_bias)."""
+    """readout @ tanh(hidden_matrix @ u + hidden_bias)."""
 
     hidden_matrix: np.ndarray
     hidden_bias: np.ndarray
     readout: np.ndarray
-    activation: Activation
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_matrix", freeze(self.hidden_matrix))
@@ -85,7 +58,7 @@ class ShallowNet:
             raise ValueError(f"expected a batch of shape (n, {self.in_dim}), got {u.shape}")
         pre = u @ self.hidden_matrix.T
         pre += self.hidden_bias
-        return self.activation(pre, out=pre) @ self.readout.T
+        return np.tanh(pre, out=pre) @ self.readout.T
 
     def to_json(self) -> dict:
         """The net's JSON object, with the weights as (read-only) float arrays."""
@@ -93,7 +66,7 @@ class ShallowNet:
             "in_dim": self.in_dim,
             "out_dim": self.out_dim,
             "width": self.width,
-            "activation": self.activation.kind,
+            "activation": "tanh",
             "hidden_matrix": self.hidden_matrix,
             "hidden_bias": self.hidden_bias,
             "readout": self.readout,
@@ -101,12 +74,9 @@ class ShallowNet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShallowNet":
-        return cls(
-            hidden_matrix=obj["hidden_matrix"],
-            hidden_bias=obj["hidden_bias"],
-            readout=obj["readout"],
-            activation=get_activation(obj["activation"]),
-        )
+        if obj["activation"] != "tanh":
+            raise ValueError(f"unknown activation {obj['activation']!r}; nets are tanh")
+        return cls(hidden_matrix=obj["hidden_matrix"], hidden_bias=obj["hidden_bias"], readout=obj["readout"])
 
 
 class FitToleranceError(RuntimeError):
@@ -184,10 +154,9 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     bias[:width] = rng.uniform(-scale, scale, size=width)
     bias[width] = 1.0
 
-    act = _ACTIVATIONS["tanh"]
     phi = X @ hidden.T
     phi += bias
-    act(phi, out=phi)  # (n, width+1) features, in place
+    np.tanh(phi, out=phi)  # (n, width+1) features, in place
     gram = phi.T @ phi
     gram /= n
     gram[np.diag_indices(width)] += ridge  # leave the constant unit unpenalized
@@ -202,7 +171,7 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
         raise np.linalg.LinAlgError(
             "normal equations are singular; increase ridge or width"
         ) from exc
-    return ShallowNet(hidden_matrix=hidden, hidden_bias=bias, readout=readout_t.T, activation=act)
+    return ShallowNet(hidden_matrix=hidden, hidden_bias=bias, readout=readout_t.T)
 
 
 def fit_to_tolerance(

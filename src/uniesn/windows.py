@@ -7,11 +7,9 @@ zero-extension error is controlled by an analytic truncation bound, and the
 constructed networks have exact finite memory, which makes windows of
 sufficient length lossless.
 
-Entries are stored past-to-present: ``entries[0]`` is the oldest value and
-``entries[-1]`` is the value at time 0.
+A batch of windows is a (B, T, d) array stored past-to-present:
+``arr[:, 0]`` is the oldest entry and ``arr[:, -1]`` the entry at time 0.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,49 +34,6 @@ def as_real(value, name: str) -> float:
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
-
-
-@dataclass(frozen=True)
-class InputWindow:
-    """The last ``T`` entries of a bounded input sequence.
-
-    entries: (T, d) array, rows ordered past-to-present (row -1 is time 0).
-    bound:   radius M of the closed ball every entry must lie in.
-    """
-
-    entries: np.ndarray
-    bound: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", freeze(self.entries))
-        if self.entries.ndim != 2:
-            raise ValueError(f"entries must be a (T, d) array, got shape {self.entries.shape}")
-        T, d = self.entries.shape
-        if T < 1 or d < 1:
-            raise ValueError(f"window needs T >= 1 and d >= 1, got T={T}, d={d}")
-        if not self.bound > 0:
-            raise ValueError(f"bound must be positive, got {self.bound}")
-        norms = np.linalg.norm(self.entries, axis=1)
-        if np.any(norms > self.bound):
-            worst = int(np.argmax(norms))
-            raise ValueError(
-                f"entry at position {worst} has norm {norms[worst]!r} > bound {self.bound!r}; "
-                "input lies outside the admissible ball"
-            )
-
-    @property
-    def length(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[1]
-
-
-def make_window(entries, M: float) -> InputWindow:
-    """Validate a list of d-vectors as a window with per-entry norm <= M."""
-    arr = np.atleast_2d(np.asarray(entries, dtype=np.float64))
-    return InputWindow(entries=arr, bound=float(M))
 
 
 def sample_product_ball(d: int, R: float, copies: int, n: int, seed: int) -> np.ndarray:

@@ -343,6 +343,29 @@ def test_output_path_that_cannot_be_written_is_exit_2(command, built, tmp_path, 
     assert sorted(os.listdir()) == ["afile", "config.json"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_output_file_that_cannot_be_written_after_the_work_is_exit_2(command, built, tmp_path, monkeypatch, capsys):
+    # The output's directory exists, so the checks or the points run, and
+    # only the final write fails: the output's name is taken by a directory.
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for name in ("_verify_checks", "_sweep_point"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: ran.append(name) or real(*a))
+    if command == "verify":
+        Path("verify.json").mkdir()
+        cfg = write_config(tmp_path, verification={"out": "verify.json"})
+        argv, work = ["verify", str(built / "esn.json"), str(cfg)], "_verify_checks"
+    else:
+        Path("out", "sweep.csv").mkdir(parents=True)
+        argv, work = ["sweep", str(write_config(tmp_path)), "--eps", "0.5", "--out", "out"], "_sweep_point"
+    assert cli.main(argv) == 2
+    assert ran == [work]
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err
+    assert captured.out == ""
+
+
 class TestVerify:
     @pytest.fixture()
     def constructed(self, tmp_path):
@@ -467,6 +490,13 @@ class TestVerify:
             ({}, edited("esn.json", lambda esn: esn.__setitem__("A", None))),
             ({}, edited("esn.json", lambda esn: esn.__setitem__("A", 2.0))),
             ({"verification": {"nets": "/nonexistent/nets.json"}}, None),
+            ({}, edited("esn.json", lambda esn: esn["structure"].update(
+                widths=[w + 0.5 for w in esn["structure"]["widths"]]))),
+            # All-ones widths that sum to N: cast with int(), they would describe a valid structure.
+            ({}, edited("esn.json", lambda esn: esn["structure"].update(widths=[True] * esn["N"], K=esn["N"] - 1))),
+            ({}, edited("esn.json", lambda esn: esn["structure"].update(K=99))),
+            ({}, edited("nets.json", lambda nets: nets.__setitem__("lag_dim", True))),
+            ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("activation", "logistic"))),
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
@@ -480,6 +510,7 @@ class TestVerify:
             "esn_without_structure", "esn_null_structure", "esn_logistic", "esn_not_object",
             "esn_null_A", "esn_number_A",
             "nets_missing_explicit_path",
+            "esn_widths_fraction", "esn_widths_bool", "esn_K_mismatch", "nets_lag_dim_bool", "nets_logistic",
         ],
     )
     def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, overrides, file_text):

@@ -26,7 +26,6 @@ from uniesn.construct import (
     assemble_esn,
     budget_errors,
     build_identity_chain,
-    chained_functional,
     closed_form_state,
     compose_chain,
     construct_universal_esn,
@@ -39,10 +38,8 @@ from uniesn.construct import (
 from uniesn.esn import check_finite_memory, check_nilpotent
 from uniesn.filters import ExpFadingFilter, FIRFilter, filter_from_json
 from uniesn.linalg import operator_norm
-from uniesn.shallow import ShallowNet, WidthPolicy, get_activation
+from uniesn.shallow import ShallowNet, WidthPolicy
 from uniesn.windows import sample_product_ball, sample_window_array
-
-TANH = get_activation("tanh")
 
 
 def random_net(width, in_dim, out_dim, seed, scale=1.0):
@@ -51,7 +48,6 @@ def random_net(width, in_dim, out_dim, seed, scale=1.0):
         hidden_matrix=rng.standard_normal((width, in_dim)) * scale,
         hidden_bias=rng.standard_normal(width) * scale,
         readout=rng.standard_normal((out_dim, width)) * scale,
-        activation=TANH,
     )
 
 
@@ -90,17 +86,17 @@ class TestSplitAndGain:
     def test_gain_two_term_example(self):
         w_bar = np.array([[2.0]])
         blocks = [np.array([[1.0]]), np.array([[1.0]])]  # lags 0 and 1, both norm 1
-        assert identity_error_gain(w_bar, 1.0, blocks) == pytest.approx(2.0)
+        assert identity_error_gain(w_bar, blocks) == pytest.approx(2.0)
 
     def test_gain_zero_blocks(self):
         blocks = [np.zeros((3, 2)) for _ in range(3)]
-        assert identity_error_gain(np.ones((1, 3)), 1.0, blocks) == 0.0
+        assert identity_error_gain(np.ones((1, 3)), blocks) == 0.0
 
     def test_gain_matches_dense_svd_oracle(self):
         rng = np.random.default_rng(3)
         w_bar = rng.standard_normal((2, 5))
         blocks = [rng.standard_normal((5, 2)) for _ in range(3)]
-        got = identity_error_gain(w_bar, 1.0, blocks)
+        got = identity_error_gain(w_bar, blocks)
         svd = lambda a: float(np.linalg.svd(a, compute_uv=False)[0])
         want = svd(w_bar) * sum(j * svd(b) for j, b in enumerate(blocks))
         assert abs(got - want) <= 1e-10 * max(1.0, want)
@@ -110,7 +106,7 @@ class TestSplitAndGain:
         w_bar = rng.standard_normal((1, 4))
         blocks = [rng.standard_normal((4, 1)) for _ in range(3)]
         altered = [rng.standard_normal((4, 1)) * 100] + blocks[1:]
-        assert identity_error_gain(w_bar, 1.0, blocks) == identity_error_gain(w_bar, 1.0, altered)
+        assert identity_error_gain(w_bar, blocks) == identity_error_gain(w_bar, altered)
 
     def test_split_rejects_bad_lag_dim(self):
         net = random_net(4, 5, 1, seed=5)
@@ -191,7 +187,7 @@ class TestVerifyChainBound:
         # a net that shifts everything by a constant violates the drift bound
         bad = ShallowNet(
             hidden_matrix=np.zeros((1, 1)), hidden_bias=np.array([1.0]),
-            readout=np.array([[10.0]]), activation=TANH,
+            readout=np.array([[10.0]]),
         )
         with pytest.raises(ChainBoundError) as exc_info:
             verify_chain_bound([bad], 1.0, 0.3, 1.0, n_samples=50, seed=14)
@@ -267,7 +263,7 @@ class TestClosedForm:
     def test_degenerate_formula(self):
         split = random_split(K=0, d=1, collector_width=4, seed=23)
         arr = np.array([[[0.4]]])
-        want = TANH(split.lag_block(0) @ np.array([0.4]) + split.bias)
+        want = np.tanh(split.lag_block(0) @ np.array([0.4]) + split.bias)
         np.testing.assert_allclose(closed_form_state(split, [], arr)[0], want, atol=1e-15)
 
     def test_matches_recursion_within_tolerance(self):
@@ -305,11 +301,16 @@ class TestClosedForm:
         assert np.array_equal(closed_form_state(split, chain, arr), np.tanh(acc))
 
     def test_chained_functional_is_readout_of_state(self):
+        # the budget's chain and total terms read the system through its
+        # closed-form collector state and the static readout
+        f = ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)
         split = random_split(K=2, d=1, collector_width=5, seed=25)
         chain = [random_net(3, 1, 1, seed=26), random_net(3, 1, 1, seed=27)]
         arr = sample_window_array(1, 1.0, 4, 10, seed=28)
-        want = closed_form_state(split, chain, arr) @ split.readout.T
-        assert np.array_equal(chained_functional(split, chain, arr), want)
+        chained = closed_form_state(split, chain, arr) @ split.readout.T
+        errors = budget_errors(f, split, chain, arr)
+        assert np.array_equal(errors[1], np.linalg.norm(direct_functional(split, arr) - chained, axis=1))
+        assert np.array_equal(errors[2], np.linalg.norm(f.evaluate_batch(arr) - chained, axis=1))
 
     def test_window_too_short(self):
         split = random_split(K=3, d=1, collector_width=4, seed=29)
@@ -328,7 +329,7 @@ class TestDirectFunctional:
     def test_zero_ingredients_give_zero(self):
         net = ShallowNet(
             hidden_matrix=np.zeros((3, 2)), hidden_bias=np.zeros(3),
-            readout=np.zeros((1, 3)), activation=TANH,
+            readout=np.zeros((1, 3)),
         )
         split = split_lag_blocks(net, 1)
         arr = sample_window_array(1, 1.0, 3, 5, seed=36)
@@ -345,13 +346,14 @@ class TestDirectFunctional:
         K, T = 3, 6
         w_norm = operator_norm(split.readout)
         block_norms = [operator_norm(split.lag_block(j)) for j in range(K + 1)]
-        lhs = np.linalg.norm(direct_functional(split, arr) - chained_functional(split, chain, arr), axis=1)
+        chained = closed_form_state(split, chain, arr) @ split.readout.T
+        lhs = np.linalg.norm(direct_functional(split, arr) - chained, axis=1)
         rhs = np.zeros(arr.shape[0])
         for j in range(K + 1):
             z_j = arr[:, T - 1 - j, :]
             drift = np.linalg.norm(compose_chain(chain, j, z_j) - z_j, axis=1)
             rhs += block_norms[j] * drift
-        rhs *= w_norm * TANH.lipschitz_const
+        rhs *= w_norm  # tanh is 1-Lipschitz
         assert np.all(lhs <= rhs + 1e-12)
 
 
@@ -467,7 +469,7 @@ def check_blocks_match_one_batch(spec: dict, eps: float, seed: int):
         sizes = [s.stop - s.start for s in _window_blocks(n)]
         assert len(set(sizes)) > 1, sizes  # an uneven split
         net_vals = direct_functional(split, arr[:n])
-        chained_vals = chained_functional(split, chain, arr[:n])
+        chained_vals = closed_form_state(split, chain, arr[:n]) @ split.readout.T
         want = np.stack([
             np.linalg.norm(f.evaluate_batch(arr[:n, T - 1 - K :]) - net_vals, axis=1),
             np.linalg.norm(net_vals - chained_vals, axis=1),
@@ -490,7 +492,7 @@ def check_tiles_match_one_shot(d: int):
     def net(n_in, n_out, w):
         return ShallowNet(
             hidden_matrix=rng.uniform(-1, 1, (w, n_in)), hidden_bias=rng.uniform(-1, 1, w),
-            readout=rng.uniform(-1, 1, (n_out, w)) / w, activation=TANH,
+            readout=rng.uniform(-1, 1, (n_out, w)) / w,
         )
 
     split = split_lag_blocks(net((K + 1) * d, 1, width), d)

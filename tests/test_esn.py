@@ -15,17 +15,14 @@ from uniesn.esn import (
     check_finite_memory,
     check_nilpotent,
 )
-from uniesn.shallow import get_activation
-from uniesn.windows import InputWindow, make_window, sample_window_array
-
-TANH = get_activation("tanh")
+from uniesn.windows import sample_window_array
 
 
 def scalar_esn(a, c, zeta=0.0, w=1.0):
     """A one-block system: a nonzero ``a`` fails its pattern and runs densely."""
     return ESNParams(
         A=np.array([[a]]), C=np.array([[c]]), zeta=np.array([zeta]),
-        W=np.array([[w]]), activation=TANH, structure=BlockStructure(widths=(1,)),
+        W=np.array([[w]]), structure=BlockStructure(widths=(1,)),
     )
 
 
@@ -37,7 +34,7 @@ def random_esn(N, d, m, seed, spectral=None):
         A *= spectral / np.linalg.svd(A, compute_uv=False)[0]
     return ESNParams(
         A=A, C=rng.standard_normal((N, d)), zeta=rng.standard_normal(N),
-        W=rng.standard_normal((m, N)), activation=TANH, structure=BlockStructure(widths=(N,)),
+        W=rng.standard_normal((m, N)), structure=BlockStructure(widths=(N,)),
     )
 
 
@@ -63,7 +60,7 @@ def chain_esn(widths, d, m, seed):
     zeta = rng.standard_normal(N)
     W = np.zeros((m, N))
     W[:, off[K] :] = rng.standard_normal((m, widths[K]))
-    return ESNParams(A=A, C=C, zeta=zeta, W=W, activation=TANH, structure=structure)
+    return ESNParams(A=A, C=C, zeta=zeta, W=W, structure=structure)
 
 
 class TestStep:
@@ -83,7 +80,7 @@ class TestStep:
         N, d = 2, 2
         p = ESNParams(
             A=rng.standard_normal((N, N)), C=rng.standard_normal((N, d)),
-            zeta=rng.standard_normal(N), W=np.ones((1, N)), activation=TANH,
+            zeta=rng.standard_normal(N), W=np.ones((1, N)),
             structure=BlockStructure(widths=(N,)),
         )
         x_prev = rng.standard_normal(N)
@@ -146,8 +143,7 @@ class TestFunctional:
 
     def test_zero_readout_gives_zero(self):
         p = chain_esn([2, 3], d=1, m=2, seed=28)
-        p = ESNParams(A=p.A, C=p.C, zeta=p.zeta, W=np.zeros((2, p.state_dim)),
-                      activation=TANH, structure=p.structure)
+        p = ESNParams(A=p.A, C=p.C, zeta=p.zeta, W=np.zeros((2, p.state_dim)), structure=p.structure)
         arr = np.array([[[0.4], [0.2]]])
         assert np.array_equal(p.functional_batch(arr), [[0.0, 0.0]])
 
@@ -175,7 +171,7 @@ class TestNilpotency:
     def test_single_block_means_zero_matrix(self):
         p = ESNParams(
             A=np.zeros((3, 3)), C=np.ones((3, 1)), zeta=np.zeros(3),
-            W=np.ones((1, 3)), activation=TANH, structure=BlockStructure(widths=(3,)),
+            W=np.ones((1, 3)), structure=BlockStructure(widths=(3,)),
         )
         assert check_nilpotent(p) == (True, 1)
 
@@ -183,14 +179,14 @@ class TestNilpotency:
         p = chain_esn([2, 2, 2], d=1, m=1, seed=35)
         A = np.array(p.A)
         A[0, 3] = 1.0  # first block row must stay zero
-        bad = ESNParams(A=A, C=p.C, zeta=p.zeta, W=p.W, activation=TANH, structure=p.structure)
+        bad = ESNParams(A=A, C=p.C, zeta=p.zeta, W=p.W, structure=p.structure)
         ok, _ = check_nilpotent(bad)
         assert not ok
 
     def test_requires_structure(self):
         with pytest.raises(TypeError, match="structure"):
             ESNParams(A=np.zeros((1, 1)), C=np.ones((1, 1)), zeta=np.zeros(1),
-                      W=np.ones((1, 1)), activation=TANH)
+                      W=np.ones((1, 1)))
 
     def test_power_is_exactly_zero(self):
         p = chain_esn([3, 3, 3], d=1, m=1, seed=36)
@@ -202,19 +198,23 @@ class TestNilpotency:
 class TestEchoStateProperty:
     def test_structured_bitwise(self):
         p = chain_esn([3, 4, 5], d=1, m=1, seed=37)
-        arr = sample_window_array(1, 1.0, p.structure.horizon + 1, 3, seed=38)[2]
-        w = InputWindow(entries=arr, bound=1.0)
-        assert check_esp_empirical(p, w, trials=10, seed=39)
+        window = sample_window_array(1, 1.0, p.structure.horizon + 1, 3, seed=38)[2]
+        assert check_esp_empirical(p, window, trials=10, seed=39)
 
     def test_expanding_map_fails(self):
         p = scalar_esn(2.0, 1.0)
-        w = make_window([(0.3,)], M=1.0)
-        assert not check_esp_empirical(p, w, trials=10, seed=40)
+        assert not check_esp_empirical(p, np.array([[0.3]]), trials=10, seed=40)
 
     def test_zero_matrix_converges_in_one_step(self):
         p = scalar_esn(0.0, 1.0)
-        w = make_window([(0.3,)], M=1.0)
-        assert check_esp_empirical(p, w, trials=10, seed=41)
+        assert check_esp_empirical(p, np.array([[0.3]]), trials=10, seed=41)
+
+    def test_window_must_be_two_dimensional_and_long_enough(self):
+        p = chain_esn([3, 4, 5], d=1, m=1, seed=37)
+        with pytest.raises(ValueError, match=r"\(T, d\) array"):
+            check_esp_empirical(p, np.zeros(3), trials=2, seed=0)
+        with pytest.raises(ValueError, match="too short"):
+            check_esp_empirical(p, np.zeros((2, 1)), trials=2, seed=0)
 
 
 class TestFiniteMemory:
@@ -250,13 +250,13 @@ class TestFiniteMemory:
             check_finite_memory(p, arr1, arr2)
 
     def test_contractive_influence_decays_geometrically(self):
-        # a dense system whose pattern fails still runs its recursion: with
-        # L_sigma * ||A|| = rho < 1 the influence of a rewrite q steps in the
-        # past obeys ||W|| * rho^q * (state diameter) exactly
+        # a dense system whose pattern fails still runs its recursion: tanh is
+        # 1-Lipschitz, so with ||A|| = rho < 1 the influence of a rewrite q
+        # steps in the past obeys ||W|| * rho^q * (state diameter) exactly
         from uniesn.linalg import operator_norm
 
         p = random_esn(4, 1, 1, seed=50, spectral=0.6)
-        rho = TANH.lipschitz_const * operator_norm(p.A)
+        rho = operator_norm(p.A)
         assert rho < 1.0
         w_norm = operator_norm(p.W)
         diam = 2 * np.sqrt(p.state_dim)  # tanh states live in [-1, 1]^N
@@ -306,16 +306,25 @@ class TestSerialization:
         arrays = {k: np.array(getattr(p, k)) for k in ("A", "C", "zeta", "W")}
         arrays[name].flat[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            ESNParams(**arrays, activation=TANH, structure=p.structure)
+            ESNParams(**arrays, structure=p.structure)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             ESNParams(A=np.zeros((2, 3)), C=np.zeros((2, 1)), zeta=np.zeros(2),
-                      W=np.zeros((1, 2)), activation=TANH, structure=BlockStructure(widths=(2,)))
+                      W=np.zeros((1, 2)), structure=BlockStructure(widths=(2,)))
         with pytest.raises(ValueError):
             ESNParams(A=np.zeros((2, 2)), C=np.zeros((2, 1)), zeta=np.zeros(2),
-                      W=np.zeros((1, 2)), activation=TANH,
+                      W=np.zeros((1, 2)),
                       structure=BlockStructure(widths=(3,)))
+
+    @pytest.mark.parametrize(
+        "structure", [{"widths": [True, True], "K": 1}, {"widths": [1, 1], "K": True}], ids=["widths_bool", "K_bool"]
+    )
+    def test_structure_booleans_rejected(self, structure):
+        # each would read as widths (1, 1), horizon 1, if cast with int()
+        obj = {**chain_esn([1, 1], d=1, m=1, seed=59).to_json(), "structure": structure}
+        with pytest.raises(ValueError, match="must be an integer"):
+            ESNParams.from_json(obj)
 
 
 def dense_reference(p, arr, x0):
@@ -427,7 +436,7 @@ class TestBlockRecursion:
         j = data.draw(st.integers(off[c], off[c + 1] - 1))
         A = np.array(p.A)
         A[i, j] = data.draw(st.floats(0.1, 2.0))
-        bad = ESNParams(A=A, C=p.C, zeta=p.zeta, W=p.W, activation=TANH, structure=p.structure)
+        bad = ESNParams(A=A, C=p.C, zeta=p.zeta, W=p.W, structure=p.structure)
         assert check_nilpotent(bad) == (False, 0)
         arr = sample_window_array(p.in_dim, 1.0, K + 3, 4, seed=57)
         x0 = np.random.default_rng(58).standard_normal(p.state_dim)

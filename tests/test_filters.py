@@ -10,7 +10,7 @@ from uniesn.filters import (
     filter_from_json,
 )
 from uniesn.linalg import operator_norm
-from uniesn.windows import make_window, sample_window_array
+from uniesn.windows import sample_window_array
 
 
 def fir(coeffs, d=1, m=1, M=1.0):
@@ -21,9 +21,9 @@ def expfading(decay=0.5, B=1.0, d=1, m=1, M=1.0):
     return ExpFadingFilter(in_dim=d, out_dim=m, input_bound=M, matrix=np.atleast_2d(B), decay=decay)
 
 
-def one(entries, M=1.0):
-    """A validated window as a one-window (1, T, d) batch."""
-    return make_window(entries, M).entries[None, :, :]
+def one(entries):
+    """A window, given as a list of d-vectors oldest first, as a one-window (1, T, d) batch."""
+    return np.array(entries, dtype=np.float64)[None, :, :]
 
 
 class TestEvaluate:
@@ -164,30 +164,27 @@ class TestChooseHorizon:
 
 
 class TestTruncatedMap:
+    """The truncated map at horizon K is the functional on the last K+1 entries."""
+
     def test_agrees_with_functional_on_short_windows(self):
         f = expfading(decay=0.6)
         K = 3
-        g = f.truncated_map(K)
         arr = sample_window_array(1, 1.0, K + 1, 50, seed=9)
-        stacked = arr.reshape(50, K + 1)
-        np.testing.assert_allclose(g(stacked), f.evaluate_batch(arr), atol=1e-15)
+        np.testing.assert_allclose(f.evaluate_batch(arr[:, -(K + 1) :]), f.evaluate_batch(arr), atol=1e-15)
 
     def test_fir_with_enough_horizon_is_exact(self):
         f = fir([[1.0], [-0.5]])
         K = 3
-        g = f.truncated_map(K)
-        arr = sample_window_array(1, 1.0, 12, 200, seed=10)
-        stacked = arr[:, 12 - (K + 1) :, :].reshape(200, K + 1)
-        np.testing.assert_allclose(g(stacked), f.evaluate_batch(arr), atol=1e-15)
+        T = 12
+        arr = sample_window_array(1, 1.0, T, 200, seed=10)
+        np.testing.assert_allclose(f.evaluate_batch(arr[:, T - (K + 1) :]), f.evaluate_batch(arr), atol=1e-15)
 
     def test_gap_on_long_windows_within_bound(self):
         f = expfading()
         K = 4
-        g = f.truncated_map(K)
         T = 2 * (K + 1)
         arr = sample_window_array(1, 1.0, T, 2000, seed=11)
-        stacked = arr[:, T - (K + 1) :, :].reshape(2000, K + 1)
-        gaps = np.linalg.norm(f.evaluate_batch(arr) - g(stacked), axis=1)
+        gaps = np.linalg.norm(f.evaluate_batch(arr) - f.evaluate_batch(arr[:, T - (K + 1) :]), axis=1)
         assert np.max(gaps) <= f.truncation_bound(K) + 1e-12
 
 

@@ -1,41 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniesn.windows import (
-    InputWindow,
-    make_window,
-    sample_product_ball,
-    sample_window_array,
-)
-
-
-class TestMakeWindow:
-    def test_zero_vector_always_inside(self):
-        w = make_window([(0.0, 0.0)], M=1.0)
-        assert w.length == 1
-        assert w.dim == 2
-
-    def test_boundary_norm_accepted(self):
-        # closed ball: norm exactly 1.0 is admissible
-        w = make_window([(0.6, 0.8)], M=1.0)
-        assert w.length == 1
-
-    def test_norm_above_bound_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            make_window([(1.1,)], M=1.0)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            InputWindow(entries=np.zeros((0, 1)), bound=1.0)
-        with pytest.raises(ValueError):
-            InputWindow(entries=np.zeros((1, 1)), bound=0.0)
-
-    def test_entries_are_immutable(self):
-        w = make_window([(0.5,)], M=1.0)
-        with pytest.raises(ValueError):
-            w.entries[0, 0] = 2.0
+from uniesn.windows import sample_product_ball, sample_window_array
 
 
 class TestSampleBall:
