@@ -199,7 +199,7 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
         "gain": result.gain,
         "budget": {"eps": result.budget.eps, **{term: value for term, value, _, _ in rows}},
         "budget_status": {term: status for term, _, status, _ in rows},
-        "target_certified": True,
+        "verdict_status": result.budget.verdict_status(),
         "per_lag_chain": result.chain_records,
         "net_fit_achieved_validation": result.net_fit_achieved,
         "closed_form_check": {
@@ -533,7 +533,7 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="uniesn",
-        description="Construct echo state networks within eps of a target filter and certify them.",
+        description="Construct echo state networks within eps of a target filter and check their error budgets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -432,13 +432,19 @@ def budget_errors(f: TargetFilter, split: LagBlockNet, chain: list[ShallowNet], 
     return errors
 
 
+# Budget term labels, weakest first: a sampled sup is a lower bound on the
+# true one, an analytic bound an upper bound.
+STATUS_STRENGTH = ("sampled_sup", "analytic_upper_bound")
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """The three-way error split and its empirical verdict.
 
     truncation_analytic is a true upper bound; the sampled terms are maxima
     over finite samples, hence lower bounds on their sups.  rows() is the one statement
-    of each term's label and limit.
+    of each term's label and limit; verdict_status() labels the verdict as a
+    whole, never stronger than its weakest term.
     """
 
     eps: float
@@ -456,6 +462,10 @@ class ErrorBudget:
             ("chain", self.chain_sampled, "sampled_sup", third),
             ("total", self.total_sampled, "sampled_sup", self.eps),
         ]
+
+    def verdict_status(self) -> str:
+        """The label the verdict "within eps" can carry: its weakest term's."""
+        return min((status for _, _, status, _ in self.rows()), key=STATUS_STRENGTH.index)
 
     def check(self):
         """Raise BudgetError for the first term not strictly below its limit."""
@@ -488,7 +498,11 @@ def _derived_seed(base: int, tag: int) -> int:
 def construct_universal_esn(
     f: TargetFilter, cfg: ConstructionConfig, *, on_assembled=None
 ) -> ConstructionResult:
-    """Run the whole construction and certify its error budget.
+    """Run the whole construction and check its error budget.
+
+    Only the truncation term is an analytic bound; the other terms are
+    sampled sups, so the returned budget's verdict_status() is
+    ``"sampled_sup"``.
 
     Raises ConstructionError (with a stage tag) if any stage fails, or
     BudgetError if every stage succeeds but a budget term misses its share.

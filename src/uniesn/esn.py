@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .windows import as_int, freeze
+from .windows import as_int, check_stated_sizes, freeze
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,9 @@ class ESNParams:
         blocks = BlockStructure(widths=tuple(structure["widths"]))
         if as_int(structure["K"], "structure K") != blocks.horizon:
             raise ValueError(f"structure K={structure['K']} does not match {len(blocks.widths)} widths")
-        return cls(A=obj["A"], C=obj["C"], zeta=obj["zeta"], W=obj["W"], structure=blocks)
+        esn = cls(A=obj["A"], C=obj["C"], zeta=obj["zeta"], W=obj["W"], structure=blocks)
+        check_stated_sizes(obj, {"N": esn.state_dim, "d": esn.in_dim, "m": esn.out_dim}, "esn.json")
+        return esn
 
 
 def _allowed_blocks(K: int) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .windows import as_int, as_real, freeze, sample_product_ball
+from .windows import as_int, as_real, check_stated_sizes, freeze, sample_product_ball
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,9 @@ class ShallowNet:
     def from_json(cls, obj: dict) -> "ShallowNet":
         if obj["activation"] != "tanh":
             raise ValueError(f"unknown activation {obj['activation']!r}; nets are tanh")
-        return cls(hidden_matrix=obj["hidden_matrix"], hidden_bias=obj["hidden_bias"], readout=obj["readout"])
+        net = cls(hidden_matrix=obj["hidden_matrix"], hidden_bias=obj["hidden_bias"], readout=obj["readout"])
+        check_stated_sizes(obj, {"in_dim": net.in_dim, "out_dim": net.out_dim, "width": net.width}, "net")
+        return net
 
 
 class FitToleranceError(RuntimeError):
@@ -134,6 +136,19 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     minimizes mean squared error plus ridge * ||readout||_F^2, which makes the
     solution invariant under uniform duplication of the sample set.  The
     constant unit is exempt from the penalty, as an intercept should be.
+
+    The sample count n picks how the problem is solved:
+
+    - n >= width + 1: the (width+1)-square normal equations
+      (phi^T phi / n + ridge * D) readout^T = phi^T Y / n, where D is the
+      identity with the constant unit's entry zeroed.
+    - n < width + 1: the same problem in sample space, the (n+1)-square
+      bordered system of ``_bordered_readout``, which is smaller.
+
+    Each regime is bitwise reproducible.  The two agree to rounding, not
+    bitwise, so duplicating the samples keeps the readout only to rounding
+    once the duplicated count crosses width + 1.  A singular system raises
+    LinAlgError in either regime.
     """
     X = np.asarray(inputs, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
@@ -157,21 +172,49 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     phi = X @ hidden.T
     phi += bias
     np.tanh(phi, out=phi)  # (n, width+1) features, in place
-    gram = phi.T @ phi
-    gram /= n
-    gram[np.diag_indices(width)] += ridge  # leave the constant unit unpenalized
-    rhs = phi.T @ Y / n
-    del phi  # the solve then holds only the gram and LAPACK's Fortran copy of it
     try:
-        # gram is exactly symmetric (phi.T @ phi is one triangle, mirrored),
-        # and its F-ordered transpose is LAPACK's layout: solve copies it
-        # straight instead of transposing.
-        readout_t = np.linalg.solve(gram.T, rhs)
+        if n < width + 1:
+            readout_t = _bordered_readout(phi, Y, ridge)
+        else:
+            gram = phi.T @ phi
+            gram /= n
+            gram[np.diag_indices(width)] += ridge  # leave the constant unit unpenalized
+            rhs = phi.T @ Y / n
+            del phi  # the solve then holds only the gram and LAPACK's Fortran copy of it
+            # gram is exactly symmetric (phi.T @ phi is one triangle, mirrored),
+            # and its F-ordered transpose is LAPACK's layout: solve copies it
+            # straight instead of transposing.
+            readout_t = np.linalg.solve(gram.T, rhs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "normal equations are singular; increase ridge or width"
         ) from exc
     return ShallowNet(hidden_matrix=hidden, hidden_bias=bias, readout=readout_t.T)
+
+
+def _bordered_readout(phi: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve the same ridge problem in sample space, for n < width + 1.
+
+    With the penalized features F = phi[:, :-1] and the constant unit's
+    column f_c = phi[:, -1], the readout (transposed) is (F^T alpha; c) where
+
+        [[F F^T + n ridge I, f_c], [f_c^T, 0]] [alpha; c] = [Y; 0],
+
+    an (n+1)-square system: the border keeps the constant unit unpenalized.
+    """
+    n = len(phi)
+    feats, const = phi[:, :-1], phi[:, -1]
+    system = np.empty((n + 1, n + 1))
+    # F @ F.T is one triangle, mirrored (exactly symmetric), written straight
+    # into the system's leading block.
+    np.matmul(feats, feats.T, out=system[:n, :n])
+    system[np.diag_indices(n)] += n * ridge
+    system[:n, n] = system[n, :n] = const
+    system[n, n] = 0.0
+    rhs = np.zeros((n + 1, Y.shape[1]))
+    rhs[:n] = Y
+    sol = np.linalg.solve(system.T, rhs)  # system is exactly symmetric, as in the primal
+    return np.vstack([feats.T @ sol[:n], sol[n:]])
 
 
 def fit_to_tolerance(

@@ -29,6 +29,13 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def check_stated_sizes(obj: dict, sizes: dict, what: str):
+    """Raise ValueError unless each size ``obj`` states equals the one its arrays give."""
+    for key, size in sizes.items():
+        if as_int(obj[key], f"{what} {key}") != size:
+            raise ValueError(f"{what} states {key}={obj[key]!r}, but its arrays give {size}")
+
+
 def as_real(value, name: str) -> float:
     """A parsed real field; a boolean raises ValueError instead of reading as 0 or 1."""
     if isinstance(value, (bool, np.bool_)):

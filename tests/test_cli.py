@@ -84,6 +84,13 @@ class TestConstruct:
         assert report["budget"]["total"] < 0.3
         assert report["horizon"] == 4
 
+    def test_report_labels_the_verdict_by_its_weakest_term(self, built):
+        report = json.loads((built / "report.json").read_text())
+        assert "target_certified" not in report
+        assert report["budget_status"]["total"] == "sampled_sup"
+        assert report["verdict_status"] == "sampled_sup"
+        assert report["verdict_status"] == min(report["budget_status"].values(), key=construct.STATUS_STRENGTH.index)
+
     def test_budget_csv_layout(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -497,6 +504,12 @@ class TestVerify:
             ({}, edited("esn.json", lambda esn: esn["structure"].update(K=99))),
             ({}, edited("nets.json", lambda nets: nets.__setitem__("lag_dim", True))),
             ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("activation", "logistic"))),
+            ({}, edited("esn.json", lambda esn: esn.__setitem__("N", 7))),
+            ({}, edited("esn.json", lambda esn: esn.__setitem__("d", 9))),
+            ({}, edited("esn.json", lambda esn: esn.__setitem__("m", 0))),
+            ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("width", 3))),
+            ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("in_dim", 42))),
+            ({}, edited("nets.json", lambda nets: nets["identity_chain"][-1].__setitem__("out_dim", 2))),
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
@@ -511,6 +524,8 @@ class TestVerify:
             "esn_null_A", "esn_number_A",
             "nets_missing_explicit_path",
             "esn_widths_fraction", "esn_widths_bool", "esn_K_mismatch", "nets_lag_dim_bool", "nets_logistic",
+            "esn_N_mismatch", "esn_d_mismatch", "esn_m_mismatch",
+            "nets_width_mismatch", "nets_in_dim_mismatch", "nets_chain_out_dim_mismatch",
         ],
     )
     def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, overrides, file_text):

@@ -22,6 +22,7 @@ from uniesn.construct import (
     ConstructionConfig,
     ConstructionError,
     ErrorBudget,
+    STATUS_STRENGTH,
     LagBlockNet,
     assemble_esn,
     budget_errors,
@@ -630,6 +631,22 @@ class TestBudgetPolicy:
         assert status["truncation"] == "analytic_upper_bound"
         for term in TERMS[1:]:
             assert status[term] == "sampled_sup"
+
+    @given(budget=budgets(), labels=st.lists(st.sampled_from(STATUS_STRENGTH), min_size=4, max_size=4))
+    def test_verdict_is_never_stronger_than_its_weakest_term(self, budget, labels):
+        strength = STATUS_STRENGTH.index
+        statuses = [status for _, _, status, _ in budget.rows()]
+        assert budget.verdict_status() == "sampled_sup"
+        assert all(strength(budget.verdict_status()) <= strength(s) for s in statuses)
+
+        class Relabelled(ErrorBudget):
+            def rows(self):
+                return [(term, value, label, limit) for (term, value, _, limit), label in zip(super().rows(), labels)]
+
+        verdict = Relabelled(budget.eps, budget.truncation_analytic, budget.net_fit_sampled,
+                             budget.chain_sampled, budget.total_sampled).verdict_status()
+        assert verdict in labels
+        assert all(strength(verdict) <= strength(label) for label in labels)
 
     @given(budget=budgets())
     def test_check_names_the_first_term_at_or_above_its_limit(self, budget):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniesn import cli
 from uniesn.filters import filter_from_json
@@ -116,20 +118,67 @@ class TestFitRandomFeature:
         ],
         ids=["exp_fading_d1", "volterra2_d2"],
     )
-    @pytest.mark.parametrize("width", [32, 256, 600])  # 600 is above the 400 samples
+    @pytest.mark.parametrize("width", [32, 256, 600])  # 600 is above the 400 samples: the bordered system
     def test_readout_solves_the_c_ordered_gram(self, filter_spec, K, width):
-        # The fit hands LAPACK the transpose of the exactly symmetric gram;
-        # the readout must be the bits that solving the gram itself gives.
+        # The fit hands LAPACK the transpose of the exactly symmetric gram
+        # (or bordered system); the readout must be the bits that solving
+        # the C-ordered matrix itself gives.
         f = filter_from_json(filter_spec)
-        X = sample_product_ball(f.in_dim, f.input_bound, K + 1, 400, seed=width)
+        n = 400
+        X = sample_product_ball(f.in_dim, f.input_bound, K + 1, n, seed=width)
         Y = f.evaluate_batch(X.reshape(len(X), K + 1, f.in_dim))
         net = fit_random_feature(X, Y, width=width, ridge=1e-10, scale=0.8, seed=7)
         phi = np.tanh(X @ net.hidden_matrix.T + net.hidden_bias)
-        gram = phi.T @ phi / len(X)
-        gram[np.diag_indices(width)] += 1e-10
-        assert gram.flags.c_contiguous
-        reference = np.linalg.solve(gram, phi.T @ Y / len(X)).T
+        if n >= width + 1:
+            gram = phi.T @ phi / n
+            gram[np.diag_indices(width)] += 1e-10
+            assert gram.flags.c_contiguous
+            reference = np.linalg.solve(gram, phi.T @ Y / n).T
+        else:
+            feats, const = phi[:, :width], phi[:, width:]
+            system = np.block([[feats @ feats.T + n * 1e-10 * np.eye(n), const], [const.T, np.zeros((1, 1))]])
+            assert system.flags.c_contiguous
+            sol = np.linalg.solve(system, np.vstack([Y, np.zeros((1, Y.shape[1]))]))
+            reference = np.vstack([feats.T @ sol[:n], sol[n:]]).T
         assert np.array_equal(net.readout, reference)
+
+    def test_bordered_readout_matches_the_primal_residual(self):
+        # Below width + 1 samples the fit solves in sample space; its training
+        # residual is the primal ridge solution's, solved here in float64.
+        n, width, ridge = 300, 700, 1e-8
+        X = sample_product_ball(2, 1.0, 3, n, seed=11)
+        Y = np.column_stack([np.sin(2 * X[:, 0]) * X[:, 3], np.cos(X[:, 5])])
+        net = fit_random_feature(X, Y, width=width, ridge=ridge, scale=1.0, seed=2)
+        phi = np.tanh(X @ net.hidden_matrix.T + net.hidden_bias)
+        gram = phi.T @ phi / n
+        gram[np.diag_indices(width)] += ridge
+        primal = np.linalg.solve(gram, phi.T @ Y / n)
+        np.testing.assert_allclose(net.forward(X) - Y, phi @ primal - Y, rtol=0, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.integers(4, 60), extra=st.integers(-8, 8), d=st.integers(1, 3),
+        ridge=st.floats(1e-5, 1e-2), level=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_readout_across_the_two_regimes(self, width, extra, d, ridge, level, seed):
+        # n straddles width + 1, so the fit solves the bordered (n < width + 1)
+        # or the primal system; duplication may cross from one to the other.
+        n = max(1, width + 1 + extra)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(n, d))
+        const = fit_random_feature(X, np.full((n, 1), level), width=width, ridge=ridge, scale=1.5, seed=seed)
+        # The constant unit is unpenalized, so a constant target is reproduced.
+        np.testing.assert_allclose(const.forward(X), level, rtol=0, atol=1e-9)
+        Y = np.sin(3 * X[:, :1]) + X[:, -1:] ** 2
+        once = fit_random_feature(X, Y, width=width, ridge=ridge, scale=1.5, seed=seed)
+        twice = fit_random_feature(np.vstack([X, X]), np.vstack([Y, Y]), width=width, ridge=ridge, scale=1.5, seed=seed)
+        np.testing.assert_allclose(twice.readout, once.readout, rtol=1e-6, atol=1e-8)
+
+    def test_singular_bordered_system_raises(self):
+        # Five equal samples and no ridge: the bordered system is singular,
+        # and the fit says so the way the primal solve does.
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            fit_random_feature(np.full((5, 2), 0.3), np.ones((5, 1)), width=8, ridge=0.0, scale=1.0, seed=3)
 
     def test_no_feature_matrix_is_held_at_the_solve(self, monkeypatch):
         n, width = 600, 511
@@ -151,6 +200,30 @@ class TestFitRandomFeature:
         gram_bytes = (width + 1) ** 2 * 8
         feature_bytes = n * (width + 1) * 8
         assert len(held) == 1 and held[0] < gram_bytes + feature_bytes / 2, held
+
+    def test_bordered_solve_holds_its_system_and_the_features(self, monkeypatch):
+        # Below width + 1 samples, the solve holds the (n+1)-square bordered
+        # system and the features its readout is read from, and no more.
+        n, width = 300, 1023
+        X = sample_product_ball(2, 1.0, 4, n, seed=3)
+        Y = np.sin(X[:, :1])
+        held = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        tracemalloc.start()
+        try:
+            fit_random_feature(X, Y, width=width, ridge=1e-8, scale=1.0, seed=5)
+        finally:
+            tracemalloc.stop()
+        system_bytes = (n + 1) ** 2 * 8
+        feature_bytes = n * (width + 1) * 8
+        slack = 256 * 1024  # the hidden layer, the samples and the right-hand side; a third of the system
+        assert len(held) == 1 and held[0] < system_bytes + feature_bytes + slack, held
 
 
 class TestFitToTolerance:
