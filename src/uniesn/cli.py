@@ -374,7 +374,16 @@ def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
         lag_dim = as_int(nets["lag_dim"], "nets.json lag_dim")
         split = split_lag_blocks(ShallowNet.from_json(nets["static_net"]), lag_dim)
         chain = [ShallowNet.from_json(o) for o in nets["identity_chain"]]
-        if len(chain) != split.horizon or (split.horizon, split.lag_dim) != (K, esn.in_dim):
+        # The nets fit the system as assemble_esn wires them: lag_dim-to-lag_dim
+        # identity nets ahead of the static net, one state block each.
+        fits = (
+            len(chain) == split.horizon == K
+            and split.lag_dim == esn.in_dim
+            and all((net.in_dim, net.out_dim) == (lag_dim, lag_dim) for net in chain)
+            and (*(net.width for net in chain), split.net.width) == esn.structure.widths
+            and split.net.out_dim == esn.out_dim
+        )
+        if not fits:
             raise ConfigError(f"{nets_path} does not fit the system in {esn_path}")
         opts["nets"] = (split, chain)
     return opts

@@ -39,16 +39,10 @@ from .windows import as_int, as_real, sample_product_ball, sample_window_array
 #: Largest recursion-versus-closed-form gap a build or a verify accepts.
 CLOSED_FORM_TOL = 1e-10
 
-#: Most windows the budget evaluates at once, so its working set is a few
-#: (block, width) arrays whatever budget_windows is.
+#: Most windows the budget evaluates at once.  It takes them in consecutive
+#: blocks of this many (the last may be shorter), so its working set is a
+#: few (block, width) arrays whatever budget_windows is.
 BUDGET_BLOCK = 2048
-# Budget blocks start at multiples of this many windows.  A matrix-vector
-# product's bits depend on each row's offset within its unrolled kernel loop,
-# so this keeps every row at its one-batch offset.
-_BLOCK_ALIGN = 64
-# The closed form adds up its per-lag products in row tiles that start at
-# multiples of this many rows, so a few (tile, width) arrays stay in L2.
-_STATE_TILE = 64
 
 
 class ConstructionError(RuntimeError):
@@ -343,34 +337,22 @@ def assemble_esn(split: LagBlockNet, chain: list[ShallowNet]) -> ESNParams:
 def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
     """Collector state at time 0, evaluated directly from the solved recursion.
 
-    tanh(sum_j block_j @ chain_composition_j(z_{-j}) + bias): the unique
-    solution's collector block without running the state equation, for a
-    (B, T, d) batch of windows; the independent oracle for the
-    recursion-computed functional.
+    The static net's hidden layer on the stacked chain-composed lags,
+    tanh(Z @ hidden_matrix.T + bias) with row Z = (chain_K(z_{-K}); ...;
+    chain_0(z_0)): the unique solution's collector block without running the
+    state equation, for a (B, T, d) batch of windows; the independent oracle
+    for the recursion-computed functional.
     """
     K = split.horizon
     B, T, d = arr.shape
     if T < K + 1:
         raise ValueError(f"window of length {T} too short: need >= {K + 1}")
-    lags = [compose_chain(chain, j, arr[:, T - 1 - j, :]) for j in range(K + 1)]
-    # With one input channel each product entry is one rounded product, as a
-    # k=1 matmul rounds it, so np.multiply by a contiguous lag row gives the
-    # same bits faster.  With more, BLAS keeps the summation order.
-    if d == 1:
-        product = np.multiply
-        blocks = [np.ascontiguousarray(split.lag_block(j).T) for j in range(K + 1)]
-    else:
-        product = np.matmul
-        blocks = [split.lag_block(j).T for j in range(K + 1)]
-    state = np.empty((B, split.net.width))
-    prod = np.empty((min(B, 2 * _STATE_TILE - 1), split.net.width))
-    for rows in _state_tiles(B):
-        acc = state[rows]
-        acc[:] = split.bias
-        for z_j, block in zip(lags, blocks):
-            acc += product(z_j[rows], block, out=prod[: len(acc)])
-        np.tanh(acc, out=acc)
-    return state
+    Z = np.empty((B, K + 1, d))  # most-delayed lag first, as direct_functional stacks them
+    for j in range(K + 1):
+        Z[:, K - j] = compose_chain(chain, j, arr[:, T - 1 - j, :])
+    state = np.matmul(Z.reshape(B, (K + 1) * d), split.net.hidden_matrix.T, out=np.empty((B, split.net.width)))
+    state += split.bias
+    return np.tanh(state, out=state)
 
 
 def closed_form_gap(esn: ESNParams, split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> float:
@@ -378,14 +360,6 @@ def closed_form_gap(esn: ESNParams, split: LagBlockNet, chain: list[ShallowNet],
     recursion's collector state at time 0 and closed_form_state."""
     collector = esn.run_batch(arr)[:, esn.state_dim - split.net.width :]
     return float(np.max(np.linalg.norm(collector - closed_form_state(split, chain, arr), axis=1)))
-
-
-def _state_tiles(n: int) -> list[slice]:
-    """Consecutive slices of range(n) that start at multiples of _STATE_TILE.
-    A remainder shorter than one tile joins the last tile: a 1-row product
-    takes numpy's matrix-vector path, which rounds differently."""
-    edges = [*range(0, max(n - _STATE_TILE, 0) + 1, _STATE_TILE), n]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def direct_functional(split: LagBlockNet, arr: np.ndarray) -> np.ndarray:
@@ -400,14 +374,8 @@ def direct_functional(split: LagBlockNet, arr: np.ndarray) -> np.ndarray:
 
 
 def _window_blocks(n: int) -> list[slice]:
-    """Consecutive near-equal slices of range(n) that start at multiples of
-    _BLOCK_ALIGN, each at most BUDGET_BLOCK long.  None is shorter than
-    BUDGET_BLOCK // 2 unless n is: BLAS picks other kernels for products of
-    a few hundred rows, which round differently from one batch."""
-    count = -(-n // BUDGET_BLOCK)
-    units = -(-n // _BLOCK_ALIGN)
-    edges = [_BLOCK_ALIGN * (i * units // count) for i in range(count)] + [n]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    """Consecutive slices of range(n), each at most BUDGET_BLOCK long."""
+    return [slice(a, min(a + BUDGET_BLOCK, n)) for a in range(0, n, BUDGET_BLOCK)]
 
 
 def budget_errors(f: TargetFilter, split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:

@@ -122,9 +122,11 @@ class ESNParams:
         The carriers run at every step of the window from x_init, multiplying
         only the blocks of A the pattern allows once it is proven.  The
         collector row runs only at the last step, and only when the pattern
-        is proven; otherwise every row runs at every step.  Only the time-0
-        state is returned, shape (B, N).  The step buffers are allocated once
-        per call, so the call holds X and about two more (B, N) arrays.
+        is proven; otherwise every row runs at every step.  Each step computes
+        only the entries it needs, its input product included, so the result
+        agrees with the dense recursion to rounding.  Only the time-0 state is
+        returned, shape (B, N).  The step buffers are allocated once per call,
+        so the call holds X and about two more (B, N) arrays.
         """
         B, T, d = arr.shape
         if d != self.in_dim:
@@ -145,16 +147,7 @@ class ESNParams:
         prod_buf = np.empty(B * max((rows.stop - rows.start for rows, _, _ in self._row_blocks), default=0))
         for t in range(T):
             live = N if t == T - 1 else before_last
-            # The input product is cut to the live columns only with one input
-            # channel: each entry is then one rounded product, which is what
-            # np.multiply computes.  With more, the BLAS kernel sets the
-            # summation order, so the product keeps its full width and the bits
-            # of the every-step recursion.
-            if d == 1:
-                pre = pre_buf[: B * live].reshape(B, live)
-                np.multiply(arr[:, t, :], Ct[:, :live], out=pre)
-            else:
-                pre = np.matmul(arr[:, t, :], Ct, out=pre_buf.reshape(B, N))[:, :live]
+            pre = np.matmul(arr[:, t, :], Ct[:, :live], out=pre_buf[: B * live].reshape(B, live))
             for rows, cols, block_t in self._row_blocks:
                 if rows.start < live:
                     width = rows.stop - rows.start

@@ -63,6 +63,18 @@ def edited(name, edit):
     return name, text
 
 
+def grow_net(net, inputs=0, outputs=0, units=0):
+    """Give a net object of nets.json extra zero inputs, outputs or hidden
+    units, with its stated sizes to match: a valid net of another shape."""
+    d, m, w = net["in_dim"], net["out_dim"], net["width"]
+    net.update(
+        hidden_matrix=[row + [0.0] * inputs for row in net["hidden_matrix"]] + [[0.0] * (d + inputs)] * units,
+        hidden_bias=net["hidden_bias"] + [0.0] * units,
+        readout=[row + [0.0] * units for row in net["readout"]] + [[0.0] * (w + units)] * outputs,
+        in_dim=d + inputs, out_dim=m + outputs, width=w + units,
+    )
+
+
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
     """One construct run, shared by tests that only read its artifacts."""
@@ -510,6 +522,11 @@ class TestVerify:
             ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("width", 3))),
             ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("in_dim", 42))),
             ({}, edited("nets.json", lambda nets: nets["identity_chain"][-1].__setitem__("out_dim", 2))),
+            # Nets that load but do not fit the d=1 system.
+            ({}, edited("nets.json", lambda nets: grow_net(nets["identity_chain"][0], inputs=1))),
+            ({}, edited("nets.json", lambda nets: grow_net(nets["identity_chain"][0], outputs=1))),
+            ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], units=1))),
+            ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], outputs=1))),
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
@@ -526,6 +543,7 @@ class TestVerify:
             "esn_widths_fraction", "esn_widths_bool", "esn_K_mismatch", "nets_lag_dim_bool", "nets_logistic",
             "esn_N_mismatch", "esn_d_mismatch", "esn_m_mismatch",
             "nets_width_mismatch", "nets_in_dim_mismatch", "nets_chain_out_dim_mismatch",
+            "nets_chain_in_dim_2", "nets_chain_out_dim_2", "nets_static_wider_than_state", "nets_static_out_dim_2",
         ],
     )
     def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, overrides, file_text):
