@@ -36,6 +36,7 @@ from .construct import (
 )
 from .esn import (
     ESNParams,
+    PatternError,
     check_esp_empirical,
     check_finite_memory,
     check_nilpotent,
@@ -227,8 +228,8 @@ def _nets_json(split: LagBlockNet, chain: list) -> dict:
 class _SystemWriter:
     """Writes esn.json and nets.json in a forked process while the build ends.
 
-    Every byte of both files is fixed once assemble has proven the block
-    pattern, so ``start`` (construct_universal_esn's on_assembled hook) forks
+    Every byte of both files is fixed once the system is assembled, so
+    ``start`` (construct_universal_esn's on_assembled hook) forks
     a writer that writes them under temporary names in ``out`` and ends with
     os._exit, while this process runs the closed-form check and the budget.
     ``commit`` reaps the writer and renames both files into place.  Leaving
@@ -345,8 +346,9 @@ def _boundary_directions(rng: np.random.Generator, n: int, d: int, M: float) -> 
 VERIFY_INTS = {"seed": 2024, "esp_trials": 10, "fmp_trials": 1000, "window_len": 30, "closed_form_windows": 200}
 
 
-def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
-    """Parse and validate the config's verification section, and load nets.json."""
+def _verify_options(raw: dict, esn: ESNParams | None, esn_path: str) -> dict:
+    """Parse and validate the config's verification section, and load
+    nets.json unless no system was loaded (esn is None)."""
     vcfg = raw.get("verification", {})
     unknown = set(vcfg) - {*VERIFY_INTS, "input_bound", "out", "nets"}
     if unknown:
@@ -368,7 +370,7 @@ def _verify_options(raw: dict, esn: ESNParams, esn_path: str) -> dict:
             raise ConfigError(f"verification {key} must be >= 1, got {opts[key]}")
     # The sibling nets.json may be absent; a configured path must be read.
     nets_path = Path(vcfg["nets"]) if vcfg.get("nets") else Path(esn_path).parent / "nets.json"
-    if vcfg.get("nets") or nets_path.exists():
+    if esn is not None and (vcfg.get("nets") or nets_path.exists()):
         K = esn.structure.horizon
         nets = _load_json(nets_path)
         lag_dim = as_int(nets["lag_dim"], "nets.json lag_dim")
@@ -393,7 +395,7 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     K = esn.structure.horizon
     d = esn.in_dim
     M, seed, fmp_trials = opts["M"], opts["seed"], opts["fmp_trials"]
-    T = max(opts["window_len"], K + 1)
+    T = max(opts["window_len"], K + 2)  # so at least one far-past entry is rewritten
 
     checks: dict[str, dict] = {}
 
@@ -408,10 +410,7 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     rng = np.random.default_rng(seed + 3)
     modified = arr.copy()
     past = T - (K + 1)
-    if past > 0:
-        modified[:, :past, :] = _boundary_directions(
-            rng, fmp_trials * past, d, M
-        ).reshape(fmp_trials, past, d)
+    modified[:, :past, :] = _boundary_directions(rng, fmp_trials * past, d, M).reshape(fmp_trials, past, d)
     same = check_finite_memory(esn, arr, modified)
     checks["finite_memory"] = {"passed": same, "trials": fmp_trials}
 
@@ -429,15 +428,26 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     return checks
 
 
+def _pattern_checks(exc: PatternError) -> dict:
+    """The checks of a file whose A breaks its block pattern: it holds no
+    system, so only nilpotency has a verdict."""
+    skipped = {"skipped": True, "reason": "A breaks its block pattern, so no system was loaded"}
+    nilpotency = {"passed": False, "degree": 0, "reason": str(exc)}
+    return {"nilpotency": nilpotency, "echo_state": skipped, "finite_memory": skipped, "closed_form": skipped}
+
+
 def cmd_verify(esn_path: str, config_path: str) -> int:
     try:
-        esn = ESNParams.from_json(_load_json(esn_path))
+        try:
+            esn, broken = ESNParams.from_json(_load_json(esn_path)), None
+        except PatternError as exc:
+            esn, broken = None, exc
         opts = _verify_options(_load_config(config_path), esn, esn_path)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         _log(f"load error: {exc}")
         return EXIT_CONFIG
 
-    checks = _verify_checks(esn, opts)
+    checks = _pattern_checks(broken) if esn is None else _verify_checks(esn, opts)
     out_path = opts["out"]
     all_passed = all(c.get("passed", True) for c in checks.values())
     try:

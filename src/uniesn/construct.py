@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .esn import BlockStructure, ESNParams, check_nilpotent
+from .esn import BlockStructure, ESNParams
 from .filters import TargetFilter
 from .linalg import operator_norm
 from .shallow import FitToleranceError, ShallowNet, WidthPolicy, fit_to_tolerance
@@ -304,19 +304,17 @@ def assemble_esn(split: LagBlockNet, chain: list[ShallowNet]) -> ESNParams:
                 f"identity net {j} maps {net.in_dim}->{net.out_dim}, expected {d}->{d}"
             )
 
-    carrier_widths = [net.width for net in chain]
-    collector_width = split.net.width
-    widths = carrier_widths + [collector_width]
-    structure = BlockStructure(widths=tuple(widths))
+    structure = BlockStructure(widths=(*(net.width for net in chain), split.net.width))
     off = structure.offsets()
     N = structure.total
     m = split.readout.shape[0]
 
-    A = np.zeros((N, N))
-    for r in range(1, K):  # carrier r reads carrier r-1 through its readout
-        A[off[r] : off[r + 1], off[r - 1] : off[r]] = chain[r].hidden_matrix @ chain[r - 1].readout
-    for j in range(1, K + 1):  # collector reads carrier j-1 as the lag-j input
-        A[off[K] : off[K + 1], off[j - 1] : off[j]] = split.lag_block(j) @ chain[j - 1].readout
+    # Carrier r reads carrier r-1 through its readout; the collector reads
+    # carrier j-1 as the lag-j input.
+    carriers = tuple(chain[r].hidden_matrix @ chain[r - 1].readout for r in range(1, K))
+    collector = np.empty((split.net.width, off[K]))
+    for j in range(1, K + 1):
+        collector[:, off[j - 1] : off[j]] = split.lag_block(j) @ chain[j - 1].readout
 
     C = np.zeros((N, d))
     if K >= 1:
@@ -331,7 +329,7 @@ def assemble_esn(split: LagBlockNet, chain: list[ShallowNet]) -> ESNParams:
     W = np.zeros((m, N))
     W[:, off[K] :] = split.readout
 
-    return ESNParams(A=A, C=C, zeta=zeta, W=W, structure=structure)
+    return ESNParams(carriers=carriers, collector=collector, C=C, zeta=zeta, W=W, structure=structure)
 
 
 def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
@@ -474,9 +472,9 @@ def construct_universal_esn(
 
     Raises ConstructionError (with a stage tag) if any stage fails, or
     BudgetError if every stage succeeds but a budget term misses its share.
-    ``on_assembled(esn, split, chain)``, if given, is called once the
-    assembled system has passed the nilpotency check, before the closed-form
-    check and the budget; the system it sees is the one returned.
+    ``on_assembled(esn, split, chain)``, if given, is called once the system
+    is assembled, before the closed-form check and the budget; the system it
+    sees is the one returned.
     """
     eps = cfg.eps
     d, M = f.in_dim, f.input_bound
@@ -525,9 +523,6 @@ def construct_universal_esn(
 
     stage = staged("assemble")
     esn = assemble_esn(split, chain)
-    ok, degree = check_nilpotent(esn)
-    if not ok or degree != K + 1:
-        raise ConstructionError(stage, "assembled system failed the nilpotency check")
     done(stage)
     if on_assembled is not None:
         on_assembled(esn, split, chain)

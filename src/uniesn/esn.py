@@ -1,17 +1,16 @@
 """Echo state network state-space systems and their property checks.
 
-The system is x_t = tanh(A x_{t-1} + C z_t + zeta), y_t = W x_t.  Systems
-assembled by the constructor carry block-structure metadata: the reservoir
-matrix A is strictly lower block-triangular with a single sub-diagonal chain
-plus a final collector row, hence nilpotent of degree K+1.  Nilpotency gives
-exact finite memory, which is how the echo state and fading memory properties
-are certified here.  Every system carries that metadata; a system whose A
-breaks its declared pattern still runs, densely, and fails the nilpotency
-check.
+The system is x_t = tanh(A x_{t-1} + C z_t + zeta), y_t = W x_t.  Its state
+stacks K identity-carrier blocks and a collector block, and A is nonzero only
+in the sub-diagonal carrier chain and the collector's row.  ESNParams holds
+just those blocks, so every system is strictly block-lower-triangular,
+nilpotent of degree K+1 by its type.  Nilpotency gives exact finite memory,
+which is how the echo state and fading memory properties are certified here.
+A dense A exists only in esn.json: ESNParams.from_json reads it and raises
+PatternError for a nonzero entry outside the blocks.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,41 +45,56 @@ class BlockStructure:
         return np.concatenate([[0], np.cumsum(self.widths)])
 
 
+def _block_spans(structure: BlockStructure) -> list:
+    """(rows, cols) of each block of A that may be nonzero: the carriers
+    A[r, r-1] for 1 <= r < K in order, then the collector A[K, :K]."""
+    off, K = structure.offsets(), structure.horizon
+    span = [slice(off[r], off[r + 1]) for r in range(K + 1)]
+    return [(span[r], span[r - 1]) for r in range(1, K)] + [(span[K], slice(0, off[K]))]
+
+
+class PatternError(ValueError):
+    """A dense A with a nonzero entry outside the blocks its structure allows."""
+
+
 @dataclass(frozen=True)
 class ESNParams:
-    """Full parameterization of the state-space system."""
+    """Full parameterization of the state-space system, A as its blocks.
 
-    A: np.ndarray
+    carriers[r-1] is the block A[r, r-1] for 1 <= r < K, the carrier chain.
+    collector is the last block row's first K blocks, A[K, :K], one
+    (widths[K], N - widths[K]) matrix.  Every other entry of A is zero.
+    """
+
+    carriers: tuple
+    collector: np.ndarray
     C: np.ndarray
     zeta: np.ndarray
     W: np.ndarray
     structure: BlockStructure
 
     def __post_init__(self):
-        object.__setattr__(self, "A", freeze(self.A))
-        object.__setattr__(self, "C", freeze(self.C))
-        object.__setattr__(self, "zeta", freeze(self.zeta))
-        object.__setattr__(self, "W", freeze(self.W))
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
-            raise ValueError(f"A must be square, got shape {self.A.shape}")
-        N = self.A.shape[0]
+        object.__setattr__(self, "carriers", tuple(freeze(block) for block in self.carriers))
+        for name in ("collector", "C", "zeta", "W"):
+            object.__setattr__(self, name, freeze(getattr(self, name)))
+        N, widths = self.structure.total, self.structure.widths
+        shapes = [block.shape for block in (*self.carriers, self.collector)]
+        if shapes != [(r.stop - r.start, c.stop - c.start) for r, c in _block_spans(self.structure)]:
+            raise ValueError(f"carrier and collector shapes {shapes} do not fit structure widths {widths}")
         if self.C.ndim != 2 or self.C.shape[0] != N:
             raise ValueError(f"C shape {self.C.shape} incompatible with N={N}")
         if self.zeta.shape != (N,):
             raise ValueError(f"zeta shape {self.zeta.shape} != ({N},)")
         if self.W.ndim != 2 or self.W.shape[1] != N:
             raise ValueError(f"W shape {self.W.shape} incompatible with N={N}")
-        if self.structure.total != N:
-            raise ValueError(
-                f"structure widths sum to {self.structure.total}, but N={N}"
-            )
-        for name in ("A", "C", "zeta", "W"):
-            if not np.isfinite(getattr(self, name)).all():
+        named = [("A", block) for block in (*self.carriers, self.collector)]
+        for name, arr in named + [(name, getattr(self, name)) for name in ("C", "zeta", "W")]:
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds a non-finite entry")
 
     @property
     def state_dim(self) -> int:
-        return self.A.shape[0]
+        return self.structure.total
 
     @property
     def in_dim(self) -> int:
@@ -90,39 +104,28 @@ class ESNParams:
     def out_dim(self) -> int:
         return self.W.shape[0]
 
-    @cached_property
-    def _structured(self) -> bool:
-        """Does A keep the block pattern its structure metadata declares?"""
-        return _pattern_holds(self.A, self.structure)
+    def _blocks(self) -> list:
+        """(rows, cols, block) for each block of A that may be nonzero: the
+        carriers in order, then the collector."""
+        blocks = (*self.carriers, self.collector)
+        return [(rows, cols, block) for (rows, cols), block in zip(_block_spans(self.structure), blocks)]
 
-    @cached_property
-    def _row_blocks(self) -> tuple:
-        """(rows, cols, A[rows, cols].T) for every block row of A that may be nonzero.
-
-        In a structured system each block row's allowed blocks are adjacent, so
-        one product per block row covers them.  A system whose pattern fails is
-        one dense block.
-        """
-        N = self.state_dim
-        if not self._structured:
-            return ((slice(0, N), slice(0, N), self.A.T),)
-        off = self.structure.offsets()
-        cols: dict[int, list[int]] = {}
-        for r, c in _allowed_blocks(self.structure.horizon):
-            cols.setdefault(r, []).append(c)
-        out = []
-        for r, cs in cols.items():
-            rows, span = slice(off[r], off[r + 1]), slice(off[min(cs)], off[max(cs) + 1])
-            out.append((rows, span, self.A[rows, span].T))
-        return tuple(out)
+    @property
+    def A(self) -> np.ndarray:
+        """The dense, read-only N x N reservoir matrix, built anew on each call."""
+        A = np.zeros((self.state_dim, self.state_dim))
+        for rows, cols, block in self._blocks():
+            A[rows, cols] = block
+        A.flags.writeable = False
+        return A
 
     def run_batch(self, arr: np.ndarray, x_init: np.ndarray | None = None) -> np.ndarray:
         """Final states for a (B, T, d) batch of windows, started from x_init.
 
-        The carriers run at every step of the window from x_init, multiplying
-        only the blocks of A the pattern allows once it is proven.  The
-        collector row runs only at the last step, and only when the pattern
-        is proven; otherwise every row runs at every step.  Each step computes
+        The carriers run at every step of the window from x_init, each
+        multiplying only its block of A.  The collector row runs only at the
+        last step: no block of A reads the collector's state, so before then
+        only the carriers, the leading entries, are live.  Each step computes
         only the entries it needs, its input product included, so the result
         agrees with the dense recursion to rounding.  Only the time-0 state is
         returned, shape (B, N).  The step buffers are allocated once per call,
@@ -136,22 +139,21 @@ class ESNParams:
             raise ValueError(f"x_init shape {np.shape(x_init)} != ({N},)")
         X = np.empty((B, N))  # float64 whatever x_init is: the steps write into it
         X[:] = 0.0 if x_init is None else x_init
-        # Under a proven pattern A's collector column block is zero, so no step
-        # reads the collector's state: before the last step only the carriers,
-        # the leading entries, are live.  Otherwise every entry is.
-        before_last = int(self.structure.offsets()[-2]) if self._structured else N
+        # A horizon-0 system's collector block has no columns: nothing to run.
+        blocks = [(rows, cols, block.T) for rows, cols, block in self._blocks() if block.size]
+        carrier_dim = int(self.structure.offsets()[-2])
         Ct = self.C.T
         # Each step's pre-activation and block product are contiguous
         # reshapes of these, as wide as the step needs.
         pre_buf = np.empty(B * N)
-        prod_buf = np.empty(B * max((rows.stop - rows.start for rows, _, _ in self._row_blocks), default=0))
+        prod_buf = np.empty(B * max((rows.stop - rows.start for rows, _, _ in blocks), default=0))
         for t in range(T):
-            live = N if t == T - 1 else before_last
+            last = t == T - 1
+            live = N if last else carrier_dim
             pre = np.matmul(arr[:, t, :], Ct[:, :live], out=pre_buf[: B * live].reshape(B, live))
-            for rows, cols, block_t in self._row_blocks:
-                if rows.start < live:
-                    width = rows.stop - rows.start
-                    pre[:, rows] += np.matmul(X[:, cols], block_t, out=prod_buf[: B * width].reshape(B, width))
+            for rows, cols, block_t in blocks if last else blocks[:-1]:
+                width = rows.stop - rows.start
+                pre[:, rows] += np.matmul(X[:, cols], block_t, out=prod_buf[: B * width].reshape(B, width))
             pre += self.zeta[:live]
             X[:, :live] = np.tanh(pre, out=pre)
         return X
@@ -184,58 +186,53 @@ class ESNParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ESNParams":
-        """The system in an esn.json object; KeyError, TypeError or ValueError
-        if it is malformed."""
+        """The system in an esn.json object.
+
+        KeyError, TypeError or ValueError if it is malformed, a non-finite
+        entry anywhere included; PatternError, a ValueError, if it is well
+        formed but its dense A has a nonzero entry outside the blocks.
+        """
         structure = obj.get("structure") if isinstance(obj, dict) else None
         if not isinstance(structure, dict):
             raise ValueError("esn.json has no structure object, which construct always writes")
         if obj["activation"] != "tanh":
             raise ValueError(f"unknown activation {obj['activation']!r}; systems are tanh")
         blocks = BlockStructure(widths=tuple(structure["widths"]))
+        N = blocks.total
         if as_int(structure["K"], "structure K") != blocks.horizon:
             raise ValueError(f"structure K={structure['K']} does not match {len(blocks.widths)} widths")
-        esn = cls(A=obj["A"], C=obj["C"], zeta=obj["zeta"], W=obj["W"], structure=blocks)
+        A = np.array(obj["A"], dtype=np.float64)
+        if not np.isfinite(A).all():
+            raise ValueError("A holds a non-finite entry")
+        if A.shape != (N, N):
+            raise ValueError(f"A has shape {A.shape}, but structure widths sum to {N}")
+        spans = _block_spans(blocks)
+        *carriers, collector = (A[rows, cols] for rows, cols in spans)
+        esn = cls(
+            carriers=carriers, collector=collector, C=obj["C"], zeta=obj["zeta"], W=obj["W"], structure=blocks
+        )
         check_stated_sizes(obj, {"N": esn.state_dim, "d": esn.in_dim, "m": esn.out_dim}, "esn.json")
+        # What is left of A once its blocks are cleared must be zero.
+        for rows, cols in spans:
+            A[rows, cols] = 0.0
+        if A.any():
+            i, j = divmod(int(np.argmax(A != 0)), N)
+            raise PatternError(
+                f"A[{i}][{j}] = {float(A[i, j])!r} lies outside the blocks structure widths {blocks.widths} allow"
+            )
         return esn
 
 
-def _allowed_blocks(K: int) -> list[tuple[int, int]]:
-    """(block row, block column) of every block of A that may be nonzero: the
-    carrier chain A[r, r-1] for 1 <= r < K, then the collector row A[K, j]
-    for 0 <= j < K."""
-    return [(r, r - 1) for r in range(1, K)] + [(K, j) for j in range(K)]
-
-
-def _pattern_holds(A: np.ndarray, structure: BlockStructure) -> bool:
-    """Is A exactly zero outside its allowed blocks?
-
-    Such an A is strictly block-lower-triangular with K+1 block rows, so
-    A^(K+1) == 0 exactly.
-    """
-    K = structure.horizon
-    off = structure.offsets()
-    allowed = set(_allowed_blocks(K))
-    return not any(
-        np.any(A[off[r] : off[r + 1], off[c] : off[c + 1]])
-        for r in range(K + 1)
-        for c in range(K + 1)
-        if (r, c) not in allowed
-    )
-
-
 def check_nilpotent(p: ESNParams) -> tuple[bool, int]:
-    """Prove A^(horizon+1) == 0 from A's block pattern.
+    """Prove A^(horizon+1) == 0 from the blocks ESNParams holds.
 
-    Allowed nonzero blocks: the sub-diagonal chain (block row r, column r-1)
-    for 1 <= r < horizon, and the last block row at columns 0..horizon-1.
-    Everything else, including the entire first block row and the last
-    diagonal block, must be exactly zero.  Such a matrix is strictly
-    block-lower-triangular with horizon+1 block rows, so its (horizon+1)-th
-    power vanishes exactly: ESNParams rejects non-finite entries, so no
-    inf * 0 can spoil the zeros.  Returns (False, 0) on any violation.
+    A is nonzero only in the carrier chain (block row r, column r-1) for
+    1 <= r < horizon and in the last block row at columns 0..horizon-1, so it
+    is strictly block-lower-triangular with horizon+1 block rows, and its
+    (horizon+1)-th power vanishes exactly: the blocks are finite, so no
+    inf * 0 can spoil the zeros.  Every system is so by its type, and
+    ESNParams.from_json turns away a dense A that is not.
     """
-    if not p._structured:
-        return False, 0
     return True, p.structure.horizon + 1
 
 
@@ -243,8 +240,8 @@ def check_esp_empirical(p: ESNParams, window: np.ndarray, trials: int, seed: int
     """Do `trials` random initial states all lead to the same time-0 state
     on a (T, d) window?
 
-    They must agree bitwise: under a proven pattern, init dependence vanishes
-    after horizon+1 steps.  Each trial is its own one-window batch: rows of
+    They must agree bitwise: A is nilpotent of degree horizon+1, so init
+    dependence vanishes after horizon+1 steps.  Each trial is its own one-window batch: rows of
     one matmul are not bitwise equal across row positions, so stacking the
     trials would break the bitwise comparison.
     """

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from uniesn import cli, construct, shallow
 from uniesn.construct import BudgetError
+from uniesn.esn import ESNParams
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -80,6 +81,24 @@ def built(tmp_path_factory):
     """One construct run, shared by tests that only read its artifacts."""
     tmp = tmp_path_factory.mktemp("built")
     assert cli.main(["construct", str(write_config(tmp)), "--out", str(tmp / "out")]) == 0
+    return tmp / "out"
+
+
+# The benchmark's second-order filter: d=2.
+VOLTERRA2 = {
+    "kind": "volterra2",
+    "coeffs": [[[0.6, 0.3]], [[-0.3, 0.2]], [[0.15, -0.1]], [[0.1, 0.05]]],
+    "quad": [{"j": 0, "k": 1, "b": [0.3]}, {"j": 1, "k": 3, "b": [-0.2]}],
+    "d": 2, "m": 1, "M": 1.0,
+}
+
+
+@pytest.fixture(scope="module")
+def built_d2(tmp_path_factory):
+    """One construct run of the d=2 volterra2 filter."""
+    tmp = tmp_path_factory.mktemp("built_d2")
+    cfg = write_config(tmp, filter=VOLTERRA2, construction={"eps": 0.5})
+    assert cli.main(["construct", str(cfg), "--out", str(tmp / "out")]) == 0
     return tmp / "out"
 
 
@@ -414,7 +433,32 @@ class TestVerify:
         code = cli.main(["verify", str(corrupted), str(cfg)])
         assert code == 5
         verdict = json.loads((out / "verify.json").read_text())
-        assert not verdict["checks"]["nilpotency"]["passed"]
+        assert not verdict["passed"]
+        nilpotency = verdict["checks"].pop("nilpotency")
+        assert nilpotency["passed"] is False and nilpotency["degree"] == 0
+        assert nilpotency["reason"].startswith(f"A[0][{len(esn['A']) - 1}] = 1.0 lies outside the blocks")
+        assert set(verdict["checks"]) == {"echo_state", "finite_memory", "closed_form"}
+        assert all(c["skipped"] is True and c["reason"] for c in verdict["checks"].values())
+
+    def test_short_window_len_still_rewrites_the_far_past(self, built, tmp_path, monkeypatch):
+        # window_len 1 runs as K+2: one entry ahead of the shared K+1
+        cfg = write_config(tmp_path, verification={"window_len": 1})
+        for name in ("esn.json", "nets.json"):
+            (tmp_path / name).write_bytes((built / name).read_bytes())
+        batches = []
+
+        def recording(p, arr1, arr2):
+            batches.append((arr1, arr2))
+            return real(p, arr1, arr2)
+
+        real = cli.check_finite_memory
+        monkeypatch.setattr(cli, "check_finite_memory", recording)
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 0
+        [(arr1, arr2)] = batches
+        K = json.loads((built / "esn.json").read_text())["structure"]["K"]
+        assert arr1.shape[1] == K + 2
+        assert not np.array_equal(arr1, arr2)
+        assert np.array_equal(arr1[:, 1:], arr2[:, 1:])
 
     def test_perturbed_collector_entry_flagged(self, built, tmp_path):
         # inside the pattern the system stays nilpotent and runs the block
@@ -450,8 +494,10 @@ class TestVerify:
             lambda e: e["A"][-1].__setitem__(0, float("inf")),
             lambda e: e["C"][0].__setitem__(0, float("nan")),
             lambda e: e["W"][0].__setitem__(0, float("-inf")),
+            # A[0][0] lies outside the blocks: the non-finite entry is what is reported.
+            lambda e: e["A"][0].__setitem__(0, float("nan")),
         ],
-        ids=["nan_zeta", "inf_A", "nan_C", "neg_inf_W"],
+        ids=["nan_zeta", "inf_A", "nan_C", "neg_inf_W", "nan_A_off_pattern"],
     )
     def test_non_finite_esn_is_load_error(self, built, tmp_path, capsys, edit):
         cfg = write_config(tmp_path)
@@ -872,6 +918,13 @@ class TestLoadJson:
         got = cli._load_json(path)
         for key in ("a", "rows"):
             assert np.array(got[key], dtype=np.float64).tobytes() == np.array(ref[key], dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("build", ["built", "built_d2"])
+    def test_blocks_rebuild_the_dense_file_bitwise(self, build, request, tmp_path):
+        # the system in memory is its blocks; the dense A it writes is rebuilt from them
+        path = request.getfixturevalue(build) / "esn.json"
+        cli._write_json(tmp_path / "esn.json", ESNParams.from_json(cli._load_json(path)).to_json())
+        assert (tmp_path / "esn.json").read_bytes() == path.read_bytes()
 
     def test_dense_A_shares_one_zero(self, built):
         A = cli._load_json(built / "esn.json")["A"]

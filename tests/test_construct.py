@@ -246,6 +246,20 @@ class TestAssemble:
         esn = assemble_esn(split, chain)
         assert check_nilpotent(esn) == (True, 4)
 
+    def test_assembly_allocates_less_than_one_dense_matrix(self):
+        # the system is held as its blocks: no N x N array is made
+        split = random_split(K=3, d=2, collector_width=1900, seed=22)
+        chain = [random_net(50, 2, 2, seed=23 + j) for j in range(3)]
+        tracemalloc.start()
+        try:
+            esn = assemble_esn(split, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        N = esn.state_dim
+        assert N >= 2000
+        assert peak < N * N * 8
+
     def test_rejects_wrong_chain_dims(self):
         split = random_split(K=1, d=2, collector_width=4, seed=21)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from uniesn import cli
 from uniesn.esn import (
     BlockStructure,
     ESNParams,
+    PatternError,
     check_esp_empirical,
     check_finite_memory,
     check_nilpotent,
@@ -18,82 +21,65 @@ from uniesn.esn import (
 from uniesn.windows import sample_window_array
 
 
-def scalar_esn(a, c, zeta=0.0, w=1.0):
-    """A one-block system: a nonzero ``a`` fails its pattern and runs densely."""
+def scalar_esn(c, zeta=0.0, w=1.0):
+    """A one-block system: with no carriers, its A is the 1 x 1 zero."""
     return ESNParams(
-        A=np.array([[a]]), C=np.array([[c]]), zeta=np.array([zeta]),
+        carriers=(), collector=np.zeros((1, 0)), C=np.array([[c]]), zeta=np.array([zeta]),
         W=np.array([[w]]), structure=BlockStructure(widths=(1,)),
     )
 
 
-def random_esn(N, d, m, seed, spectral=None):
-    """A one-block system with a random, hence pattern-failing, dense A."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((N, N))
-    if spectral is not None:
-        A *= spectral / np.linalg.svd(A, compute_uv=False)[0]
-    return ESNParams(
-        A=A, C=rng.standard_normal((N, d)), zeta=rng.standard_normal(N),
-        W=rng.standard_normal((m, N)), structure=BlockStructure(widths=(N,)),
-    )
-
-
 def chain_esn(widths, d, m, seed):
-    """A random system with the assembled sparsity pattern, built by hand."""
+    """A random system of the given block widths, built from its blocks."""
     rng = np.random.default_rng(seed)
     structure = BlockStructure(widths=tuple(widths))
     K = structure.horizon
     off = structure.offsets()
     N = structure.total
-    A = np.zeros((N, N))
-    for r in range(1, K):
-        A[off[r] : off[r + 1], off[r - 1] : off[r]] = rng.standard_normal(
-            (widths[r], widths[r - 1])
-        )
-    for j in range(1, K + 1):
-        A[off[K] : off[K + 1], off[j - 1] : off[j]] = rng.standard_normal(
-            (widths[K], widths[j - 1])
-        )
+    carriers = tuple(rng.standard_normal((widths[r], widths[r - 1])) for r in range(1, K))
+    collector = rng.standard_normal((widths[K], off[K]))
     C = np.zeros((N, d))
     C[off[0] : off[1]] = rng.standard_normal((widths[0], d))
     C[off[K] : off[K + 1]] = rng.standard_normal((widths[K], d))
     zeta = rng.standard_normal(N)
     W = np.zeros((m, N))
     W[:, off[K] :] = rng.standard_normal((m, widths[K]))
-    return ESNParams(A=A, C=C, zeta=zeta, W=W, structure=structure)
+    return ESNParams(carriers=carriers, collector=collector, C=C, zeta=zeta, W=W, structure=structure)
+
+
+def dense_json(p: ESNParams) -> dict:
+    """p's esn.json object with writable copies of its arrays, to edit."""
+    return {key: np.array(value) if isinstance(value, np.ndarray) else value for key, value in p.to_json().items()}
 
 
 class TestStep:
     """A single update sigma(A x + C z + zeta) is a one-entry batch."""
 
     def test_all_zero_system(self):
-        p = scalar_esn(0.0, 0.0)
+        p = scalar_esn(0.0)
         assert np.array_equal(p.run_batch(np.array([[[0.9]]]), x_init=np.array([3.7])), [[0.0]])
 
     def test_direct_formula(self):
-        p = scalar_esn(0.0, 1.0)
+        p = scalar_esn(1.0)
         got = p.run_batch(np.array([[[0.5]]]), x_init=np.array([0.0]))
         np.testing.assert_allclose(got, [[0.46211715726]], atol=1e-10)
 
     def test_matches_hand_rolled_scalar_loop(self):
         rng = np.random.default_rng(20)
-        N, d = 2, 2
-        p = ESNParams(
-            A=rng.standard_normal((N, N)), C=rng.standard_normal((N, d)),
-            zeta=rng.standard_normal(N), W=np.ones((1, N)),
-            structure=BlockStructure(widths=(N,)),
-        )
+        d = 2
+        p = chain_esn([2, 1, 2], d=d, m=1, seed=20)
+        N, A = p.state_dim, p.A
         x_prev = rng.standard_normal(N)
         z = rng.standard_normal(d)
         got = p.run_batch(z[None, None, :], x_init=x_prev)[0]
         for i in range(N):
-            pre = sum(p.A[i, j] * x_prev[j] for j in range(N))
+            pre = sum(A[i, j] * x_prev[j] for j in range(N))
             pre += sum(p.C[i, j] * z[j] for j in range(d))
             pre += p.zeta[i]
             assert abs(got[i] - math.tanh(pre)) <= 1e-15
 
     def test_dimension_checks(self):
-        p = scalar_esn(0.1, 1.0)
+        p = scalar_esn(1.0)
         with pytest.raises(ValueError):
             p.run_batch(np.array([[[0.1]]]), x_init=np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
@@ -102,18 +88,23 @@ class TestStep:
 
 class TestRun:
     def test_single_entry_window_is_one_step(self):
-        p = scalar_esn(0.5, 1.0, zeta=0.1)
-        final = p.run_batch(np.array([[[0.3]]]), x_init=np.array([0.2]))
-        assert final.shape == (1, 1)
-        assert abs(final[0, 0] - math.tanh(0.5 * 0.2 + 0.3 + 0.1)) <= 1e-15
+        # the collector reads the carrier's initial state through A's one entry
+        p = ESNParams(
+            carriers=(), collector=np.array([[0.5]]), C=np.array([[0.0], [1.0]]), zeta=np.array([0.0, 0.1]),
+            W=np.array([[0.0, 1.0]]), structure=BlockStructure(widths=(1, 1)),
+        )
+        final = p.run_batch(np.array([[[0.3]]]), x_init=np.array([0.2, -0.4]))
+        assert final.shape == (1, 2)
+        assert final[0, 0] == 0.0
+        assert abs(final[0, 1] - math.tanh(0.5 * 0.2 + 0.3 + 0.1)) <= 1e-15
 
     def test_all_zero_system_stays_at_zero(self):
-        p = scalar_esn(0.0, 0.0)
+        p = scalar_esn(0.0)
         arr = np.full((1, 3, 1), 0.5)
         assert np.all(p.run_batch(arr, x_init=np.array([0.0])) == 0.0)
 
     def test_unrolling_matches_repeated_steps(self):
-        p = random_esn(3, 1, 1, seed=21, spectral=0.8)
+        p = chain_esn([1, 2], d=1, m=1, seed=21)
         arr = sample_window_array(1, 1.0, 5, 3, seed=22)[2:]
         x = np.zeros(3)
         for t in range(5):
@@ -123,7 +114,7 @@ class TestRun:
     def test_run_batch_matches_run(self):
         # one window at a time against the whole batch: rows of one matmul
         # associate sums differently, so they agree to rounding, not bitwise
-        p = random_esn(4, 2, 1, seed=23, spectral=0.7)
+        p = chain_esn([1, 1, 2], d=2, m=1, seed=23)
         arr = sample_window_array(2, 1.0, 6, 10, seed=24)
         finals = p.run_batch(arr)
         for i in range(10):
@@ -143,7 +134,7 @@ class TestFunctional:
 
     def test_zero_readout_gives_zero(self):
         p = chain_esn([2, 3], d=1, m=2, seed=28)
-        p = ESNParams(A=p.A, C=p.C, zeta=p.zeta, W=np.zeros((2, p.state_dim)), structure=p.structure)
+        p = dataclasses.replace(p, W=np.zeros((2, p.state_dim)))
         arr = np.array([[[0.4], [0.2]]])
         assert np.array_equal(p.functional_batch(arr), [[0.0, 0.0]])
 
@@ -170,22 +161,21 @@ class TestNilpotency:
 
     def test_single_block_means_zero_matrix(self):
         p = ESNParams(
-            A=np.zeros((3, 3)), C=np.ones((3, 1)), zeta=np.zeros(3),
+            carriers=(), collector=np.zeros((3, 0)), C=np.ones((3, 1)), zeta=np.zeros(3),
             W=np.ones((1, 3)), structure=BlockStructure(widths=(3,)),
         )
         assert check_nilpotent(p) == (True, 1)
+        assert np.array_equal(p.A, np.zeros((3, 3)))
 
     def test_corrupted_upper_entry_fails(self):
-        p = chain_esn([2, 2, 2], d=1, m=1, seed=35)
-        A = np.array(p.A)
-        A[0, 3] = 1.0  # first block row must stay zero
-        bad = ESNParams(A=A, C=p.C, zeta=p.zeta, W=p.W, structure=p.structure)
-        ok, _ = check_nilpotent(bad)
-        assert not ok
+        obj = dense_json(chain_esn([2, 2, 2], d=1, m=1, seed=35))
+        obj["A"][0, 3] = 1.0  # first block row must stay zero
+        with pytest.raises(PatternError, match=re.escape("A[0][3] = 1.0")):
+            ESNParams.from_json(obj)
 
     def test_requires_structure(self):
         with pytest.raises(TypeError, match="structure"):
-            ESNParams(A=np.zeros((1, 1)), C=np.ones((1, 1)), zeta=np.zeros(1),
+            ESNParams(carriers=(), collector=np.zeros((1, 0)), C=np.ones((1, 1)), zeta=np.zeros(1),
                       W=np.ones((1, 1)))
 
     def test_power_is_exactly_zero(self):
@@ -201,12 +191,8 @@ class TestEchoStateProperty:
         window = sample_window_array(1, 1.0, p.structure.horizon + 1, 3, seed=38)[2]
         assert check_esp_empirical(p, window, trials=10, seed=39)
 
-    def test_expanding_map_fails(self):
-        p = scalar_esn(2.0, 1.0)
-        assert not check_esp_empirical(p, np.array([[0.3]]), trials=10, seed=40)
-
     def test_zero_matrix_converges_in_one_step(self):
-        p = scalar_esn(0.0, 1.0)
+        p = scalar_esn(1.0)
         assert check_esp_empirical(p, np.array([[0.3]]), trials=10, seed=41)
 
     def test_window_must_be_two_dimensional_and_long_enough(self):
@@ -249,29 +235,6 @@ class TestFiniteMemory:
         with pytest.raises(ValueError, match="last 3 entries"):
             check_finite_memory(p, arr1, arr2)
 
-    def test_contractive_influence_decays_geometrically(self):
-        # a dense system whose pattern fails still runs its recursion: tanh is
-        # 1-Lipschitz, so with ||A|| = rho < 1 the influence of a rewrite q
-        # steps in the past obeys ||W|| * rho^q * (state diameter) exactly
-        from uniesn.linalg import operator_norm
-
-        p = random_esn(4, 1, 1, seed=50, spectral=0.6)
-        rho = operator_norm(p.A)
-        assert rho < 1.0
-        w_norm = operator_norm(p.W)
-        diam = 2 * np.sqrt(p.state_dim)  # tanh states live in [-1, 1]^N
-        T = 24
-        arr = sample_window_array(1, 1.0, T, 3, seed=51)[2:]
-        prev_envelope = np.inf
-        for q in (4, 8, 12, 16):
-            modified = arr.copy()
-            modified[:, : T - q] = 1.0
-            gap = float(np.linalg.norm(p.functional_batch(arr) - p.functional_batch(modified)))
-            envelope = w_norm * rho**q * diam
-            assert gap <= envelope + 1e-12
-            assert envelope < prev_envelope
-            prev_envelope = envelope
-
 
 class TestBoundedOutputs:
     def test_output_cap_under_adversarial_inputs(self):
@@ -293,6 +256,8 @@ class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         p = chain_esn([2, 3, 4], d=2, m=1, seed=55)
         back = self.written_and_read(p, tmp_path)
+        assert all(map(np.array_equal, back.carriers, p.carriers)) and len(back.carriers) == len(p.carriers)
+        assert np.array_equal(back.collector, p.collector)
         assert np.array_equal(back.A, p.A)
         assert np.array_equal(back.C, p.C)
         assert np.array_equal(back.zeta, p.zeta)
@@ -302,20 +267,35 @@ class TestSerialization:
     @pytest.mark.parametrize("name", ["A", "C", "zeta", "W"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, name, bad):
-        p = chain_esn([2, 3], d=1, m=1, seed=56)
-        arrays = {k: np.array(getattr(p, k)) for k in ("A", "C", "zeta", "W")}
-        arrays[name].flat[0] = bad
+        # A's entry lies in the collector block; test_cli's nan_A_off_pattern
+        # puts one outside the blocks
+        obj = dense_json(chain_esn([2, 3], d=1, m=1, seed=56))
+        obj[name][(2, 0) if name == "A" else 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            ESNParams(**arrays, structure=p.structure)
+            ESNParams.from_json(obj)
+
+    @pytest.mark.parametrize("block", ["carriers", "collector"])
+    def test_non_finite_block_rejected(self, block):
+        p = chain_esn([2, 2, 3], d=1, m=1, seed=56)
+        arrays = {"carriers": [np.array(b) for b in p.carriers], "collector": np.array(p.collector)}
+        (arrays["carriers"][0] if block == "carriers" else arrays["collector"])[0, 0] = np.nan
+        with pytest.raises(ValueError, match="A holds a non-finite entry"):
+            dataclasses.replace(p, **arrays)
 
     def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            ESNParams(A=np.zeros((2, 3)), C=np.zeros((2, 1)), zeta=np.zeros(2),
-                      W=np.zeros((1, 2)), structure=BlockStructure(widths=(2,)))
-        with pytest.raises(ValueError):
-            ESNParams(A=np.zeros((2, 2)), C=np.zeros((2, 1)), zeta=np.zeros(2),
-                      W=np.zeros((1, 2)),
-                      structure=BlockStructure(widths=(3,)))
+        def system(widths=(2, 2), carriers=(), collector=np.zeros((2, 2)), N=4):
+            return ESNParams(carriers=carriers, collector=collector, C=np.zeros((N, 1)), zeta=np.zeros(N),
+                             W=np.zeros((1, N)), structure=BlockStructure(widths=widths))
+
+        system()
+        with pytest.raises(ValueError, match="carrier and collector shapes"):
+            system(collector=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="carrier and collector shapes"):
+            system(carriers=(np.zeros((2, 2)),))
+        with pytest.raises(ValueError, match="carrier and collector shapes"):
+            system(widths=(1, 2, 2), collector=np.zeros((2, 3)), N=5)
+        with pytest.raises(ValueError, match="N=3"):
+            system(widths=(1, 2), collector=np.zeros((2, 1)), N=4)
 
     @pytest.mark.parametrize(
         "structure", [{"widths": [True, True], "K": 1}, {"widths": [1, 1], "K": True}], ids=["widths_bool", "K_bool"]
@@ -329,11 +309,12 @@ class TestSerialization:
 
 def dense_reference(p, arr, x0):
     """The state recursion with the full dense A, one window at a time."""
+    A = p.A
     finals = []
     for window in arr:
         x = np.array(x0, dtype=np.float64)
         for z in window:
-            x = np.tanh(p.A @ x + p.C @ z + p.zeta)
+            x = np.tanh(A @ x + p.C @ z + p.zeta)
         finals.append(x)
     return np.array(finals)
 
@@ -373,7 +354,6 @@ class TestBlockRecursion:
         p = chain_esn([8, 8, 8, 24], d=d, m=1, seed=61)
         B, N = 8192, p.state_dim
         arr = sample_window_array(d, 1.0, p.structure.horizon + 1, B, seed=62)
-        p.run_batch(arr[:1])  # the cached row blocks are made on the first call
         tracemalloc.start()
         try:
             p.run_batch(arr)
@@ -399,7 +379,7 @@ class TestBlockRecursion:
 
     @settings(max_examples=60, deadline=None)
     @given(p=systems, data=st.data())
-    def test_entry_outside_pattern_runs_dense(self, p, data):
+    def test_entry_outside_pattern_is_load_error(self, p, data):
         K = p.structure.horizon
         off = p.structure.offsets()
         outside = [(r, c) for r in range(K + 1) for c in range(K + 1)
@@ -407,11 +387,10 @@ class TestBlockRecursion:
         r, c = data.draw(st.sampled_from(outside))
         i = data.draw(st.integers(off[r], off[r + 1] - 1))
         j = data.draw(st.integers(off[c], off[c + 1] - 1))
-        A = np.array(p.A)
-        A[i, j] = data.draw(st.floats(0.1, 2.0))
-        bad = ESNParams(A=A, C=p.C, zeta=p.zeta, W=p.W, structure=p.structure)
-        assert check_nilpotent(bad) == (False, 0)
-        arr = sample_window_array(p.in_dim, 1.0, K + 3, 4, seed=57)
-        x0 = np.random.default_rng(58).standard_normal(p.state_dim)
-        np.testing.assert_allclose(bad.run_batch(arr, x_init=x0), dense_reference(bad, arr, x0),
-                                   rtol=0, atol=1e-12)
+        value = data.draw(st.floats(0.1, 2.0) | st.floats(-2.0, -0.1))
+        obj = dense_json(p)
+        obj["A"][i, j] = value
+        with pytest.raises(PatternError, match=re.escape(f"A[{i}][{j}] = {value!r}")):
+            ESNParams.from_json(obj)
+        obj["A"][i, j] = 0.0
+        assert np.array_equal(ESNParams.from_json(obj).A, p.A)
