@@ -143,7 +143,11 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
       (phi^T phi / n + ridge * D) readout^T = phi^T Y / n, where D is the
       identity with the constant unit's entry zeroed.
     - n < width + 1: the same problem in sample space, the (n+1)-square
-      bordered system of ``_bordered_readout``, which is smaller.
+      bordered system of ``_bordered_readout``, which is smaller.  The
+      features are dropped once the system is built and computed again,
+      bit for bit, for the readout, so the fit holds at most two large
+      arrays at once: features and system while the system is built, then
+      system and LAPACK's copy of it during the solve.
 
     Each regime is bitwise reproducible.  The two agree to rounding, not
     bitwise, so duplicating the samples keeps the readout only to rounding
@@ -169,13 +173,11 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     bias[:width] = rng.uniform(-scale, scale, size=width)
     bias[width] = 1.0
 
-    phi = X @ hidden.T
-    phi += bias
-    np.tanh(phi, out=phi)  # (n, width+1) features, in place
     try:
         if n < width + 1:
-            readout_t = _bordered_readout(phi, Y, ridge)
+            readout_t = _bordered_readout(X, hidden, bias, Y, ridge)
         else:
+            phi = _features(X, hidden, bias)
             gram = phi.T @ phi
             gram /= n
             gram[np.diag_indices(width)] += ridge  # leave the constant unit unpenalized
@@ -192,7 +194,16 @@ def fit_random_feature(inputs, targets, width: int, ridge: float, scale: float, 
     return ShallowNet(hidden_matrix=hidden, hidden_bias=bias, readout=readout_t.T)
 
 
-def _bordered_readout(phi: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
+def _features(X: np.ndarray, hidden: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The (n, width+1) features tanh(X @ hidden.T + bias), computed in place."""
+    phi = X @ hidden.T
+    phi += bias
+    return np.tanh(phi, out=phi)
+
+
+def _bordered_readout(
+    X: np.ndarray, hidden: np.ndarray, bias: np.ndarray, Y: np.ndarray, ridge: float
+) -> np.ndarray:
     """Solve the same ridge problem in sample space, for n < width + 1.
 
     With the penalized features F = phi[:, :-1] and the constant unit's
@@ -202,18 +213,22 @@ def _bordered_readout(phi: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarra
 
     an (n+1)-square system: the border keeps the constant unit unpenalized.
     """
-    n = len(phi)
-    feats, const = phi[:, :-1], phi[:, -1]
+    n = len(X)
+    phi = _features(X, hidden, bias)
+    feats = phi[:, :-1]
     system = np.empty((n + 1, n + 1))
     # F @ F.T is one triangle, mirrored (exactly symmetric), written straight
     # into the system's leading block.
     np.matmul(feats, feats.T, out=system[:n, :n])
     system[np.diag_indices(n)] += n * ridge
-    system[:n, n] = system[n, :n] = const
+    system[:n, n] = system[n, :n] = phi[:, -1]
     system[n, n] = 0.0
+    del phi, feats  # the solve then holds only the system and LAPACK's copy of it
     rhs = np.zeros((n + 1, Y.shape[1]))
     rhs[:n] = Y
     sol = np.linalg.solve(system.T, rhs)  # system is exactly symmetric, as in the primal
+    del system
+    feats = _features(X, hidden, bias)[:, :-1]  # the same calls, so the same bits
     return np.vstack([feats.T @ sol[:n], sol[n:]])
 
 
@@ -237,7 +252,9 @@ def fit_to_tolerance(
     headroom because a sampled sup is only a lower bound on the true one.
 
     Raises FitToleranceError, carrying the best achieved error, if max_width
-    is not enough.
+    is not enough, or if an attempt (its fit or its validation forward)
+    cannot allocate: the fit then ends at its stage, as an exhausted
+    max_width does.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -255,18 +272,25 @@ def fit_to_tolerance(
     scale = policy.scale if policy.scale is not None else 2.0 / (radius * float(np.sqrt(copies)))
     best_err = np.inf
     best_net = None
+    reason = f"tolerance {tol:g} (margin {margin:g}) not met"
     for attempt, width in enumerate(policy.widths()):
-        net = fit_random_feature(
-            X_train, Y_train, width=width, ridge=policy.ridge, scale=scale, seed=base_weight_seed + attempt
-        )
-        err = float(np.max(np.linalg.norm(net.forward(X_val) - Y_val, axis=1)))
+        try:
+            net = fit_random_feature(
+                X_train, Y_train, width=width, ridge=policy.ridge, scale=scale, seed=base_weight_seed + attempt
+            )
+            err = float(np.max(np.linalg.norm(net.forward(X_val) - Y_val, axis=1)))
+        except MemoryError:
+            # Raised outside this handler, so the failed attempt's frames and
+            # arrays are released before the error travels up.
+            reason = f"width {width} could not allocate"
+            break
         if err < best_err:
             best_err, best_net = err, net
         if err <= tol * margin:
             return net, err
+    best_width = best_net.width if best_net else 0
     raise FitToleranceError(
-        f"tolerance {tol:g} (margin {margin:g}) not met: best sampled error "
-        f"{best_err:g} at width {best_net.width if best_net else 0}",
+        f"{reason}: best sampled error {best_err:g} at width {best_width}",
         achieved=best_err,
-        width=best_net.width if best_net else 0,
+        width=best_width,
     )

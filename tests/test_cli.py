@@ -102,6 +102,22 @@ def built_d2(tmp_path_factory):
     return tmp / "out"
 
 
+def fit_out_of_memory(fails):
+    """A fit_random_feature that raises MemoryError where fails(in_dim, width)."""
+    real = shallow.fit_random_feature
+
+    def fit(X, Y, width, **kw):
+        if fails(X.shape[1], width):
+            raise MemoryError
+        return real(X, Y, width, **kw)
+
+    return fit
+
+
+def static_from_64(in_dim, width):
+    return in_dim > 1 and width >= 64  # with d=1, only the static net stacks several lags
+
+
 class TestConstruct:
     def test_happy_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -223,6 +239,19 @@ class TestConstruct:
         code = cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "fit_static_net" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fails, stage, width",
+        [(static_from_64, "fit_static_net", 64), (lambda in_dim, width: in_dim == 1, "fit_identity_chain", 32)],
+        ids=["static", "identity"],
+    )
+    def test_fit_that_cannot_allocate_is_stage_failure(self, tmp_path, monkeypatch, capsys, fails, stage, width):
+        monkeypatch.setattr(shallow, "fit_random_feature", fit_out_of_memory(fails))
+        cfg = write_config(tmp_path)
+        assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"stage {stage} failed" in err and f"width {width} could not allocate" in err
+        assert not (tmp_path / "out" / "esn.json").exists()
 
     def test_budget_violation_exit_code(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
@@ -669,6 +698,17 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("stage:")
+
+    def test_fit_that_cannot_allocate_is_a_stage_row_and_sweep_continues(self, tmp_path, monkeypatch):
+        # eps=0.5 accepts a width-33 static net; eps=0.3 needs a wider one,
+        # whose fit cannot allocate.  The finished point keeps its row.
+        monkeypatch.setattr(shallow, "fit_random_feature", fit_out_of_memory(static_from_64))
+        cfg = write_config(tmp_path)
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 3
+        rows = read_csv_skipping_schema(tmp_path / "sweep" / "sweep.csv")
+        assert [(r["eps"], r["widths"].split("|")[-1], r["status"]) for r in rows] == [
+            ("0.5", "33", "ok"), ("0.3", "", "stage:fit_static_net"),
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniesn import cli
+from uniesn import cli, shallow
 from uniesn.filters import filter_from_json
 from uniesn.linalg import operator_norm
 from uniesn.shallow import (
@@ -201,9 +201,10 @@ class TestFitRandomFeature:
         feature_bytes = n * (width + 1) * 8
         assert len(held) == 1 and held[0] < gram_bytes + feature_bytes / 2, held
 
-    def test_bordered_solve_holds_its_system_and_the_features(self, monkeypatch):
-        # Below width + 1 samples, the solve holds the (n+1)-square bordered
-        # system and the features its readout is read from, and no more.
+    def test_bordered_solve_holds_only_its_system(self, monkeypatch):
+        # Below width + 1 samples, the features are dropped once the
+        # (n+1)-square bordered system is built: the solve holds the system
+        # and no features, and the fit never holds more than the two.
         n, width = 300, 1023
         X = sample_product_ball(2, 1.0, 4, n, seed=3)
         Y = np.sin(X[:, :1])
@@ -218,12 +219,43 @@ class TestFitRandomFeature:
         tracemalloc.start()
         try:
             fit_random_feature(X, Y, width=width, ridge=1e-8, scale=1.0, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         system_bytes = (n + 1) ** 2 * 8
         feature_bytes = n * (width + 1) * 8
         slack = 256 * 1024  # the hidden layer, the samples and the right-hand side; a third of the system
-        assert len(held) == 1 and held[0] < system_bytes + feature_bytes + slack, held
+        assert len(held) == 1 and held[0] < system_bytes + slack, held
+        assert peak < system_bytes + feature_bytes + slack, peak
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 80), extra=st.integers(0, 100), d=st.integers(1, 4), m=st.sampled_from([1, 2]),
+        ridge=st.floats(1e-12, 1.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bordered_readout_keeps_the_bits_of_holding_the_features(self, n, extra, d, m, ridge, seed):
+        # The features are computed twice, once for the system and once for
+        # the readout; the readout must be the bits of a solve that holds one
+        # copy of them throughout.
+        width = n + extra  # n < width + 1: the bordered system
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(n, d))
+        Y = rng.uniform(-1.0, 1.0, size=(n, m))
+        net = fit_random_feature(X, Y, width=width, ridge=ridge, scale=1.5, seed=seed)
+        phi = X @ net.hidden_matrix.T
+        phi += net.hidden_bias
+        np.tanh(phi, out=phi)
+        feats, const = phi[:, :-1], phi[:, -1]
+        system = np.empty((n + 1, n + 1))
+        np.matmul(feats, feats.T, out=system[:n, :n])
+        system[np.diag_indices(n)] += n * ridge
+        system[:n, n] = system[n, :n] = const
+        system[n, n] = 0.0
+        rhs = np.zeros((n + 1, m))
+        rhs[:n] = Y
+        sol = np.linalg.solve(system.T, rhs)
+        reference = np.vstack([feats.T @ sol[:n], sol[n:]])
+        assert np.array_equal(net.readout, reference.T)
 
 
 class TestFitToTolerance:
@@ -244,6 +276,30 @@ class TestFitToTolerance:
         with pytest.raises(FitToleranceError, match="not met") as exc_info:
             fit_to_tolerance(lambda x: np.sin(5 * x), 1, 1.0, 1e-12, pol, seed=7)
         assert exc_info.value.achieved > 1e-12
+
+    @pytest.mark.parametrize("where", ["fit", "forward"])
+    def test_attempt_that_cannot_allocate_ends_the_fit(self, monkeypatch, where):
+        # Width 32 fits; width 64 cannot allocate, in its fit or in its
+        # validation forward.  The fit ends there, with the best net so far.
+        real_fit, real_forward = shallow.fit_random_feature, ShallowNet.forward
+
+        def fit(X, Y, width, **kw):
+            if where == "fit" and width >= 64:
+                raise MemoryError
+            return real_fit(X, Y, width, **kw)
+
+        def forward(net, u):
+            if where == "forward" and net.width > 64:
+                raise MemoryError
+            return real_forward(net, u)
+
+        monkeypatch.setattr(shallow, "fit_random_feature", fit)
+        monkeypatch.setattr(ShallowNet, "forward", forward)
+        pol = WidthPolicy(start_width=32, max_width=256, train_samples=200, val_samples=200)
+        message = r"width 64 could not allocate: best sampled error \S+ at width 33"
+        with pytest.raises(FitToleranceError, match=message) as exc_info:
+            fit_to_tolerance(lambda x: np.sin(5 * x), 1, 1.0, 1e-12, pol, seed=7)
+        assert exc_info.value.width == 33 and 0 < exc_info.value.achieved < np.inf
 
     def test_never_returns_above_margin(self):
         pol = WidthPolicy(start_width=8, max_width=256, train_samples=400, val_samples=800)
