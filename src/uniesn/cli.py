@@ -282,6 +282,12 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
                 temps["timings.json"],
                 {"stages": result.wall_times, "total": sum(result.wall_times.values())},
             )
+            # Only a target that is absent or a file can be replaced; checking
+            # them all first keeps a failed rename from stopping the set partway.
+            blocked = [str(out / name) for name in names if (out / name).exists() and not (out / name).is_file()]
+            if blocked:
+                _log(f"cannot write the artifacts: not a regular file: {', '.join(blocked)}")
+                return EXIT_CONFIG
             signal.signal(signal.SIGTERM, held.__setitem__)
             for name, temp in temps.items():
                 os.replace(temp, out / name)

@@ -16,6 +16,11 @@ import numpy as np
 
 from .windows import as_int, check_stated_sizes, freeze
 
+#: Windows per block of check_finite_memory.  At N=1190 a block's recursion
+#: holds about 7 MB where 1000 windows held 28 MB, and the 1000-window check
+#: runs no slower than in one batch; blocks of 64 ran slower.
+_FMP_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class BlockStructure:
@@ -260,11 +265,18 @@ def check_esp_empirical(p: ESNParams, window: np.ndarray, trials: int, seed: int
 
 def check_finite_memory(p: ESNParams, arr1: np.ndarray, arr2: np.ndarray) -> bool:
     """Do two (B, T, d) batches that share their last horizon+1 entries give
-    bitwise-equal outputs, row i against row i?"""
+    bitwise-equal outputs, row i against row i?
+
+    The batches run _FMP_BLOCK windows at a time, the same rows of each side
+    in one block, so the call holds one block's recursion whatever B is.
+    """
     K = p.structure.horizon
     if arr1.shape != arr2.shape or arr1.shape[1] < K + 1:
         raise ValueError(f"need equal-shape batches of windows with >= {K + 1} entries")
     if not np.array_equal(arr1[:, -(K + 1) :], arr2[:, -(K + 1) :]):
         raise ValueError(f"windows must agree on their last {K + 1} entries")
-    return bool(np.array_equal(p.functional_batch(arr1), p.functional_batch(arr2)))
+    return all(
+        np.array_equal(p.functional_batch(arr1[i : i + _FMP_BLOCK]), p.functional_batch(arr2[i : i + _FMP_BLOCK]))
+        for i in range(0, len(arr1), _FMP_BLOCK)
+    )
 

@@ -13,6 +13,10 @@ A batch of windows is a (B, T, d) array stored past-to-present:
 
 import numpy as np
 
+#: Entries of a sampled batch scaled at a time, so a batch costs its output
+#: array and about two chunks (512 KiB each) more.
+_CHUNK = 2**16
+
 
 def freeze(arr) -> np.ndarray:
     """A read-only C-contiguous float64 copy of ``arr``."""
@@ -50,6 +54,12 @@ def sample_product_ball(d: int, R: float, copies: int, n: int, seed: int) -> np.
     all zeros; row 1 (when n >= 2) puts the boundary probe R*e_1 in every slot,
     so sampled maxima always see the boundary.  Bitwise reproducible from
     ``seed``.
+
+    The normals are drawn straight into the output, then scaled in place
+    ``_CHUNK`` entries at a time, so the call holds its output and about two
+    chunks.  All normals come before any uniform, and a generator gives the
+    same stream drawn whole or in pieces, so the bits do not depend on the
+    chunk size.
     """
     if copies < 1:
         raise ValueError(f"need copies >= 1, got {copies}")
@@ -62,12 +72,21 @@ def sample_product_ball(d: int, R: float, copies: int, n: int, seed: int) -> np.
         out[1, 0::d] = R
     if n > 2:
         rng = np.random.default_rng(seed)
-        m = n - 2
-        dirs = rng.standard_normal((m, copies, d))
-        norms = np.linalg.norm(dirs, axis=2, keepdims=True)
-        norms[norms == 0] = 1.0
-        radii = R * rng.random((m, copies)) ** (1.0 / d)
-        out[2:] = (dirs / norms * radii[:, :, None]).reshape(m, copies * d)
+        slots = out[2:].reshape(-1, d)  # a view, one d-slot a row
+        rng.standard_normal(out=slots)
+        step = max(1, _CHUNK // d)
+        buf = np.empty((min(step, len(slots)), 1))
+        for start in range(0, len(slots), step):
+            chunk = slots[start : start + step]
+            scale = buf[: len(chunk)]
+            # np.linalg.norm(chunk, axis=1, keepdims=True), written into scale
+            np.sqrt(np.add.reduce(chunk * chunk, axis=1, keepdims=True, out=scale), out=scale)
+            scale[scale == 0] = 1.0
+            chunk /= scale
+            rng.random(out=scale[:, 0])
+            scale **= 1.0 / d
+            scale *= R
+            chunk *= scale
     return out
 
 

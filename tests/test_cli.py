@@ -408,6 +408,21 @@ class TestArtifactWrite:
         assert "cannot write the artifacts" in capsys.readouterr().err
         assert_earlier_artifacts(out, built)
 
+    @pytest.mark.parametrize("name", ARTIFACTS)
+    def test_target_that_is_no_file_keeps_the_earlier_artifacts(self, name, built, tmp_path, capsys):
+        # A rename onto a directory fails, so the targets are checked before
+        # the first rename: none of the rebuild's files may land.
+        out = seeded(built, tmp_path)
+        (out / name).unlink()
+        (out / name).mkdir()
+        cfg = write_config(tmp_path)
+        assert cli.main(["construct", str(cfg), "--out", str(out), "--seed", "7"]) == 2
+        assert f"not a regular file: {out / name}" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+        assert (out / name).is_dir()
+        for other in set(ARTIFACTS) - {name}:
+            assert (out / other).read_bytes() == (built / other).read_bytes()
+
     def test_sigterm_in_a_stage_is_exit_143(self, built, tmp_path, monkeypatch):
         out = seeded(built, tmp_path)
         real_budget = construct.budget_errors

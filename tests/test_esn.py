@@ -236,6 +236,49 @@ class TestFiniteMemory:
             check_finite_memory(p, arr1, arr2)
 
 
+class InfiniteMemory:
+    """A stand-in system whose output reads the whole window, far past too."""
+
+    structure = BlockStructure(widths=(2, 2))
+
+    def functional_batch(self, arr):
+        return arr.sum(axis=(1, 2))[:, None]
+
+
+class TestFiniteMemoryBlocks:
+    """check_finite_memory runs its batches in blocks of _FMP_BLOCK windows."""
+
+    def test_working_set_does_not_grow_with_the_batch(self):
+        p = chain_esn([16, 16, 32], d=1, m=1, seed=51)
+        peaks = []
+        for B in (1000, 4000):
+            arr = sample_window_array(1, 1.0, 12, B, seed=52)
+            modified = arr.copy()
+            modified[:, :4] = 1.0
+            tracemalloc.start()
+            try:
+                assert check_finite_memory(p, arr, modified)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The tail comparison's mask grows by B*(K+1)*d bytes, 9 KiB here;
+        # one whole-batch recursion of each side grows by about 3.9 MB.
+        assert peaks[1] < peaks[0] + 16 * 1024, peaks
+
+    @pytest.mark.parametrize("B", [1, 256, 257])
+    @pytest.mark.parametrize("system", ["assembled", "infinite"])
+    def test_verdict_of_one_whole_batch_comparison(self, B, system):
+        p = chain_esn([3, 4, 5], d=2, m=2, seed=53) if system == "assembled" else InfiniteMemory()
+        K = p.structure.horizon
+        arr = sample_window_array(2, 1.0, K + 3, B, seed=54)
+        for row in (0, B - 1):  # the first block's first row, the last block's last
+            modified = arr.copy()
+            modified[row, 0] = [0.5, 0.25]
+            whole = np.array_equal(p.functional_batch(arr), p.functional_batch(modified))
+            assert check_finite_memory(p, arr, modified) == whole
+            assert whole == (system == "assembled")
+
+
 class TestBoundedOutputs:
     def test_output_cap_under_adversarial_inputs(self):
         from uniesn.linalg import operator_norm

@@ -1,8 +1,37 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uniesn import windows
 from uniesn.windows import sample_product_ball, sample_window_array
+
+
+def one_shot_sample(d, R, copies, n, seed):
+    """The sampler as one whole-batch expression: the bits to keep."""
+    out = np.zeros((n, copies * d))
+    if n >= 2:
+        out[1, 0::d] = R
+    if n > 2:
+        rng = np.random.default_rng(seed)
+        m = n - 2
+        dirs = rng.standard_normal((m, copies, d))
+        norms = np.linalg.norm(dirs, axis=2, keepdims=True)
+        norms[norms == 0] = 1.0
+        radii = R * rng.random((m, copies)) ** (1.0 / d)
+        out[2:] = (dirs / norms * radii[:, :, None]).reshape(m, copies * d)
+    return out
+
+
+samples = {
+    "d": st.integers(1, 12),
+    "R": st.floats(1e-3, 1e3),
+    "copies": st.integers(1, 40),
+    "n": st.integers(1, 300),
+    "seed": st.integers(0, 2**32 - 1),
+}
 
 
 class TestSampleBall:
@@ -45,6 +74,45 @@ class TestSampleProductBall:
         assert np.array_equal(pts[0], np.zeros(6))
         expected = np.array([1.5, 0.0, 1.5, 0.0, 1.5, 0.0])
         assert np.array_equal(pts[1], expected)
+
+
+class TestSampleInPlace:
+    """The sampler scales its output in place, _CHUNK entries at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunk=st.integers(1, 40), **samples)
+    def test_bits_equal_one_shot_sample(self, chunk, d, R, copies, n, seed):
+        # Chunks of a few entries end mid-row, hold less than one row, or
+        # less than one slot.
+        want = one_shot_sample(d, R, copies, n, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(windows, "_CHUNK", chunk)
+            assert np.array_equal(sample_product_ball(d, R, copies, n, seed), want)
+        assert np.array_equal(sample_product_ball(d, R, copies, n, seed), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunk=st.sampled_from([1, 7, 2**16]), **samples)
+    def test_stays_in_its_domain(self, chunk, d, R, copies, n, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(windows, "_CHUNK", chunk)
+            pts = sample_product_ball(d, R, copies, n, seed)
+        assert pts.shape == (n, copies * d)
+        assert np.all(np.linalg.norm(pts.reshape(n, copies, d), axis=2) <= R * (1 + 1e-12))
+        assert not pts[0].any()
+        if n >= 2:
+            probe = np.zeros((copies, d))
+            probe[:, 0] = R
+            assert np.array_equal(pts[1], probe.ravel())
+
+    def test_holds_its_output_and_two_chunks(self):
+        tracemalloc.start()
+        try:
+            arr = sample_window_array(1, 1.0, 30, 10_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 128 * 1024  # the zero-norm mask, an eighth of a chunk at d=1
+        assert peak < arr.nbytes + 2 * windows._CHUNK * 8 + slack, peak
 
 
 class TestSamplerFold:
