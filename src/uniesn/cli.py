@@ -3,7 +3,7 @@
 stdout carries nothing but result paths; stderr carries human-readable stage
 logs.  Exit codes: 0 success, 2 config or load error or an output path that
 cannot be written, 3 pipeline stage failure, 4 budget violation, 5
-verification property failure, 143 a construct ended by SIGTERM.
+verification property failure, 143 a construct or sweep ended by SIGTERM.
 
 Wall-clock timings are written to a separate timings.json: report.json and
 esn.json are bitwise-deterministic functions of the config and seed, and
@@ -43,7 +43,7 @@ from .esn import (
 )
 from .filters import TargetFilter, filter_from_json
 from .shallow import ShallowNet
-from .windows import as_int, as_real, sample_window_array
+from .windows import as_int, as_real, fill_directions, sample_window_array
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -305,13 +305,6 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
     return EXIT_OK
 
 
-def _boundary_directions(rng: np.random.Generator, n: int, d: int, M: float) -> np.ndarray:
-    dirs = rng.standard_normal((n, d))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return dirs / norms * M
-
-
 #: Integer options of the verification section, with their defaults.
 VERIFY_INTS = {"seed": 2024, "esp_trials": 10, "fmp_trials": 1000, "window_len": 30, "closed_form_windows": 200}
 
@@ -377,10 +370,8 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     checks["echo_state"] = {"passed": bool(esp), "trials": opts["esp_trials"]}
 
     arr = sample_window_array(d, M, T, fmp_trials, seed + 2)
-    rng = np.random.default_rng(seed + 3)
     modified = arr.copy()
-    past = T - (K + 1)
-    modified[:, :past, :] = _boundary_directions(rng, fmp_trials * past, d, M).reshape(fmp_trials, past, d)
+    fill_directions(modified[:, : T - (K + 1)], M, np.random.default_rng(seed + 3))  # the far past, on the M-sphere
     same = check_finite_memory(esn, arr, modified)
     checks["finite_memory"] = {"passed": same, "trials": fmp_trials}
 
@@ -460,11 +451,6 @@ def _sweep_point(f: TargetFilter, base: ConstructionConfig, eps: float) -> tuple
 
 
 def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: int | None) -> int:
-    # Imported here: `import uniesn.cli` stays as cheap as construct and verify need.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     try:
         raw = _load_config(config_path)
         f = filter_from_json(raw["filter"])
@@ -482,14 +468,53 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
         _log(f"config error: {exc}")
         return EXIT_CONFIG
 
+    # A SIGTERM ends the sweep with SystemExit(143), as it ends construct: the
+    # workers are stopped, and sweep.csv goes to a temporary name first, so no
+    # new one appears.
+    previous = signal.signal(signal.SIGTERM, _terminated)
+    sweep_path = out / "sweep.csv"
+    temp = out / f".sweep.csv.{os.getpid()}.tmp"
+    try:
+        rows, worst = _sweep_rows(f, base, eps_list)
+        try:
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+                writer = csv.writer(fh)
+                writer.writerow(SWEEP_COLUMNS)
+                writer.writerows(rows)
+            os.replace(temp, sweep_path)
+        except OSError as exc:
+            _log(f"cannot write {sweep_path}: {exc}")
+            return EXIT_CONFIG
+    finally:
+        temp.unlink(missing_ok=True)
+        signal.signal(signal.SIGTERM, previous)
+    print(str(sweep_path))
+    return worst
+
+
+def _sweep_rows(f: TargetFilter, base: ConstructionConfig, eps_list: list) -> tuple[list, int]:
+    """Build every point: the rows in eps-list order, and the exit code of the first failed point."""
+    # Imported here: `import uniesn.cli` stays as cheap as construct and verify need.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     rows, died, worst = [], [], EXIT_OK
     # This process builds the smallest eps, which needs the widest fits.  Forked
     # workers inherit the modules and build the others, smallest eps first;
-    # with one usable CPU this process builds all.
+    # with one usable CPU this process builds all.  A worker takes back
+    # SIGTERM's default action, so terminate() ends it at once.
     order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
     workers = min(len(eps_list), len(os.sched_getaffinity(0))) - 1
     mine = order[:1] if workers else order
-    with ProcessPoolExecutor(max(workers, 1), multiprocessing.get_context("fork")) as pool:
+    pool = ProcessPoolExecutor(
+        max(workers, 1),
+        multiprocessing.get_context("fork"),
+        initializer=signal.signal,
+        initargs=(signal.SIGTERM, signal.SIG_DFL),
+    )
+    try:
         futures = {i: pool.submit(_sweep_point, f, base, eps_list[i]) for i in order if i not in mine}
         done = {i: _sweep_point(f, base, eps_list[i]) for i in mine}
         for i, eps in enumerate(eps_list):
@@ -502,21 +527,19 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
                 _log(line)
             rows.append(row)
             worst = worst or code
+    except BaseException:
+        # A SIGTERM (SystemExit(143)) or an error: shutdown would wait for the
+        # points still running, so end the workers first, the only processes
+        # this one has started; a second SIGTERM must not cut that short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        for proc in multiprocessing.active_children():
+            proc.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
     if died:
         _log(f"a sweep worker died; eps points not finished: {', '.join(died)}")
-
-    sweep_path = out / "sweep.csv"
-    try:
-        with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_COLUMNS)
-            writer.writerows(rows)
-    except OSError as exc:
-        _log(f"cannot write {sweep_path}: {exc}")
-        return EXIT_CONFIG
-    print(str(sweep_path))
-    return worst
+    return rows, worst
 
 
 def main(argv=None) -> int:

@@ -232,6 +232,34 @@ def _bordered_readout(
     return np.vstack([feats.T @ sol[:n], sol[n:]])
 
 
+#: glibc's malloc_trim, found on first use; None before, False where it is missing.
+_malloc_trim = None
+
+
+def _give_back_heap():
+    """Return the free heap pages glibc keeps to the system; a no-op without glibc.
+
+    A missed fit attempt frees arrays that glibc keeps as heap, since its mmap
+    threshold rises after large frees, and the next, wider attempt's arrays
+    then add to that resident set.  ``ctypes`` is imported here, not at module
+    load, and ``CDLL(None)`` reads the symbol from the running process: it
+    starts no helper process, as ``ctypes.util.find_library`` would.
+    """
+    global _malloc_trim
+    if _malloc_trim is None:
+        try:
+            import ctypes
+
+            trim = ctypes.CDLL(None).malloc_trim
+        except (OSError, AttributeError):
+            _malloc_trim = False
+        else:
+            trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+            _malloc_trim = trim
+    if _malloc_trim:
+        _malloc_trim(0)
+
+
 def fit_to_tolerance(
     target,
     d: int,
@@ -274,6 +302,8 @@ def fit_to_tolerance(
     best_net = None
     reason = f"tolerance {tol:g} (margin {margin:g}) not met"
     for attempt, width in enumerate(policy.widths()):
+        if attempt:
+            _give_back_heap()  # what the missed attempt freed, before this wider one
         try:
             net = fit_random_feature(
                 X_train, Y_train, width=width, ridge=policy.ridge, scale=scale, seed=base_weight_seed + attempt

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -940,10 +941,27 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+#: Runs ``uniesn sweep`` (argv[1:]) with two usable CPUs; each build prints
+#: the pid of the process that runs it, then waits a minute.
+STALLED_SWEEP = """
+import os, sys, time
+from uniesn import cli
+
+def build(f, cfg, **kw):
+    print(os.getpid(), flush=True)
+    time.sleep(60)
+
+cli.construct_universal_esn = build
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
 def run_src(args: list, timeout: float) -> subprocess.CompletedProcess:
     """Run ``python args`` with the package source on the path."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *args], env=SRC_ENV, capture_output=True, text=True, timeout=timeout)
 
 
 class TestSweepWorkers:
@@ -965,6 +983,29 @@ class TestSweepWorkers:
         rows = read_csv_skipping_schema(tmp_path / "sweep" / "sweep.csv")
         assert [r["eps"] for r in rows] == ["0.5", "0.4", "0.3"]
         assert [r["status"] for r in rows] == statuses
+
+    def test_sigterm_ends_the_sweep_and_its_worker(self, tmp_path):
+        # this process builds 0.3 and a worker 0.5; both are mid-build at the SIGTERM
+        out = tmp_path / "sweep"
+        argv = [sys.executable, "-c", STALLED_SWEEP, "sweep", str(write_config(tmp_path)), "--out", str(out)]
+        proc = subprocess.Popen(argv, env=SRC_ENV, stdout=subprocess.PIPE, text=True)
+        builders = []
+        try:
+            builders = [int(proc.stdout.readline()) for _ in range(2)]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 143
+            [worker] = set(builders) - {proc.pid}
+            time.sleep(1)
+            with pytest.raises(ProcessLookupError):
+                os.kill(worker, 0)
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in set(builders) - {proc.pid}:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
+        assert list(out.iterdir()) == []  # no sweep.csv, and no temporary file
 
     def test_import_leaves_out_the_pool(self):
         code = "import sys, uniesn.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"

@@ -1,5 +1,11 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,22 @@ from uniesn.shallow import (
     fit_to_tolerance,
 )
 from uniesn.windows import sample_product_ball
+
+
+#: The exp_fading (d=1) and volterra2 (d=2) filters of the benchmark, with
+#: the horizons their builds use.
+FILTERS = {
+    "exp_fading_d1": ({"kind": "exp_fading", "lambda": 0.5, "B": [[1.0]], "d": 1, "m": 1, "M": 1.0}, 5),
+    "volterra2_d2": (
+        {
+            "kind": "volterra2", "coeffs": [[[0.6, 0.3]], [[-0.3, 0.2]], [[0.15, -0.1]], [[0.1, 0.05]]],
+            "quad": [{"j": 0, "k": 1, "b": [0.3]}, {"j": 1, "k": 3, "b": [-0.2]}], "d": 2, "m": 1, "M": 1.0,
+        },
+        3,
+    ),
+}
+
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(shallow.__file__).parents[1])}
 
 
 def small_net(hidden, bias, readout):
@@ -104,20 +126,7 @@ class TestFitRandomFeature:
         with pytest.raises(ValueError):
             fit_random_feature(np.zeros((3, 1)), np.zeros((4, 1)), 4, 1e-8, 1.0, 0)
 
-    @pytest.mark.parametrize(
-        "filter_spec, K",
-        [
-            ({"kind": "exp_fading", "lambda": 0.5, "B": [[1.0]], "d": 1, "m": 1, "M": 1.0}, 5),
-            (
-                {
-                    "kind": "volterra2", "coeffs": [[[0.6, 0.3]], [[-0.3, 0.2]], [[0.15, -0.1]], [[0.1, 0.05]]],
-                    "quad": [{"j": 0, "k": 1, "b": [0.3]}, {"j": 1, "k": 3, "b": [-0.2]}], "d": 2, "m": 1, "M": 1.0,
-                },
-                3,
-            ),
-        ],
-        ids=["exp_fading_d1", "volterra2_d2"],
-    )
+    @pytest.mark.parametrize("filter_spec, K", list(FILTERS.values()), ids=list(FILTERS))
     @pytest.mark.parametrize("width", [32, 256, 600])  # 600 is above the 400 samples: the bordered system
     def test_readout_solves_the_c_ordered_gram(self, filter_spec, K, width):
         # The fit hands LAPACK the transpose of the exactly symmetric gram
@@ -326,6 +335,164 @@ class TestFitToTolerance:
         random_units = np.column_stack([net.hidden_matrix[:-1], net.hidden_bias[:-1]])
         assert np.all(np.abs(random_units) <= bound)
         assert np.max(np.abs(random_units)) > 0.9 * bound
+
+
+#: A d=2 doubling on 3000 samples that misses at every width up to 1024.  It
+#: stops as the width-2048 attempt starts and prints how far VmRSS has then
+#: risen, in MB, above its value before the fit.
+RETAINED_HEAP = """
+import re
+import numpy as np
+from uniesn import shallow
+
+def rss_mb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmRSS:\\s+(\\d+)", fh.read()).group(1)) / 1024
+
+class Widest(Exception):
+    pass
+
+real_fit = shallow.fit_random_feature
+
+def fit(X, Y, width, **kw):
+    if width > 1024:
+        raise Widest(rss_mb())
+    return real_fit(X, Y, width=width, **kw)
+
+shallow.fit_random_feature = fit
+target = lambda x: np.sin(7 * x).sum(axis=1, keepdims=True)
+# One small fit first loads what any fit loads (numpy.random among it).
+shallow.fit_to_tolerance(target, 2, 1.0, 100.0, shallow.WidthPolicy(8, 8, 8, 8), seed=1, copies=4)
+policy = shallow.WidthPolicy(start_width=32, max_width=2048, train_samples=3000, val_samples=1000)
+before = rss_mb()
+try:
+    shallow.fit_to_tolerance(target, 2, 1.0, 1e-9, policy, seed=3, copies=4)
+except Widest as exc:
+    print(exc.args[0] - before)
+"""
+
+
+class TestHeapRelease:
+    """fit_to_tolerance gives glibc's free heap back between attempts."""
+
+    @pytest.mark.parametrize(
+        "name, train_samples",
+        [("exp_fading_d1", 1000), ("volterra2_d2", 300)],  # 300 samples: width 512 is bordered
+    )
+    def test_bits_equal_without_the_release(self, monkeypatch, name, train_samples):
+        spec, K = FILTERS[name]
+        f = filter_from_json(spec)
+        pol = WidthPolicy(start_width=32, max_width=512, train_samples=train_samples, val_samples=1000)
+        real_fit, real_release = shallow.fit_random_feature, shallow._give_back_heap
+
+        def run(release):
+            """Every net the fit makes (the one it returns among them), and the
+            error and width it returns or raises with."""
+            nets = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(shallow, "fit_random_feature", lambda *a, **k: nets.append(real_fit(*a, **k)) or nets[-1])
+                mp.setattr(shallow, "_give_back_heap", release)
+                try:
+                    net, err = fit_to_tolerance(
+                        lambda u: f.evaluate_batch(u.reshape(len(u), K + 1, f.in_dim)),
+                        f.in_dim, f.input_bound, 1e-3, pol, seed=9, copies=K + 1,
+                    )
+                    outcome = (err, net.width)
+                except FitToleranceError as exc:
+                    outcome = (exc.achieved, exc.width)
+            return nets, outcome
+
+        calls = []
+        live_nets, live = run(lambda: calls.append(real_release()))
+        stubbed_nets, stubbed = run(lambda: None)
+        assert len(calls) == len(live_nets) - 1 >= 1
+        assert len(live_nets) == len(stubbed_nets)
+        for a, b in zip(live_nets, stubbed_nets):
+            for field in ("hidden_matrix", "hidden_bias", "readout"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert live == stubbed
+
+    @pytest.mark.parametrize(
+        "misses, fails_at, want",
+        [
+            ({32, 64, 128}, None, ["fit 32", "release", "fit 64", "release", "fit 128", "raise"]),
+            ({32}, None, ["fit 32", "release", "fit 64", "return"]),
+            ({32}, 64, ["fit 32", "release", "fit 64", "raise"]),
+        ],
+        ids=["exhausted", "met_at_64", "cannot_allocate_at_64"],
+    )
+    def test_runs_between_attempts_only(self, monkeypatch, misses, fails_at, want):
+        # A constant target is met exactly; an attempt made to miss has its
+        # readout zeroed.
+        events = []
+        real = shallow.fit_random_feature
+
+        def fit(X, Y, width, **kw):
+            events.append(f"fit {width}")
+            if width == fails_at:
+                raise MemoryError
+            net = real(X, Y, width=width, **kw)
+            if width in misses:
+                return ShallowNet(net.hidden_matrix, net.hidden_bias, np.zeros_like(net.readout))
+            return net
+
+        monkeypatch.setattr(shallow, "fit_random_feature", fit)
+        monkeypatch.setattr(shallow, "_give_back_heap", lambda: events.append("release"))
+        pol = WidthPolicy(start_width=32, max_width=128, train_samples=200, val_samples=200)
+        try:
+            fit_to_tolerance(lambda x: np.full((len(x), 1), 0.7), 1, 1.0, 1e-8, pol, seed=7)
+            events.append("return")
+        except FitToleranceError:
+            events.append("raise")
+        assert events == want
+
+    @pytest.mark.parametrize("error", [OSError("no handle"), None], ids=["oserror", "missing_symbol"])
+    def test_no_glibc_is_a_silent_no_op(self, monkeypatch, error):
+        def cdll(name):
+            if error is not None:
+                raise error
+            return object()  # a library without malloc_trim
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(shallow, "_malloc_trim", None)
+        shallow._give_back_heap()
+        shallow._give_back_heap()
+        assert shallow._malloc_trim is False
+
+    def test_finds_the_symbol_once(self, monkeypatch):
+        trims, opened = [], []
+        library = types.SimpleNamespace(malloc_trim=lambda pad: trims.append(pad))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or library)
+        monkeypatch.setattr(shallow, "_malloc_trim", None)
+        for _ in range(3):
+            shallow._give_back_heap()
+        assert opened == [None] and trims == [0, 0, 0]
+
+    def test_import_leaves_out_ctypes(self):
+        # numpy loads ctypes itself, so it is dropped before uniesn is imported.
+        code = (
+            "import sys, numpy\n"
+            "for name in [m for m in sys.modules if m == 'ctypes' or m.startswith('ctypes.')]:\n"
+            "    del sys.modules[name]\n"
+            "import uniesn.cli\n"
+            "print('ctypes' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists() or not hasattr(ctypes.CDLL(None), "malloc_trim"),
+        reason="needs /proc/self/status and glibc's malloc_trim",
+    )
+    def test_wider_attempt_starts_without_the_missed_attempts_heap(self):
+        # Without the release, glibc keeps about 20 MB of what widths up to
+        # 1024 freed, and the width-2048 attempt would add to it.
+        proc = subprocess.run(
+            [sys.executable, "-c", RETAINED_HEAP], env=SRC_ENV, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 8.0
 
 
 class TestWidthPolicy:
