@@ -42,7 +42,7 @@ from .esn import (
     check_nilpotent,
 )
 from .filters import TargetFilter, filter_from_json
-from .shallow import ShallowNet
+from .shallow import FIT_MARGIN, ShallowNet
 from .windows import as_int, as_real, fill_directions, sample_window_array
 
 EXIT_OK = 0
@@ -100,14 +100,10 @@ def _load_config(path) -> dict:
 
 
 def _construction_from(obj: dict, seed_override: int | None) -> ConstructionConfig:
-    """The construction section as a config; the seed is the flag's, else
-    UNIESN_SEED's, else the section's."""
-    section = dict(obj)
-    if os.environ.get("UNIESN_SEED"):
-        section["seed"] = int(os.environ["UNIESN_SEED"])
+    """The construction section as a config; the seed is the flag's, else the section's."""
     if seed_override is not None:
-        section["seed"] = seed_override
-    return ConstructionConfig(**section)
+        obj = {**obj, "seed": seed_override}
+    return ConstructionConfig(**obj)
 
 
 def _float_text(values: np.ndarray, indent: str) -> str:
@@ -193,7 +189,7 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
         "target": filter_spec,
         "eps": cfg.eps,
         "seed": cfg.seed,
-        "margin": cfg.margin,
+        "margin": FIT_MARGIN,
         "horizon": result.horizon,
         "widths": list(esn.structure.widths),
         "state_dim": esn.state_dim,
@@ -306,29 +302,36 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
 
 
 #: Integer options of the verification section, with their defaults.
-VERIFY_INTS = {"seed": 2024, "esp_trials": 10, "fmp_trials": 1000, "window_len": 30, "closed_form_windows": 200}
+VERIFY_INTS = {"seed": 2024, "fmp_trials": 1000, "window_len": 30}
+
+#: Every key the verification section accepts.
+VERIFY_KEYS = {*VERIFY_INTS, "out", "nets"}
+
+#: Echo-state trials, and windows of the closed-form check, of every verify.
+ESP_TRIALS = 10
+CLOSED_FORM_WINDOWS = 200
 
 
 def _verify_options(raw: dict, esn: ESNParams | None, esn_path: str) -> dict:
     """Parse and validate the config's verification section, and load
     nets.json unless no system was loaded (esn is None)."""
     vcfg = raw.get("verification", {})
-    unknown = set(vcfg) - {*VERIFY_INTS, "input_bound", "out", "nets"}
+    unknown = set(vcfg) - VERIFY_KEYS
     if unknown:
         raise ConfigError(f"unknown verification keys {sorted(unknown)}")
-    M = vcfg["input_bound"] if "input_bound" in vcfg else raw.get("filter", {}).get("M", 1.0)
+    M = raw.get("filter", {}).get("M", 1.0)
     opts = {
         key: as_int(vcfg.get(key, default), f"verification {key}") for key, default in VERIFY_INTS.items()
     }
     out = Path(vcfg.get("out", Path(esn_path).parent / "verify.json"))
     if not out.parent.is_dir():
         raise ConfigError(f"verification out {out}: {out.parent} is not a directory")
-    opts.update(M=as_real(M, "verification input_bound"), out=out, nets=None)
+    opts.update(M=as_real(M, "filter M"), out=out, nets=None)
     if not 0 < opts["M"] < np.inf:
-        raise ConfigError(f"verification input_bound (default: filter M) must be finite and > 0, got {M}")
+        raise ConfigError(f"filter M must be finite and > 0, got {M}")
     if opts["seed"] < 0:
         raise ConfigError(f"verification seed must be >= 0, got {opts['seed']}")
-    for key in ("esp_trials", "fmp_trials", "window_len", "closed_form_windows"):
+    for key in ("fmp_trials", "window_len"):
         if opts[key] < 1:
             raise ConfigError(f"verification {key} must be >= 1, got {opts[key]}")
     # The sibling nets.json may be absent; a configured path must be read.
@@ -366,8 +369,8 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     checks["nilpotency"] = {"passed": bool(ok and degree == K + 1), "degree": degree}
 
     probe = sample_window_array(d, M, K + 1, 3, seed)[-1]
-    esp = check_esp_empirical(esn, probe, opts["esp_trials"], seed + 1)
-    checks["echo_state"] = {"passed": bool(esp), "trials": opts["esp_trials"]}
+    esp = check_esp_empirical(esn, probe, ESP_TRIALS, seed + 1)
+    checks["echo_state"] = {"passed": bool(esp), "trials": ESP_TRIALS}
 
     arr = sample_window_array(d, M, T, fmp_trials, seed + 2)
     modified = arr.copy()
@@ -377,7 +380,7 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
 
     if opts["nets"] is not None:
         split, chain = opts["nets"]
-        n_check = min(opts["closed_form_windows"], arr.shape[0])
+        n_check = min(CLOSED_FORM_WINDOWS, arr.shape[0])
         gap = closed_form_gap(esn, split, chain, arr[:n_check])
         # The state gap leaves out W, which assemble_esn pads from the static readout.
         readout = np.array_equal(esn.W, np.pad(split.readout, ((0, 0), (esn.state_dim - split.net.width, 0))))

@@ -89,7 +89,6 @@ class ConstructionConfig:
 
     eps: float
     seed: int = 0
-    margin: float = 0.8
     static_policy: WidthPolicy = field(default_factory=WidthPolicy)
     identity_policy: WidthPolicy = field(default_factory=WidthPolicy)
     chain_samples: int = 10_000
@@ -98,7 +97,7 @@ class ConstructionConfig:
     closed_form_check_windows: int = 200
 
     def __post_init__(self):
-        cast = {"eps": as_real, "seed": as_int, "margin": as_real, **dict.fromkeys(SAMPLE_COUNTS, as_int)}
+        cast = {"eps": as_real, "seed": as_int, **dict.fromkeys(SAMPLE_COUNTS, as_int)}
         for key, kind in cast.items():
             object.__setattr__(self, key, kind(getattr(self, key), key))
         for key in ("static_policy", "identity_policy"):
@@ -108,8 +107,6 @@ class ConstructionConfig:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.margin <= 1:
-            raise ValueError(f"margin must lie in (0, 1], got {self.margin}")
         for key in SAMPLE_COUNTS:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -175,41 +172,21 @@ def identity_error_gain(readout, lag_blocks) -> float:
     return float(r * total)
 
 
-def identity_chain_radii(M: float, horizon: int, eps: float, gain: float) -> list[float]:
-    """Fitting-ball radius for each identity net j = 1..horizon: M + (j-1)*eps/(3*gain)."""
-    if horizon == 0:
-        return []
-    if not gain > 0:
-        raise ValueError(f"gain must be positive for a nonzero horizon, got {gain}")
-    step = eps / (3.0 * gain)
-    return [M + (j - 1) * step for j in range(1, horizon + 1)]
-
-
 def build_identity_chain(
-    d: int,
-    M: float,
-    horizon: int,
-    eps: float,
-    gain: float,
-    policy: WidthPolicy,
-    seed: int,
-    *,
-    margin: float = 0.8,
+    d: int, M: float, horizon: int, tol: float, policy: WidthPolicy, seed: int
 ) -> list[ShallowNet]:
     """Fit one identity-approximator net per delay step.
 
-    Net j is fitted on the ball of radius M + (j-1)*eps/(3*gain) to tolerance
-    eps/(3*gain); the inflated radii cover the drift the earlier nets may
-    have introduced by the time net j sees the data.
+    Net j is fitted on the ball of radius M + (j-1)*tol to the per-net
+    tolerance tol, eps / (3 * gain) in a build; the inflated radii cover the
+    drift the earlier nets may have introduced by the time net j sees the
+    data.
     """
-    radii = identity_chain_radii(M, horizon, eps, gain)
-    tol = eps / (3.0 * gain) if horizon >= 1 else None
     chain = []
-    for j, radius in enumerate(radii, start=1):
+    for j in range(1, horizon + 1):
+        radius = M + (j - 1) * tol
         try:
-            net, _ = fit_to_tolerance(
-                lambda x: x, d, radius, tol, policy, _derived_seed(seed, j), margin=margin
-            )
+            net, _ = fit_to_tolerance(lambda x: x, d, radius, tol, policy, _derived_seed(seed, j))
         except FitToleranceError as exc:
             raise ConstructionError(
                 "fit_identity_chain",
@@ -230,25 +207,20 @@ def compose_chain(chain: list[ShallowNet], j: int, z: np.ndarray) -> np.ndarray:
 
 
 def verify_chain_bound(
-    chain: list[ShallowNet],
-    M: float,
-    eps: float,
-    gain: float,
-    n_samples: int,
-    seed: int,
+    chain: list[ShallowNet], M: float, tol: float, n_samples: int, seed: int
 ) -> list[dict]:
     """Check the inductive drift and containment bounds of the composed chain.
 
     On n_samples points of the M-ball, for every depth j: the composed chain
-    must stay within j*eps/(3*gain) of the identity (strict) and inside the
-    ball of radius M + j*eps/(3*gain).  Returns one record per depth; raises
-    ChainBoundError with the witness point on the first violation.
+    must stay within j*tol of the identity (strict) and inside the ball of
+    radius M + j*tol, where tol is the chain's per-net tolerance.  Returns one
+    record per depth; raises ChainBoundError with the witness point on the
+    first violation.
     """
     K = len(chain)
     if K == 0:
         return []
     d = chain[0].in_dim
-    step = eps / (3.0 * gain)
     points = sample_product_ball(d, M, 1, n_samples, seed)
     current = points
     records = []
@@ -258,8 +230,8 @@ def verify_chain_bound(
         norms = np.linalg.norm(current, axis=1)
         worst_err = int(np.argmax(errs))
         worst_norm = int(np.argmax(norms))
-        err_limit = j * step
-        norm_limit = M + j * step
+        err_limit = j * tol
+        norm_limit = M + j * tol
         if not errs[worst_err] < err_limit:
             raise ChainBoundError(
                 f"chain drift at depth {j}: {errs[worst_err]:g} >= {err_limit:g}",
@@ -493,7 +465,7 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     try:
         net, net_fit_achieved = fit_to_tolerance(
             lambda u: f.evaluate_batch(u.reshape(len(u), K + 1, d)),  # stacked lags, most-delayed first
-            d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1), copies=K + 1, margin=cfg.margin,
+            d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1), copies=K + 1,
         )
     except FitToleranceError as exc:
         raise ConstructionError(stage, str(exc)) from exc
@@ -505,15 +477,12 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     stage = staged("fit_identity_chain")
     if K >= 1 and not gain > 0:
         raise ConstructionError(stage, "error gain is zero with K >= 1; nothing to calibrate against")
-    chain = build_identity_chain(
-        d, M, K, eps, gain, cfg.identity_policy, _derived_seed(cfg.seed, 2), margin=cfg.margin
-    )
+    tol = eps / (3.0 * gain) if K >= 1 else None  # the per-net tolerance of the chain
+    chain = build_identity_chain(d, M, K, tol, cfg.identity_policy, _derived_seed(cfg.seed, 2))
     done(stage)
 
     stage = staged("verify_chain")
-    chain_records = verify_chain_bound(
-        chain, M, eps, gain, cfg.chain_samples, _derived_seed(cfg.seed, 3)
-    )
+    chain_records = verify_chain_bound(chain, M, tol, cfg.chain_samples, _derived_seed(cfg.seed, 3))
     done(stage)
 
     stage = staged("assemble")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .windows import as_int, as_real, check_stated_sizes, freeze, sample_product_ball
+from .windows import as_int, check_stated_sizes, freeze, sample_product_ball
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,14 @@ class ShallowNet:
         return net
 
 
+#: fit_to_tolerance accepts a net whose sampled sup error is at most this
+#: share of its tolerance.
+FIT_MARGIN = 0.8
+
+#: The ridge penalty of every fit_to_tolerance attempt.
+RIDGE = 1e-10
+
+
 class FitToleranceError(RuntimeError):
     """Raised when the doubling policy exhausts max_width above tolerance."""
 
@@ -102,8 +110,6 @@ class WidthPolicy:
     max_width: int = 4096
     train_samples: int = 1024
     val_samples: int = 2048
-    ridge: float = 1e-10
-    scale: float | None = None  # None: 2 / circumradius of the fitting domain
 
     def __post_init__(self):
         for key in ("start_width", "max_width", "train_samples", "val_samples"):
@@ -112,13 +118,6 @@ class WidthPolicy:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.max_width < self.start_width:
             raise ValueError(f"max_width {self.max_width} is below start_width {self.start_width}")
-        object.__setattr__(self, "ridge", as_real(self.ridge, "ridge"))
-        if not 0 <= self.ridge < np.inf:
-            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
-        if self.scale is not None:
-            object.__setattr__(self, "scale", as_real(self.scale, "scale"))
-            if not 0 < self.scale < np.inf:
-                raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     def widths(self):
         w = self.start_width
@@ -269,15 +268,16 @@ def fit_to_tolerance(
     seed: int,
     *,
     copies: int = 1,
-    margin: float = 0.8,
 ) -> tuple[ShallowNet, float]:
-    """Fit ``target`` on a product of balls to a sampled sup error <= tol * margin.
+    """Fit ``target`` on a product of balls to a sampled sup error <= tol * FIT_MARGIN.
 
     The fitting domain is the product of ``copies`` radius-balls in d-space,
     points stacked to (n, copies * d); ``target`` maps such a batch to
     (n, out_dim).  Widths double from policy.start_width until the error on
-    a held-out validation sample clears tol * margin; the margin leaves
+    a held-out validation sample clears tol * FIT_MARGIN; the margin leaves
     headroom because a sampled sup is only a lower bound on the true one.
+    Each attempt draws its hidden weights on [-s, s] with s = 2 / the
+    domain's circumradius, radius * sqrt(copies), and solves with RIDGE.
 
     Raises FitToleranceError, carrying the best achieved error, if max_width
     is not enough, or if an attempt (its fit or its validation forward)
@@ -286,8 +286,6 @@ def fit_to_tolerance(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not 0 < margin <= 1:
-        raise ValueError(f"margin must lie in (0, 1], got {margin}")
     ss = np.random.SeedSequence(seed)
     train_seed, val_seed, base_weight_seed = (int(s) for s in ss.generate_state(3))
     X_train = sample_product_ball(d, radius, copies, policy.train_samples, train_seed)
@@ -296,17 +294,17 @@ def fit_to_tolerance(
     Y_val = np.asarray(target(X_val), dtype=np.float64)
 
     # The domain's circumradius, not the per-ball radius, is what keeps the
-    # default hidden scale responsive as the number of balls grows.
-    scale = policy.scale if policy.scale is not None else 2.0 / (radius * float(np.sqrt(copies)))
+    # hidden scale responsive as the number of balls grows.
+    scale = 2.0 / (radius * float(np.sqrt(copies)))
     best_err = np.inf
     best_net = None
-    reason = f"tolerance {tol:g} (margin {margin:g}) not met"
+    reason = f"tolerance {tol:g} (margin {FIT_MARGIN:g}) not met"
     for attempt, width in enumerate(policy.widths()):
         if attempt:
             _give_back_heap()  # what the missed attempt freed, before this wider one
         try:
             net = fit_random_feature(
-                X_train, Y_train, width=width, ridge=policy.ridge, scale=scale, seed=base_weight_seed + attempt
+                X_train, Y_train, width=width, ridge=RIDGE, scale=scale, seed=base_weight_seed + attempt
             )
             err = float(np.max(np.linalg.norm(net.forward(X_val) - Y_val, axis=1)))
         except MemoryError:
@@ -316,7 +314,7 @@ def fit_to_tolerance(
             break
         if err < best_err:
             best_err, best_net = err, net
-        if err <= tol * margin:
+        if err <= tol * FIT_MARGIN:
             return net, err
     best_width = best_net.width if best_net else 0
     raise FitToleranceError(

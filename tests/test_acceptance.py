@@ -40,7 +40,6 @@ def demo_config(eps=DEMO_EPS, seed=DEMO_SEED):
     return ConstructionConfig(
         eps=eps,
         seed=seed,
-        margin=0.8,
         static_policy=WidthPolicy(start_width=32, max_width=4096, train_samples=3000, val_samples=3000),
         identity_policy=WidthPolicy(start_width=32, max_width=2048, train_samples=1500, val_samples=3000),
         chain_samples=10_000,
@@ -169,10 +168,8 @@ def test_05_closed_form_oracle(acceptance_detail):
 
 def test_06_chain_bound(demo, acceptance_detail):
     result, _ = demo
-    records = verify_chain_bound(
-        result.chain, 1.0, DEMO_EPS, result.gain, n_samples=10_000, seed=424241
-    )
     step = DEMO_EPS / (3.0 * result.gain)
+    records = verify_chain_bound(result.chain, 1.0, step, n_samples=10_000, seed=424241)
     assert len(records) == result.horizon
     for j, rec in enumerate(records, start=1):
         assert rec["sup_error"] < j * step

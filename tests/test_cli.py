@@ -34,7 +34,7 @@ def write_config(path: Path, **overrides) -> Path:
             "budget_window_len": 20,
             "closed_form_check_windows": 30,
         },
-        "verification": {"esp_trials": 10, "fmp_trials": 100, "window_len": 20, "seed": 99},
+        "verification": {"fmp_trials": 100, "window_len": 20, "seed": 99},
         "sweep": {"eps": [0.5, 0.3]},
     }
     for key, value in overrides.items():
@@ -197,6 +197,12 @@ class TestConstruct:
             lambda c: c["construction"]["identity_policy"].update(scale=True),
             lambda c: c["filter"].update(d=1.5),
             lambda c: c["filter"].update(M=True),
+            # Settings that are constants now, each at its former default.
+            lambda c: c["construction"].update(margin=0.8),
+            lambda c: c["construction"]["static_policy"].update(ridge=1e-10),
+            lambda c: c["construction"]["identity_policy"].update(ridge=1e-10),
+            lambda c: c["construction"]["static_policy"].update(scale=None),
+            lambda c: c["construction"]["identity_policy"].update(scale=None),
         ],
         ids=[
             "unknown_key", "unknown_policy_key", "max_below_start_width", "start_width_zero",
@@ -206,7 +212,8 @@ class TestConstruct:
             "filter_B_nan", "filter_B_infinite", "fir_tap_infinite", "volterra2_coeff_nan", "quad_b_nan",
             "budget_windows_bool", "seed_fraction", "margin_bool", "eps_bool", "budget_window_len_infinite",
             "train_samples_fraction", "identity_train_samples_bool", "ridge_bool", "scale_bool", "filter_d_fraction",
-            "filter_M_bool",
+            "filter_M_bool", "margin_at_default", "static_ridge_at_default", "identity_ridge_at_default",
+            "static_scale_at_default", "identity_scale_at_default",
         ],
     )
     def test_bad_config_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, edit):
@@ -219,14 +226,13 @@ class TestConstruct:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv, env", [(["--seed", "-5"], None), ([], "-5")], ids=["flag", "env"])
-    def test_negative_seed_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, argv, env):
-        if env is not None:
-            monkeypatch.setenv("UNIESN_SEED", env)
+    @pytest.mark.parametrize("command", ["construct", "sweep"], ids=["flag", "sweep_flag"])
+    def test_negative_seed_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a stage ran"))
         cfg = write_config(tmp_path)
-        assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out"), *argv]) == 2
+        assert cli.main([command, str(cfg), "--out", str(tmp_path / "out"), "--seed", "-5"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_impossible_fit_is_stage_failure(self, tmp_path, capsys):
         cfg = write_config(
@@ -278,19 +284,12 @@ class TestConstruct:
         assert a["seed"] == 1 and b["seed"] == 2
         assert a["budget"] != b["budget"]
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_seed_environment_variable_is_not_read(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         monkeypatch.setenv("UNIESN_SEED", "777")
         assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "env")]) == 0
         report = json.loads((tmp_path / "env" / "report.json").read_text())
-        assert report["seed"] == 777
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        monkeypatch.setenv("UNIESN_SEED", "777")
-        assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "f"), "--seed", "5"]) == 0
-        report = json.loads((tmp_path / "f" / "report.json").read_text())
-        assert report["seed"] == 5
+        assert report["seed"] == 424242
 
 
 ARTIFACTS = ("esn.json", "nets.json", "report.json", "budget.csv", "timings.json")
@@ -681,6 +680,10 @@ class TestVerify:
             ({"verification": {"window_len": True}}, None),
             ({"verification": {"closed_form_windows": float("inf")}}, None),
             ({"verification": {"input_bound": True}}, None),
+            # Settings that are constants now, each at its former default.
+            ({"verification": {"esp_trials": 10}}, None),
+            ({"verification": {"closed_form_windows": 200}}, None),
+            ({"verification": {"input_bound": 1.0}}, None),
             ({}, edited("esn.json", lambda esn: esn.pop("structure"))),
             ({}, edited("esn.json", lambda esn: esn.__setitem__("structure", None))),
             ({}, edited("esn.json", lambda esn: esn.__setitem__("activation", "logistic"))),
@@ -716,6 +719,7 @@ class TestVerify:
             "seed_negative", "nets_nan_readout", "nets_inf_bias",
             "fmp_trials_fraction", "esp_trials_bool", "seed_fraction", "window_len_bool",
             "closed_form_windows_infinite", "input_bound_bool",
+            "esp_trials_at_default", "closed_form_windows_at_default", "input_bound_at_default",
             "esn_without_structure", "esn_null_structure", "esn_logistic", "esn_not_object",
             "esn_null_A", "esn_number_A",
             "nets_missing_explicit_path",

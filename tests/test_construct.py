@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uniesn import construct
 from uniesn.construct import (
     BUDGET_BLOCK,
     _derived_seed,
@@ -23,7 +24,6 @@ from uniesn.construct import (
     compose_chain,
     construct_universal_esn,
     direct_functional,
-    identity_chain_radii,
     identity_error_gain,
     split_lag_blocks,
     verify_chain_bound,
@@ -109,35 +109,43 @@ class TestSplitAndGain:
 
 class TestIdentityChain:
     def test_no_horizon_means_no_nets(self):
-        assert identity_chain_radii(1.0, 0, 0.3, 0.0) == []
         pol = WidthPolicy(start_width=8, max_width=8, train_samples=32, val_samples=32)
-        assert build_identity_chain(1, 1.0, 0, 0.3, 0.0, pol, seed=0) == []
+        assert build_identity_chain(1, 1.0, 0, 0.1, pol, seed=0) == []
 
-    def test_radii_formula(self):
-        eps, gain = 0.3, 2.0
-        radii = identity_chain_radii(1.0, 2, eps, gain)
-        step = eps / (3 * gain)
-        assert radii == [1.0, 1.0 + step]
+    def test_net_j_is_fitted_on_radius_M_plus_j_minus_1_tol(self, monkeypatch):
+        fits = []
 
-    def test_gain_must_be_positive_with_horizon(self):
-        with pytest.raises(ValueError):
-            identity_chain_radii(1.0, 2, 0.3, 0.0)
+        def fit(target, d, radius, tol, policy, seed):
+            fits.append((radius, tol))
+            return random_net(4, d, d, seed=seed), 0.0
+
+        monkeypatch.setattr(construct, "fit_to_tolerance", fit)
+        tol = 0.3 / (3 * 2.0)
+        pol = WidthPolicy(start_width=8, max_width=8, train_samples=32, val_samples=32)
+        assert len(build_identity_chain(1, 1.0, 3, tol, pol, seed=0)) == 3
+        assert fits == [(1.0, tol), (1.0 + tol, tol), (1.0 + 2 * tol, tol)]
+
+    def test_gain_must_be_positive_with_horizon(self, monkeypatch):
+        monkeypatch.setattr(construct, "identity_error_gain", lambda readout, blocks: 0.0)
+        monkeypatch.setattr(construct, "build_identity_chain", lambda *a: pytest.fail("the chain was fitted"))
+        f = ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)
+        with pytest.raises(ConstructionError, match="error gain is zero") as exc_info:
+            construct_universal_esn(f, small_cfg(eps=0.5))
+        assert exc_info.value.stage == "fit_identity_chain"
 
     def test_each_net_meets_its_tolerance_on_fresh_samples(self):
-        eps, gain, M, K = 0.3, 5.0, 1.0, 3
+        tol, M, K = 0.3 / (3 * 5.0), 1.0, 3
         pol = WidthPolicy(start_width=32, max_width=512, train_samples=1000, val_samples=2000)
-        chain = build_identity_chain(1, M, K, eps, gain, pol, seed=6)
-        tol = eps / (3 * gain)
-        radii = identity_chain_radii(M, K, eps, gain)
-        for net, radius in zip(chain, radii):
-            fresh = sample_product_ball(1, radius, 1, 4000, seed=999)
+        chain = build_identity_chain(1, M, K, tol, pol, seed=6)
+        for j, net in enumerate(chain, start=1):
+            fresh = sample_product_ball(1, M + (j - 1) * tol, 1, 4000, seed=999)
             err = np.max(np.abs(net.forward(fresh) - fresh))
             assert err <= tol
 
     def test_fit_failure_annotated_with_position(self):
         pol = WidthPolicy(start_width=2, max_width=2, train_samples=64, val_samples=64)
         with pytest.raises(ConstructionError, match="identity net 1"):
-            build_identity_chain(1, 1.0, 2, 1e-9, 1.0, pol, seed=7)
+            build_identity_chain(1, 1.0, 2, 1e-9 / 3, pol, seed=7)
 
 
 class TestComposeChain:
@@ -159,22 +167,18 @@ class TestComposeChain:
 
 
 class TestVerifyChainBound:
-    def _fitted_chain(self, eps, gain, M=1.0, K=3, seed=12):
-        pol = WidthPolicy(start_width=32, max_width=512, train_samples=1000, val_samples=2000)
-        return build_identity_chain(1, M, K, eps, gain, pol, seed=seed)
-
     def test_bounds_hold_for_fitted_chain(self):
-        eps, gain = 0.3, 5.0
-        chain = self._fitted_chain(eps, gain)
-        records = verify_chain_bound(chain, 1.0, eps, gain, n_samples=3000, seed=13)
-        step = eps / (3 * gain)
+        tol = 0.3 / (3 * 5.0)
+        pol = WidthPolicy(start_width=32, max_width=512, train_samples=1000, val_samples=2000)
+        chain = build_identity_chain(1, 1.0, 3, tol, pol, seed=12)
+        records = verify_chain_bound(chain, 1.0, tol, n_samples=3000, seed=13)
         assert len(records) == 3
         for j, rec in enumerate(records, start=1):
-            assert rec["sup_error"] < j * step
-            assert rec["sup_norm"] <= 1.0 + j * step
+            assert rec["sup_error"] < j * tol
+            assert rec["sup_norm"] <= 1.0 + j * tol
 
     def test_empty_chain(self):
-        assert verify_chain_bound([], 1.0, 0.3, 0.0, 100, seed=0) == []
+        assert verify_chain_bound([], 1.0, 0.1, 100, seed=0) == []
 
     def test_violation_reports_depth_and_witness(self):
         # a net that shifts everything by a constant violates the drift bound
@@ -183,7 +187,7 @@ class TestVerifyChainBound:
             readout=np.array([[10.0]]),
         )
         with pytest.raises(ChainBoundError) as exc_info:
-            verify_chain_bound([bad], 1.0, 0.3, 1.0, n_samples=50, seed=14)
+            verify_chain_bound([bad], 1.0, 0.1, n_samples=50, seed=14)
         assert exc_info.value.j == 1
         assert exc_info.value.witness.shape == (1,)
 
@@ -358,8 +362,7 @@ class TestDirectFunctional:
         # and the readout norm, bounds the output discrepancy pointwise
         split = random_split(K=3, d=1, collector_width=6, seed=37, scale=0.7)
         pol = WidthPolicy(start_width=32, max_width=512, train_samples=800, val_samples=1600)
-        eps, gain = 0.3, 5.0
-        chain = build_identity_chain(1, 1.0, 3, eps, gain, pol, seed=38)
+        chain = build_identity_chain(1, 1.0, 3, 0.3 / (3 * 5.0), pol, seed=38)
         arr = sample_window_array(1, 1.0, 6, 500, seed=39)
         K, T = 3, 6
         w_norm = operator_norm(split.readout)
@@ -534,22 +537,29 @@ class TestConfigSchema:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"eps": 0.0}, {"eps": float("inf")}, {"eps": float("nan")}, {"margin": 0.0}, {"margin": 1.5},
+            {"eps": 0.0}, {"eps": float("inf")}, {"eps": float("nan")},
             {"chain_samples": 0}, {"budget_windows": 0}, {"budget_window_len": 0},
             {"closed_form_check_windows": 0}, {"identity_policy": {"start_width": 0}}, {"seed": -1},
             # Integer fields take no booleans or fractions, real fields no booleans.
             {"seed": 1.9}, {"seed": True}, {"budget_windows": True}, {"chain_samples": 2.5},
             {"budget_window_len": float("inf")}, {"closed_form_check_windows": 30.5},
             {"static_policy": {"start_width": 32.5}}, {"identity_policy": {"val_samples": True}},
-            {"eps": True}, {"margin": True}, {"static_policy": {"ridge": False}},
-            {"identity_policy": {"scale": True}},
+            {"eps": True},
         ],
     )
     def test_out_of_range_is_value_error(self, bad):
         with pytest.raises(ValueError):
             ConstructionConfig(**{"eps": 0.3, **bad})
 
-    @pytest.mark.parametrize("bad", [{"budget_windws": 5}, {"static_policy": {"start_widht": 8}}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"budget_windws": 5}, {"static_policy": {"start_widht": 8}},
+            # Settings that are constants now, each at its former default.
+            {"margin": 0.8}, {"static_policy": {"ridge": 1e-10}}, {"identity_policy": {"ridge": 1e-10}},
+            {"static_policy": {"scale": None}}, {"identity_policy": {"scale": None}},
+        ],
+    )
     def test_unknown_key_is_type_error(self, bad):
         with pytest.raises(TypeError):
             ConstructionConfig(eps=0.3, **bad)

@@ -318,7 +318,7 @@ class TestFitToTolerance:
 
     @pytest.mark.parametrize("d, radius, copies", [(1, 1.0, 1), (1, 1.0, 6), (2, 0.5, 4), (3, 2.0, 3)])
     def test_product_domain_and_default_scale(self, d, radius, copies):
-        # The domain is copies radius-balls stacked; the default scale is
+        # The domain is copies radius-balls stacked; the hidden scale is
         # 2 / circumradius, radius * sqrt(copies).
         pol = WidthPolicy(start_width=64, max_width=64, train_samples=200, val_samples=200)
         seen = []
@@ -497,16 +497,15 @@ class TestHeapRelease:
 
 class TestWidthPolicy:
     def test_casts_parsed_values(self):
-        pol = WidthPolicy(start_width="8", max_width=16.0, train_samples=10, val_samples=20, ridge="0", scale=1)
-        assert pol == WidthPolicy(start_width=8, max_width=16, train_samples=10, val_samples=20, ridge=0.0, scale=1.0)
+        pol = WidthPolicy(start_width="8", max_width=16.0, train_samples=10, val_samples=20)
+        assert pol == WidthPolicy(start_width=8, max_width=16, train_samples=10, val_samples=20)
         assert list(pol.widths()) == [8, 16]
 
     @pytest.mark.parametrize(
         "bad",
         [
             {"start_width": 0}, {"max_width": 0}, {"train_samples": 0}, {"val_samples": -1},
-            {"start_width": 64, "max_width": 32}, {"ridge": -1e-9}, {"ridge": float("inf")},
-            {"scale": 0.0}, {"scale": float("nan")},
+            {"start_width": 64, "max_width": 32},
         ],
     )
     def test_rejects_out_of_range(self, bad):
