@@ -25,6 +25,7 @@ import numpy as np
 from .construct import (
     CLOSED_FORM_TOL,
     SAMPLE_COUNTS,
+    WINDOW_LEN,
     BudgetError,
     ConstructionConfig,
     ConstructionError,
@@ -205,7 +206,7 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
             "tolerance": CLOSED_FORM_TOL,
         },
         "functional_evaluator": "closed_form",
-        "sample_counts": {key: getattr(cfg, key) for key in SAMPLE_COUNTS},
+        "sample_counts": {"budget_window_len": WINDOW_LEN, **{key: getattr(cfg, key) for key in SAMPLE_COUNTS}},
         "width_table": {
             "static_net": {"width": result.split.net.width, "achieved": result.net_fit_achieved},
             "identity_chain": [net.width for net in result.chain],
@@ -302,7 +303,7 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
 
 
 #: Integer options of the verification section, with their defaults.
-VERIFY_INTS = {"seed": 2024, "fmp_trials": 1000, "window_len": 30}
+VERIFY_INTS = {"seed": 2024, "fmp_trials": 1000}
 
 #: Every key the verification section accepts.
 VERIFY_KEYS = {*VERIFY_INTS, "out", "nets"}
@@ -313,27 +314,27 @@ CLOSED_FORM_WINDOWS = 200
 
 
 def _verify_options(raw: dict, esn: ESNParams | None, esn_path: str) -> dict:
-    """Parse and validate the config's verification section, and load
-    nets.json unless no system was loaded (esn is None)."""
+    """Parse and validate the config's filter and verification sections, and
+    load nets.json unless no system was loaded (esn is None)."""
+    f = filter_from_json(raw["filter"])
+    if esn is not None and (f.in_dim, f.out_dim) != (esn.in_dim, esn.out_dim):
+        raise ConfigError(
+            f"the filter maps d={f.in_dim} to m={f.out_dim}, the system in {esn_path} d={esn.in_dim} to m={esn.out_dim}"
+        )
     vcfg = raw.get("verification", {})
     unknown = set(vcfg) - VERIFY_KEYS
     if unknown:
         raise ConfigError(f"unknown verification keys {sorted(unknown)}")
-    M = raw.get("filter", {}).get("M", 1.0)
     opts = {
         key: as_int(vcfg.get(key, default), f"verification {key}") for key, default in VERIFY_INTS.items()
     }
     out = Path(vcfg.get("out", Path(esn_path).parent / "verify.json"))
     if not out.parent.is_dir():
         raise ConfigError(f"verification out {out}: {out.parent} is not a directory")
-    opts.update(M=as_real(M, "filter M"), out=out, nets=None)
-    if not 0 < opts["M"] < np.inf:
-        raise ConfigError(f"filter M must be finite and > 0, got {M}")
-    if opts["seed"] < 0:
-        raise ConfigError(f"verification seed must be >= 0, got {opts['seed']}")
-    for key in ("fmp_trials", "window_len"):
-        if opts[key] < 1:
-            raise ConfigError(f"verification {key} must be >= 1, got {opts[key]}")
+    opts.update(M=f.input_bound, out=out, nets=None)
+    for key, least in (("seed", 0), ("fmp_trials", 1)):
+        if opts[key] < least:
+            raise ConfigError(f"verification {key} must be >= {least}, got {opts[key]}")
     # The sibling nets.json may be absent; a configured path must be read.
     nets_path = Path(vcfg["nets"]) if vcfg.get("nets") else Path(esn_path).parent / "nets.json"
     if esn is not None and (vcfg.get("nets") or nets_path.exists()):
@@ -358,10 +359,9 @@ def _verify_options(raw: dict, esn: ESNParams | None, esn_path: str) -> dict:
 
 
 def _verify_checks(esn: ESNParams, opts: dict) -> dict:
-    K = esn.structure.horizon
-    d = esn.in_dim
+    K, d = esn.structure.horizon, esn.in_dim
     M, seed, fmp_trials = opts["M"], opts["seed"], opts["fmp_trials"]
-    T = max(opts["window_len"], K + 2)  # so at least one far-past entry is rewritten
+    T = max(WINDOW_LEN, K + 2)  # so at least one far-past entry is rewritten
 
     checks: dict[str, dict] = {}
 
@@ -372,8 +372,11 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     esp = check_esp_empirical(esn, probe, ESP_TRIALS, seed + 1)
     checks["echo_state"] = {"passed": bool(esp), "trials": ESP_TRIALS}
 
-    arr = sample_window_array(d, M, T, fmp_trials, seed + 2)
-    modified = arr.copy()
+    try:
+        arr = sample_window_array(d, M, T, fmp_trials, seed + 2)
+        modified = arr.copy()
+    except MemoryError:
+        raise ConfigError(f"verification fmp_trials {fmp_trials}: its windows could not allocate") from None
     fill_directions(modified[:, : T - (K + 1)], M, np.random.default_rng(seed + 3))  # the far past, on the M-sphere
     same = check_finite_memory(esn, arr, modified)
     checks["finite_memory"] = {"passed": same, "trials": fmp_trials}
@@ -407,11 +410,10 @@ def cmd_verify(esn_path: str, config_path: str) -> int:
         except PatternError as exc:
             esn, broken = None, exc
         opts = _verify_options(_load_config(config_path), esn, esn_path)
+        checks = _pattern_checks(broken) if esn is None else _verify_checks(esn, opts)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         _log(f"load error: {exc}")
         return EXIT_CONFIG
-
-    checks = _pattern_checks(broken) if esn is None else _verify_checks(esn, opts)
     out_path = opts["out"]
     all_passed = all(c.get("passed", True) for c in checks.values())
     try:

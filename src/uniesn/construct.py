@@ -1,4 +1,4 @@
-"""Build an echo state network within eps of a target filter, and prove it.
+"""Build an echo state network within eps of a target filter, and check it.
 
 The pipeline mirrors the constructive argument it implements:
 
@@ -26,6 +26,7 @@ term is a true upper bound.  The error budget records which is which.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,9 @@ CLOSED_FORM_TOL = 1e-10
 #: blocks of this many (the last may be shorter), so its working set is a
 #: few (block, width) arrays whatever budget_windows is.
 BUDGET_BLOCK = 2048
+
+#: Entries of each budget window and each verify window, unless the horizon needs more.
+WINDOW_LEN = 30
 
 
 class ConstructionError(RuntimeError):
@@ -75,7 +79,7 @@ class BudgetError(ConstructionError):
 
 
 #: The sample-count fields of ConstructionConfig, each at least 1.
-SAMPLE_COUNTS = ("chain_samples", "budget_windows", "budget_window_len", "closed_form_check_windows")
+SAMPLE_COUNTS = ("chain_samples", "budget_windows", "closed_form_check_windows")
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,6 @@ class ConstructionConfig:
     identity_policy: WidthPolicy = field(default_factory=WidthPolicy)
     chain_samples: int = 10_000
     budget_windows: int = 10_000
-    budget_window_len: int = 30
     closed_form_check_windows: int = 200
 
     def __post_init__(self):
@@ -440,79 +443,72 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     sampled sups, so the returned budget's verdict_status() is
     ``"sampled_sup"``.
 
-    Raises ConstructionError (with a stage tag) if any stage fails, or
-    BudgetError if every stage succeeds but a budget term misses its share.
+    Raises ConstructionError (with a stage tag) if a stage fails or cannot
+    allocate its samples, or BudgetError if a budget term misses its share.
     """
     eps = cfg.eps
     d, M = f.in_dim, f.input_bound
     times: dict[str, float] = {}
 
-    def staged(stage):
-        times[stage] = time.perf_counter()
-        return stage
+    @contextmanager
+    def stage(name):
+        start = time.perf_counter()
+        try:
+            yield name
+        except FitToleranceError as exc:
+            raise ConstructionError(name, str(exc)) from exc
+        except MemoryError as exc:
+            raise ConstructionError(name, f"could not allocate: {exc}") from exc
+        times[name] = time.perf_counter() - start
 
-    def done(stage):
-        times[stage] = time.perf_counter() - times[stage]
+    with stage("choose_horizon") as name:
+        try:
+            K = f.choose_horizon(eps / 3.0)
+        except Exception as exc:
+            raise ConstructionError(name, str(exc)) from exc
 
-    stage = staged("choose_horizon")
-    try:
-        K = f.choose_horizon(eps / 3.0)
-    except Exception as exc:
-        raise ConstructionError(stage, str(exc)) from exc
-    done(stage)
-
-    stage = staged("fit_static_net")
-    try:
+    with stage("fit_static_net"):
         net, net_fit_achieved = fit_to_tolerance(
             lambda u: f.evaluate_batch(u.reshape(len(u), K + 1, d)),  # stacked lags, most-delayed first
             d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1), copies=K + 1,
         )
-    except FitToleranceError as exc:
-        raise ConstructionError(stage, str(exc)) from exc
-    done(stage)
 
     split = split_lag_blocks(net, d)
     gain = identity_error_gain(split.readout, [split.lag_block(j) for j in range(K + 1)])
 
-    stage = staged("fit_identity_chain")
-    if K >= 1 and not gain > 0:
-        raise ConstructionError(stage, "error gain is zero with K >= 1; nothing to calibrate against")
-    tol = eps / (3.0 * gain) if K >= 1 else None  # the per-net tolerance of the chain
-    chain = build_identity_chain(d, M, K, tol, cfg.identity_policy, _derived_seed(cfg.seed, 2))
-    done(stage)
+    with stage("fit_identity_chain") as name:
+        if K >= 1 and not gain > 0:
+            raise ConstructionError(name, "error gain is zero with K >= 1; nothing to calibrate against")
+        tol = eps / (3.0 * gain) if K >= 1 else None  # the per-net tolerance of the chain
+        chain = build_identity_chain(d, M, K, tol, cfg.identity_policy, _derived_seed(cfg.seed, 2))
 
-    stage = staged("verify_chain")
-    chain_records = verify_chain_bound(chain, M, tol, cfg.chain_samples, _derived_seed(cfg.seed, 3))
-    done(stage)
+    with stage("verify_chain"):
+        chain_records = verify_chain_bound(chain, M, tol, cfg.chain_samples, _derived_seed(cfg.seed, 3))
 
-    stage = staged("assemble")
-    esn = assemble_esn(split, chain)
-    done(stage)
+    with stage("assemble"):
+        esn = assemble_esn(split, chain)
 
-    # Budget windows: fresh inputs, long enough to expose the truncation tail.
-    T = max(cfg.budget_window_len, K + 1)
-    arr = sample_window_array(d, M, T, cfg.budget_windows, _derived_seed(cfg.seed, 4))
+    with stage("verify_closed_form") as name:
+        # Budget windows: fresh inputs, long enough to expose the truncation tail.
+        T = max(WINDOW_LEN, K + 1)
+        arr = sample_window_array(d, M, T, cfg.budget_windows, _derived_seed(cfg.seed, 4))
+        n_check = min(cfg.closed_form_check_windows, cfg.budget_windows)
+        gap = closed_form_gap(esn, split, chain, arr[:n_check])
+        if gap > CLOSED_FORM_TOL:
+            raise ConstructionError(
+                name, f"recursion and closed form disagree by {gap:g} (tolerance {CLOSED_FORM_TOL:g})"
+            )
 
-    stage = staged("verify_closed_form")
-    n_check = min(cfg.closed_form_check_windows, cfg.budget_windows)
-    gap = closed_form_gap(esn, split, chain, arr[:n_check])
-    if gap > CLOSED_FORM_TOL:
-        raise ConstructionError(
-            stage, f"recursion and closed form disagree by {gap:g} (tolerance {CLOSED_FORM_TOL:g})"
+    with stage("budget"):
+        net_fit, chain_err, total = budget_errors(f, split, chain, arr)
+        budget = ErrorBudget(
+            eps=eps,
+            truncation_analytic=float(f.truncation_bound(K)),
+            net_fit_sampled=float(np.max(net_fit)),
+            chain_sampled=float(np.max(chain_err)),
+            total_sampled=float(np.max(total)),
         )
-    done(stage)
-
-    stage = staged("budget")
-    net_fit, chain_err, total = budget_errors(f, split, chain, arr)
-    budget = ErrorBudget(
-        eps=eps,
-        truncation_analytic=float(f.truncation_bound(K)),
-        net_fit_sampled=float(np.max(net_fit)),
-        chain_sampled=float(np.max(chain_err)),
-        total_sampled=float(np.max(total)),
-    )
-    budget.check()
-    done(stage)
+        budget.check()
 
     return ConstructionResult(
         esn=esn,

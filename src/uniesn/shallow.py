@@ -88,6 +88,9 @@ FIT_MARGIN = 0.8
 #: The ridge penalty of every fit_to_tolerance attempt.
 RIDGE = 1e-10
 
+#: The width of every fit_to_tolerance's first attempt; each next one doubles it.
+START_WIDTH = 32
+
 
 class FitToleranceError(RuntimeError):
     """Raised when the doubling policy exhausts max_width above tolerance."""
@@ -106,21 +109,20 @@ class WidthPolicy:
     as keyword arguments) and out-of-range values raise ValueError.
     """
 
-    start_width: int = 32
     max_width: int = 4096
     train_samples: int = 1024
     val_samples: int = 2048
 
     def __post_init__(self):
-        for key in ("start_width", "max_width", "train_samples", "val_samples"):
+        for key in ("max_width", "train_samples", "val_samples"):
             object.__setattr__(self, key, as_int(getattr(self, key), key))
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.max_width < self.start_width:
-            raise ValueError(f"max_width {self.max_width} is below start_width {self.start_width}")
+        if self.max_width < START_WIDTH:
+            raise ValueError(f"max_width {self.max_width} is below the start width {START_WIDTH}")
 
     def widths(self):
-        w = self.start_width
+        w = START_WIDTH
         while w <= self.max_width:
             yield w
             w *= 2
@@ -273,7 +275,7 @@ def fit_to_tolerance(
 
     The fitting domain is the product of ``copies`` radius-balls in d-space,
     points stacked to (n, copies * d); ``target`` maps such a batch to
-    (n, out_dim).  Widths double from policy.start_width until the error on
+    (n, out_dim).  Widths double from START_WIDTH until the error on
     a held-out validation sample clears tol * FIT_MARGIN; the margin leaves
     headroom because a sampled sup is only a lower bound on the true one.
     Each attempt draws its hidden weights on [-s, s] with s = 2 / the

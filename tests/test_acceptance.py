@@ -40,11 +40,10 @@ def demo_config(eps=DEMO_EPS, seed=DEMO_SEED):
     return ConstructionConfig(
         eps=eps,
         seed=seed,
-        static_policy=WidthPolicy(start_width=32, max_width=4096, train_samples=3000, val_samples=3000),
-        identity_policy=WidthPolicy(start_width=32, max_width=2048, train_samples=1500, val_samples=3000),
+        static_policy=WidthPolicy(max_width=4096, train_samples=3000, val_samples=3000),
+        identity_policy=WidthPolicy(max_width=2048, train_samples=1500, val_samples=3000),
         chain_samples=10_000,
         budget_windows=10_000,
-        budget_window_len=30,
         closed_form_check_windows=200,
     )
 
@@ -227,11 +226,10 @@ def test_09_sweep_monotonicity(tmp_path, acceptance_detail):
         "construction": {
             "eps": DEMO_EPS,
             "seed": DEMO_SEED,
-            "static_policy": {"start_width": 32, "max_width": 4096, "train_samples": 3000, "val_samples": 3000},
-            "identity_policy": {"start_width": 32, "max_width": 2048, "train_samples": 1500, "val_samples": 3000},
+            "static_policy": {"max_width": 4096, "train_samples": 3000, "val_samples": 3000},
+            "identity_policy": {"max_width": 2048, "train_samples": 1500, "val_samples": 3000},
             "chain_samples": 10_000,
             "budget_windows": 10_000,
-            "budget_window_len": 30,
             "closed_form_check_windows": 200,
         },
         "sweep": {"eps": [0.5, 0.3, 0.1]},
@@ -262,11 +260,10 @@ def test_10_determinism(tmp_path, acceptance_detail):
         "construction": {
             "eps": DEMO_EPS,
             "seed": DEMO_SEED,
-            "static_policy": {"start_width": 32, "max_width": 4096, "train_samples": 3000, "val_samples": 3000},
-            "identity_policy": {"start_width": 32, "max_width": 2048, "train_samples": 1500, "val_samples": 3000},
+            "static_policy": {"max_width": 4096, "train_samples": 3000, "val_samples": 3000},
+            "identity_policy": {"max_width": 2048, "train_samples": 1500, "val_samples": 3000},
             "chain_samples": 10_000,
             "budget_windows": 10_000,
-            "budget_window_len": 30,
             "closed_form_check_windows": 200,
         },
     }

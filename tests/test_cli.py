@@ -27,14 +27,13 @@ def write_config(path: Path, **overrides) -> Path:
         "construction": {
             "eps": 0.3,
             "seed": 424242,
-            "static_policy": {"start_width": 32, "max_width": 4096, "train_samples": 1500, "val_samples": 1500},
-            "identity_policy": {"start_width": 32, "max_width": 1024, "train_samples": 800, "val_samples": 1600},
+            "static_policy": {"max_width": 4096, "train_samples": 1500, "val_samples": 1500},
+            "identity_policy": {"max_width": 1024, "train_samples": 800, "val_samples": 1600},
             "chain_samples": 1000,
             "budget_windows": 1000,
-            "budget_window_len": 20,
             "closed_form_check_windows": 30,
         },
-        "verification": {"fmp_trials": 100, "window_len": 20, "seed": 99},
+        "verification": {"fmp_trials": 100, "seed": 99},
         "sweep": {"eps": [0.5, 0.3]},
     }
     for key, value in overrides.items():
@@ -116,6 +115,36 @@ def fit_out_of_memory(fails):
 
 def static_from_64(in_dim, width):
     return in_dim > 1 and width >= 64  # with d=1, only the static net stacks several lags
+
+
+#: The sample count that sampler_out_of_memory cannot allocate; no count of
+#: write_config equals it.
+UNALLOCATABLE = 1234
+
+
+def sampler_out_of_memory(real):
+    """``real``, a sampler called as (..., n, seed), raising MemoryError for
+    n == UNALLOCATABLE as numpy does for a count it cannot allocate."""
+
+    def sample(*args):
+        if args[-2] == UNALLOCATABLE:
+            raise MemoryError(f"cannot allocate {UNALLOCATABLE} samples")
+        return real(*args)
+
+    return sample
+
+
+def construct_samplers_out_of_memory(monkeypatch):
+    for module, name in ((shallow, "sample_product_ball"), (construct, "sample_product_ball"),
+                         (construct, "sample_window_array")):
+        monkeypatch.setattr(module, name, sampler_out_of_memory(getattr(module, name)))
+
+
+def test_readme_config_layout_is_the_demo_config():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config layout", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == json.loads((root / "configs" / "demo_expfading.json").read_text(encoding="utf-8"))
 
 
 class TestConstruct:
@@ -203,6 +232,9 @@ class TestConstruct:
             lambda c: c["construction"]["identity_policy"].update(ridge=1e-10),
             lambda c: c["construction"]["static_policy"].update(scale=None),
             lambda c: c["construction"]["identity_policy"].update(scale=None),
+            lambda c: c["construction"]["static_policy"].update(start_width=32),
+            lambda c: c["construction"]["identity_policy"].update(start_width=32),
+            lambda c: c["construction"].update(budget_window_len=30),
         ],
         ids=[
             "unknown_key", "unknown_policy_key", "max_below_start_width", "start_width_zero",
@@ -214,6 +246,7 @@ class TestConstruct:
             "train_samples_fraction", "identity_train_samples_bool", "ridge_bool", "scale_bool", "filter_d_fraction",
             "filter_M_bool", "margin_at_default", "static_ridge_at_default", "identity_ridge_at_default",
             "static_scale_at_default", "identity_scale_at_default",
+            "static_start_width_at_default", "identity_start_width_at_default", "budget_window_len_at_default",
         ],
     )
     def test_bad_config_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, edit):
@@ -239,7 +272,7 @@ class TestConstruct:
             tmp_path,
             construction={
                 "eps": 1e-9,
-                "static_policy": {"start_width": 4, "max_width": 4, "train_samples": 64, "val_samples": 64},
+                "static_policy": {"max_width": 32, "train_samples": 64, "val_samples": 64},
             },
         )
         code = cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")])
@@ -257,6 +290,26 @@ class TestConstruct:
         assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert f"stage {stage} failed" in err and f"width {width} could not allocate" in err
+        assert not (tmp_path / "out" / "esn.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, stage",
+        [
+            (lambda c: c["static_policy"].update(train_samples=UNALLOCATABLE), "fit_static_net"),
+            (lambda c: c["identity_policy"].update(train_samples=UNALLOCATABLE), "fit_identity_chain"),
+            (lambda c: c.update(chain_samples=UNALLOCATABLE), "verify_chain"),
+            (lambda c: c.update(budget_windows=UNALLOCATABLE), "verify_closed_form"),
+        ],
+        ids=["static_train_samples", "identity_train_samples", "chain_samples", "budget_windows"],
+    )
+    def test_sample_count_that_cannot_allocate_is_stage_failure(self, tmp_path, monkeypatch, capsys, edit, stage):
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        edit(raw["construction"])
+        cfg.write_text(json.dumps(raw))
+        construct_samplers_out_of_memory(monkeypatch)
+        assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert f"stage {stage} failed: could not allocate" in capsys.readouterr().err
         assert not (tmp_path / "out" / "esn.json").exists()
 
     def test_budget_violation_exit_code(self, tmp_path, monkeypatch):
@@ -573,8 +626,9 @@ class TestVerify:
         assert all(c["skipped"] is True and c["reason"] for c in verdict["checks"].values())
 
     def test_short_window_len_still_rewrites_the_far_past(self, built, tmp_path, monkeypatch):
-        # window_len 1 runs as K+2: one entry ahead of the shared K+1
-        cfg = write_config(tmp_path, verification={"window_len": 1})
+        # a window length of 1 runs as K+2: one entry ahead of the shared K+1
+        monkeypatch.setattr(cli, "WINDOW_LEN", 1)
+        cfg = write_config(tmp_path)
         for name in ("esn.json", "nets.json"):
             (tmp_path / name).write_bytes((built / name).read_bytes())
         batches = []
@@ -591,6 +645,28 @@ class TestVerify:
         assert arr1.shape[1] == K + 2
         assert not np.array_equal(arr1, arr2)
         assert np.array_equal(arr1[:, 1:], arr2[:, 1:])
+
+    def test_fmp_trials_that_cannot_allocate_is_config_error(self, built, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, verification={"fmp_trials": UNALLOCATABLE})
+        for name in ("esn.json", "nets.json"):
+            (tmp_path / name).write_bytes((built / name).read_bytes())
+        monkeypatch.setattr(cli, "sample_window_array", sampler_out_of_memory(cli.sample_window_array))
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
+        assert f"load error: verification fmp_trials {UNALLOCATABLE}" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
+
+    @pytest.mark.parametrize("edit", [lambda c: c.pop("filter"), lambda c: c["filter"].pop("M")], ids=["filter", "M"])
+    def test_config_without_filter_or_M_is_load_error(self, built, tmp_path, capsys, edit):
+        # verify reads the filter as construct does, and M has no default.
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        edit(raw)
+        cfg.write_text(json.dumps(raw))
+        for name in ("esn.json", "nets.json"):
+            (tmp_path / name).write_bytes((built / name).read_bytes())
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
+        assert "load error" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
 
     def test_perturbed_collector_entry_flagged(self, built, tmp_path):
         # inside the pattern the system stays nilpotent and runs the block
@@ -684,6 +760,10 @@ class TestVerify:
             ({"verification": {"esp_trials": 10}}, None),
             ({"verification": {"closed_form_windows": 200}}, None),
             ({"verification": {"input_bound": 1.0}}, None),
+            ({"verification": {"window_len": 30}}, None),
+            # Filters that do not fit the d=1, m=1 system.
+            ({"filter": VOLTERRA2}, None),
+            ({"filter": {"m": 2, "B": [[1.0], [1.0]]}}, None),
             ({}, edited("esn.json", lambda esn: esn.pop("structure"))),
             ({}, edited("esn.json", lambda esn: esn.__setitem__("structure", None))),
             ({}, edited("esn.json", lambda esn: esn.__setitem__("activation", "logistic"))),
@@ -720,6 +800,7 @@ class TestVerify:
             "fmp_trials_fraction", "esp_trials_bool", "seed_fraction", "window_len_bool",
             "closed_form_windows_infinite", "input_bound_bool",
             "esp_trials_at_default", "closed_form_windows_at_default", "input_bound_at_default",
+            "window_len_at_default", "filter_d_2", "filter_m_2",
             "esn_without_structure", "esn_null_structure", "esn_logistic", "esn_not_object",
             "esn_null_A", "esn_number_A",
             "nets_missing_explicit_path",
@@ -771,6 +852,18 @@ class TestSweep:
         assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize(
+        "construction",
+        [{"static_policy": {"start_width": 32}}, {"identity_policy": {"start_width": 32}}, {"budget_window_len": 30}],
+        ids=["static_start_width", "identity_start_width", "budget_window_len"],
+    )
+    def test_removed_setting_exits_before_any_build(self, tmp_path, monkeypatch, capsys, construction):
+        cfg = write_config(tmp_path, construction=construction)
+        monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a build ran"))
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_boolean_eps_exits_before_any_build(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, sweep={"eps": [0.5, True]})
         monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a build ran"))
@@ -797,7 +890,7 @@ class TestSweep:
             tmp_path,
             sweep={"eps": [0.5, 1e-9]},
             construction={
-                "static_policy": {"start_width": 32, "max_width": 256, "train_samples": 1000, "val_samples": 1000},
+                "static_policy": {"max_width": 256, "train_samples": 1000, "val_samples": 1000},
             },
         )
         code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")])
@@ -806,6 +899,15 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("stage:")
+
+    def test_budget_windows_that_cannot_allocate_are_stage_rows_and_sweep_continues(self, tmp_path, monkeypatch):
+        construct_samplers_out_of_memory(monkeypatch)
+        cfg = write_config(tmp_path, construction={"budget_windows": UNALLOCATABLE})
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 3
+        rows = read_csv_skipping_schema(tmp_path / "sweep" / "sweep.csv")
+        assert [(r["eps"], r["status"]) for r in rows] == [
+            ("0.5", "stage:verify_closed_form"), ("0.3", "stage:verify_closed_form"),
+        ]
 
     def test_fit_that_cannot_allocate_is_a_stage_row_and_sweep_continues(self, tmp_path, monkeypatch):
         # eps=0.5 accepts a width-33 static net; eps=0.3 needs a wider one,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uniesn import construct
+from uniesn import construct, shallow
 from uniesn.construct import (
     BUDGET_BLOCK,
     _derived_seed,
@@ -53,11 +53,10 @@ def small_cfg(eps, seed=0, **overrides):
     kwargs = dict(
         eps=eps,
         seed=seed,
-        static_policy=WidthPolicy(start_width=32, max_width=4096, train_samples=2000, val_samples=2000),
-        identity_policy=WidthPolicy(start_width=32, max_width=1024, train_samples=1000, val_samples=2000),
+        static_policy=WidthPolicy(max_width=4096, train_samples=2000, val_samples=2000),
+        identity_policy=WidthPolicy(max_width=1024, train_samples=1000, val_samples=2000),
         chain_samples=1500,
         budget_windows=1500,
-        budget_window_len=20,
         closed_form_check_windows=40,
     )
     kwargs.update(overrides)
@@ -109,7 +108,7 @@ class TestSplitAndGain:
 
 class TestIdentityChain:
     def test_no_horizon_means_no_nets(self):
-        pol = WidthPolicy(start_width=8, max_width=8, train_samples=32, val_samples=32)
+        pol = WidthPolicy(max_width=32, train_samples=32, val_samples=32)
         assert build_identity_chain(1, 1.0, 0, 0.1, pol, seed=0) == []
 
     def test_net_j_is_fitted_on_radius_M_plus_j_minus_1_tol(self, monkeypatch):
@@ -121,7 +120,7 @@ class TestIdentityChain:
 
         monkeypatch.setattr(construct, "fit_to_tolerance", fit)
         tol = 0.3 / (3 * 2.0)
-        pol = WidthPolicy(start_width=8, max_width=8, train_samples=32, val_samples=32)
+        pol = WidthPolicy(max_width=32, train_samples=32, val_samples=32)
         assert len(build_identity_chain(1, 1.0, 3, tol, pol, seed=0)) == 3
         assert fits == [(1.0, tol), (1.0 + tol, tol), (1.0 + 2 * tol, tol)]
 
@@ -135,7 +134,7 @@ class TestIdentityChain:
 
     def test_each_net_meets_its_tolerance_on_fresh_samples(self):
         tol, M, K = 0.3 / (3 * 5.0), 1.0, 3
-        pol = WidthPolicy(start_width=32, max_width=512, train_samples=1000, val_samples=2000)
+        pol = WidthPolicy(max_width=512, train_samples=1000, val_samples=2000)
         chain = build_identity_chain(1, M, K, tol, pol, seed=6)
         for j, net in enumerate(chain, start=1):
             fresh = sample_product_ball(1, M + (j - 1) * tol, 1, 4000, seed=999)
@@ -143,7 +142,7 @@ class TestIdentityChain:
             assert err <= tol
 
     def test_fit_failure_annotated_with_position(self):
-        pol = WidthPolicy(start_width=2, max_width=2, train_samples=64, val_samples=64)
+        pol = WidthPolicy(max_width=32, train_samples=64, val_samples=64)
         with pytest.raises(ConstructionError, match="identity net 1"):
             build_identity_chain(1, 1.0, 2, 1e-9 / 3, pol, seed=7)
 
@@ -169,7 +168,7 @@ class TestComposeChain:
 class TestVerifyChainBound:
     def test_bounds_hold_for_fitted_chain(self):
         tol = 0.3 / (3 * 5.0)
-        pol = WidthPolicy(start_width=32, max_width=512, train_samples=1000, val_samples=2000)
+        pol = WidthPolicy(max_width=512, train_samples=1000, val_samples=2000)
         chain = build_identity_chain(1, 1.0, 3, tol, pol, seed=12)
         records = verify_chain_bound(chain, 1.0, tol, n_samples=3000, seed=13)
         assert len(records) == 3
@@ -361,7 +360,7 @@ class TestDirectFunctional:
         # the drift each lag suffers through the chain, weighted by block norms
         # and the readout norm, bounds the output discrepancy pointwise
         split = random_split(K=3, d=1, collector_width=6, seed=37, scale=0.7)
-        pol = WidthPolicy(start_width=32, max_width=512, train_samples=800, val_samples=1600)
+        pol = WidthPolicy(max_width=512, train_samples=800, val_samples=1600)
         chain = build_identity_chain(1, 1.0, 3, 0.3 / (3 * 5.0), pol, seed=38)
         arr = sample_window_array(1, 1.0, 6, 500, seed=39)
         K, T = 3, 6
@@ -417,7 +416,7 @@ class TestPipeline:
         f = ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)
         cfg = small_cfg(
             eps=1e-9,
-            static_policy=WidthPolicy(start_width=4, max_width=4, train_samples=64, val_samples=64),
+            static_policy=WidthPolicy(max_width=32, train_samples=64, val_samples=64),
         )
         with pytest.raises(ConstructionError) as exc_info:
             construct_universal_esn(f, cfg)
@@ -491,7 +490,7 @@ class TestBudgetBlocks:
         cfg = small_cfg(eps=eps, seed=seed, budget_windows=4100)
         res = construct_universal_esn(f, cfg)
         split, chain, K = res.split, res.chain, res.horizon
-        T = max(cfg.budget_window_len, K + 1)
+        T = max(construct.WINDOW_LEN, K + 1)
         arr = sample_window_array(f.in_dim, f.input_bound, T, cfg.budget_windows, _derived_seed(seed, 4))
         for n in (4100, 2049):
             net_vals = direct_functional(split, arr[:n])
@@ -507,14 +506,17 @@ class TestBudgetBlocks:
                 np.testing.assert_allclose((b.net_fit_sampled, b.chain_sampled, b.total_sampled),
                                            np.max(want, axis=1), rtol=0, atol=1e-12)
 
-    def test_peak_memory_does_not_grow_with_budget_windows(self):
+    def test_peak_memory_does_not_grow_with_budget_windows(self, monkeypatch):
+        # K+1-entry windows, and a static net of width 256 (+1 constant unit).
+        monkeypatch.setattr(construct, "WINDOW_LEN", 1)
+        monkeypatch.setattr(shallow, "START_WIDTH", 256)
         f = filter_from_json(EXP_FADING)
         peaks, widths = [], set()
         for n in (4096, 16384):
             cfg = small_cfg(
-                eps=0.5, seed=3, budget_windows=n, budget_window_len=1, chain_samples=500,
-                static_policy=WidthPolicy(start_width=256, max_width=256, train_samples=1000, val_samples=1000),
-                identity_policy=WidthPolicy(start_width=32, max_width=1024, train_samples=500, val_samples=1000),
+                eps=0.5, seed=3, budget_windows=n, chain_samples=500,
+                static_policy=WidthPolicy(max_width=256, train_samples=1000, val_samples=1000),
+                identity_policy=WidthPolicy(max_width=1024, train_samples=500, val_samples=1000),
             )
             tracemalloc.start()
             try:
@@ -530,7 +532,7 @@ class TestBudgetBlocks:
 
 class TestConfigSchema:
     def test_policy_dicts_and_parsed_values(self):
-        policy = {"start_width": 8, "max_width": 64, "train_samples": 100, "val_samples": 200}
+        policy = {"max_width": 64, "train_samples": 100, "val_samples": 200}
         cfg = ConstructionConfig(eps="0.3", seed="7", static_policy=policy, chain_samples=5.0)
         assert cfg == ConstructionConfig(eps=0.3, seed=7, static_policy=WidthPolicy(**policy), chain_samples=5)
 
@@ -538,12 +540,12 @@ class TestConfigSchema:
         "bad",
         [
             {"eps": 0.0}, {"eps": float("inf")}, {"eps": float("nan")},
-            {"chain_samples": 0}, {"budget_windows": 0}, {"budget_window_len": 0},
-            {"closed_form_check_windows": 0}, {"identity_policy": {"start_width": 0}}, {"seed": -1},
+            {"chain_samples": 0}, {"budget_windows": 0}, {"static_policy": {"max_width": 31}},
+            {"closed_form_check_windows": 0}, {"identity_policy": {"max_width": 0}}, {"seed": -1},
             # Integer fields take no booleans or fractions, real fields no booleans.
             {"seed": 1.9}, {"seed": True}, {"budget_windows": True}, {"chain_samples": 2.5},
-            {"budget_window_len": float("inf")}, {"closed_form_check_windows": 30.5},
-            {"static_policy": {"start_width": 32.5}}, {"identity_policy": {"val_samples": True}},
+            {"budget_windows": float("inf")}, {"closed_form_check_windows": 30.5},
+            {"static_policy": {"max_width": 32.5}}, {"identity_policy": {"val_samples": True}},
             {"eps": True},
         ],
     )
@@ -558,6 +560,8 @@ class TestConfigSchema:
             # Settings that are constants now, each at its former default.
             {"margin": 0.8}, {"static_policy": {"ridge": 1e-10}}, {"identity_policy": {"ridge": 1e-10}},
             {"static_policy": {"scale": None}}, {"identity_policy": {"scale": None}},
+            {"static_policy": {"start_width": 32}}, {"identity_policy": {"start_width": 32}},
+            {"budget_window_len": 30},
         ],
     )
     def test_unknown_key_is_type_error(self, bad):

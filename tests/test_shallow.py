@@ -269,19 +269,19 @@ class TestFitRandomFeature:
 
 class TestFitToTolerance:
     def test_constant_target_exact_at_minimal_width(self):
-        pol = WidthPolicy(start_width=32, max_width=64, train_samples=256, val_samples=512)
+        pol = WidthPolicy(max_width=64, train_samples=256, val_samples=512)
         target = lambda x: np.full((x.shape[0], 1), 0.7)
         net, achieved = fit_to_tolerance(target, 1, 1.0, 1e-8, pol, seed=5)
         assert achieved <= 0.8e-8
         assert net.width == 33  # start width plus the constant unit
 
     def test_identity_meets_stated_margin(self):
-        pol = WidthPolicy(start_width=32, max_width=512, train_samples=800, val_samples=1600)
+        pol = WidthPolicy(max_width=512, train_samples=800, val_samples=1600)
         net, achieved = fit_to_tolerance(lambda x: x, 1, 1.0, 1e-2, pol, seed=6)
         assert achieved <= 8e-3
 
     def test_impossible_tolerance_reports_achieved(self):
-        pol = WidthPolicy(start_width=4, max_width=4, train_samples=64, val_samples=64)
+        pol = WidthPolicy(max_width=32, train_samples=64, val_samples=64)
         with pytest.raises(FitToleranceError, match="not met") as exc_info:
             fit_to_tolerance(lambda x: np.sin(5 * x), 1, 1.0, 1e-12, pol, seed=7)
         assert exc_info.value.achieved > 1e-12
@@ -304,23 +304,25 @@ class TestFitToTolerance:
 
         monkeypatch.setattr(shallow, "fit_random_feature", fit)
         monkeypatch.setattr(ShallowNet, "forward", forward)
-        pol = WidthPolicy(start_width=32, max_width=256, train_samples=200, val_samples=200)
+        pol = WidthPolicy(max_width=256, train_samples=200, val_samples=200)
         message = r"width 64 could not allocate: best sampled error \S+ at width 33"
         with pytest.raises(FitToleranceError, match=message) as exc_info:
             fit_to_tolerance(lambda x: np.sin(5 * x), 1, 1.0, 1e-12, pol, seed=7)
         assert exc_info.value.width == 33 and 0 < exc_info.value.achieved < np.inf
 
-    def test_never_returns_above_margin(self):
-        pol = WidthPolicy(start_width=8, max_width=256, train_samples=400, val_samples=800)
+    def test_never_returns_above_margin(self, monkeypatch):
+        monkeypatch.setattr(shallow, "START_WIDTH", 8)
+        pol = WidthPolicy(max_width=256, train_samples=400, val_samples=800)
         tol = 5e-2
         net, achieved = fit_to_tolerance(lambda x: np.tanh(2 * x), 1, 1.0, tol, pol, seed=8)
         assert achieved <= tol * 0.8
 
     @pytest.mark.parametrize("d, radius, copies", [(1, 1.0, 1), (1, 1.0, 6), (2, 0.5, 4), (3, 2.0, 3)])
-    def test_product_domain_and_default_scale(self, d, radius, copies):
+    def test_product_domain_and_default_scale(self, monkeypatch, d, radius, copies):
         # The domain is copies radius-balls stacked; the hidden scale is
         # 2 / circumradius, radius * sqrt(copies).
-        pol = WidthPolicy(start_width=64, max_width=64, train_samples=200, val_samples=200)
+        monkeypatch.setattr(shallow, "START_WIDTH", 64)
+        pol = WidthPolicy(max_width=64, train_samples=200, val_samples=200)
         seen = []
 
         def target(x):
@@ -362,8 +364,8 @@ def fit(X, Y, width, **kw):
 shallow.fit_random_feature = fit
 target = lambda x: np.sin(7 * x).sum(axis=1, keepdims=True)
 # One small fit first loads what any fit loads (numpy.random among it).
-shallow.fit_to_tolerance(target, 2, 1.0, 100.0, shallow.WidthPolicy(8, 8, 8, 8), seed=1, copies=4)
-policy = shallow.WidthPolicy(start_width=32, max_width=2048, train_samples=3000, val_samples=1000)
+shallow.fit_to_tolerance(target, 2, 1.0, 100.0, shallow.WidthPolicy(32, 8, 8), seed=1, copies=4)
+policy = shallow.WidthPolicy(max_width=2048, train_samples=3000, val_samples=1000)
 before = rss_mb()
 try:
     shallow.fit_to_tolerance(target, 2, 1.0, 1e-9, policy, seed=3, copies=4)
@@ -382,7 +384,7 @@ class TestHeapRelease:
     def test_bits_equal_without_the_release(self, monkeypatch, name, train_samples):
         spec, K = FILTERS[name]
         f = filter_from_json(spec)
-        pol = WidthPolicy(start_width=32, max_width=512, train_samples=train_samples, val_samples=1000)
+        pol = WidthPolicy(max_width=512, train_samples=train_samples, val_samples=1000)
         real_fit, real_release = shallow.fit_random_feature, shallow._give_back_heap
 
         def run(release):
@@ -438,7 +440,7 @@ class TestHeapRelease:
 
         monkeypatch.setattr(shallow, "fit_random_feature", fit)
         monkeypatch.setattr(shallow, "_give_back_heap", lambda: events.append("release"))
-        pol = WidthPolicy(start_width=32, max_width=128, train_samples=200, val_samples=200)
+        pol = WidthPolicy(max_width=128, train_samples=200, val_samples=200)
         try:
             fit_to_tolerance(lambda x: np.full((len(x), 1), 0.7), 1, 1.0, 1e-8, pol, seed=7)
             events.append("return")
@@ -497,40 +499,47 @@ class TestHeapRelease:
 
 class TestWidthPolicy:
     def test_casts_parsed_values(self):
-        pol = WidthPolicy(start_width="8", max_width=16.0, train_samples=10, val_samples=20)
-        assert pol == WidthPolicy(start_width=8, max_width=16, train_samples=10, val_samples=20)
-        assert list(pol.widths()) == [8, 16]
+        pol = WidthPolicy(max_width="128", train_samples=10.0, val_samples=20)
+        assert pol == WidthPolicy(max_width=128, train_samples=10, val_samples=20)
+        assert list(pol.widths()) == [32, 64, 128]
 
     @pytest.mark.parametrize(
         "bad",
         [
-            {"start_width": 0}, {"max_width": 0}, {"train_samples": 0}, {"val_samples": -1},
-            {"start_width": 64, "max_width": 32},
+            {"max_width": 31}, {"max_width": 0}, {"train_samples": 0}, {"val_samples": -1},
+            {"max_width": 64.5},
         ],
     )
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             WidthPolicy(**bad)
 
+    def test_widths_double_from_the_start_width(self, monkeypatch):
+        assert list(WidthPolicy(max_width=32).widths()) == [32]
+        monkeypatch.setattr(shallow, "START_WIDTH", 8)
+        assert list(WidthPolicy(max_width=40).widths()) == [8, 16, 32]
+        with pytest.raises(ValueError, match="below the start width 8"):
+            WidthPolicy(max_width=7)
+
 
 class TestFitIdentity:
     """Identity nets, as the chain fits them: fit_to_tolerance(lambda x: x, ...)."""
 
     def test_meets_tolerance_on_ball(self):
-        pol = WidthPolicy(start_width=32, max_width=256, train_samples=800, val_samples=1600)
+        pol = WidthPolicy(max_width=256, train_samples=800, val_samples=1600)
         net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, 0.05, pol, seed=10)
         grid = np.linspace(-1, 1, 2001).reshape(-1, 1)
         err = np.max(np.abs(net.forward(grid) - grid))
         assert err <= 0.04
 
     def test_small_at_origin(self):
-        pol = WidthPolicy(start_width=32, max_width=256, train_samples=800, val_samples=1600)
+        pol = WidthPolicy(max_width=256, train_samples=800, val_samples=1600)
         tol = 0.05
         net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, tol, pol, seed=10)
         assert float(np.abs(net.forward([[0.0]]))[0, 0]) <= tol
 
     def test_bound_inherited_on_smaller_ball(self):
-        pol = WidthPolicy(start_width=32, max_width=256, train_samples=800, val_samples=1600)
+        pol = WidthPolicy(max_width=256, train_samples=800, val_samples=1600)
         net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, 0.05, pol, seed=10)
         grid_small = np.linspace(-0.5, 0.5, 1001).reshape(-1, 1)
         grid_full = np.linspace(-1, 1, 2001).reshape(-1, 1)
