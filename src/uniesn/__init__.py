@@ -38,10 +38,8 @@ from .construct import (
     ConstructionError,
     BudgetError,
     ChainBoundError,
-    LagBlockNet,
     ErrorBudget,
     ConstructionResult,
-    split_lag_blocks,
     build_identity_chain,
     verify_chain_bound,
     assemble_esn,

@@ -12,7 +12,6 @@ timings are not.
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import signal
@@ -30,10 +29,9 @@ from .construct import (
     ConstructionConfig,
     ConstructionError,
     ConstructionResult,
-    LagBlockNet,
+    assemble_esn,
     closed_form_gap,
     construct_universal_esn,
-    split_lag_blocks,
 )
 from .esn import (
     ESNParams,
@@ -44,7 +42,7 @@ from .esn import (
 )
 from .filters import TargetFilter, filter_from_json
 from .shallow import FIT_MARGIN, ShallowNet
-from .windows import as_int, as_real, fill_directions, sample_window_array
+from .windows import as_int, as_real, fill_directions, required, sample_window_array
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,6 +95,8 @@ def _load_config(path) -> dict:
     for key, section in raw.items():
         if not isinstance(section, dict):
             raise ConfigError(f"{path}: config section {key!r} must be a JSON object")
+    if "filter" not in raw:
+        raise ConfigError(f"{path}: the config has no 'filter' section")
     return raw
 
 
@@ -208,17 +208,17 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
         "functional_evaluator": "closed_form",
         "sample_counts": {"budget_window_len": WINDOW_LEN, **{key: getattr(cfg, key) for key in SAMPLE_COUNTS}},
         "width_table": {
-            "static_net": {"width": result.split.net.width, "achieved": result.net_fit_achieved},
+            "static_net": {"width": result.static_net.width, "achieved": result.net_fit_achieved},
             "identity_chain": [net.width for net in result.chain],
         },
     }
 
 
-def _nets_json(split: LagBlockNet, chain: list) -> dict:
+def _nets_json(result: ConstructionResult) -> dict:
     return {
-        "lag_dim": split.lag_dim,
-        "static_net": split.net.to_json(),
-        "identity_chain": [net.to_json() for net in chain],
+        "lag_dim": result.esn.in_dim,
+        "static_net": result.static_net.to_json(),
+        "identity_chain": [net.to_json() for net in result.chain],
     }
 
 
@@ -272,7 +272,7 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
 
         try:
             _write_json(temps["esn.json"], result.esn.to_json())
-            _write_json(temps["nets.json"], _nets_json(result.split, result.chain))
+            _write_json(temps["nets.json"], _nets_json(result))
             _write_json(temps["report.json"], _report_dict(result, cfg, raw["filter"]))
             _write_budget_csv(temps["budget.csv"], result)
             _write_json(
@@ -338,23 +338,16 @@ def _verify_options(raw: dict, esn: ESNParams | None, esn_path: str) -> dict:
     # The sibling nets.json may be absent; a configured path must be read.
     nets_path = Path(vcfg["nets"]) if vcfg.get("nets") else Path(esn_path).parent / "nets.json"
     if esn is not None and (vcfg.get("nets") or nets_path.exists()):
-        K = esn.structure.horizon
         nets = _load_json(nets_path)
-        lag_dim = as_int(nets["lag_dim"], "nets.json lag_dim")
-        split = split_lag_blocks(ShallowNet.from_json(nets["static_net"]), lag_dim)
-        chain = [ShallowNet.from_json(o) for o in nets["identity_chain"]]
-        # The nets fit the system as assemble_esn wires them: lag_dim-to-lag_dim
-        # identity nets ahead of the static net, one state block each.
-        fits = (
-            len(chain) == split.horizon == K
-            and split.lag_dim == esn.in_dim
-            and all((net.in_dim, net.out_dim) == (lag_dim, lag_dim) for net in chain)
-            and (*(net.width for net in chain), split.net.width) == esn.structure.widths
-            and split.net.out_dim == esn.out_dim
-        )
-        if not fits:
+        lag_dim = as_int(required(nets, "lag_dim", str(nets_path)), "nets.json lag_dim")
+        static = ShallowNet.from_json(required(nets, "static_net", str(nets_path)))
+        chain = [ShallowNet.from_json(o) for o in required(nets, "identity_chain", str(nets_path))]
+        # The nets must wire, as construct wires them, into a system of the loaded one's shape.
+        wired = assemble_esn(static, chain)
+        shape = (esn.structure, esn.in_dim, esn.out_dim, esn.in_dim)
+        if (wired.structure, wired.in_dim, wired.out_dim, lag_dim) != shape:
             raise ConfigError(f"{nets_path} does not fit the system in {esn_path}")
-        opts["nets"] = (split, chain)
+        opts["nets"] = (static, chain, wired.W)
     return opts
 
 
@@ -382,11 +375,10 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     checks["finite_memory"] = {"passed": same, "trials": fmp_trials}
 
     if opts["nets"] is not None:
-        split, chain = opts["nets"]
+        static, chain, W = opts["nets"]
         n_check = min(CLOSED_FORM_WINDOWS, arr.shape[0])
-        gap = closed_form_gap(esn, split, chain, arr[:n_check])
-        # The state gap leaves out W, which assemble_esn pads from the static readout.
-        readout = np.array_equal(esn.W, np.pad(split.readout, ((0, 0), (esn.state_dim - split.net.width, 0))))
+        gap = closed_form_gap(esn, static, chain, arr[:n_check])
+        readout = np.array_equal(esn.W, W)  # the state gap leaves out W
         passed = bool(gap <= CLOSED_FORM_TOL and readout)
         checks["closed_form"] = {"passed": passed, "max_gap": gap, "readout_exact": readout, "windows": n_check}
     else:
@@ -434,13 +426,13 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_point(f: TargetFilter, base: ConstructionConfig, eps: float) -> tuple[list, list[str], int]:
+def _sweep_point(f: TargetFilter, cfg: ConstructionConfig) -> tuple[list, list[str], int]:
     """Build one sweep point: its row, its stderr lines, its exit code."""
-    lines = []
+    lines, eps = [], cfg.eps
     t0 = time.perf_counter()
     cells, status, code = [""] * 7, "ok", EXIT_OK
     try:
-        result = _run_one(f, dataclasses.replace(base, eps=eps), lines.append)
+        result = _run_one(f, cfg, lines.append)
         budget = [repr(value) for _, value, _, _ in result.budget.rows()]
         cells = [result.horizon, result.esn.state_dim, "|".join(map(str, result.esn.structure.widths)), *budget]
     except BudgetError as exc:
@@ -459,14 +451,13 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
     try:
         raw = _load_config(config_path)
         f = filter_from_json(raw["filter"])
-        # Every point replaces eps; any valid one checks the rest of the section.
-        base = _construction_from({**raw.get("construction", {}), "eps": 1.0}, seed)
         if eps_arg:
             eps_list = [float(x) for x in eps_arg.split(",") if x.strip()]
         else:
             eps_list = [as_real(x, "sweep eps") for x in raw.get("sweep", {}).get("eps", [])]
         if not eps_list:
             raise ConfigError("sweep needs a non-empty eps list (config sweep.eps or --eps)")
+        configs = [_construction_from({**raw.get("construction", {}), "eps": eps}, seed) for eps in eps_list]
         out = Path(out_dir or raw.get("output", {}).get("dir", "."))
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, KeyError, TypeError, ValueError, OSError) as exc:
@@ -480,7 +471,7 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
     sweep_path = out / "sweep.csv"
     temp = out / f".sweep.csv.{os.getpid()}.tmp"
     try:
-        rows, worst = _sweep_rows(f, base, eps_list)
+        rows, worst = _sweep_rows(f, configs)
         try:
             with open(temp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(f"# schema_version={SCHEMA_VERSION}\n")
@@ -498,7 +489,7 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
     return worst
 
 
-def _sweep_rows(f: TargetFilter, base: ConstructionConfig, eps_list: list) -> tuple[list, int]:
+def _sweep_rows(f: TargetFilter, configs: list) -> tuple[list, int]:
     """Build every point: the rows in eps-list order, and the exit code of the first failed point."""
     # Imported here: `import uniesn.cli` stays as cheap as construct and verify need.
     import multiprocessing
@@ -510,6 +501,7 @@ def _sweep_rows(f: TargetFilter, base: ConstructionConfig, eps_list: list) -> tu
     # workers inherit the modules and build the others, smallest eps first;
     # with one usable CPU this process builds all.  A worker takes back
     # SIGTERM's default action, so terminate() ends it at once.
+    eps_list = [cfg.eps for cfg in configs]
     order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
     workers = min(len(eps_list), len(os.sched_getaffinity(0))) - 1
     mine = order[:1] if workers else order
@@ -520,8 +512,8 @@ def _sweep_rows(f: TargetFilter, base: ConstructionConfig, eps_list: list) -> tu
         initargs=(signal.SIGTERM, signal.SIG_DFL),
     )
     try:
-        futures = {i: pool.submit(_sweep_point, f, base, eps_list[i]) for i in order if i not in mine}
-        done = {i: _sweep_point(f, base, eps_list[i]) for i in mine}
+        futures = {i: pool.submit(_sweep_point, f, configs[i]) for i in order if i not in mine}
+        done = {i: _sweep_point(f, configs[i]) for i in mine}
         for i, eps in enumerate(eps_list):
             try:
                 row, lines, code = done[i] if i in done else futures[i].result()

@@ -115,61 +115,24 @@ class ConstructionConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
-@dataclass(frozen=True)
-class LagBlockNet:
-    """A static net over stacked lags, with its hidden matrix split per lag.
+def lag_blocks(net: ShallowNet, horizon: int) -> list[np.ndarray]:
+    """The column blocks of a stacked-lag net's hidden matrix, indexed by lag.
 
-    The net's input is the stacked vector (z_{-K}; ...; z_0).  column_blocks
-    holds the per-lag column blocks of the hidden matrix in that stacking
-    order (most-delayed first); their horizontal concatenation reproduces the
-    hidden matrix exactly.
+    The net's input is the stacked vector (z_{-K}; ...; z_0), K = horizon, so
+    index j holds the block multiplying the input at lag j (j=0 is the present).
     """
-
-    net: ShallowNet
-    column_blocks: tuple
-
-    @property
-    def horizon(self) -> int:
-        return len(self.column_blocks) - 1
-
-    @property
-    def lag_dim(self) -> int:
-        return self.column_blocks[0].shape[1]
-
-    @property
-    def readout(self) -> np.ndarray:
-        return self.net.readout
-
-    @property
-    def bias(self) -> np.ndarray:
-        return self.net.hidden_bias
-
-    def lag_block(self, j: int) -> np.ndarray:
-        """Column block multiplying the input at lag j (j=0 is the present)."""
-        if not 0 <= j <= self.horizon:
-            raise ValueError(f"lag {j} outside 0..{self.horizon}")
-        return self.column_blocks[self.horizon - j]
+    if net.in_dim % (horizon + 1):
+        raise ValueError(f"a net with {net.in_dim} inputs does not split into {horizon + 1} lag blocks")
+    return np.split(net.hidden_matrix, horizon + 1, axis=1)[::-1]
 
 
-def split_lag_blocks(net: ShallowNet, d: int) -> LagBlockNet:
-    """Partition the hidden matrix of a stacked-lag net into per-lag blocks."""
-    if d < 1:
-        raise ValueError(f"lag dim must be >= 1, got {d}")
-    if net.in_dim % d != 0:
-        raise ValueError(f"input dim {net.in_dim} is not a multiple of lag dim {d}")
-    copies = net.in_dim // d
-    blocks = tuple(net.hidden_matrix[:, i * d : (i + 1) * d] for i in range(copies))
-    return LagBlockNet(net=net, column_blocks=blocks)
-
-
-def identity_error_gain(readout, lag_blocks) -> float:
+def identity_error_gain(readout, blocks) -> float:
     """||readout|| * sum_j ||block_j|| * j over lags j = 0..K.
 
     The factor by which a per-step identity-approximation error is amplified
     in the final output: tanh is 1-Lipschitz, so it adds no factor.  Lag 0
     carries weight zero because the present input is never ferried.
     """
-    blocks = list(lag_blocks)
     r = operator_norm(np.asarray(readout, dtype=np.float64))
     total = sum(j * operator_norm(np.asarray(b, dtype=np.float64)) for j, b in enumerate(blocks))
     return float(r * total)
@@ -260,90 +223,88 @@ def verify_chain_bound(
     return records
 
 
-def assemble_esn(split: LagBlockNet, chain: list[ShallowNet]) -> ESNParams:
+def assemble_esn(static: ShallowNet, chain: list[ShallowNet]) -> ESNParams:
     """Wire the fitted nets into the block state-space system.
 
     State blocks 0..K-1 are the identity carriers; block K is the collector.
     The reservoir matrix holds the carrier chain on its sub-diagonal and the
     delayed lag blocks (composed with the carrier readouts) in its last block
     row; the input matrix feeds the first carrier and the present-lag block;
-    the readout sees only the collector.
+    the readout sees only the collector.  The horizon K is len(chain).
     """
-    K = split.horizon
-    d = split.lag_dim
-    if len(chain) != K:
-        raise ValueError(f"chain length {len(chain)} != horizon {K}")
+    K = len(chain)
+    blocks = lag_blocks(static, K)
+    d = blocks[0].shape[1]
     for j, net in enumerate(chain, start=1):
         if net.in_dim != d or net.out_dim != d:
             raise ValueError(
                 f"identity net {j} maps {net.in_dim}->{net.out_dim}, expected {d}->{d}"
             )
 
-    structure = BlockStructure(widths=(*(net.width for net in chain), split.net.width))
+    structure = BlockStructure(widths=(*(net.width for net in chain), static.width))
     off = structure.offsets()
     N = structure.total
-    m = split.readout.shape[0]
+    m = static.out_dim
 
     # Carrier r reads carrier r-1 through its readout; the collector reads
     # carrier j-1 as the lag-j input.
     carriers = tuple(chain[r].hidden_matrix @ chain[r - 1].readout for r in range(1, K))
-    collector = np.empty((split.net.width, off[K]))
+    collector = np.empty((static.width, off[K]))
     for j in range(1, K + 1):
-        collector[:, off[j - 1] : off[j]] = split.lag_block(j) @ chain[j - 1].readout
+        collector[:, off[j - 1] : off[j]] = blocks[j] @ chain[j - 1].readout
 
     C = np.zeros((N, d))
     if K >= 1:
         C[off[0] : off[1]] = chain[0].hidden_matrix
-    C[off[K] : off[K + 1]] = split.lag_block(0)
+    C[off[K] : off[K + 1]] = blocks[0]
 
     zeta = np.zeros(N)
     for j in range(K):
         zeta[off[j] : off[j + 1]] = chain[j].hidden_bias
-    zeta[off[K] : off[K + 1]] = split.bias
+    zeta[off[K] : off[K + 1]] = static.hidden_bias
 
     W = np.zeros((m, N))
-    W[:, off[K] :] = split.readout
+    W[:, off[K] :] = static.readout
 
     return ESNParams(carriers=carriers, collector=collector, C=C, zeta=zeta, W=W, structure=structure)
 
 
-def closed_form_state(split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
+def closed_form_state(net: ShallowNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
     """Collector state at time 0, evaluated directly from the solved recursion.
 
     The static net's hidden layer on the stacked chain-composed lags,
     tanh(Z @ hidden_matrix.T + bias) with row Z = (chain_K(z_{-K}); ...;
     chain_0(z_0)): the unique solution's collector block without running the
     state equation, for a (B, T, d) batch of windows; the independent oracle
-    for the recursion-computed functional.
+    for the recursion-computed functional.  The horizon K is len(chain).
     """
-    K = split.horizon
+    K = len(chain)
     B, T, d = arr.shape
     if T < K + 1:
         raise ValueError(f"window of length {T} too short: need >= {K + 1}")
     Z = np.empty((B, K + 1, d))  # most-delayed lag first, as direct_functional stacks them
     for j in range(K + 1):
         Z[:, K - j] = compose_chain(chain, j, arr[:, T - 1 - j, :])
-    state = np.matmul(Z.reshape(B, (K + 1) * d), split.net.hidden_matrix.T, out=np.empty((B, split.net.width)))
-    state += split.bias
+    state = np.matmul(Z.reshape(B, (K + 1) * d), net.hidden_matrix.T, out=np.empty((B, net.width)))
+    state += net.hidden_bias
     return np.tanh(state, out=state)
 
 
-def closed_form_gap(esn: ESNParams, split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> float:
+def closed_form_gap(esn: ESNParams, net: ShallowNet, chain: list[ShallowNet], arr: np.ndarray) -> float:
     """Largest row-norm gap, over a (B, T, d) batch of windows, between the
     recursion's collector state at time 0 and closed_form_state."""
-    collector = esn.run_batch(arr)[:, esn.state_dim - split.net.width :]
-    return float(np.max(np.linalg.norm(collector - closed_form_state(split, chain, arr), axis=1)))
+    collector = esn.run_batch(arr)[:, esn.state_dim - net.width :]
+    return float(np.max(np.linalg.norm(collector - closed_form_state(net, chain, arr), axis=1)))
 
 
-def direct_functional(split: LagBlockNet, arr: np.ndarray) -> np.ndarray:
-    """The static net applied to the true stacked lags of a (B, T, d) batch
-    (no chain in between)."""
-    K = split.horizon
+def direct_functional(net: ShallowNet, arr: np.ndarray) -> np.ndarray:
+    """The static net applied to the true stacked lags of a (B, T, d) batch,
+    its last net.in_dim // d entries (no chain in between)."""
     B, T, d = arr.shape
-    if T < K + 1:
-        raise ValueError(f"window of length {T} too short: need >= {K + 1}")
-    stacked = arr[:, T - 1 - K :, :].reshape(B, (K + 1) * d)
-    return split.net.forward(stacked)
+    lags = net.in_dim // d
+    if T < lags:
+        raise ValueError(f"window of length {T} too short: need >= {lags}")
+    return net.forward(arr[:, T - lags :, :].reshape(B, lags * d))
 
 
 def _window_blocks(n: int) -> list[slice]:
@@ -351,7 +312,7 @@ def _window_blocks(n: int) -> list[slice]:
     return [slice(a, min(a + BUDGET_BLOCK, n)) for a in range(0, n, BUDGET_BLOCK)]
 
 
-def budget_errors(f: TargetFilter, split: LagBlockNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
+def budget_errors(f: TargetFilter, net: ShallowNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
     """Per-window net_fit, chain and total errors on a (B, T, d) batch, as
     the rows of a (3, B) array.
 
@@ -360,13 +321,13 @@ def budget_errors(f: TargetFilter, split: LagBlockNet, chain: list[ShallowNet], 
     total the target with the system.  The windows are evaluated one block
     at a time.
     """
-    K = split.horizon
+    K = len(chain)
     T = arr.shape[1]
     errors = np.empty((3, arr.shape[0]))
     for rows in _window_blocks(arr.shape[0]):
         block = arr[rows]
-        net_vals = direct_functional(split, block)
-        chained_vals = closed_form_state(split, chain, block) @ split.readout.T
+        net_vals = direct_functional(net, block)
+        chained_vals = closed_form_state(net, chain, block) @ net.readout.T
         errors[0, rows] = np.linalg.norm(f.evaluate_batch(block[:, T - 1 - K :]) - net_vals, axis=1)
         errors[1, rows] = np.linalg.norm(net_vals - chained_vals, axis=1)
         errors[2, rows] = np.linalg.norm(f.evaluate_batch(block) - chained_vals, axis=1)
@@ -421,7 +382,7 @@ class ConstructionResult:
 
     esn: ESNParams
     budget: ErrorBudget
-    split: LagBlockNet
+    static_net: ShallowNet
     chain: list
     horizon: int
     gain: float
@@ -473,8 +434,7 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
             d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1), copies=K + 1,
         )
 
-    split = split_lag_blocks(net, d)
-    gain = identity_error_gain(split.readout, [split.lag_block(j) for j in range(K + 1)])
+    gain = identity_error_gain(net.readout, lag_blocks(net, K))
 
     with stage("fit_identity_chain") as name:
         if K >= 1 and not gain > 0:
@@ -486,21 +446,21 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
         chain_records = verify_chain_bound(chain, M, tol, cfg.chain_samples, _derived_seed(cfg.seed, 3))
 
     with stage("assemble"):
-        esn = assemble_esn(split, chain)
+        esn = assemble_esn(net, chain)
 
     with stage("verify_closed_form") as name:
         # Budget windows: fresh inputs, long enough to expose the truncation tail.
         T = max(WINDOW_LEN, K + 1)
         arr = sample_window_array(d, M, T, cfg.budget_windows, _derived_seed(cfg.seed, 4))
         n_check = min(cfg.closed_form_check_windows, cfg.budget_windows)
-        gap = closed_form_gap(esn, split, chain, arr[:n_check])
+        gap = closed_form_gap(esn, net, chain, arr[:n_check])
         if gap > CLOSED_FORM_TOL:
             raise ConstructionError(
                 name, f"recursion and closed form disagree by {gap:g} (tolerance {CLOSED_FORM_TOL:g})"
             )
 
     with stage("budget"):
-        net_fit, chain_err, total = budget_errors(f, split, chain, arr)
+        net_fit, chain_err, total = budget_errors(f, net, chain, arr)
         budget = ErrorBudget(
             eps=eps,
             truncation_analytic=float(f.truncation_bound(K)),
@@ -513,7 +473,7 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     return ConstructionResult(
         esn=esn,
         budget=budget,
-        split=split,
+        static_net=net,
         chain=chain,
         horizon=K,
         gain=gain,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import operator_norm
-from .windows import as_int, as_real, freeze
+from .windows import as_int, as_real, freeze, required
 
 _HORIZON_CAP = 10_000
 
@@ -171,19 +171,20 @@ class Volterra2Filter(FIRFilter):
 def filter_from_json(obj: dict) -> TargetFilter:
     """Build a filter from its JSON spec, the filter section of a run config."""
     kind = obj.get("kind")
-    d, m, M = as_int(obj["d"], "filter d"), as_int(obj["m"], "filter m"), as_real(obj["M"], "filter M")
+    d, m, M = (required(obj, key, "filter") for key in ("d", "m", "M"))
+    d, m, M = as_int(d, "filter d"), as_int(m, "filter m"), as_real(M, "filter M")
     if d < 1 or m < 1 or not 0 < M < np.inf:
         raise ValueError(f"filter needs d, m >= 1 and a finite positive M, got d={d}, m={m}, M={M}")
     if kind == "fir":
         return FIRFilter(
             in_dim=d, out_dim=m, input_bound=M,
-            coeffs=tuple(np.asarray(a, dtype=np.float64) for a in obj["coeffs"]),
+            coeffs=tuple(np.asarray(a, dtype=np.float64) for a in required(obj, "coeffs", "filter")),
         )
     if kind == "exp_fading":
         return ExpFadingFilter(
             in_dim=d, out_dim=m, input_bound=M,
-            matrix=np.asarray(obj["B"], dtype=np.float64),
-            decay=as_real(obj["lambda"], "filter lambda"),
+            matrix=np.asarray(required(obj, "B", "filter"), dtype=np.float64),
+            decay=as_real(required(obj, "lambda", "filter"), "filter lambda"),
         )
     if kind == "volterra2":
         return Volterra2Filter(
@@ -191,8 +192,9 @@ def filter_from_json(obj: dict) -> TargetFilter:
             coeffs=tuple(np.asarray(a, dtype=np.float64) for a in obj.get("coeffs", [])),
             quad=tuple(
                 QuadTerm(
-                    j=as_int(q["j"], "quad j"), k=as_int(q["k"], "quad k"),
-                    b=np.asarray(q["b"], dtype=np.float64),
+                    j=as_int(required(q, "j", "quad term"), "quad j"),
+                    k=as_int(required(q, "k", "quad term"), "quad k"),
+                    b=np.asarray(required(q, "b", "quad term"), dtype=np.float64),
                 )
                 for q in obj.get("quad", [])
             ),

@@ -33,6 +33,13 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def required(obj: dict, key: str, where: str):
+    """``obj[key]``; a missing key raises ValueError naming it and ``where``."""
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    return obj[key]
+
+
 def check_stated_sizes(obj: dict, sizes: dict, what: str):
     """Raise ValueError unless each size ``obj`` states equals the one its arrays give."""
     for key, size in sizes.items():

@@ -18,7 +18,7 @@ from uniesn.construct import (
     compose_chain,
     construct_universal_esn,
     direct_functional,
-    split_lag_blocks,
+    lag_blocks,
     verify_chain_bound,
 )
 from uniesn.esn import check_esp_empirical, check_nilpotent
@@ -72,9 +72,8 @@ def random_instance(seed):
     d = int(rng.integers(1, 4))
     m = int(rng.integers(1, 3))
     net = random_net(int(rng.integers(2, 9)), (K + 1) * d, m, seed + 1)
-    split = split_lag_blocks(net, d)
     chain = [random_net(int(rng.integers(2, 9)), d, d, seed + 2 + j) for j in range(K)]
-    return split, chain, assemble_esn(split, chain)
+    return net, chain, assemble_esn(net, chain)
 
 
 def test_01_end_to_end_universality(demo, acceptance_detail):
@@ -151,12 +150,12 @@ def test_04_finite_memory_bitwise(demo, acceptance_detail):
 def test_05_closed_form_oracle(acceptance_detail):
     worst = 0.0
     for trial in range(20):
-        split, chain, esn = random_instance(5000 + trial * 11)
+        static, chain, esn = random_instance(5000 + trial * 11)
         K = esn.structure.horizon
         arr = sample_window_array(esn.in_dim, 1.0, K + 3, 1000, seed=6000 + trial)
         states = esn.run_batch(arr)
-        collector = states[:, esn.state_dim - split.net.width :]
-        direct = closed_form_state(split, chain, arr)
+        collector = states[:, esn.state_dim - static.width :]
+        direct = closed_form_state(static, chain, arr)
         gap = float(np.max(np.linalg.norm(collector - direct, axis=1)))
         worst = max(worst, gap)
         assert gap <= 1e-10
@@ -181,13 +180,13 @@ def test_06_chain_bound(demo, acceptance_detail):
 
 def test_07_lipschitz_estimate(demo, acceptance_detail):
     result, _ = demo
-    split, chain, K = result.split, result.chain, result.horizon
+    static, chain, K = result.static_net, result.chain, result.horizon
     T = 30
-    arr = sample_window_array(split.lag_dim, 1.0, T, 10_000, seed=31337)
-    w_norm = operator_norm(split.readout)
-    block_norms = [operator_norm(split.lag_block(j)) for j in range(K + 1)]
+    arr = sample_window_array(result.esn.in_dim, 1.0, T, 10_000, seed=31337)
+    w_norm = operator_norm(static.readout)
+    block_norms = [operator_norm(block) for block in lag_blocks(static, K)]
     lhs = np.linalg.norm(
-        direct_functional(split, arr) - closed_form_state(split, chain, arr) @ split.readout.T, axis=1
+        direct_functional(static, arr) - closed_form_state(static, chain, arr) @ static.readout.T, axis=1
     )
     rhs = np.zeros(arr.shape[0])
     for j in range(K + 1):

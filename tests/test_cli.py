@@ -353,7 +353,7 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def failing_budget(f, split, chain, arr):
+def failing_budget(f, static, chain, arr):
     """budget_errors with every per-window error above any eps of these tests."""
     return np.full((3, arr.shape[0]), 10.0)
 
@@ -411,7 +411,7 @@ class TestArtifactWrite:
             cli.filter_from_json(raw["filter"]), cli._construction_from(raw["construction"], None)
         )
         cli._write_json(tmp_path / "esn.json", result.esn.to_json())
-        cli._write_json(tmp_path / "nets.json", cli._nets_json(result.split, result.chain))
+        cli._write_json(tmp_path / "nets.json", cli._nets_json(result))
         for name in ("esn.json", "nets.json"):
             assert (built / name).read_bytes() == (tmp_path / name).read_bytes()
         assert not list(built.glob(".*.tmp"))
@@ -589,6 +589,48 @@ def test_output_file_that_cannot_be_written_after_the_work_is_exit_2(command, bu
     assert captured.out == ""
 
 
+NO_FILTER = "{dir}/config.json: the config has no 'filter' section"
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, message",
+    [
+        ("construct", "config.json", lambda c: c.pop("filter"), "config error: " + NO_FILTER),
+        ("sweep", "config.json", lambda c: c.pop("filter"), "config error: " + NO_FILTER),
+        ("verify", "config.json", lambda c: c.pop("filter"), "load error: " + NO_FILTER),
+        ("construct", "config.json", lambda c: c["filter"].pop("M"), "config error: filter has no 'M'"),
+        ("sweep", "config.json", lambda c: c["filter"].pop("M"), "config error: filter has no 'M'"),
+        ("verify", "config.json", lambda c: c["filter"].pop("M"), "load error: filter has no 'M'"),
+        ("construct", "config.json", lambda c: c["filter"].pop("lambda"), "config error: filter has no 'lambda'"),
+        ("sweep", "config.json", lambda c: c.update(filter={**VOLTERRA2, "quad": [{"j": 0, "b": [0.3]}]}),
+         "config error: quad term has no 'k'"),
+        ("verify", "nets.json", lambda nets: nets.pop("lag_dim"), "load error: {dir}/nets.json has no 'lag_dim'"),
+    ],
+    ids=[
+        "construct_filter", "sweep_filter", "verify_filter", "construct_M", "sweep_M", "verify_M",
+        "construct_lambda", "sweep_quad_k", "verify_lag_dim",
+    ],
+)
+def test_missing_key_is_named_with_where_it_is_missing(
+    command, name, edit, message, built, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a stage ran"))
+    monkeypatch.setattr(cli, "_verify_checks", lambda *a, **k: pytest.fail("a check ran"))
+    cfg = write_config(tmp_path)
+    for artifact in ("esn.json", "nets.json"):
+        (tmp_path / artifact).write_bytes((built / artifact).read_bytes())
+    obj = json.loads((tmp_path / name).read_text())
+    edit(obj)
+    (tmp_path / name).write_text(json.dumps(obj))
+    if command == "verify":
+        argv = ["verify", str(tmp_path / "esn.json"), str(cfg)]
+    else:
+        argv = [command, str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert message.format(dir=tmp_path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "verify.json").exists()
+
+
 class TestVerify:
     @pytest.fixture()
     def constructed(self, tmp_path):
@@ -668,6 +710,18 @@ class TestVerify:
         assert "load error" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
 
+    def test_static_net_that_does_not_split_into_lags_names_the_sizes(self, built, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        (tmp_path / "esn.json").write_bytes((built / "esn.json").read_bytes())
+        nets = json.loads((built / "nets.json").read_text())
+        grow_net(nets["static_net"], inputs=1)
+        (tmp_path / "nets.json").write_text(json.dumps(nets))
+        K = len(nets["identity_chain"])
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"load error: a net with {K + 2} inputs does not split into {K + 1} lag blocks" in err
+        assert not (tmp_path / "verify.json").exists()
+
     def test_perturbed_collector_entry_flagged(self, built, tmp_path):
         # inside the pattern the system stays nilpotent and runs the block
         # recursion, but it no longer matches the nets it was assembled from
@@ -683,7 +737,7 @@ class TestVerify:
         assert not checks["closed_form"]["passed"]
 
     def test_perturbed_readout_entry_flagged(self, built, tmp_path):
-        # the state gap never reads W, so verify compares it with the static readout
+        # the state gap never reads W, so verify compares it with the W the nets wire to
         cfg = write_config(tmp_path)
         (tmp_path / "nets.json").write_bytes((built / "nets.json").read_bytes())
         esn = json.loads((built / "esn.json").read_text())
@@ -789,6 +843,7 @@ class TestVerify:
             ({}, edited("nets.json", lambda nets: grow_net(nets["identity_chain"][0], outputs=1))),
             ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], units=1))),
             ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], outputs=1))),
+            ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], inputs=1))),
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
@@ -808,6 +863,7 @@ class TestVerify:
             "esn_N_mismatch", "esn_d_mismatch", "esn_m_mismatch",
             "nets_width_mismatch", "nets_in_dim_mismatch", "nets_chain_out_dim_mismatch",
             "nets_chain_in_dim_2", "nets_chain_out_dim_2", "nets_static_wider_than_state", "nets_static_out_dim_2",
+            "nets_static_extra_input",
         ],
     )
     def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, overrides, file_text):
@@ -878,12 +934,18 @@ class TestSweep:
         assert "unknown config sections ['swep']" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
-    def test_bad_eps_is_a_config_row_and_sweep_continues(self, tmp_path):
-        cfg = write_config(tmp_path)
-        code = cli.main(["sweep", str(cfg), "--eps", "inf,0.5", "--out", str(tmp_path / "sweep")])
-        assert code == 2
-        rows = read_csv_skipping_schema(tmp_path / "sweep" / "sweep.csv")
-        assert [r["status"] for r in rows] == ["config", "ok"]
+    @pytest.mark.parametrize(
+        "eps_flag, sweep_eps",
+        [("inf,0.5", [0.5]), ("0.5,-1", [0.5]), ("0.5,nan", [0.5]), ("0.5,inf", [0.5]), (None, [0.5, -1])],
+        ids=["flag_inf_first", "flag_negative", "flag_nan", "flag_inf", "config_negative"],
+    )
+    def test_bad_eps_exits_before_any_build(self, tmp_path, monkeypatch, capsys, eps_flag, sweep_eps):
+        cfg = write_config(tmp_path, sweep={"eps": sweep_eps})
+        monkeypatch.setattr(cli, "construct_universal_esn", lambda *a, **k: pytest.fail("a build ran"))
+        flag = ["--eps", eps_flag] if eps_flag else []
+        assert cli.main(["sweep", str(cfg), *flag, "--out", str(tmp_path / "sweep")]) == 2
+        assert "config error: eps must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_failed_row_recorded_and_sweep_continues(self, tmp_path):
         cfg = write_config(
@@ -1047,14 +1109,16 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-#: Runs ``uniesn sweep`` (argv[1:]) with two usable CPUs; each build prints
-#: the pid of the process that runs it, then waits a minute.
+#: Runs ``uniesn sweep`` (argv[1:]) with two usable CPUs; each build writes
+#: the pid of the process that runs it, then waits a minute.  The line goes
+#: out in one write: with PYTHONUNBUFFERED set, print writes the newline on
+#: its own, and two builders could interleave their lines.
 STALLED_SWEEP = """
 import os, sys, time
 from uniesn import cli
 
 def build(f, cfg, **kw):
-    print(os.getpid(), flush=True)
+    os.write(1, f"{os.getpid()}\\n".encode())
     time.sleep(60)
 
 cli.construct_universal_esn = build

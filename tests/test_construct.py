@@ -16,7 +16,6 @@ from uniesn.construct import (
     ConstructionError,
     ErrorBudget,
     STATUS_STRENGTH,
-    LagBlockNet,
     assemble_esn,
     budget_errors,
     build_identity_chain,
@@ -25,7 +24,7 @@ from uniesn.construct import (
     construct_universal_esn,
     direct_functional,
     identity_error_gain,
-    split_lag_blocks,
+    lag_blocks,
     verify_chain_bound,
 )
 from uniesn.esn import check_finite_memory, check_nilpotent
@@ -44,9 +43,9 @@ def random_net(width, in_dim, out_dim, seed, scale=1.0):
     )
 
 
-def random_split(K, d, collector_width, seed, scale=1.0):
-    net = random_net(collector_width, (K + 1) * d, 1, seed, scale)
-    return split_lag_blocks(net, d)
+def random_static(K, d, collector_width, seed, scale=1.0):
+    """A static net over K+1 stacked lags of dimension d."""
+    return random_net(collector_width, (K + 1) * d, 1, seed, scale)
 
 
 def small_cfg(eps, seed=0, **overrides):
@@ -65,15 +64,17 @@ def small_cfg(eps, seed=0, **overrides):
 
 class TestSplitAndGain:
     def test_blocks_reassemble_bitwise(self):
-        split = random_split(K=3, d=2, collector_width=7, seed=1)
-        stacked = np.hstack(split.column_blocks)
-        assert np.array_equal(stacked, split.net.hidden_matrix)
+        net = random_static(K=3, d=2, collector_width=7, seed=1)
+        blocks = lag_blocks(net, 3)
+        assert [b.shape for b in blocks] == [(7, 2)] * 4
+        assert np.array_equal(np.hstack(blocks[::-1]), net.hidden_matrix)
 
     def test_lag_block_indexing(self):
-        split = random_split(K=2, d=1, collector_width=4, seed=2)
+        net = random_static(K=2, d=1, collector_width=4, seed=2)
         # stacked input layout is (z_{-K}; ...; z_0): lag 0 is the last block
-        assert np.array_equal(split.lag_block(0), split.column_blocks[-1])
-        assert np.array_equal(split.lag_block(2), split.column_blocks[0])
+        blocks = lag_blocks(net, 2)
+        assert np.array_equal(blocks[0], net.hidden_matrix[:, -1:])
+        assert np.array_equal(blocks[2], net.hidden_matrix[:, :1])
 
     def test_gain_two_term_example(self):
         w_bar = np.array([[2.0]])
@@ -102,8 +103,8 @@ class TestSplitAndGain:
 
     def test_split_rejects_bad_lag_dim(self):
         net = random_net(4, 5, 1, seed=5)
-        with pytest.raises(ValueError):
-            split_lag_blocks(net, 2)
+        with pytest.raises(ValueError, match="5 inputs does not split into 2 lag blocks"):
+            lag_blocks(net, 1)
 
 
 class TestIdentityChain:
@@ -192,37 +193,38 @@ class TestVerifyChainBound:
 
 
 class TestAssemble:
-    def _chain_for(self, split, seed=15):
+    def _chain_for(self, static, K, seed=15):
         rng = np.random.default_rng(seed)
-        d = split.lag_dim
+        d = static.in_dim // (K + 1)
         nets = []
-        for j in range(split.horizon):
+        for j in range(K):
             width = int(rng.integers(2, 6))
             nets.append(random_net(width, d, d, seed=seed + j + 1))
         return nets
 
     def test_degenerate_static_system(self):
-        split = random_split(K=0, d=2, collector_width=5, seed=16)
-        esn = assemble_esn(split, [])
+        static = random_static(K=0, d=2, collector_width=5, seed=16)
+        esn = assemble_esn(static, [])
         assert esn.state_dim == 5
         assert np.all(esn.A == 0.0)
-        assert np.array_equal(esn.C, split.lag_block(0))
-        assert np.array_equal(esn.zeta, split.bias)
-        assert np.array_equal(esn.W, split.readout)
+        assert np.array_equal(esn.C, static.hidden_matrix)
+        assert np.array_equal(esn.zeta, static.hidden_bias)
+        assert np.array_equal(esn.W, static.readout)
         assert esn.structure.widths == (5,)
 
     def test_block_pattern_by_entry_enumeration(self):
-        split = random_split(K=2, d=1, collector_width=5, seed=17)
+        static = random_static(K=2, d=1, collector_width=5, seed=17)
+        lag = lag_blocks(static, 2)
         chain = [random_net(3, 1, 1, seed=18), random_net(4, 1, 1, seed=19)]
-        esn = assemble_esn(split, chain)
+        esn = assemble_esn(static, chain)
         widths = (3, 4, 5)
         assert esn.structure.widths == widths
         assert esn.state_dim == 12
         off = [0, 3, 7, 12]
         expected = {
             (1, 0): chain[1].hidden_matrix @ chain[0].readout,
-            (2, 0): split.lag_block(1) @ chain[0].readout,
-            (2, 1): split.lag_block(2) @ chain[1].readout,
+            (2, 0): lag[1] @ chain[0].readout,
+            (2, 1): lag[2] @ chain[1].readout,
         }
         for r in range(3):
             for c in range(3):
@@ -234,28 +236,28 @@ class TestAssemble:
         # input matrix feeds first carrier and collector only
         assert np.array_equal(esn.C[0:3], chain[0].hidden_matrix)
         assert np.all(esn.C[3:7] == 0.0)
-        assert np.array_equal(esn.C[7:12], split.lag_block(0))
+        assert np.array_equal(esn.C[7:12], lag[0])
         # bias stacking
         assert np.array_equal(esn.zeta[0:3], chain[0].hidden_bias)
         assert np.array_equal(esn.zeta[3:7], chain[1].hidden_bias)
-        assert np.array_equal(esn.zeta[7:12], split.bias)
+        assert np.array_equal(esn.zeta[7:12], static.hidden_bias)
         # readout sees only the collector
         assert np.all(esn.W[:, :7] == 0.0)
-        assert np.array_equal(esn.W[:, 7:], split.readout)
+        assert np.array_equal(esn.W[:, 7:], static.readout)
 
     def test_assembled_is_nilpotent(self):
-        split = random_split(K=3, d=2, collector_width=6, seed=20)
-        chain = self._chain_for(split)
-        esn = assemble_esn(split, chain)
+        static = random_static(K=3, d=2, collector_width=6, seed=20)
+        chain = self._chain_for(static, 3)
+        esn = assemble_esn(static, chain)
         assert check_nilpotent(esn) == (True, 4)
 
     def test_assembly_allocates_less_than_one_dense_matrix(self):
         # the system is held as its blocks: no N x N array is made
-        split = random_split(K=3, d=2, collector_width=1900, seed=22)
+        static = random_static(K=3, d=2, collector_width=1900, seed=22)
         chain = [random_net(50, 2, 2, seed=23 + j) for j in range(3)]
         tracemalloc.start()
         try:
-            esn = assemble_esn(split, chain)
+            esn = assemble_esn(static, chain)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -264,44 +266,44 @@ class TestAssemble:
         assert peak < N * N * 8
 
     def test_rejects_wrong_chain_dims(self):
-        split = random_split(K=1, d=2, collector_width=4, seed=21)
+        static = random_static(K=1, d=2, collector_width=4, seed=21)
         with pytest.raises(ValueError):
-            assemble_esn(split, [random_net(3, 1, 1, seed=22)])
+            assemble_esn(static, [random_net(3, 1, 1, seed=22)])
 
 
-def per_lag_reference(split, chain, arr):
-    """tanh(bias + sum_j chain_j(z_{-j}) @ lag_block(j).T): the collector
-    state at time 0 with one product per lag, as the construction argues it."""
+def per_lag_reference(static, chain, arr):
+    """tanh(bias + sum_j chain_j(z_{-j}) @ block_j.T): the collector state at
+    time 0 with one product per lag, as the construction argues it."""
     T = arr.shape[1]
-    acc = np.tile(split.bias, (arr.shape[0], 1))
-    for j in range(split.horizon + 1):
-        acc += compose_chain(chain, j, arr[:, T - 1 - j, :]) @ split.lag_block(j).T
+    acc = np.tile(static.hidden_bias, (arr.shape[0], 1))
+    for j, block in enumerate(lag_blocks(static, len(chain))):
+        acc += compose_chain(chain, j, arr[:, T - 1 - j, :]) @ block.T
     return np.tanh(acc)
 
 
 class TestClosedForm:
     def test_degenerate_formula(self):
-        split = random_split(K=0, d=1, collector_width=4, seed=23)
+        static = random_static(K=0, d=1, collector_width=4, seed=23)
         arr = np.array([[[0.4]]])
-        want = np.tanh(split.lag_block(0) @ np.array([0.4]) + split.bias)
-        np.testing.assert_allclose(closed_form_state(split, [], arr)[0], want, atol=1e-15)
+        want = np.tanh(static.hidden_matrix @ np.array([0.4]) + static.hidden_bias)
+        np.testing.assert_allclose(closed_form_state(static, [], arr)[0], want, atol=1e-15)
 
     def test_matches_recursion_within_tolerance(self):
         rng = np.random.default_rng(24)
         for trial in range(20):
             K = int(rng.integers(0, 5))
             d = int(rng.integers(1, 3))
-            split = random_split(K=K, d=d, collector_width=int(rng.integers(2, 7)), seed=100 + trial)
+            static = random_static(K=K, d=d, collector_width=int(rng.integers(2, 7)), seed=100 + trial)
             chain = [
                 random_net(int(rng.integers(2, 6)), d, d, seed=200 + 10 * trial + j)
                 for j in range(K)
             ]
-            esn = assemble_esn(split, chain)
+            esn = assemble_esn(static, chain)
             T = K + 2
             arr = sample_window_array(d, 1.0, T, 50, seed=300 + trial)
             states = esn.run_batch(arr)
-            collector = states[:, esn.state_dim - split.net.width :]
-            direct = closed_form_state(split, chain, arr)
+            collector = states[:, esn.state_dim - static.width :]
+            direct = closed_form_state(static, chain, arr)
             gap = np.max(np.linalg.norm(collector - direct, axis=1))
             assert gap <= 1e-10
 
@@ -315,59 +317,58 @@ class TestClosedForm:
     @example(K=3, d=2, widths=[65] * 4 + [1025], B=2049, seed=2)
     @example(K=3, d=3, widths=[65] * 4 + [1025], B=2049, seed=3)
     def test_matches_per_lag_reference_sum(self, K, d, widths, B, seed):
-        split = random_split(K=K, d=d, collector_width=widths[-1], seed=seed)
+        static = random_static(K=K, d=d, collector_width=widths[-1], seed=seed)
         chain = [random_net(widths[j], d, d, seed=seed + 1 + j) for j in range(K)]
         arr = sample_window_array(d, 1.0, K + 2, B, seed=seed)
-        np.testing.assert_allclose(closed_form_state(split, chain, arr), per_lag_reference(split, chain, arr),
+        np.testing.assert_allclose(closed_form_state(static, chain, arr), per_lag_reference(static, chain, arr),
                                    rtol=0, atol=1e-12)
 
     def test_chained_functional_is_readout_of_state(self):
         # the budget's chain and total terms read the system through its
         # closed-form collector state and the static readout
         f = ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)
-        split = random_split(K=2, d=1, collector_width=5, seed=25)
+        static = random_static(K=2, d=1, collector_width=5, seed=25)
         chain = [random_net(3, 1, 1, seed=26), random_net(3, 1, 1, seed=27)]
         arr = sample_window_array(1, 1.0, 4, 10, seed=28)
-        chained = closed_form_state(split, chain, arr) @ split.readout.T
-        errors = budget_errors(f, split, chain, arr)
-        assert np.array_equal(errors[1], np.linalg.norm(direct_functional(split, arr) - chained, axis=1))
+        chained = closed_form_state(static, chain, arr) @ static.readout.T
+        errors = budget_errors(f, static, chain, arr)
+        assert np.array_equal(errors[1], np.linalg.norm(direct_functional(static, arr) - chained, axis=1))
         assert np.array_equal(errors[2], np.linalg.norm(f.evaluate_batch(arr) - chained, axis=1))
 
     def test_window_too_short(self):
-        split = random_split(K=3, d=1, collector_width=4, seed=29)
+        static = random_static(K=3, d=1, collector_width=4, seed=29)
         chain = [random_net(2, 1, 1, seed=30 + j) for j in range(3)]
         with pytest.raises(ValueError, match="too short"):
-            closed_form_state(split, chain, sample_window_array(1, 1.0, 2, 3, seed=31))
+            closed_form_state(static, chain, sample_window_array(1, 1.0, 2, 3, seed=31))
 
 
 class TestDirectFunctional:
     def test_equals_net_forward_on_stacked_lags(self):
-        split = random_split(K=2, d=2, collector_width=5, seed=32)
+        static = random_static(K=2, d=2, collector_width=5, seed=32)
         arr = sample_window_array(2, 1.0, 6, 10, seed=33)
         stacked = arr[:, 3:, :].reshape(10, 6)
-        assert np.array_equal(direct_functional(split, arr), split.net.forward(stacked))
+        assert np.array_equal(direct_functional(static, arr), static.forward(stacked))
 
     def test_zero_ingredients_give_zero(self):
         net = ShallowNet(
             hidden_matrix=np.zeros((3, 2)), hidden_bias=np.zeros(3),
             readout=np.zeros((1, 3)),
         )
-        split = split_lag_blocks(net, 1)
         arr = sample_window_array(1, 1.0, 3, 5, seed=36)
-        assert np.all(direct_functional(split, arr) == 0.0)
+        assert np.all(direct_functional(net, arr) == 0.0)
 
     def test_lipschitz_estimate_per_sample(self):
         # the drift each lag suffers through the chain, weighted by block norms
         # and the readout norm, bounds the output discrepancy pointwise
-        split = random_split(K=3, d=1, collector_width=6, seed=37, scale=0.7)
+        static = random_static(K=3, d=1, collector_width=6, seed=37, scale=0.7)
         pol = WidthPolicy(max_width=512, train_samples=800, val_samples=1600)
         chain = build_identity_chain(1, 1.0, 3, 0.3 / (3 * 5.0), pol, seed=38)
         arr = sample_window_array(1, 1.0, 6, 500, seed=39)
         K, T = 3, 6
-        w_norm = operator_norm(split.readout)
-        block_norms = [operator_norm(split.lag_block(j)) for j in range(K + 1)]
-        chained = closed_form_state(split, chain, arr) @ split.readout.T
-        lhs = np.linalg.norm(direct_functional(split, arr) - chained, axis=1)
+        w_norm = operator_norm(static.readout)
+        block_norms = [operator_norm(block) for block in lag_blocks(static, K)]
+        chained = closed_form_state(static, chain, arr) @ static.readout.T
+        lhs = np.linalg.norm(direct_functional(static, arr) - chained, axis=1)
         rhs = np.zeros(arr.shape[0])
         for j in range(K + 1):
             z_j = arr[:, T - 1 - j, :]
@@ -489,18 +490,18 @@ class TestBudgetBlocks:
         f = filter_from_json(spec)
         cfg = small_cfg(eps=eps, seed=seed, budget_windows=4100)
         res = construct_universal_esn(f, cfg)
-        split, chain, K = res.split, res.chain, res.horizon
+        static, chain, K = res.static_net, res.chain, res.horizon
         T = max(construct.WINDOW_LEN, K + 1)
         arr = sample_window_array(f.in_dim, f.input_bound, T, cfg.budget_windows, _derived_seed(seed, 4))
         for n in (4100, 2049):
-            net_vals = direct_functional(split, arr[:n])
-            chained_vals = closed_form_state(split, chain, arr[:n]) @ split.readout.T
+            net_vals = direct_functional(static, arr[:n])
+            chained_vals = closed_form_state(static, chain, arr[:n]) @ static.readout.T
             want = np.stack([
                 np.linalg.norm(f.evaluate_batch(arr[:n, T - 1 - K :]) - net_vals, axis=1),
                 np.linalg.norm(net_vals - chained_vals, axis=1),
                 np.linalg.norm(f.evaluate_batch(arr[:n]) - chained_vals, axis=1),
             ])
-            np.testing.assert_allclose(budget_errors(f, split, chain, arr[:n]), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(budget_errors(f, static, chain, arr[:n]), want, rtol=0, atol=1e-12)
             if n == cfg.budget_windows:
                 b = res.budget
                 np.testing.assert_allclose((b.net_fit_sampled, b.chain_sampled, b.total_sampled),
@@ -520,7 +521,7 @@ class TestBudgetBlocks:
             )
             tracemalloc.start()
             try:
-                widths.add(construct_universal_esn(f, cfg).split.net.width)
+                widths.add(construct_universal_esn(f, cfg).static_net.width)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
