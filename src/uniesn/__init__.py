@@ -3,9 +3,9 @@
 Given a causal, time-invariant, fading-memory target filter and a tolerance
 eps, this package builds an echo state network whose associated functional is
 meant to lie within eps of the target on bounded inputs, and checks every
-inequality used along the way.  Only the truncation bound is proven; the
-other terms are sampled sups, lower bounds on the true ones, and are labelled
-so.  The constructed reservoir is nilpotent, so the echo state and fading
+inequality used along the way.  The truncation and chain bounds are proven;
+the other terms are sampled sups, lower bounds on the true ones, and are
+labelled so.  The constructed reservoir is nilpotent, so the echo state and fading
 memory properties hold by structure rather than by spectral heuristics.
 """
 

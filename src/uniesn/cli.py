@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .construct import (
+    CHAIN_ROUNDING,
     CLOSED_FORM_TOL,
     SAMPLE_COUNTS,
     WINDOW_LEN,
@@ -182,7 +183,7 @@ def _write_budget_csv(path: Path, result: ConstructionResult):
             writer.writerow([term, repr(float(value)), status, repr(float(limit))])
 
 
-def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spec: dict) -> dict:
+def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spec: dict, M: float) -> dict:
     esn = result.esn
     rows = result.budget.rows()
     return {
@@ -195,6 +196,9 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
         "widths": list(esn.structure.widths),
         "state_dim": esn.state_dim,
         "gain": result.gain,
+        # The chain row is gain * (chain_scale**2 * M**3 / 3 + chain_rounding).
+        "chain_scale": result.chain_scale,
+        "chain_rounding": CHAIN_ROUNDING * M,
         "budget": {"eps": result.budget.eps, **{term: value for term, value, _, _ in rows}},
         "budget_status": {term: status for term, _, status, _ in rows},
         "verdict_status": result.budget.verdict_status(),
@@ -273,7 +277,7 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
         try:
             _write_json(temps["esn.json"], result.esn.to_json())
             _write_json(temps["nets.json"], _nets_json(result))
-            _write_json(temps["report.json"], _report_dict(result, cfg, raw["filter"]))
+            _write_json(temps["report.json"], _report_dict(result, cfg, raw["filter"], f.input_bound))
             _write_budget_csv(temps["budget.csv"], result)
             _write_json(
                 temps["timings.json"],
@@ -340,8 +344,9 @@ def _verify_options(raw: dict, esn: ESNParams | None, esn_path: str) -> dict:
     if esn is not None and (vcfg.get("nets") or nets_path.exists()):
         nets = _load_json(nets_path)
         lag_dim = as_int(required(nets, "lag_dim", str(nets_path)), "nets.json lag_dim")
-        static = ShallowNet.from_json(required(nets, "static_net", str(nets_path)))
-        chain = [ShallowNet.from_json(o) for o in required(nets, "identity_chain", str(nets_path))]
+        static = ShallowNet.from_json(required(nets, "static_net", str(nets_path)), f"{nets_path} static_net")
+        chain = required(nets, "identity_chain", str(nets_path))
+        chain = [ShallowNet.from_json(o, f"{nets_path} identity_chain[{j}]") for j, o in enumerate(chain)]
         # The nets must wire, as construct wires them, into a system of the loaded one's shape.
         wired = assemble_esn(static, chain)
         shape = (esn.structure, esn.in_dim, esn.out_dim, esn.in_dim)
@@ -398,7 +403,7 @@ def _pattern_checks(exc: PatternError) -> dict:
 def cmd_verify(esn_path: str, config_path: str) -> int:
     try:
         try:
-            esn, broken = ESNParams.from_json(_load_json(esn_path)), None
+            esn, broken = ESNParams.from_json(_load_json(esn_path), esn_path), None
         except PatternError as exc:
             esn, broken = None, exc
         opts = _verify_options(_load_config(config_path), esn, esn_path)
@@ -433,7 +438,7 @@ def _sweep_point(f: TargetFilter, cfg: ConstructionConfig) -> tuple[list, list[s
     cells, status, code = [""] * 7, "ok", EXIT_OK
     try:
         result = _run_one(f, cfg, lines.append)
-        budget = [repr(value) for _, value, _, _ in result.budget.rows()]
+        budget = [repr(value) for term, value, _, _ in result.budget.rows() if term != "chain_witness"]
         cells = [result.horizon, result.esn.state_dim, "|".join(map(str, result.esn.structure.widths)), *budget]
     except BudgetError as exc:
         lines.append(f"eps={eps:g}: budget violation: {exc}")

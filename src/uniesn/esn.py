@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .windows import as_int, check_stated_sizes, freeze
+from .windows import as_int, check_stated_sizes, freeze, required
 
 #: Windows per block of check_finite_memory.  At N=1190 a block's recursion
 #: holds about 7 MB where 1000 windows held 28 MB, and the 1000-window check
@@ -190,33 +190,33 @@ class ESNParams:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ESNParams":
+    def from_json(cls, obj: dict, where: str = "esn.json") -> "ESNParams":
         """The system in an esn.json object.
 
         KeyError, TypeError or ValueError if it is malformed, a non-finite
-        entry anywhere included; PatternError, a ValueError, if it is well
-        formed but its dense A has a nonzero entry outside the blocks.
+        entry anywhere included, and a ValueError naming ``where`` for a
+        missing key; PatternError, a ValueError, if it is well formed but its
+        dense A has a nonzero entry outside the blocks.
         """
         structure = obj.get("structure") if isinstance(obj, dict) else None
         if not isinstance(structure, dict):
-            raise ValueError("esn.json has no structure object, which construct always writes")
-        if obj["activation"] != "tanh":
+            raise ValueError(f"{where} has no structure object, which construct always writes")
+        if required(obj, "activation", where) != "tanh":
             raise ValueError(f"unknown activation {obj['activation']!r}; systems are tanh")
-        blocks = BlockStructure(widths=tuple(structure["widths"]))
+        blocks = BlockStructure(widths=tuple(required(structure, "widths", f"{where} structure")))
         N = blocks.total
-        if as_int(structure["K"], "structure K") != blocks.horizon:
+        if as_int(required(structure, "K", f"{where} structure"), "structure K") != blocks.horizon:
             raise ValueError(f"structure K={structure['K']} does not match {len(blocks.widths)} widths")
-        A = np.array(obj["A"], dtype=np.float64)
+        A = np.array(required(obj, "A", where), dtype=np.float64)
         if not np.isfinite(A).all():
             raise ValueError("A holds a non-finite entry")
         if A.shape != (N, N):
             raise ValueError(f"A has shape {A.shape}, but structure widths sum to {N}")
         spans = _block_spans(blocks)
         *carriers, collector = (A[rows, cols] for rows, cols in spans)
-        esn = cls(
-            carriers=carriers, collector=collector, C=obj["C"], zeta=obj["zeta"], W=obj["W"], structure=blocks
-        )
-        check_stated_sizes(obj, {"N": esn.state_dim, "d": esn.in_dim, "m": esn.out_dim}, "esn.json")
+        C, zeta, W = (required(obj, key, where) for key in ("C", "zeta", "W"))
+        esn = cls(carriers=carriers, collector=collector, C=C, zeta=zeta, W=W, structure=blocks)
+        check_stated_sizes(obj, {"N": esn.state_dim, "d": esn.in_dim, "m": esn.out_dim}, where)
         # What is left of A once its blocks are cleared must be zero.
         for rows, cols in spans:
             A[rows, cols] = 0.0

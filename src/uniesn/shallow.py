@@ -1,12 +1,13 @@
 """Single-hidden-layer networks and sup-norm fitting on compact balls.
 
-These nets do double duty: one approximates the truncated target functional
-on a product of balls, and a chain of them approximates the identity map so
-that past inputs can be ferried through the reservoir one step at a time.
-The activation is always tanh: bounded, 1-Lipschitz and non-constant, the
-three facts every estimate downstream leans on.
+These nets do double duty: one is fitted to the truncated target functional
+on a product of balls, and a chain of them, each written down in closed form
+as tanh(s x) / s, approximates the identity map so that past inputs can be
+ferried through the reservoir one step at a time.  The activation is always
+tanh: bounded, 1-Lipschitz and non-constant, the three facts every estimate
+downstream leans on.
 
-Training is random features plus ridge least squares, never backprop: the
+Fitting is random features plus ridge least squares, never backprop: the
 hidden layer is frozen random, the readout solves a convex problem, and the
 whole fit is bitwise reproducible from its arguments.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .windows import as_int, check_stated_sizes, freeze, sample_product_ball
+from .windows import as_int, check_stated_sizes, freeze, required, sample_product_ball
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,12 @@ class ShallowNet:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ShallowNet":
-        if obj["activation"] != "tanh":
-            raise ValueError(f"unknown activation {obj['activation']!r}; nets are tanh")
-        net = cls(hidden_matrix=obj["hidden_matrix"], hidden_bias=obj["hidden_bias"], readout=obj["readout"])
-        check_stated_sizes(obj, {"in_dim": net.in_dim, "out_dim": net.out_dim, "width": net.width}, "net")
+    def from_json(cls, obj: dict, where: str = "net") -> "ShallowNet":
+        """The net in a JSON object; a missing key raises ValueError naming it and ``where``."""
+        if required(obj, "activation", where) != "tanh":
+            raise ValueError(f"{where}: unknown activation {obj['activation']!r}; nets are tanh")
+        net = cls(**{name: required(obj, name, where) for name in ("hidden_matrix", "hidden_bias", "readout")})
+        check_stated_sizes(obj, {"in_dim": net.in_dim, "out_dim": net.out_dim, "width": net.width}, where)
         return net
 
 
@@ -269,7 +271,7 @@ def fit_to_tolerance(
     policy: WidthPolicy,
     seed: int,
     *,
-    copies: int = 1,
+    copies: int,
 ) -> tuple[ShallowNet, float]:
     """Fit ``target`` on a product of balls to a sampled sup error <= tol * FIT_MARGIN.
 

@@ -43,7 +43,7 @@ def required(obj: dict, key: str, where: str):
 def check_stated_sizes(obj: dict, sizes: dict, what: str):
     """Raise ValueError unless each size ``obj`` states equals the one its arrays give."""
     for key, size in sizes.items():
-        if as_int(obj[key], f"{what} {key}") != size:
+        if as_int(required(obj, key, what), f"{what} {key}") != size:
             raise ValueError(f"{what} states {key}={obj[key]!r}, but its arrays give {size}")
 
 

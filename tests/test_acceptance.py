@@ -18,6 +18,7 @@ from uniesn.construct import (
     compose_chain,
     construct_universal_esn,
     direct_functional,
+    identity_step,
     lag_blocks,
     verify_chain_bound,
 )
@@ -84,12 +85,14 @@ def test_01_end_to_end_universality(demo, acceptance_detail):
     third = DEMO_EPS / 3.0
     assert budget.truncation_analytic < third
     assert budget.net_fit_sampled < third
-    assert budget.chain_sampled < third
+    assert budget.chain_analytic < third
+    assert budget.chain_witness < budget.chain_analytic
     assert budget.total_sampled < DEMO_EPS
     assert elapsed < 120.0
     acceptance_detail(
         f"horizon 4, terms {budget.truncation_analytic:.4f}/{budget.net_fit_sampled:.4f}/"
-        f"{budget.chain_sampled:.2e} each < 0.1, total {budget.total_sampled:.4f} < 0.3, "
+        f"{budget.chain_analytic:.4f} each < 0.1 (chain witness {budget.chain_witness:.2e}), "
+        f"total {budget.total_sampled:.4f} < 0.3, "
         f"{elapsed:.1f}s on 10^4 windows of length 30"
     )
 
@@ -165,15 +168,18 @@ def test_05_closed_form_oracle(acceptance_detail):
 
 
 def test_06_chain_bound(demo, acceptance_detail):
+    # The proven per-net bound, s^2 M^3 / 3 + rho, with sampled witnesses below it.
     result, _ = demo
-    step = DEMO_EPS / (3.0 * result.gain)
+    step = identity_step(result.chain_scale, 1.0)
     records = verify_chain_bound(result.chain, 1.0, step, n_samples=10_000, seed=424241)
     assert len(records) == result.horizon
     for j, rec in enumerate(records, start=1):
         assert rec["sup_error"] < j * step
         assert rec["sup_norm"] <= 1.0 + j * step
+    assert result.budget.chain_analytic == result.gain * step < DEMO_EPS / 3.0
+    assert result.budget.chain_witness < result.budget.chain_analytic
     acceptance_detail(
-        f"per-depth drift {['%.1e' % r['sup_error'] for r in records]} < j*{step:.2e} "
+        f"per-depth drift {['%.1e' % r['sup_error'] for r in records]} < j*{step:.2e} (proven) "
         f"and containment, 10^4 fresh ball samples"
     )
 

@@ -114,7 +114,7 @@ def fit_out_of_memory(fails):
 
 
 def static_from_64(in_dim, width):
-    return in_dim > 1 and width >= 64  # with d=1, only the static net stacks several lags
+    return width >= 64  # the static net is the only fit
 
 
 #: The sample count that sampler_out_of_memory cannot allocate; no count of
@@ -172,9 +172,11 @@ class TestConstruct:
         assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 0
         rows = read_csv_skipping_schema(tmp_path / "out" / "budget.csv")
         terms = {r["term"]: r for r in rows}
-        assert set(terms) == {"truncation", "net_fit", "chain", "total"}
-        assert terms["truncation"]["status"] == "analytic_upper_bound"
-        assert terms["net_fit"]["status"] == "sampled_sup"
+        assert list(terms) == ["truncation", "net_fit", "chain", "chain_witness", "total"]
+        assert terms["truncation"]["status"] == terms["chain"]["status"] == "analytic_upper_bound"
+        assert terms["net_fit"]["status"] == terms["chain_witness"]["status"] == "sampled_sup"
+        assert terms["chain_witness"]["limit"] == terms["chain"]["value"]
+        assert float(terms["chain_witness"]["value"]) < float(terms["chain"]["value"])
         assert float(terms["total"]["value"]) < float(terms["total"]["limit"])
 
     def test_malformed_json_is_config_error(self, tmp_path):
@@ -281,8 +283,8 @@ class TestConstruct:
 
     @pytest.mark.parametrize(
         "fails, stage, width",
-        [(static_from_64, "fit_static_net", 64), (lambda in_dim, width: in_dim == 1, "fit_identity_chain", 32)],
-        ids=["static", "identity"],
+        [(static_from_64, "fit_static_net", 64)],
+        ids=["static"],
     )
     def test_fit_that_cannot_allocate_is_stage_failure(self, tmp_path, monkeypatch, capsys, fails, stage, width):
         monkeypatch.setattr(shallow, "fit_random_feature", fit_out_of_memory(fails))
@@ -296,11 +298,10 @@ class TestConstruct:
         "edit, stage",
         [
             (lambda c: c["static_policy"].update(train_samples=UNALLOCATABLE), "fit_static_net"),
-            (lambda c: c["identity_policy"].update(train_samples=UNALLOCATABLE), "fit_identity_chain"),
             (lambda c: c.update(chain_samples=UNALLOCATABLE), "verify_chain"),
             (lambda c: c.update(budget_windows=UNALLOCATABLE), "verify_closed_form"),
         ],
-        ids=["static_train_samples", "identity_train_samples", "chain_samples", "budget_windows"],
+        ids=["static_train_samples", "chain_samples", "budget_windows"],
     )
     def test_sample_count_that_cannot_allocate_is_stage_failure(self, tmp_path, monkeypatch, capsys, edit, stage):
         cfg = write_config(tmp_path)
@@ -591,6 +592,27 @@ def test_output_file_that_cannot_be_written_after_the_work_is_exit_2(command, bu
 
 NO_FILTER = "{dir}/config.json: the config has no 'filter' section"
 
+#: Each inner key esn.json and nets.json must hold: (file, path to the object
+#: that holds it, how the message names that object, key).
+INNER_KEYS = [
+    *(("esn.json", (), "", key) for key in ("activation", "A", "C", "zeta", "W", "N", "d", "m")),
+    *(("esn.json", ("structure",), " structure", key) for key in ("widths", "K")),
+    *(
+        ("nets.json", path, place, key)
+        for path, place in ((("static_net",), " static_net"), (("identity_chain", 0), " identity_chain[0]"))
+        for key in ("activation", "hidden_matrix", "hidden_bias", "readout", "in_dim", "out_dim", "width")
+    ),
+]
+
+
+def _pop_inner(path, key):
+    def edit(obj):
+        for step in path:
+            obj = obj[step]
+        obj.pop(key)
+
+    return edit
+
 
 @pytest.mark.parametrize(
     "command, name, edit, message",
@@ -605,10 +627,15 @@ NO_FILTER = "{dir}/config.json: the config has no 'filter' section"
         ("sweep", "config.json", lambda c: c.update(filter={**VOLTERRA2, "quad": [{"j": 0, "b": [0.3]}]}),
          "config error: quad term has no 'k'"),
         ("verify", "nets.json", lambda nets: nets.pop("lag_dim"), "load error: {dir}/nets.json has no 'lag_dim'"),
+        *(
+            ("verify", name, _pop_inner(path, key), f"load error: {{dir}}/{name}{place} has no {key!r}")
+            for name, path, place, key in INNER_KEYS
+        ),
     ],
     ids=[
         "construct_filter", "sweep_filter", "verify_filter", "construct_M", "sweep_M", "verify_M",
         "construct_lambda", "sweep_quad_k", "verify_lag_dim",
+        *("_".join(map(str, ("verify", name[:-5], *path, key))) for name, path, _, key in INNER_KEYS),
     ],
 )
 def test_missing_key_is_named_with_where_it_is_missing(

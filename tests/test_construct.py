@@ -1,5 +1,10 @@
+import dataclasses
+import json
+import math
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from uniesn import construct, shallow
 from uniesn.construct import (
     BUDGET_BLOCK,
+    CHAIN_ROUNDING,
     _derived_seed,
     _window_blocks,
     BudgetError,
@@ -19,11 +25,13 @@ from uniesn.construct import (
     assemble_esn,
     budget_errors,
     build_identity_chain,
+    chain_scale,
     closed_form_state,
     compose_chain,
     construct_universal_esn,
     direct_functional,
     identity_error_gain,
+    identity_step,
     lag_blocks,
     verify_chain_bound,
 )
@@ -31,7 +39,7 @@ from uniesn.esn import check_finite_memory, check_nilpotent
 from uniesn.filters import ExpFadingFilter, FIRFilter, filter_from_json
 from uniesn.linalg import operator_norm
 from uniesn.shallow import ShallowNet, WidthPolicy
-from uniesn.windows import sample_product_ball, sample_window_array
+from uniesn.windows import fill_directions, sample_product_ball, sample_window_array
 
 
 def random_net(width, in_dim, out_dim, seed, scale=1.0):
@@ -109,21 +117,19 @@ class TestSplitAndGain:
 
 class TestIdentityChain:
     def test_no_horizon_means_no_nets(self):
-        pol = WidthPolicy(max_width=32, train_samples=32, val_samples=32)
-        assert build_identity_chain(1, 1.0, 0, 0.1, pol, seed=0) == []
+        assert build_identity_chain(1, 0, 0.5) == []
 
-    def test_net_j_is_fitted_on_radius_M_plus_j_minus_1_tol(self, monkeypatch):
-        fits = []
-
-        def fit(target, d, radius, tol, policy, seed):
-            fits.append((radius, tol))
-            return random_net(4, d, d, seed=seed), 0.0
-
-        monkeypatch.setattr(construct, "fit_to_tolerance", fit)
-        tol = 0.3 / (3 * 2.0)
-        pol = WidthPolicy(max_width=32, train_samples=32, val_samples=32)
-        assert len(build_identity_chain(1, 1.0, 3, tol, pol, seed=0)) == 3
-        assert fits == [(1.0, tol), (1.0 + tol, tol), (1.0 + 2 * tol, tol)]
+    def test_each_net_is_tanh_of_s_x_over_s(self):
+        s = 2.0**-5
+        for d in (1, 3):
+            chain = build_identity_chain(d, 3, s)
+            assert len(chain) == 3
+            for net in chain:
+                assert np.array_equal(net.hidden_matrix, s * np.eye(d))
+                assert np.array_equal(net.hidden_bias, np.zeros(d))
+                assert np.array_equal(net.readout, np.eye(d) / s)
+                x = sample_product_ball(d, 1.0, 1, 50, seed=6)
+                assert np.array_equal(net.forward(x), np.tanh(s * x) / s)
 
     def test_gain_must_be_positive_with_horizon(self, monkeypatch):
         monkeypatch.setattr(construct, "identity_error_gain", lambda readout, blocks: 0.0)
@@ -134,18 +140,64 @@ class TestIdentityChain:
         assert exc_info.value.stage == "fit_identity_chain"
 
     def test_each_net_meets_its_tolerance_on_fresh_samples(self):
-        tol, M, K = 0.3 / (3 * 5.0), 1.0, 3
-        pol = WidthPolicy(max_width=512, train_samples=1000, val_samples=2000)
-        chain = build_identity_chain(1, M, K, tol, pol, seed=6)
-        for j, net in enumerate(chain, start=1):
-            fresh = sample_product_ball(1, M + (j - 1) * tol, 1, 4000, seed=999)
+        M, K = 1.0, 3
+        s = chain_scale(5.0, M, 0.1)
+        for net in build_identity_chain(1, K, s):
+            fresh = sample_product_ball(1, M, 1, 4000, seed=999)
             err = np.max(np.abs(net.forward(fresh) - fresh))
-            assert err <= tol
+            assert err < identity_step(s, M)
 
-    def test_fit_failure_annotated_with_position(self):
-        pol = WidthPolicy(max_width=32, train_samples=64, val_samples=64)
-        with pytest.raises(ConstructionError, match="identity net 1"):
-            build_identity_chain(1, 1.0, 2, 1e-9 / 3, pol, seed=7)
+    def test_share_the_rounding_allowance_misses_is_stage_failure(self, monkeypatch):
+        monkeypatch.setattr(construct, "identity_error_gain", lambda readout, blocks: 2.0**50)
+        f = ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)
+        with pytest.raises(ConstructionError, match="rounding allowance") as exc_info:
+            construct_universal_esn(f, small_cfg(eps=0.5))
+        assert exc_info.value.stage == "fit_identity_chain"
+
+
+class TestChainScale:
+    @given(
+        gain=st.floats(1e-3, 1e6),
+        M=st.floats(1e-3, 1e3),
+        share=st.floats(1e-6, 1.0),
+    )
+    def test_largest_power_of_two_within_the_share(self, gain, M, share):
+        if not gain * CHAIN_ROUNDING * M < share:
+            with pytest.raises(ConstructionError, match="rounding allowance"):
+                chain_scale(gain, M, share)
+            return
+        s = chain_scale(gain, M, share)
+        assert math.frexp(s)[0] == 0.5
+        assert gain * identity_step(s, M) < share <= gain * identity_step(2 * s, M)
+
+    @given(
+        d=st.integers(1, 4),
+        M=st.floats(1e-3, 1e3),
+        log2_s=st.integers(-30, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=1, M=1.0, log2_s=0, seed=0)
+    def test_closed_form_net_meets_its_proven_bound(self, d, M, log2_s, seed):
+        # Points inside the M-ball, row 1 the boundary probe M e_1, and the
+        # last 16 on its sphere.
+        s = 2.0**log2_s
+        (net,) = build_identity_chain(d, 1, s)
+        x = sample_product_ball(d, M, 1, 64, seed)
+        fill_directions(x[-16:, None, :], M, np.random.default_rng(seed))
+        y = net.forward(x)
+        rho = CHAIN_ROUNDING * M
+        assert np.all(np.linalg.norm(y - x, axis=1) <= s * s * M**3 / 3 + rho)
+        assert np.all(np.linalg.norm(y, axis=1) <= np.linalg.norm(x, axis=1) + rho)
+
+    def test_numpy_tanh_rounds_far_inside_the_allowance(self):
+        # Against 50-digit mpmath, numpy's tanh errs by far less than the
+        # relative allowance: 2**-50 is 1024 times below CHAIN_ROUNDING.
+        rng = np.random.default_rng(17)
+        t = np.concatenate([rng.uniform(-20, 20, 2000), 10.0 ** rng.uniform(-12, 1, 2000)])
+        got = np.tanh(t)
+        with mpmath.workdps(50):
+            worst = max(abs(mpmath.mpf(g) / mpmath.tanh(mpmath.mpf(x)) - 1) for g, x in zip(got.tolist(), t.tolist()))
+        assert float(worst) < 2.0**-50 <= CHAIN_ROUNDING / 1024
 
 
 class TestComposeChain:
@@ -168,14 +220,13 @@ class TestComposeChain:
 
 class TestVerifyChainBound:
     def test_bounds_hold_for_fitted_chain(self):
-        tol = 0.3 / (3 * 5.0)
-        pol = WidthPolicy(max_width=512, train_samples=1000, val_samples=2000)
-        chain = build_identity_chain(1, 1.0, 3, tol, pol, seed=12)
-        records = verify_chain_bound(chain, 1.0, tol, n_samples=3000, seed=13)
+        s = chain_scale(5.0, 1.0, 0.1)
+        step = identity_step(s, 1.0)
+        records = verify_chain_bound(build_identity_chain(1, 3, s), 1.0, step, n_samples=3000, seed=13)
         assert len(records) == 3
         for j, rec in enumerate(records, start=1):
-            assert rec["sup_error"] < j * tol
-            assert rec["sup_norm"] <= 1.0 + j * tol
+            assert rec["sup_error"] < j * step
+            assert rec["sup_norm"] <= 1.0 + j * step
 
     def test_empty_chain(self):
         assert verify_chain_bound([], 1.0, 0.1, 100, seed=0) == []
@@ -361,8 +412,7 @@ class TestDirectFunctional:
         # the drift each lag suffers through the chain, weighted by block norms
         # and the readout norm, bounds the output discrepancy pointwise
         static = random_static(K=3, d=1, collector_width=6, seed=37, scale=0.7)
-        pol = WidthPolicy(max_width=512, train_samples=800, val_samples=1600)
-        chain = build_identity_chain(1, 1.0, 3, 0.3 / (3 * 5.0), pol, seed=38)
+        chain = build_identity_chain(1, 3, chain_scale(5.0, 1.0, 0.1))
         arr = sample_window_array(1, 1.0, 6, 500, seed=39)
         K, T = 3, 6
         w_norm = operator_norm(static.readout)
@@ -387,9 +437,9 @@ class TestPipeline:
         assert b.truncation_analytic == pytest.approx(0.0625)
         assert b.truncation_analytic < 0.1
         assert b.net_fit_sampled < 0.1
-        assert b.chain_sampled < 0.1
+        assert b.chain_witness < b.chain_analytic < 0.1
         assert b.total_sampled < 0.3
-        assert b.total_sampled <= b.truncation_analytic + b.net_fit_sampled + b.chain_sampled
+        assert b.total_sampled <= b.truncation_analytic + b.net_fit_sampled + b.chain_witness
         assert check_nilpotent(res.esn) == (True, 5)
         assert res.closed_form_check_max <= 1e-10
 
@@ -399,7 +449,8 @@ class TestPipeline:
         assert res.horizon == 0
         assert res.chain == []
         assert res.budget.truncation_analytic == 0.0
-        assert res.budget.chain_sampled == 0.0
+        assert res.chain_scale is None
+        assert res.budget.chain_analytic == res.budget.chain_witness == 0.0
         assert np.all(res.esn.A == 0.0)
         assert res.budget.total_sampled < 0.2
 
@@ -504,7 +555,7 @@ class TestBudgetBlocks:
             np.testing.assert_allclose(budget_errors(f, static, chain, arr[:n]), want, rtol=0, atol=1e-12)
             if n == cfg.budget_windows:
                 b = res.budget
-                np.testing.assert_allclose((b.net_fit_sampled, b.chain_sampled, b.total_sampled),
+                np.testing.assert_allclose((b.net_fit_sampled, b.chain_witness, b.total_sampled),
                                            np.max(want, axis=1), rtol=0, atol=1e-12)
 
     def test_peak_memory_does_not_grow_with_budget_windows(self, monkeypatch):
@@ -570,19 +621,22 @@ class TestConfigSchema:
             ConstructionConfig(eps=0.3, **bad)
 
 
-TERMS = ["truncation", "net_fit", "chain", "total"]
+TERMS = ["truncation", "net_fit", "chain", "chain_witness", "total"]
+
+
+def straddling(draw, limit):
+    """A value at, below or above ``limit``."""
+    return draw(st.one_of(st.just(limit), st.floats(min_value=0.0, max_value=2.0).map(lambda r: r * limit)))
 
 
 @st.composite
 def budgets(draw):
-    """Budgets whose values straddle their limits, equality included."""
+    """Budgets whose values straddle their limits, equality and a zero chain included."""
     eps = draw(st.floats(min_value=1e-6, max_value=1e3))
-    limits = [eps / 3.0] * 3 + [eps]
-    values = [
-        draw(st.one_of(st.just(limit), st.floats(min_value=0.0, max_value=2.0).map(lambda r: r * limit)))
-        for limit in limits
-    ]
-    return ErrorBudget(eps, *values)
+    truncation, net_fit = straddling(draw, eps / 3.0), straddling(draw, eps / 3.0)
+    chain = draw(st.one_of(st.just(0.0), st.just(eps / 3.0), st.floats(0.0, 2.0).map(lambda r: r * eps / 3.0)))
+    witness = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0).map(lambda r: r * chain)))
+    return ErrorBudget(eps, truncation, net_fit, chain, witness, straddling(draw, eps))
 
 
 class TestBudgetPolicy:
@@ -591,15 +645,15 @@ class TestBudgetPolicy:
         rows = budget.rows()
         assert [row[0] for row in rows] == TERMS
         assert [row[1] for row in rows] == [
-            budget.truncation_analytic, budget.net_fit_sampled, budget.chain_sampled, budget.total_sampled,
+            budget.truncation_analytic, budget.net_fit_sampled, budget.chain_analytic, budget.chain_witness,
+            budget.total_sampled,
         ]
-        assert [row[3] for row in rows] == [budget.eps / 3.0] * 3 + [budget.eps]
+        assert [row[3] for row in rows] == [budget.eps / 3.0] * 3 + [budget.chain_analytic, budget.eps]
         status = {term: s for term, _, s, _ in rows}
-        assert status["truncation"] == "analytic_upper_bound"
-        for term in TERMS[1:]:
-            assert status[term] == "sampled_sup"
+        for term in TERMS:
+            assert status[term] == ("analytic_upper_bound" if term in ("truncation", "chain") else "sampled_sup")
 
-    @given(budget=budgets(), labels=st.lists(st.sampled_from(STATUS_STRENGTH), min_size=4, max_size=4))
+    @given(budget=budgets(), labels=st.lists(st.sampled_from(STATUS_STRENGTH), min_size=5, max_size=5))
     def test_verdict_is_never_stronger_than_its_weakest_term(self, budget, labels):
         strength = STATUS_STRENGTH.index
         statuses = [status for _, _, status, _ in budget.rows()]
@@ -610,17 +664,40 @@ class TestBudgetPolicy:
             def rows(self):
                 return [(term, value, label, limit) for (term, value, _, limit), label in zip(super().rows(), labels)]
 
-        verdict = Relabelled(budget.eps, budget.truncation_analytic, budget.net_fit_sampled,
-                             budget.chain_sampled, budget.total_sampled).verdict_status()
+        verdict = Relabelled(*dataclasses.astuple(budget)).verdict_status()
         assert verdict in labels
         assert all(strength(verdict) <= strength(label) for label in labels)
 
     @given(budget=budgets())
     def test_check_names_the_first_term_at_or_above_its_limit(self, budget):
-        over = [(term, value, limit) for term, value, _, limit in budget.rows() if value >= limit]
+        # A zero limit, a proven chain with no nets, is met by a zero value.
+        over = [
+            (term, value, limit)
+            for term, value, _, limit in budget.rows()
+            if value > limit or value == limit and limit != 0.0
+        ]
         if not over:
             budget.check()
             return
         with pytest.raises(BudgetError) as exc_info:
             budget.check()
         assert (exc_info.value.term, exc_info.value.value, exc_info.value.limit) == over[0]
+
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo_expfading.json"
+
+
+@pytest.mark.parametrize("spec, eps", [(None, 0.1), (VOLTERRA2, 0.3)], ids=["demo_eps_0.1", "volterra2_eps_0.3"])
+def test_every_carrier_block_is_exactly_the_identity(spec, eps):
+    # The shipped config's construction section; spec None is its own filter.
+    raw = json.loads(DEMO_CONFIG.read_text())
+    f = filter_from_json(spec or raw["filter"])
+    res = construct_universal_esn(f, ConstructionConfig(**{**raw["construction"], "eps": eps}))
+    d, K, s = f.in_dim, res.horizon, res.chain_scale
+    assert K >= 2 and math.frexp(s)[0] == 0.5
+    assert res.esn.structure.widths[:-1] == (d,) * K
+    for block in res.esn.carriers:
+        assert np.array_equal(block, np.eye(d))
+    assert np.array_equal(res.esn.C[:d], s * np.eye(d))
+    assert res.budget.chain_analytic == res.gain * identity_step(s, f.input_bound) < eps / 3
+    assert res.budget.chain_witness < res.budget.chain_analytic

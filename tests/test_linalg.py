@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uniesn.linalg import operator_norm
 
@@ -16,8 +19,27 @@ def test_zero_matrix():
 
 
 def test_single_column_is_euclidean_norm():
+    # Rounded up by the SVD's slack, so above 5.0 but not by more than it.
     col = np.array([[3.0], [4.0]])
-    assert operator_norm(col) == 5.0
+    assert 5.0 < operator_norm(col) <= 5.0 * (1 + 1e-13)
+
+
+def test_one_by_one_is_exact():
+    assert operator_norm(np.array([[-0.3]])) == 0.3
+
+
+@st.composite
+def small_matrices(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False)
+    return np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n)
+
+
+@given(a=small_matrices())
+def test_is_an_upper_bound_on_the_exact_largest_singular_value(a):
+    with mpmath.workdps(50):
+        exact = max(mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)) if a.any() else 0
+        assert mpmath.mpf(operator_norm(a)) >= exact
 
 
 def test_matches_2x2_closed_form():

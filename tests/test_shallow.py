@@ -271,19 +271,19 @@ class TestFitToTolerance:
     def test_constant_target_exact_at_minimal_width(self):
         pol = WidthPolicy(max_width=64, train_samples=256, val_samples=512)
         target = lambda x: np.full((x.shape[0], 1), 0.7)
-        net, achieved = fit_to_tolerance(target, 1, 1.0, 1e-8, pol, seed=5)
+        net, achieved = fit_to_tolerance(target, 1, 1.0, 1e-8, pol, seed=5, copies=1)
         assert achieved <= 0.8e-8
         assert net.width == 33  # start width plus the constant unit
 
     def test_identity_meets_stated_margin(self):
         pol = WidthPolicy(max_width=512, train_samples=800, val_samples=1600)
-        net, achieved = fit_to_tolerance(lambda x: x, 1, 1.0, 1e-2, pol, seed=6)
+        net, achieved = fit_to_tolerance(lambda x: x, 1, 1.0, 1e-2, pol, seed=6, copies=1)
         assert achieved <= 8e-3
 
     def test_impossible_tolerance_reports_achieved(self):
         pol = WidthPolicy(max_width=32, train_samples=64, val_samples=64)
         with pytest.raises(FitToleranceError, match="not met") as exc_info:
-            fit_to_tolerance(lambda x: np.sin(5 * x), 1, 1.0, 1e-12, pol, seed=7)
+            fit_to_tolerance(lambda x: np.sin(5 * x), 1, 1.0, 1e-12, pol, seed=7, copies=1)
         assert exc_info.value.achieved > 1e-12
 
     @pytest.mark.parametrize("where", ["fit", "forward"])
@@ -307,14 +307,14 @@ class TestFitToTolerance:
         pol = WidthPolicy(max_width=256, train_samples=200, val_samples=200)
         message = r"width 64 could not allocate: best sampled error \S+ at width 33"
         with pytest.raises(FitToleranceError, match=message) as exc_info:
-            fit_to_tolerance(lambda x: np.sin(5 * x), 1, 1.0, 1e-12, pol, seed=7)
+            fit_to_tolerance(lambda x: np.sin(5 * x), 1, 1.0, 1e-12, pol, seed=7, copies=1)
         assert exc_info.value.width == 33 and 0 < exc_info.value.achieved < np.inf
 
     def test_never_returns_above_margin(self, monkeypatch):
         monkeypatch.setattr(shallow, "START_WIDTH", 8)
         pol = WidthPolicy(max_width=256, train_samples=400, val_samples=800)
         tol = 5e-2
-        net, achieved = fit_to_tolerance(lambda x: np.tanh(2 * x), 1, 1.0, tol, pol, seed=8)
+        net, achieved = fit_to_tolerance(lambda x: np.tanh(2 * x), 1, 1.0, tol, pol, seed=8, copies=1)
         assert achieved <= tol * 0.8
 
     @pytest.mark.parametrize("d, radius, copies", [(1, 1.0, 1), (1, 1.0, 6), (2, 0.5, 4), (3, 2.0, 3)])
@@ -442,7 +442,7 @@ class TestHeapRelease:
         monkeypatch.setattr(shallow, "_give_back_heap", lambda: events.append("release"))
         pol = WidthPolicy(max_width=128, train_samples=200, val_samples=200)
         try:
-            fit_to_tolerance(lambda x: np.full((len(x), 1), 0.7), 1, 1.0, 1e-8, pol, seed=7)
+            fit_to_tolerance(lambda x: np.full((len(x), 1), 0.7), 1, 1.0, 1e-8, pol, seed=7, copies=1)
             events.append("return")
         except FitToleranceError:
             events.append("raise")
@@ -523,11 +523,11 @@ class TestWidthPolicy:
 
 
 class TestFitIdentity:
-    """Identity nets, as the chain fits them: fit_to_tolerance(lambda x: x, ...)."""
+    """Random-feature fits of the identity map: fit_to_tolerance(lambda x: x, ...)."""
 
     def test_meets_tolerance_on_ball(self):
         pol = WidthPolicy(max_width=256, train_samples=800, val_samples=1600)
-        net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, 0.05, pol, seed=10)
+        net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, 0.05, pol, seed=10, copies=1)
         grid = np.linspace(-1, 1, 2001).reshape(-1, 1)
         err = np.max(np.abs(net.forward(grid) - grid))
         assert err <= 0.04
@@ -535,12 +535,12 @@ class TestFitIdentity:
     def test_small_at_origin(self):
         pol = WidthPolicy(max_width=256, train_samples=800, val_samples=1600)
         tol = 0.05
-        net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, tol, pol, seed=10)
+        net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, tol, pol, seed=10, copies=1)
         assert float(np.abs(net.forward([[0.0]]))[0, 0]) <= tol
 
     def test_bound_inherited_on_smaller_ball(self):
         pol = WidthPolicy(max_width=256, train_samples=800, val_samples=1600)
-        net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, 0.05, pol, seed=10)
+        net, _ = fit_to_tolerance(lambda x: x, 1, 1.0, 0.05, pol, seed=10, copies=1)
         grid_small = np.linspace(-0.5, 0.5, 1001).reshape(-1, 1)
         grid_full = np.linspace(-1, 1, 2001).reshape(-1, 1)
         err_small = np.max(np.abs(net.forward(grid_small) - grid_small))
