@@ -9,15 +9,8 @@ labelled so.  The constructed reservoir is nilpotent, so the echo state and fadi
 memory properties hold by structure rather than by spectral heuristics.
 """
 
-from .windows import sample_product_ball, sample_window_array
-from .linalg import operator_norm
-from .shallow import (
-    ShallowNet,
-    WidthPolicy,
-    FitToleranceError,
-    fit_random_feature,
-    fit_to_tolerance,
-)
+from .windows import sample_window_array
+from .shallow import ShallowNet
 from .filters import (
     TargetFilter,
     FIRFilter,
@@ -40,11 +33,6 @@ from .construct import (
     ChainBoundError,
     ErrorBudget,
     ConstructionResult,
-    build_identity_chain,
-    verify_chain_bound,
-    assemble_esn,
-    closed_form_state,
-    direct_functional,
     construct_universal_esn,
 )
 

@@ -43,7 +43,7 @@ from .esn import (
 )
 from .filters import TargetFilter, filter_from_json
 from .shallow import FIT_MARGIN, ShallowNet
-from .windows import as_int, as_real, fill_directions, required, sample_window_array
+from .windows import as_int, as_real, required, sample_window_array
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -209,12 +209,7 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
             "max_gap": result.closed_form_check_max,
             "tolerance": CLOSED_FORM_TOL,
         },
-        "functional_evaluator": "closed_form",
         "sample_counts": {"budget_window_len": WINDOW_LEN, **{key: getattr(cfg, key) for key in SAMPLE_COUNTS}},
-        "width_table": {
-            "static_net": {"width": result.static_net.width, "achieved": result.net_fit_achieved},
-            "identity_chain": [net.width for net in result.chain],
-        },
     }
 
 
@@ -373,9 +368,12 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     try:
         arr = sample_window_array(d, M, T, fmp_trials, seed + 2)
         modified = arr.copy()
+        past = np.random.default_rng(seed + 3).standard_normal((fmp_trials, T - (K + 1), d))
+        past /= np.linalg.norm(past, axis=-1, keepdims=True)
+        past *= M
+        modified[:, : T - (K + 1)] = past  # the far past, on the M-sphere
     except MemoryError:
         raise ConfigError(f"verification fmp_trials {fmp_trials}: its windows could not allocate") from None
-    fill_directions(modified[:, : T - (K + 1)], M, np.random.default_rng(seed + 3))  # the far past, on the M-sphere
     same = check_finite_memory(esn, arr, modified)
     checks["finite_memory"] = {"passed": same, "trials": fmp_trials}
 

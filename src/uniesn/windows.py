@@ -94,26 +94,6 @@ def sample_product_ball(d: int, R: float, copies: int, n: int, seed: int) -> np.
     return out
 
 
-def fill_directions(out: np.ndarray, R: float, rng: np.random.Generator):
-    """Overwrite ``out``, (n, k, d), with n*k directions of length R in d-space.
-
-    ``out`` may be a view whose ``out[i]`` are each C-contiguous, such as the
-    first k entries of every window of a batch.  The normals are drawn
-    straight into it, one ``out[i]`` at a time, then scaled in place about
-    ``_CHUNK`` entries at a time.  The bits are those of
-    ``rng.standard_normal((n * k, d))`` divided by its row norms and times R.
-    """
-    for block in out:
-        rng.standard_normal(out=block)
-    n, k, d = out.shape
-    step = max(1, _CHUNK // (k * d))
-    buf = np.empty((min(step, n), k, 1))
-    for start in range(0, n, step):
-        chunk = out[start : start + step]
-        _to_unit(chunk, buf[: len(chunk)])
-        chunk *= R
-
-
 def _to_unit(chunk: np.ndarray, norms: np.ndarray):
     """Divide each vector along the last axis of ``chunk`` by its length, in
     place, through ``norms`` (the shape of ``chunk``, last axis 1); a zero

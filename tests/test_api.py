@@ -1,17 +1,28 @@
+import importlib
 import types
 from pathlib import Path
+
+import pytest
 
 import uniesn
 
 PUBLIC_API = [
     "BlockStructure", "BudgetError", "ChainBoundError", "ConstructionConfig", "ConstructionError",
     "ConstructionResult", "ESNParams", "ErrorBudget", "ExpFadingFilter", "FIRFilter",
-    "FitToleranceError", "HorizonCapError", "ShallowNet", "TargetFilter", "Volterra2Filter",
-    "WidthPolicy", "assemble_esn", "build_identity_chain", "check_esp_empirical", "check_finite_memory",
-    "check_nilpotent", "closed_form_state", "construct_universal_esn", "direct_functional",
-    "filter_from_json", "fit_random_feature", "fit_to_tolerance", "operator_norm",
-    "sample_product_ball", "sample_window_array", "verify_chain_bound",
+    "HorizonCapError", "ShallowNet", "TargetFilter", "Volterra2Filter", "check_esp_empirical",
+    "check_finite_memory", "check_nilpotent", "construct_universal_esn", "filter_from_json",
+    "sample_window_array",
 ]
+
+# Internals the package no longer re-exports, each with the module it lives in.
+MODULE_ONLY = {
+    "windows": ["sample_product_ball"],
+    "linalg": ["operator_norm"],
+    "shallow": ["WidthPolicy", "FitToleranceError", "fit_random_feature", "fit_to_tolerance"],
+    "construct": [
+        "build_identity_chain", "verify_chain_bound", "assemble_esn", "closed_form_state", "direct_functional",
+    ],
+}
 
 
 def test_public_names_are_pinned():
@@ -20,8 +31,14 @@ def test_public_names_are_pinned():
         name for name, value in vars(uniesn).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_API) == 31
+    assert len(PUBLIC_API) == 20
     assert exported == set(PUBLIC_API)
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in MODULE_ONLY.items() for n in names])
+def test_internals_import_from_their_module(module, name):
+    assert name not in vars(uniesn)
+    assert callable(getattr(importlib.import_module(f"uniesn.{module}"), name))
 
 
 def test_readme_library_sketch_runs_within_its_eps(capsys):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from uniesn import cli, construct, shallow
 from uniesn.construct import BudgetError
 from uniesn.esn import ESNParams
+from uniesn.windows import sample_window_array
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -101,6 +102,37 @@ def built_d2(tmp_path_factory):
     return tmp / "out"
 
 
+def one_shot_directions(arr, past, R, seed):
+    """``arr`` with the first ``past`` entries of each window replaced by
+    directions of length R, as one whole-batch expression: the bits to keep."""
+    n, _, d = arr.shape
+    dirs = np.random.default_rng(seed).standard_normal((n * past, d))
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    out = arr.copy()
+    out[:, :past] = (dirs / norms * R).reshape(n, past, d)
+    return out
+
+
+def finite_memory_batches(built, tmp_path, monkeypatch, **overrides):
+    """The two batches a passing verify of ``built`` gives check_finite_memory,
+    and the system's horizon."""
+    cfg = write_config(tmp_path, **overrides)
+    for name in ("esn.json", "nets.json"):
+        (tmp_path / name).write_bytes((built / name).read_bytes())
+    batches = []
+
+    def recording(p, arr1, arr2):
+        batches.append((arr1, arr2))
+        return real(p, arr1, arr2)
+
+    real = cli.check_finite_memory
+    monkeypatch.setattr(cli, "check_finite_memory", recording)
+    assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 0
+    [(arr1, arr2)] = batches
+    return arr1, arr2, json.loads((built / "esn.json").read_text())["structure"]["K"]
+
+
 def fit_out_of_memory(fails):
     """A fit_random_feature that raises MemoryError where fails(in_dim, width)."""
     real = shallow.fit_random_feature
@@ -159,6 +191,13 @@ class TestConstruct:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["budget"]["total"] < 0.3
         assert report["horizon"] == 4
+
+    def test_report_states_each_width_once(self, built):
+        report = json.loads((built / "report.json").read_text())
+        nets = json.loads((built / "nets.json").read_text())
+        assert "width_table" not in report and "functional_evaluator" not in report
+        assert report["widths"][-1] == nets["static_net"]["width"]
+        assert report["widths"][:-1] == [net["width"] for net in nets["identity_chain"]]
 
     def test_report_labels_the_verdict_by_its_weakest_term(self, built):
         report = json.loads((built / "report.json").read_text())
@@ -697,23 +736,19 @@ class TestVerify:
     def test_short_window_len_still_rewrites_the_far_past(self, built, tmp_path, monkeypatch):
         # a window length of 1 runs as K+2: one entry ahead of the shared K+1
         monkeypatch.setattr(cli, "WINDOW_LEN", 1)
-        cfg = write_config(tmp_path)
-        for name in ("esn.json", "nets.json"):
-            (tmp_path / name).write_bytes((built / name).read_bytes())
-        batches = []
-
-        def recording(p, arr1, arr2):
-            batches.append((arr1, arr2))
-            return real(p, arr1, arr2)
-
-        real = cli.check_finite_memory
-        monkeypatch.setattr(cli, "check_finite_memory", recording)
-        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 0
-        [(arr1, arr2)] = batches
-        K = json.loads((built / "esn.json").read_text())["structure"]["K"]
+        arr1, arr2, K = finite_memory_batches(built, tmp_path, monkeypatch)
         assert arr1.shape[1] == K + 2
         assert not np.array_equal(arr1, arr2)
         assert np.array_equal(arr1[:, 1:], arr2[:, 1:])
+
+    @pytest.mark.parametrize("system, filter_spec", [("built", None), ("built_d2", VOLTERRA2)])
+    def test_far_past_is_the_reference_draw_on_the_sphere(self, system, filter_spec, request, tmp_path, monkeypatch):
+        overrides = {"filter": filter_spec} if filter_spec else {}
+        arr1, arr2, K = finite_memory_batches(request.getfixturevalue(system), tmp_path, monkeypatch, **overrides)
+        n, T, d = arr1.shape
+        assert (n, T, d) == (100, cli.WINDOW_LEN, 2 if filter_spec else 1)
+        assert np.array_equal(arr1, sample_window_array(d, 1.0, T, n, 99 + 2))
+        assert np.array_equal(arr2, one_shot_directions(arr1, T - (K + 1), 1.0, 99 + 3))
 
     def test_fmp_trials_that_cannot_allocate_is_config_error(self, built, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, verification={"fmp_trials": UNALLOCATABLE})

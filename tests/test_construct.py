@@ -39,7 +39,7 @@ from uniesn.esn import check_finite_memory, check_nilpotent
 from uniesn.filters import ExpFadingFilter, FIRFilter, filter_from_json
 from uniesn.linalg import operator_norm
 from uniesn.shallow import ShallowNet, WidthPolicy
-from uniesn.windows import fill_directions, sample_product_ball, sample_window_array
+from uniesn.windows import sample_product_ball, sample_window_array
 
 
 def random_net(width, in_dim, out_dim, seed, scale=1.0):
@@ -183,7 +183,8 @@ class TestChainScale:
         s = 2.0**log2_s
         (net,) = build_identity_chain(d, 1, s)
         x = sample_product_ball(d, M, 1, 64, seed)
-        fill_directions(x[-16:, None, :], M, np.random.default_rng(seed))
+        sphere = np.random.default_rng(seed).standard_normal((16, d))
+        x[-16:] = M * sphere / np.linalg.norm(sphere, axis=1, keepdims=True)
         y = net.forward(x)
         rho = CHAIN_ROUNDING * M
         assert np.all(np.linalg.norm(y - x, axis=1) <= s * s * M**3 / 3 + rho)

@@ -115,57 +115,6 @@ class TestSampleInPlace:
         assert peak < arr.nbytes + 2 * windows._CHUNK * 8 + slack, peak
 
 
-def one_shot_directions(arr, past, R, seed):
-    """``arr`` with the first ``past`` entries of each window replaced by
-    directions of length R, as one whole-batch expression: the bits to keep."""
-    n, _, d = arr.shape
-    dirs = np.random.default_rng(seed).standard_normal((n * past, d))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    out = arr.copy()
-    out[:, :past] = (dirs / norms * R).reshape(n, past, d)
-    return out
-
-
-class TestFillDirections:
-    """fill_directions draws into a strided far past and scales it in place."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        chunk=st.integers(1, 40),
-        d=st.integers(1, 12),
-        past=st.integers(1, 30),
-        recent=st.integers(1, 6),
-        n=st.integers(1, 100),
-        R=st.floats(1e-3, 1e3),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_bits_equal_one_shot_directions(self, chunk, d, past, recent, n, R, seed):
-        arr = sample_window_array(d, 1.0, past + recent, n, seed=1)
-        want = one_shot_directions(arr, past, R, seed)
-        for size in (chunk, windows._CHUNK):
-            got = arr.copy()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(windows, "_CHUNK", size)
-                windows.fill_directions(got[:, :past], R, np.random.default_rng(seed))
-            assert np.array_equal(got, want)
-
-    def test_holds_about_two_chunks(self):
-        # verify's far past at fmp_trials=10000: 24 of 30 entries, d=1
-        arr = sample_window_array(1, 1.0, 30, 10_000, seed=5)
-        tracemalloc.start()
-        try:
-            windows.fill_directions(arr[:, :24], 1.0, np.random.default_rng(8))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The zero-norm mask and numpy's 8192-entry buffer for the strided
-        # view: each about an eighth of a chunk at d=1.  Whole-batch
-        # temporaries would take four times the 1.92 MB far past.
-        slack = 192 * 1024
-        assert peak < 2 * windows._CHUNK * 8 + slack, peak
-
-
 class TestSamplerFold:
     """sample_window_array is a view of the one product-ball sampler."""
 
