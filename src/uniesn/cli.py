@@ -312,14 +312,10 @@ ESP_TRIALS = 10
 CLOSED_FORM_WINDOWS = 200
 
 
-def _verify_options(raw: dict, esn: ESNParams | None, esn_path: str) -> dict:
+def _verify_options(raw: dict, esn_path: str) -> dict:
     """Parse and validate the config's filter and verification sections, and
-    load nets.json unless no system was loaded (esn is None)."""
+    find the nets.json to read, if any (``nets``, else None)."""
     f = filter_from_json(raw["filter"])
-    if esn is not None and (f.in_dim, f.out_dim) != (esn.in_dim, esn.out_dim):
-        raise ConfigError(
-            f"the filter maps d={f.in_dim} to m={f.out_dim}, the system in {esn_path} d={esn.in_dim} to m={esn.out_dim}"
-        )
     vcfg = raw.get("verification", {})
     unknown = set(vcfg) - VERIFY_KEYS
     if unknown:
@@ -330,30 +326,77 @@ def _verify_options(raw: dict, esn: ESNParams | None, esn_path: str) -> dict:
     out = Path(vcfg.get("out", Path(esn_path).parent / "verify.json"))
     if not out.parent.is_dir():
         raise ConfigError(f"verification out {out}: {out.parent} is not a directory")
-    opts.update(M=f.input_bound, out=out, nets=None)
     for key, least in (("seed", 0), ("fmp_trials", 1)):
         if opts[key] < least:
             raise ConfigError(f"verification {key} must be >= {least}, got {opts[key]}")
     # The sibling nets.json may be absent; a configured path must be read.
     nets_path = Path(vcfg["nets"]) if vcfg.get("nets") else Path(esn_path).parent / "nets.json"
-    if esn is not None and (vcfg.get("nets") or nets_path.exists()):
-        nets = _load_json(nets_path)
-        lag_dim = as_int(required(nets, "lag_dim", str(nets_path)), "nets.json lag_dim")
-        static = ShallowNet.from_json(required(nets, "static_net", str(nets_path)), f"{nets_path} static_net")
-        chain = required(nets, "identity_chain", str(nets_path))
-        chain = [ShallowNet.from_json(o, f"{nets_path} identity_chain[{j}]") for j, o in enumerate(chain)]
-        # The nets must wire, as construct wires them, into a system of the loaded one's shape.
-        wired = assemble_esn(static, chain)
-        shape = (esn.structure, esn.in_dim, esn.out_dim, esn.in_dim)
-        if (wired.structure, wired.in_dim, wired.out_dim, lag_dim) != shape:
-            raise ConfigError(f"{nets_path} does not fit the system in {esn_path}")
-        opts["nets"] = (static, chain, wired.W)
+    opts.update(filter=f, out=out, nets=nets_path if vcfg.get("nets") or nets_path.exists() else None)
     return opts
 
 
-def _verify_checks(esn: ESNParams, opts: dict) -> dict:
+def _load_nets(nets_path: Path) -> tuple:
+    """The nets of a nets.json, and the system they wire into as construct wires them."""
+    nets = _load_json(nets_path)
+    lag_dim = as_int(required(nets, "lag_dim", str(nets_path)), "nets.json lag_dim")
+    static = ShallowNet.from_json(required(nets, "static_net", str(nets_path)), f"{nets_path} static_net")
+    chain = required(nets, "identity_chain", str(nets_path))
+    chain = [ShallowNet.from_json(o, f"{nets_path} identity_chain[{j}]") for j, o in enumerate(chain)]
+    wired = assemble_esn(static, chain)
+    if lag_dim != wired.in_dim:
+        raise ConfigError(f"{nets_path}: lag_dim {lag_dim}, but its nets wire a system of d={wired.in_dim}")
+    return static, chain, wired
+
+
+def _holds_json(path, obj) -> bool:
+    """Does the file at ``path`` hold, byte for byte, what ``_write_json(path, obj)`` writes?
+
+    The file is read one chunk of the writer at a time, up to the first
+    chunk that differs, so neither text is held whole.
+    """
+    try:
+        with open(path, "rb") as fh:
+            for chunk in _json_chunks(obj, ""):
+                data = chunk.encode("utf-8")
+                if fh.read(len(data)) != data:
+                    return False
+            return fh.read(2) == b"\n"
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_system(esn_path: str, opts: dict, nets: tuple | None) -> ESNParams:
+    """The system in esn.json, which must fit the filter and the nets;
+    PatternError if its A breaks its block pattern.
+
+    A file that holds construct's bytes for the system the nets wire is that
+    system itself: the writer spells every float with repr and +0.0 as 0.0,
+    so those bytes parse to exactly its blocks, C, zeta, W and structure.
+    Any other file is parsed as written.
+    """
+    wired = nets[-1] if nets else None
+    if wired is not None and _holds_json(esn_path, wired.to_json()):
+        _log(f"{esn_path}: the system {opts['nets']} wires, byte for byte")
+        esn = wired
+    else:
+        if wired is None:
+            _log(f"{esn_path}: no nets.json; checked as written")
+        else:
+            _log(f"{esn_path}: differs from the system {opts['nets']} wires; checked as written")
+        esn = ESNParams.from_json(_load_json(esn_path), esn_path)
+    f = opts["filter"]
+    if (f.in_dim, f.out_dim) != (esn.in_dim, esn.out_dim):
+        raise ConfigError(
+            f"the filter maps d={f.in_dim} to m={f.out_dim}, the system in {esn_path} d={esn.in_dim} to m={esn.out_dim}"
+        )
+    if wired is not None and (wired.structure, wired.in_dim, wired.out_dim) != (esn.structure, esn.in_dim, esn.out_dim):
+        raise ConfigError(f"{opts['nets']} does not fit the system in {esn_path}")
+    return esn
+
+
+def _verify_checks(esn: ESNParams, opts: dict, nets: tuple | None) -> dict:
     K, d = esn.structure.horizon, esn.in_dim
-    M, seed, fmp_trials = opts["M"], opts["seed"], opts["fmp_trials"]
+    M, seed, fmp_trials = opts["filter"].input_bound, opts["seed"], opts["fmp_trials"]
     T = max(WINDOW_LEN, K + 2)  # so at least one far-past entry is rewritten
 
     checks: dict[str, dict] = {}
@@ -377,11 +420,11 @@ def _verify_checks(esn: ESNParams, opts: dict) -> dict:
     same = check_finite_memory(esn, arr, modified)
     checks["finite_memory"] = {"passed": same, "trials": fmp_trials}
 
-    if opts["nets"] is not None:
-        static, chain, W = opts["nets"]
+    if nets is not None:
+        static, chain, wired = nets
         n_check = min(CLOSED_FORM_WINDOWS, arr.shape[0])
         gap = closed_form_gap(esn, static, chain, arr[:n_check])
-        readout = np.array_equal(esn.W, W)  # the state gap leaves out W
+        readout = np.array_equal(esn.W, wired.W)  # the state gap leaves out W
         passed = bool(gap <= CLOSED_FORM_TOL and readout)
         checks["closed_form"] = {"passed": passed, "max_gap": gap, "readout_exact": readout, "windows": n_check}
     else:
@@ -400,12 +443,14 @@ def _pattern_checks(exc: PatternError) -> dict:
 
 def cmd_verify(esn_path: str, config_path: str) -> int:
     try:
+        opts = _verify_options(_load_config(config_path), esn_path)
+        nets = _load_nets(opts["nets"]) if opts["nets"] else None
         try:
-            esn, broken = ESNParams.from_json(_load_json(esn_path), esn_path), None
+            esn = _read_system(esn_path, opts, nets)
         except PatternError as exc:
-            esn, broken = None, exc
-        opts = _verify_options(_load_config(config_path), esn, esn_path)
-        checks = _pattern_checks(broken) if esn is None else _verify_checks(esn, opts)
+            checks = _pattern_checks(exc)
+        else:
+            checks = _verify_checks(esn, opts, nets)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         _log(f"load error: {exc}")
         return EXIT_CONFIG

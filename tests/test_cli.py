@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uniesn import cli, construct, shallow
 from uniesn.construct import BudgetError
-from uniesn.esn import ESNParams
+from uniesn.esn import BlockStructure, ESNParams
 from uniesn.windows import sample_window_array
 
 
@@ -887,6 +888,9 @@ class TestVerify:
             ({}, edited("esn.json", lambda esn: esn.__setitem__("A", None))),
             ({}, edited("esn.json", lambda esn: esn.__setitem__("A", 2.0))),
             ({"verification": {"nets": "/nonexistent/nets.json"}}, None),
+            # nets.json is read first, so an esn.json that holds no system does not hide it.
+            ({"verification": {"nets": "/nonexistent/nets.json"}},
+             edited("esn.json", lambda esn: esn["A"][0].__setitem__(0, 1e-3))),
             ({}, edited("esn.json", lambda esn: esn["structure"].update(
                 widths=[w + 0.5 for w in esn["structure"]["widths"]]))),
             # All-ones widths that sum to N: cast with int(), they would describe a valid structure.
@@ -920,7 +924,7 @@ class TestVerify:
             "window_len_at_default", "filter_d_2", "filter_m_2",
             "esn_without_structure", "esn_null_structure", "esn_logistic", "esn_not_object",
             "esn_null_A", "esn_number_A",
-            "nets_missing_explicit_path",
+            "nets_missing_explicit_path", "nets_missing_explicit_path_esn_off_pattern",
             "esn_widths_fraction", "esn_widths_bool", "esn_K_mismatch", "nets_lag_dim_bool", "nets_logistic",
             "esn_N_mismatch", "esn_d_mismatch", "esn_m_mismatch",
             "nets_width_mismatch", "nets_in_dim_mismatch", "nets_chain_out_dim_mismatch",
@@ -938,6 +942,105 @@ class TestVerify:
         assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
         assert "load error" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
+
+
+#: Entries whose spelling the writer and the reader must carry exactly.
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320, 1.7976931348623157e308, -1e300, 1e-300, 0.1]
+
+
+@st.composite
+def block_systems(draw):
+    """A small system of the block type, every entry a finite float."""
+    widths = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    d, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    structure = BlockStructure(widths)
+    off, K, N = structure.offsets(), structure.horizon, structure.total
+    entries = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+    def arr(*shape):
+        return draw(hnp.arrays(np.float64, shape, elements=entries))
+
+    carriers = [arr(widths[r], widths[r - 1]) for r in range(1, K)]
+    return ESNParams(carriers, arr(widths[K], int(off[K])), arr(N, d), arr(N), arr(m, N), structure)
+
+
+def same_bits(a: ESNParams, b: ESNParams) -> bool:
+    """Equal structures, and blocks, C, zeta and W of equal shapes and bits."""
+    arrays_a, arrays_b = [*a.carriers, a.collector, a.C, a.zeta, a.W], [*b.carriers, b.collector, b.C, b.zeta, b.W]
+    return (a.structure, len(a.carriers)) == (b.structure, len(b.carriers)) and all(
+        (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()) for x, y in zip(arrays_a, arrays_b)
+    )
+
+
+def verify_copy(built, out, cfg, redump=False):
+    """Verify a copy of ``built``'s esn.json and nets.json in ``out``: its exit
+    code and verify.json bytes.  With ``redump`` esn.json is the same JSON
+    value in other bytes."""
+    out.mkdir()
+    (out / "nets.json").write_bytes((built / "nets.json").read_bytes())
+    if redump:
+        (out / "esn.json").write_text(json.dumps(json.loads((built / "esn.json").read_text()), indent=1))
+    else:
+        (out / "esn.json").write_bytes((built / "esn.json").read_bytes())
+    code = cli.main(["verify", str(out / "esn.json"), str(cfg)])
+    return code, (out / "verify.json").read_bytes()
+
+
+class TestVerifyMatch:
+    """verify takes an esn.json that holds construct's bytes for the system
+    nets.json wires as that system, and parses any other."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(esn=block_systems())
+    @example(esn=ESNParams([np.array([[-5e-324]])], np.array([[-0.0, 5e-324]]), np.array([[1e308], [-1e-320], [0.0]]),
+                           np.array([-0.0, 0.0, 1e-300]), np.array([[0.1, -0.0, 5e-324]]), BlockStructure((1, 1, 1))))
+    def test_written_system_reads_back_bitwise(self, tmp_path_factory, esn):
+        path = tmp_path_factory.mktemp("system") / "esn.json"
+        cli._write_json(path, esn.to_json())
+        assert cli._holds_json(path, esn.to_json())
+        assert same_bits(ESNParams.from_json(cli._load_json(path)), esn)
+
+    @pytest.mark.parametrize("build", ["built", "built_d2"])
+    def test_build_is_the_system_its_nets_wire(self, build, request):
+        out = request.getfixturevalue(build)
+        wired = cli._load_nets(out / "nets.json")[-1]
+        assert cli._holds_json(out / "esn.json", wired.to_json())
+        assert same_bits(ESNParams.from_json(cli._load_json(out / "esn.json")), wired)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda b: b[:-1], lambda b: b + b"\n", lambda b: b + b" ", lambda b: b[:-3], lambda b: b"[" + b[1:]],
+        ids=["no_newline", "extra_newline", "trailing_space", "cut_short", "first_byte"],
+    )
+    def test_any_other_bytes_differ(self, built, tmp_path, edit):
+        wired = cli._load_nets(built / "nets.json")[-1]
+        (tmp_path / "esn.json").write_bytes(edit((built / "esn.json").read_bytes()))
+        assert not cli._holds_json(tmp_path / "esn.json", wired.to_json())
+
+    @pytest.mark.parametrize("build, overrides", [("built", {}), ("built_d2", {"filter": VOLTERRA2})])
+    def test_fresh_build_is_not_parsed_and_a_redumped_one_is_to_the_same_verdict(
+        self, build, overrides, request, tmp_path, monkeypatch, capsys
+    ):
+        built, cfg = request.getfixturevalue(build), write_config(tmp_path, **overrides)
+        with monkeypatch.context() as patch:
+            patch.setattr(ESNParams, "from_json", classmethod(lambda *a: pytest.fail("esn.json was parsed")))
+            code, matched = verify_copy(built, tmp_path / "matched", cfg)
+        assert code == 0
+        assert verify_copy(built, tmp_path / "parsed", cfg, redump=True) == (0, matched)
+        err = capsys.readouterr().err
+        matched, parsed = tmp_path / "matched", tmp_path / "parsed"
+        assert f"{matched}/esn.json: the system {matched}/nets.json wires, byte for byte" in err
+        assert f"{parsed}/esn.json: differs from the system {parsed}/nets.json wires; checked as written" in err
+
+    def test_without_nets_esn_json_is_checked_as_written(self, built, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        (tmp_path / "esn.json").write_bytes((built / "esn.json").read_bytes())
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"{tmp_path / 'verify.json'}\n"
+        assert f"{tmp_path}/esn.json: no nets.json; checked as written" in captured.err
+        closed_form = json.loads((tmp_path / "verify.json").read_text())["checks"]["closed_form"]
+        assert closed_form == {"skipped": True, "reason": "no nets.json available"}
 
 
 class TestSweep:
