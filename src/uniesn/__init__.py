@@ -22,7 +22,6 @@ from .filters import (
 from .esn import (
     BlockStructure,
     ESNParams,
-    check_nilpotent,
     check_esp_empirical,
     check_finite_memory,
 )

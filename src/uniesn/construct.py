@@ -14,7 +14,9 @@ The pipeline mirrors the constructive argument it implements:
     coordinate-wise, with s the largest power of two whose proven chain bound
     gain * (s^2 M^3 / 3 + rho) is below eps/3 (|tanh t - t| <= |t|^3 / 3, and
     phi maps the M-ball into itself); check the composed chain's sampled
-    drift against j * (s^2 M^3 / 3 + rho) after j steps.
+    drift against j * (s^2 M^3 / 3 + rho) after j steps.  With ||z|| <= M
+    that drift bound also keeps the chain inside the ball of radius
+    M + j * (s^2 M^3 / 3 + rho), so its norm needs no check of its own.
 5.  Assemble the block system: a sub-diagonal chain of carrier blocks feeding
     a collector block.  The reservoir matrix is nilpotent of degree
     horizon + 1 by construction, which certifies the echo state and fading
@@ -205,12 +207,12 @@ def verify_chain_bound(
 ) -> list[dict]:
     """Check the composed chain's sampled drift against its proven bound.
 
-    On n_samples points of the M-ball, for every depth j: the composed chain
-    must stay within j*step of the identity (strict) and inside the ball of
-    radius M + j*step, where step is the proven per-net bound,
-    identity_step(s, M) in a build.  Returns one record per depth, the
-    witnesses of the bound; raises ChainBoundError with the witness point on
-    the first violation.
+    On n_samples points of the M-ball, for every depth j, the composed chain
+    must stay within j*step of the identity (strict), where step is the
+    proven per-net bound, identity_step(s, M) in a build; with ||z|| <= M
+    that keeps it inside the ball of radius M + j*step.  Returns one record
+    per depth, the witnesses of the bound; raises ChainBoundError with the
+    witness point on the first violation.
     """
     if not chain:
         return []
@@ -218,19 +220,11 @@ def verify_chain_bound(
     records = []
     for j, net in enumerate(chain, start=1):
         current = net.forward(current)
-        errs, norms = np.linalg.norm(current - points, axis=1), np.linalg.norm(current, axis=1)
-        worst_err, worst_norm = int(np.argmax(errs)), int(np.argmax(norms))
-        err_limit, norm_limit = j * step, M + j * step
-        if not errs[worst_err] < err_limit:
-            message = f"chain drift at depth {j}: {errs[worst_err]:g} >= {err_limit:g}"
-            raise ChainBoundError(message, j, points[worst_err])
-        if not norms[worst_norm] <= norm_limit:
-            message = f"chain escape at depth {j}: point mapped to norm {norms[worst_norm]:g} > {norm_limit:g}"
-            raise ChainBoundError(message, j, points[worst_norm])
-        records.append({
-            "lag": j, "sup_error": float(errs[worst_err]), "error_limit": float(err_limit),
-            "sup_norm": float(norms[worst_norm]), "norm_limit": float(norm_limit),
-        })
+        errs = np.linalg.norm(current - points, axis=1)
+        worst, limit = int(np.argmax(errs)), j * step
+        if not errs[worst] < limit:
+            raise ChainBoundError(f"chain drift at depth {j}: {errs[worst]:g} >= {limit:g}", j, points[worst])
+        records.append({"lag": j, "sup_error": float(errs[worst]), "error_limit": float(limit)})
     return records
 
 

@@ -4,10 +4,12 @@ The system is x_t = tanh(A x_{t-1} + C z_t + zeta), y_t = W x_t.  Its state
 stacks K identity-carrier blocks and a collector block, and A is nonzero only
 in the sub-diagonal carrier chain and the collector's row.  ESNParams holds
 just those blocks, so every system is strictly block-lower-triangular,
-nilpotent of degree K+1 by its type.  Nilpotency gives exact finite memory,
-which is how the echo state and fading memory properties are certified here.
-A dense A exists only in esn.json: ESNParams.from_json reads it and raises
-PatternError for a nonzero entry outside the blocks.
+nilpotent of degree K+1 by its type: A^(K+1) vanishes exactly (the blocks are
+finite, so no inf * 0 spoils the zeros), and verify records the degree from
+the structure.  Nilpotency gives exact finite memory, which is how the echo
+state and fading memory properties are certified here.  A dense A exists only
+in esn.json: ESNParams.from_json reads it and raises PatternError for a
+nonzero entry outside the blocks.
 """
 
 from dataclasses import dataclass
@@ -227,19 +229,6 @@ class ESNParams:
                 f"A[{i}][{j}] = {float(A[i, j])!r} lies outside the blocks structure widths {blocks.widths} allow"
             )
         return esn
-
-
-def check_nilpotent(p: ESNParams) -> tuple[bool, int]:
-    """Prove A^(horizon+1) == 0 from the blocks ESNParams holds.
-
-    A is nonzero only in the carrier chain (block row r, column r-1) for
-    1 <= r < horizon and in the last block row at columns 0..horizon-1, so it
-    is strictly block-lower-triangular with horizon+1 block rows, and its
-    (horizon+1)-th power vanishes exactly: the blocks are finite, so no
-    inf * 0 can spoil the zeros.  Every system is so by its type, and
-    ESNParams.from_json turns away a dense A that is not.
-    """
-    return True, p.structure.horizon + 1
 
 
 def check_esp_empirical(p: ESNParams, window: np.ndarray, trials: int, seed: int) -> bool:

@@ -10,7 +10,7 @@ PUBLIC_API = [
     "BlockStructure", "BudgetError", "ChainBoundError", "ConstructionConfig", "ConstructionError",
     "ConstructionResult", "ESNParams", "ErrorBudget", "ExpFadingFilter", "FIRFilter",
     "HorizonCapError", "ShallowNet", "TargetFilter", "Volterra2Filter", "check_esp_empirical",
-    "check_finite_memory", "check_nilpotent", "construct_universal_esn", "filter_from_json",
+    "check_finite_memory", "construct_universal_esn", "filter_from_json",
     "sample_window_array",
 ]
 
@@ -31,8 +31,10 @@ def test_public_names_are_pinned():
         name for name, value in vars(uniesn).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_API) == 20
+    assert len(PUBLIC_API) == 19
     assert exported == set(PUBLIC_API)
+    # ESNParams holds only strictly block-lower-triangular blocks, so nothing re-checks A^(K+1) == 0.
+    assert not hasattr(importlib.import_module("uniesn.esn"), "check_nilpotent")
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in MODULE_ONLY.items() for n in names])

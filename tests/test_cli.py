@@ -997,14 +997,14 @@ class TestVerifyMatch:
     def test_written_system_reads_back_bitwise(self, tmp_path_factory, esn):
         path = tmp_path_factory.mktemp("system") / "esn.json"
         cli._write_json(path, esn.to_json())
-        assert cli._holds_json(path, esn.to_json())
+        assert cli.holds_json(path, esn.to_json())
         assert same_bits(ESNParams.from_json(cli._load_json(path)), esn)
 
     @pytest.mark.parametrize("build", ["built", "built_d2"])
     def test_build_is_the_system_its_nets_wire(self, build, request):
         out = request.getfixturevalue(build)
         wired = cli._load_nets(out / "nets.json")[-1]
-        assert cli._holds_json(out / "esn.json", wired.to_json())
+        assert cli.holds_json(out / "esn.json", wired.to_json())
         assert same_bits(ESNParams.from_json(cli._load_json(out / "esn.json")), wired)
 
     @pytest.mark.parametrize(
@@ -1015,7 +1015,7 @@ class TestVerifyMatch:
     def test_any_other_bytes_differ(self, built, tmp_path, edit):
         wired = cli._load_nets(built / "nets.json")[-1]
         (tmp_path / "esn.json").write_bytes(edit((built / "esn.json").read_bytes()))
-        assert not cli._holds_json(tmp_path / "esn.json", wired.to_json())
+        assert not cli.holds_json(tmp_path / "esn.json", wired.to_json())
 
     @pytest.mark.parametrize("build, overrides", [("built", {}), ("built_d2", {"filter": VOLTERRA2})])
     def test_fresh_build_is_not_parsed_and_a_redumped_one_is_to_the_same_verdict(

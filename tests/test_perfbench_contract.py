@@ -19,9 +19,9 @@ ROOT = Path(__file__).resolve().parents[1]
 REQUIRED_SPANS = {
     "shallow.ShallowNet.forward",
     "esn.ESNParams.run_batch",
-    "esn.check_nilpotent",
     "shallow.fit_random_feature",
     "cli._write_json",
+    "cli.holds_json",
     "construct.construct_universal_esn",
 }
 
