@@ -19,12 +19,7 @@ from .filters import (
     HorizonCapError,
     filter_from_json,
 )
-from .esn import (
-    BlockStructure,
-    ESNParams,
-    check_esp_empirical,
-    check_finite_memory,
-)
+from .esn import BlockStructure, ESNParams
 from .construct import (
     ConstructionConfig,
     ConstructionError,

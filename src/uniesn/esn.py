@@ -1,15 +1,19 @@
-"""Echo state network state-space systems and their property checks.
+"""Echo state network state-space systems.
 
 The system is x_t = tanh(A x_{t-1} + C z_t + zeta), y_t = W x_t.  Its state
 stacks K identity-carrier blocks and a collector block, and A is nonzero only
 in the sub-diagonal carrier chain and the collector's row.  ESNParams holds
 just those blocks, so every system is strictly block-lower-triangular,
 nilpotent of degree K+1 by its type: A^(K+1) vanishes exactly (the blocks are
-finite, so no inf * 0 spoils the zeros), and verify records the degree from
-the structure.  Nilpotency gives exact finite memory, which is how the echo
-state and fading memory properties are certified here.  A dense A exists only
-in esn.json: ESNParams.from_json reads it and raises PatternError for a
-nonzero entry outside the blocks.
+finite, so no inf * 0 spoils the zeros).  The blocks also fix what
+run_batch reads: carrier 0 reads only the input, carrier r >= 1 only carrier
+r-1 of the step before, and the collector, run at the last step only, the
+carriers and the input.  So on a window of T >= K+1 entries the final state
+depends on the last K+1 entries alone and never on the initial state,
+whatever C and W hold: the echo state and finite memory properties hold by
+the type too, and verify records all three from the structure.  A dense A
+exists only in esn.json: ESNParams.from_json reads it and raises
+PatternError for a nonzero entry outside the blocks.
 """
 
 from dataclasses import dataclass
@@ -17,12 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .windows import as_int, check_stated_sizes, freeze, required
-
-#: Windows per block of check_finite_memory.  At N=1030 (the demo at
-#: eps=0.1) a block's recursion holds 6.4 MB where 1000 windows hold 24.8 MB
-#: (tracemalloc), and the 1000-window check takes 23 ms, as in one batch;
-#: blocks of 64 took 45 ms.
-_FMP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -229,44 +227,3 @@ class ESNParams:
                 f"A[{i}][{j}] = {float(A[i, j])!r} lies outside the blocks structure widths {blocks.widths} allow"
             )
         return esn
-
-
-def check_esp_empirical(p: ESNParams, window: np.ndarray, trials: int, seed: int) -> bool:
-    """Do `trials` random initial states all lead to the same time-0 state
-    on a (T, d) window?
-
-    They must agree bitwise: A is nilpotent of degree horizon+1, so init
-    dependence vanishes after horizon+1 steps.  Each trial is its own one-window batch: rows of
-    one matmul are not bitwise equal across row positions, so stacking the
-    trials would break the bitwise comparison.
-    """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ValueError(f"window must be a (T, d) array, got shape {window.shape}")
-    if len(window) < p.structure.horizon + 1:
-        raise ValueError(f"window of length {len(window)} too short: need >= {p.structure.horizon + 1}")
-    rng = np.random.default_rng(seed)
-    arr = window[None, :, :]
-    finals = [p.run_batch(arr, x_init=rng.standard_normal(p.state_dim))[0] for _ in range(trials)]
-    return all(np.array_equal(finals[0], x) for x in finals[1:])
-
-
-def check_finite_memory(p: ESNParams, arr1: np.ndarray, arr2: np.ndarray) -> bool:
-    """Do two (B, T, d) batches that share their last horizon+1 entries give
-    bitwise-equal outputs, row i against row i?
-
-    The batches run _FMP_BLOCK windows at a time, the same rows of each side
-    in one block, so the call holds one block's recursion whatever B is.
-    """
-    K = p.structure.horizon
-    if arr1.shape != arr2.shape or arr1.shape[1] < K + 1:
-        raise ValueError(f"need equal-shape batches of windows with >= {K + 1} entries")
-    if not np.array_equal(arr1[:, -(K + 1) :], arr2[:, -(K + 1) :]):
-        raise ValueError(f"windows must agree on their last {K + 1} entries")
-    return all(
-        np.array_equal(p.functional_batch(arr1[i : i + _FMP_BLOCK]), p.functional_batch(arr2[i : i + _FMP_BLOCK]))
-        for i in range(0, len(arr1), _FMP_BLOCK)
-    )
-

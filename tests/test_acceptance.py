@@ -22,7 +22,6 @@ from uniesn.construct import (
     lag_blocks,
     verify_chain_bound,
 )
-from uniesn.esn import check_esp_empirical
 from uniesn.filters import filter_from_json
 from uniesn.linalg import operator_norm
 from uniesn.shallow import ShallowNet, WidthPolicy
@@ -116,9 +115,11 @@ def test_03_echo_state_bitwise(demo, acceptance_detail):
     worst = 0.0
     for esn in instances:
         K = esn.structure.horizon
-        window = sample_window_array(esn.in_dim, 1.0, K + 1, 3, seed=1001)[2]
+        window = sample_window_array(esn.in_dim, 1.0, K + 1, 3, seed=1001)[2:]
+        rng = np.random.default_rng(77)
         t0 = time.perf_counter()
-        assert check_esp_empirical(esn, window, trials=10, seed=77)
+        finals = [esn.run_batch(window, x_init=rng.standard_normal(esn.state_dim)) for _ in range(10)]
+        assert all(np.array_equal(finals[0], x) for x in finals[1:])
         worst = max(worst, time.perf_counter() - t0)
         assert worst < 1.0
     acceptance_detail(

@@ -9,9 +9,8 @@ import uniesn
 PUBLIC_API = [
     "BlockStructure", "BudgetError", "ChainBoundError", "ConstructionConfig", "ConstructionError",
     "ConstructionResult", "ESNParams", "ErrorBudget", "ExpFadingFilter", "FIRFilter",
-    "HorizonCapError", "ShallowNet", "TargetFilter", "Volterra2Filter", "check_esp_empirical",
-    "check_finite_memory", "construct_universal_esn", "filter_from_json",
-    "sample_window_array",
+    "HorizonCapError", "ShallowNet", "TargetFilter", "Volterra2Filter", "construct_universal_esn",
+    "filter_from_json", "sample_window_array",
 ]
 
 # Internals the package no longer re-exports, each with the module it lives in.
@@ -31,10 +30,13 @@ def test_public_names_are_pinned():
         name for name, value in vars(uniesn).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_API) == 19
+    assert len(PUBLIC_API) == 17
     assert exported == set(PUBLIC_API)
-    # ESNParams holds only strictly block-lower-triangular blocks, so nothing re-checks A^(K+1) == 0.
-    assert not hasattr(importlib.import_module("uniesn.esn"), "check_nilpotent")
+    # ESNParams holds only strictly block-lower-triangular blocks, so nothing re-checks A^(K+1) == 0,
+    # and run_batch's data flow gives echo state and finite memory, so nothing re-tests them.
+    esn = importlib.import_module("uniesn.esn")
+    for gone in ("check_nilpotent", "check_esp_empirical", "check_finite_memory"):
+        assert not hasattr(esn, gone)
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in MODULE_ONLY.items() for n in names])

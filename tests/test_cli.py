@@ -20,7 +20,6 @@ from hypothesis.extra import numpy as hnp
 from uniesn import cli, construct, shallow
 from uniesn.construct import BudgetError
 from uniesn.esn import BlockStructure, ESNParams
-from uniesn.windows import sample_window_array
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -101,37 +100,6 @@ def built_d2(tmp_path_factory):
     cfg = write_config(tmp, filter=VOLTERRA2, construction={"eps": 0.5})
     assert cli.main(["construct", str(cfg), "--out", str(tmp / "out")]) == 0
     return tmp / "out"
-
-
-def one_shot_directions(arr, past, R, seed):
-    """``arr`` with the first ``past`` entries of each window replaced by
-    directions of length R, as one whole-batch expression: the bits to keep."""
-    n, _, d = arr.shape
-    dirs = np.random.default_rng(seed).standard_normal((n * past, d))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    out = arr.copy()
-    out[:, :past] = (dirs / norms * R).reshape(n, past, d)
-    return out
-
-
-def finite_memory_batches(built, tmp_path, monkeypatch, **overrides):
-    """The two batches a passing verify of ``built`` gives check_finite_memory,
-    and the system's horizon."""
-    cfg = write_config(tmp_path, **overrides)
-    for name in ("esn.json", "nets.json"):
-        (tmp_path / name).write_bytes((built / name).read_bytes())
-    batches = []
-
-    def recording(p, arr1, arr2):
-        batches.append((arr1, arr2))
-        return real(p, arr1, arr2)
-
-    real = cli.check_finite_memory
-    monkeypatch.setattr(cli, "check_finite_memory", recording)
-    assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 0
-    [(arr1, arr2)] = batches
-    return arr1, arr2, json.loads((built / "esn.json").read_text())["structure"]["K"]
 
 
 def fit_out_of_memory(fails):
@@ -706,17 +674,37 @@ class TestVerify:
         assert cli.main(["construct", str(cfg), "--out", str(out)]) == 0
         return cfg, out
 
-    def test_constructed_system_passes(self, constructed, capsys):
-        cfg, out = constructed
-        code = cli.main(["verify", str(out / "esn.json"), str(cfg)])
-        assert code == 0
-        verdict = json.loads((out / "verify.json").read_text())
-        assert verdict["passed"]
-        assert verdict["checks"]["nilpotency"]["passed"]
-        assert verdict["checks"]["echo_state"]["passed"]
-        assert verdict["checks"]["finite_memory"]["passed"]
-        assert verdict["checks"]["closed_form"]["passed"]
-        assert verdict["checks"]["closed_form"]["readout_exact"] is True
+    def test_constructed_system_passes(self, built, built_d2, tmp_path):
+        # The records of nilpotency, echo state and finite memory come from the
+        # block structure; only the closed form is checked by running.
+        for out, K, overrides in ((built, 4, {}), (built_d2, 3, {"filter": VOLTERRA2})):
+            run = tmp_path / f"K{K}"
+            run.mkdir()
+            cfg = write_config(run, **overrides)
+            for name in ("esn.json", "nets.json"):
+                (run / name).write_bytes((out / name).read_bytes())
+            assert cli.main(["verify", str(run / "esn.json"), str(cfg)]) == 0
+            verdict = json.loads((run / "verify.json").read_text())
+            assert verdict["passed"]
+            checks = verdict["checks"]
+            assert checks["nilpotency"] == {"degree": K + 1, "passed": True}
+            memory = {"forgetting_depth": K + 1, "from": "block_structure", "passed": True}
+            assert checks["echo_state"] == checks["finite_memory"] == memory
+            assert checks["closed_form"]["passed"]
+            assert checks["closed_form"]["readout_exact"] is True
+            assert checks["closed_form"]["windows"] == cli.CLOSED_FORM_WINDOWS
+
+    def test_fmp_trials_is_read_by_nothing(self, built, tmp_path):
+        written = []
+        for trials in (1, 1000):
+            run = tmp_path / str(trials)
+            run.mkdir()
+            cfg = write_config(run, verification={"fmp_trials": trials})
+            for name in ("esn.json", "nets.json"):
+                (run / name).write_bytes((built / name).read_bytes())
+            assert cli.main(["verify", str(run / "esn.json"), str(cfg)]) == 0
+            written.append((run / "verify.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_corrupted_reservoir_flagged(self, constructed):
         cfg, out = constructed
@@ -733,32 +721,6 @@ class TestVerify:
         assert nilpotency["reason"].startswith(f"A[0][{len(esn['A']) - 1}] = 1.0 lies outside the blocks")
         assert set(verdict["checks"]) == {"echo_state", "finite_memory", "closed_form"}
         assert all(c["skipped"] is True and c["reason"] for c in verdict["checks"].values())
-
-    def test_short_window_len_still_rewrites_the_far_past(self, built, tmp_path, monkeypatch):
-        # a window length of 1 runs as K+2: one entry ahead of the shared K+1
-        monkeypatch.setattr(cli, "WINDOW_LEN", 1)
-        arr1, arr2, K = finite_memory_batches(built, tmp_path, monkeypatch)
-        assert arr1.shape[1] == K + 2
-        assert not np.array_equal(arr1, arr2)
-        assert np.array_equal(arr1[:, 1:], arr2[:, 1:])
-
-    @pytest.mark.parametrize("system, filter_spec", [("built", None), ("built_d2", VOLTERRA2)])
-    def test_far_past_is_the_reference_draw_on_the_sphere(self, system, filter_spec, request, tmp_path, monkeypatch):
-        overrides = {"filter": filter_spec} if filter_spec else {}
-        arr1, arr2, K = finite_memory_batches(request.getfixturevalue(system), tmp_path, monkeypatch, **overrides)
-        n, T, d = arr1.shape
-        assert (n, T, d) == (100, cli.WINDOW_LEN, 2 if filter_spec else 1)
-        assert np.array_equal(arr1, sample_window_array(d, 1.0, T, n, 99 + 2))
-        assert np.array_equal(arr2, one_shot_directions(arr1, T - (K + 1), 1.0, 99 + 3))
-
-    def test_fmp_trials_that_cannot_allocate_is_config_error(self, built, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path, verification={"fmp_trials": UNALLOCATABLE})
-        for name in ("esn.json", "nets.json"):
-            (tmp_path / name).write_bytes((built / name).read_bytes())
-        monkeypatch.setattr(cli, "sample_window_array", sampler_out_of_memory(cli.sample_window_array))
-        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
-        assert f"load error: verification fmp_trials {UNALLOCATABLE}" in capsys.readouterr().err
-        assert not (tmp_path / "verify.json").exists()
 
     @pytest.mark.parametrize("edit", [lambda c: c.pop("filter"), lambda c: c["filter"].pop("M")], ids=["filter", "M"])
     def test_config_without_filter_or_M_is_load_error(self, built, tmp_path, capsys, edit):
