@@ -18,6 +18,8 @@ import argparse
 import csv
 import json
 import os
+import pickle
+import select
 import signal
 import sys
 import time
@@ -40,7 +42,7 @@ from .construct import (
 )
 from .esn import ESNParams, PatternError
 from .filters import TargetFilter, filter_from_json
-from .shallow import FIT_MARGIN, ShallowNet
+from .shallow import FIT_MARGIN, ShallowNet, WidthLadder
 from .windows import as_int, as_real, required, sample_window_array
 
 EXIT_OK = 0
@@ -220,8 +222,8 @@ def _terminated(signum, frame):
     raise SystemExit(128 + signum)  # the shell's status for a process killed by signum
 
 
-def _run_one(f: TargetFilter, cfg: ConstructionConfig, log=_log) -> ConstructionResult:
-    result = construct_universal_esn(f, cfg)
+def _run_one(f: TargetFilter, cfg: ConstructionConfig, log=_log, ladder=WidthLadder) -> ConstructionResult:
+    result = construct_universal_esn(f, cfg, ladder=ladder)
     for stage, secs in result.wall_times.items():
         log(f"stage {stage}: {secs:.3f}s")
     terms = " ".join(f"{term}={value:.4g}" for term, value, _, _ in result.budget.rows())
@@ -453,15 +455,18 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_point(f: TargetFilter, cfg: ConstructionConfig) -> tuple[list, list[str], int]:
-    """Build one sweep point: its row, its stderr lines, its exit code."""
+def _sweep_point(f: TargetFilter, cfg: ConstructionConfig, ladder) -> tuple[list, list[str], int]:
+    """Build one sweep point, its static fit's attempts from ``ladder``: its
+    row, its stderr lines, its exit code."""
     lines, eps = [], cfg.eps
     t0 = time.perf_counter()
     cells, status, code = [""] * 7, "ok", EXIT_OK
     try:
-        result = _run_one(f, cfg, lines.append)
+        result = _run_one(f, cfg, lines.append, ladder)
         budget = [repr(value) for term, value, _, _ in result.budget.rows() if term != "chain_witness"]
         cells = [result.horizon, result.esn.state_dim, "|".join(map(str, result.esn.structure.widths)), *budget]
+    except _AttemptDied:
+        status, code = "worker_died", EXIT_STAGE
     except BudgetError as exc:
         lines.append(f"eps={eps:g}: budget violation: {exc}")
         status, code = f"budget:{exc.term}", EXIT_BUDGET
@@ -492,8 +497,8 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
         return EXIT_CONFIG
 
     # A SIGTERM ends the sweep with SystemExit(143), as it ends construct: the
-    # workers are stopped, and sweep.csv goes to a temporary name first, so no
-    # new one appears.
+    # running fit attempts are killed, and sweep.csv goes to a temporary name
+    # first, so no new one appears.
     previous = signal.signal(signal.SIGTERM, _terminated)
     sweep_path = out / "sweep.csv"
     temp = out / f".sweep.csv.{os.getpid()}.tmp"
@@ -516,53 +521,165 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
     return worst
 
 
-def _sweep_rows(f: TargetFilter, configs: list) -> tuple[list, int]:
-    """Build every point: the rows in eps-list order, and the exit code of the first failed point."""
-    # Imported here: `import uniesn.cli` stays as cheap as construct and verify need.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+class _AttemptDied(Exception):
+    """A fit attempt's process ended without sending its result."""
 
-    rows, died, worst = [], [], EXIT_OK
-    # This process builds the smallest eps, which needs the widest fits.  Forked
-    # workers inherit the modules and build the others, smallest eps first;
-    # with one usable CPU this process builds all.  A worker takes back
-    # SIGTERM's default action, so terminate() ends it at once.
-    eps_list = [cfg.eps for cfg in configs]
-    order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
-    workers = min(len(eps_list), len(os.sched_getaffinity(0))) - 1
-    mine = order[:1] if workers else order
-    pool = ProcessPoolExecutor(
-        max(workers, 1),
-        multiprocessing.get_context("fork"),
-        initializer=signal.signal,
-        initargs=(signal.SIGTERM, signal.SIG_DFL),
-    )
-    try:
-        futures = {i: pool.submit(_sweep_point, f, configs[i]) for i in order if i not in mine}
-        done = {i: _sweep_point(f, configs[i]) for i in mine}
-        for i, eps in enumerate(eps_list):
+
+class _SharedLadder:
+    """One horizon's width ladder, shared by every sweep point of that horizon.
+
+    ``ladder`` is the WidthLadder that computes the attempts; each is computed
+    once and kept, so a point takes what an earlier one computed.  With
+    ``slots`` > 1, up to ``slots`` attempts run at once, each in a forked
+    process, narrowest first; with one slot each is computed in this process
+    when a point first asks for it.  An attempt that meets ``stop`` (the
+    horizon's tightest tol * FIT_MARGIN), cannot allocate, raises or dies ends
+    every point's fit at or before it: no wider attempt starts, and the wider
+    ones running are killed and reaped.
+    """
+
+    def __init__(self, ladder: WidthLadder, stop: float, slots: int):
+        self.ladder, self.stop = ladder, stop
+        self.forks = slots if slots > 1 else 0
+        self.widths = ladder.widths
+        self.end = len(self.widths)  # no attempt from this index on is needed
+        self.results = {}  # attempt -> (net, error) or the exception it raises
+        self.running = {}  # read end of an attempt's pipe -> (attempt, pid, bytes read)
+        self.started = 0
+
+    def attempt(self, i: int) -> tuple[ShallowNet, float]:
+        if i >= self.end:  # only a ``stop`` above the point's tol * FIT_MARGIN gets here; waiting would hang
+            raise RuntimeError(f"attempt {i} lies past the ladder's end, attempt {self.end - 1}")
+        if not self.forks and i not in self.results:
             try:
-                row, lines, code = done[i] if i in done else futures[i].result()
-            except BrokenProcessPool:
-                died.append(f"{eps:g}")
-                row, lines, code = [repr(eps)] + [""] * 8 + ["worker_died"], [], EXIT_STAGE
-            for line in lines:
-                _log(line)
-            rows.append(row)
-            worst = worst or code
+                self.results[i] = self.ladder.attempt(i)
+            except MemoryError:
+                self.results[i] = MemoryError()
+        self._start()
+        while i not in self.results:
+            self._collect()
+            self._start()  # keep the slots busy, also while the point goes on
+        result = self.results[i]
+        if isinstance(result, BaseException):
+            raise result.with_traceback(None)
+        return result
+
+    def _start(self):
+        while len(self.running) < self.forks and self.started < self.end:
+            i = self.started
+            self.started += 1
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                self._send_attempt(i, read, write)
+            os.close(write)
+            self.running[read] = (i, pid, bytearray())
+
+    def _send_attempt(self, i: int, read: int, write: int):
+        """In an attempt's process: compute attempt i, write it to ``write`` and exit."""
+        code = 1
+        try:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.close(read)
+            try:
+                net, err = self.ladder.attempt(i)
+                result = (net.hidden_matrix, net.hidden_bias, net.readout, err)
+            except MemoryError:
+                result = MemoryError()
+            except Exception as exc:
+                result = exc
+            with open(write, "wb") as fh:
+                pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _collect(self):
+        """Read what the running attempts have sent, and keep the result of each that has ended."""
+        ready, _, _ = select.select(list(self.running), [], [])
+        for fd in ready:
+            if fd not in self.running:
+                continue  # killed once an attempt read before it ended the ladder
+            i, pid, data = self.running[fd]
+            chunk = os.read(fd, 1 << 16)
+            if chunk:
+                data += chunk
+                continue
+            _, status = os.waitpid(pid, 0)
+            del self.running[fd]
+            os.close(fd)
+            result = pickle.loads(data) if status == 0 else _AttemptDied()
+            if isinstance(result, tuple):
+                *arrays, err = result
+                result = ShallowNet(*arrays), err  # frozen and finite-checked here
+            self.results[i] = result
+            if isinstance(result, BaseException) or result[1] <= self.stop:
+                self.end = min(self.end, i + 1)
+                for other, (j, _, _) in list(self.running.items()):
+                    if j >= self.end:
+                        self._kill(other)
+
+    def _kill(self, fd: int):
+        pid = self.running[fd][1]
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        del self.running[fd]
+        os.close(fd)
+
+    def close(self):
+        """Kill and reap every attempt still running."""
+        for fd in list(self.running):
+            self._kill(fd)
+
+
+def _sweep_rows(f: TargetFilter, configs: list) -> tuple[list, int]:
+    """Build every point: the rows in eps-list order, and the exit code of the first failed point.
+
+    This process builds the points, loosest eps first, and the points of one
+    horizon share one _SharedLadder: they differ only in their tolerance, so
+    their attempts are the same.  A point that finishes its fit goes on
+    while wider attempts run for the tighter points.
+    """
+    stops = {}  # copies (horizon + 1) -> the horizon's tightest tol * FIT_MARGIN
+    for cfg in configs:
+        try:
+            copies = f.choose_horizon(cfg.eps / 3.0) + 1
+        except Exception:
+            continue  # the point fails at its choose_horizon stage and fits nothing
+        stops[copies] = min(stops.get(copies, np.inf), cfg.eps / 3.0 * FIT_MARGIN)
+    slots = len(os.sched_getaffinity(0))
+    shared = {}
+
+    def ladder(target, d, radius, policy, seed, *, copies):
+        # The points share the filter, policy and seed, so the horizon fixes the ladder.
+        if copies not in shared:
+            shared[copies] = _SharedLadder(WidthLadder(target, d, radius, policy, seed, copies=copies),
+                                           stops[copies], slots)
+        return shared[copies]
+
+    order = sorted(range(len(configs)), key=lambda i: -configs[i].eps)
+    points, rows, died, worst = {}, [], [], EXIT_OK
+    try:
+        for i in order:
+            points[i] = _sweep_point(f, configs[i], ladder)
+            while len(rows) in points:  # log each point's block in eps-list order
+                row, lines, code = points[len(rows)]
+                for line in lines:
+                    _log(line)
+                if row[-1] == "worker_died":
+                    died.append(f"{configs[len(rows)].eps:g}")
+                rows.append(row)
+                worst = worst or code
     except BaseException:
-        # A SIGTERM (SystemExit(143)) or an error: shutdown would wait for the
-        # points still running, so end the workers first, the only processes
-        # this one has started; a second SIGTERM must not cut that short.
+        # A SIGTERM (SystemExit(143)) or an error: a second SIGTERM must not
+        # cut short the killing of the running attempts.
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        for proc in multiprocessing.active_children():
-            proc.terminate()
         raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for horizon_ladder in shared.values():
+            horizon_ladder.close()
     if died:
-        _log(f"a sweep worker died; eps points not finished: {', '.join(died)}")
+        _log(f"a fit attempt's process died; eps points not finished: {', '.join(died)}")
     return rows, worst
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .esn import BlockStructure, ESNParams
 from .filters import TargetFilter
 from .linalg import operator_norm
-from .shallow import FitToleranceError, ShallowNet, WidthPolicy, fit_to_tolerance
+from .shallow import FitToleranceError, ShallowNet, WidthLadder, WidthPolicy, fit_to_tolerance
 from .windows import as_int, as_real, sample_product_ball, sample_window_array
 
 #: Each identity net's allowance for its own rounding, relative to M.  With s a
@@ -408,8 +408,12 @@ def _derived_seed(base: int, tag: int) -> int:
     return int(np.random.SeedSequence([base, tag]).generate_state(1)[0])
 
 
-def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> ConstructionResult:
+def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig, *, ladder=WidthLadder) -> ConstructionResult:
     """Run the whole construction and check its error budget.
+
+    ``ladder`` gives the static fit's width attempts (see fit_to_tolerance):
+    a WidthLadder fits them in this process, and a sweep passes one that
+    shares them between the tolerances of one horizon.
 
     The truncation and chain terms are analytic bounds; net_fit and total
     are sampled sups, so the returned budget's verdict_status() is
@@ -442,7 +446,7 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig) -> Constru
     with stage("fit_static_net"):
         net, net_fit_achieved = fit_to_tolerance(
             lambda u: f.evaluate_batch(u.reshape(len(u), K + 1, d)),  # stacked lags, most-delayed first
-            d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1), copies=K + 1,
+            d, M, eps / 3.0, cfg.static_policy, _derived_seed(cfg.seed, 1), copies=K + 1, ladder=ladder,
         )
 
     gain = identity_error_gain(net.readout, lag_blocks(net, K))

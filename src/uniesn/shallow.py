@@ -263,6 +263,41 @@ def _give_back_heap():
         _malloc_trim(0)
 
 
+class WidthLadder:
+    """The attempts of fit_to_tolerance's doubling fit, each fitted in this process.
+
+    The fitting domain is the product of ``copies`` radius-balls in d-space,
+    points stacked to (n, copies * d); ``target`` maps such a batch to
+    (n, out_dim).  The training and validation samples are drawn once, here.
+    Attempt i fits width ``widths[i]``, doubling from START_WIDTH up to the
+    policy's max_width, with its own weight seed on those samples: hidden
+    weights on [-s, s] with s = 2 / the domain's circumradius,
+    radius * sqrt(copies), and RIDGE.  Its sampled error is the sup over the
+    validation sample.  Every attempt depends on the arguments alone, not on
+    a tolerance, so one ladder serves every tolerance.
+    """
+
+    def __init__(self, target, d: int, radius: float, policy: WidthPolicy, seed: int, *, copies: int):
+        ss = np.random.SeedSequence(seed)
+        train_seed, val_seed, self.base_weight_seed = (int(s) for s in ss.generate_state(3))
+        self.X_train = sample_product_ball(d, radius, copies, policy.train_samples, train_seed)
+        self.Y_train = np.asarray(target(self.X_train), dtype=np.float64)
+        self.X_val = sample_product_ball(d, radius, copies, policy.val_samples, val_seed)
+        self.Y_val = np.asarray(target(self.X_val), dtype=np.float64)
+        # The domain's circumradius, not the per-ball radius, is what keeps the
+        # hidden scale responsive as the number of balls grows.
+        self.scale = 2.0 / (radius * float(np.sqrt(copies)))
+        self.widths = tuple(policy.widths())
+
+    def attempt(self, i: int) -> tuple[ShallowNet, float]:
+        """Attempt i's net and its sampled sup error; MemoryError if it cannot allocate."""
+        net = fit_random_feature(
+            self.X_train, self.Y_train, width=self.widths[i], ridge=RIDGE, scale=self.scale,
+            seed=self.base_weight_seed + i,
+        )
+        return net, float(np.max(np.linalg.norm(net.forward(self.X_val) - self.Y_val, axis=1)))
+
+
 def fit_to_tolerance(
     target,
     d: int,
@@ -272,45 +307,35 @@ def fit_to_tolerance(
     seed: int,
     *,
     copies: int,
+    ladder=WidthLadder,
 ) -> tuple[ShallowNet, float]:
     """Fit ``target`` on a product of balls to a sampled sup error <= tol * FIT_MARGIN.
 
-    The fitting domain is the product of ``copies`` radius-balls in d-space,
-    points stacked to (n, copies * d); ``target`` maps such a batch to
-    (n, out_dim).  Widths double from START_WIDTH until the error on
-    a held-out validation sample clears tol * FIT_MARGIN; the margin leaves
-    headroom because a sampled sup is only a lower bound on the true one.
-    Each attempt draws its hidden weights on [-s, s] with s = 2 / the
-    domain's circumradius, radius * sqrt(copies), and solves with RIDGE.
+    The attempts are those of ``ladder(target, d, radius, policy, seed,
+    copies=copies)``: a WidthLadder, which fits each in this process, or a
+    source of the same attempts, such as a sweep's ladder shared by every
+    tolerance of one horizon.  They are taken in order, widths doubling,
+    until one's error on the held-out validation sample clears
+    tol * FIT_MARGIN; the margin leaves headroom because a sampled sup is
+    only a lower bound on the true one.
 
     Raises FitToleranceError, carrying the best achieved error, if max_width
     is not enough, or if an attempt (its fit or its validation forward)
     cannot allocate: the fit then ends at its stage, as an exhausted
-    max_width does.
+    max_width does.  Any other error of an attempt, such as a sweep's
+    attempt whose process died, travels up as it is.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    ss = np.random.SeedSequence(seed)
-    train_seed, val_seed, base_weight_seed = (int(s) for s in ss.generate_state(3))
-    X_train = sample_product_ball(d, radius, copies, policy.train_samples, train_seed)
-    Y_train = np.asarray(target(X_train), dtype=np.float64)
-    X_val = sample_product_ball(d, radius, copies, policy.val_samples, val_seed)
-    Y_val = np.asarray(target(X_val), dtype=np.float64)
-
-    # The domain's circumradius, not the per-ball radius, is what keeps the
-    # hidden scale responsive as the number of balls grows.
-    scale = 2.0 / (radius * float(np.sqrt(copies)))
+    attempts = ladder(target, d, radius, policy, seed, copies=copies)
     best_err = np.inf
     best_net = None
     reason = f"tolerance {tol:g} (margin {FIT_MARGIN:g}) not met"
-    for attempt, width in enumerate(policy.widths()):
-        if attempt:
+    for i, width in enumerate(attempts.widths):
+        if i:
             _give_back_heap()  # what the missed attempt freed, before this wider one
         try:
-            net = fit_random_feature(
-                X_train, Y_train, width=width, ridge=RIDGE, scale=scale, seed=base_weight_seed + attempt
-            )
-            err = float(np.max(np.linalg.norm(net.forward(X_val) - Y_val, axis=1)))
+            net, err = attempts.attempt(i)
         except MemoryError:
             # Raised outside this handler, so the failed attempt's frames and
             # arrays are released before the error travels up.

@@ -20,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from uniesn import cli, construct, shallow
 from uniesn.construct import BudgetError
 from uniesn.esn import BlockStructure, ESNParams
+from uniesn.filters import ExpFadingFilter, HorizonCapError
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -1114,11 +1115,11 @@ class TestSweep:
 def sweep_and_builds(tmp_path_factory):
     """Sweeps over two eps of one horizon, then a construct at each eps, all
     from one process: each run's out dir, its stderr, the width and weight seed
-    of each fit it ran and, for each of its builds, the eps and the pid of the
-    building process.  sweep1 and sweep2 see one usable CPU, so this process
-    builds both points; sweep_2cpu sees two, so a forked worker builds one.
-    A worker's memory never reaches this process, so the patched fit and
-    build append to log files."""
+    of each fit it started and, for each of its builds, the eps and the pid of
+    the building process.  sweep1 and sweep2 see one usable CPU, so nothing
+    forks; sweep_2cpu sees two, so the fit attempts run in forked processes.
+    An attempt process's memory never reaches this process, so the patched
+    fit and build append to log files."""
     tmp = tmp_path_factory.mktemp("sweep_and_builds")
     eps_list = [0.3, 0.25]  # both give K=4
     sweep_cfg = str(write_config(tmp, sweep={"eps": eps_list}))
@@ -1162,6 +1163,7 @@ def sweep_and_builds(tmp_path_factory):
                 "fits": fit_log.read_text().splitlines()[n_fits:],
                 "builds": [line.split() for line in build_log.read_text().splitlines()[n_builds:]],
             }
+            assert_no_child()
     return runs
 
 
@@ -1175,38 +1177,49 @@ def masked_stage_times(text: str) -> str:
     return re.sub(r"^stage (\w+): [0-9.]+s$", r"stage \1: #s", text, flags=re.M)
 
 
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 class TestSweepReuse:
     def test_rows_equal_separate_builds(self, sweep_and_builds):
-        rows = read_csv_skipping_schema(sweep_and_builds["sweep1"]["out"] / "sweep.csv")
-        assert [r["status"] for r in rows] == ["ok", "ok"]
-        for row in rows:
-            report = json.loads((sweep_and_builds[row["eps"]]["out"] / "report.json").read_text())
-            assert row["widths"] == "|".join(map(str, report["widths"]))
-            assert row["state_dim"] == repr(report["state_dim"])
-            for term in ("truncation", "net_fit", "chain", "total"):
-                assert row[term] == repr(report["budget"][term])
+        for sweep in ("sweep1", "sweep_2cpu"):
+            rows = read_csv_skipping_schema(sweep_and_builds[sweep]["out"] / "sweep.csv")
+            assert [r["status"] for r in rows] == ["ok", "ok"]
+            for row in rows:
+                report = json.loads((sweep_and_builds[row["eps"]]["out"] / "report.json").read_text())
+                assert row["widths"] == "|".join(map(str, report["widths"]))
+                assert row["state_dim"] == repr(report["state_dim"])
+                for term in ("truncation", "net_fit", "chain", "total"):
+                    assert row[term] == repr(report["budget"][term])
 
     def test_repeated_sweeps_make_the_same_fits(self, sweep_and_builds):
         first, second = sweep_and_builds["sweep1"], sweep_and_builds["sweep2"]
         assert first["fits"] == second["fits"]
         assert {pid for _, pid in first["builds"]} == {str(os.getpid())}
 
-    def test_one_cpu_sweep_makes_the_fits_of_separate_constructs(self, sweep_and_builds):
-        # with one usable CPU this process builds 0.25, then 0.3, each afresh
-        assert [eps for eps, _ in sweep_and_builds["sweep1"]["builds"]] == ["0.25", "0.3"]
-        separate = sweep_and_builds["0.25"]["fits"] + sweep_and_builds["0.3"]["fits"]
-        assert sweep_and_builds["sweep1"]["fits"] == separate
+    def test_one_cpu_sweep_fits_each_attempt_once(self, sweep_and_builds):
+        # eps=0.3 takes the first attempts of the shared ladder and eps=0.25
+        # takes them again without a refit, then fits on if it needs to, as a
+        # construct at 0.25 alone does: 3 fits, where separate builds make 6
+        loose, tight = sweep_and_builds["0.3"]["fits"], sweep_and_builds["0.25"]["fits"]
+        assert tight[:len(loose)] == loose and len(set(tight)) == len(tight)
+        assert sweep_and_builds["sweep1"]["fits"] == tight
 
     def test_two_cpus_give_the_same_rows(self, sweep_and_builds):
         one, two = (sweep_and_builds[name]["out"] / "sweep.csv" for name in ("sweep1", "sweep_2cpu"))
         assert without_wall_time(two) == without_wall_time(one)
-        # the worker's fits interleave with this process's in the log
-        assert sorted(sweep_and_builds["sweep_2cpu"]["fits"]) == sorted(sweep_and_builds["sweep1"]["fits"])
+        # every attempt is fitted once; a wider one may start beside the
+        # tightest point's, and is killed once that point's attempt meets it
+        fits, tight = sweep_and_builds["sweep_2cpu"]["fits"], sweep_and_builds["0.25"]["fits"]
+        assert len(set(fits)) == len(fits) and set(tight) <= set(fits)
+        widest = max(int(fit.split()[0]) for fit in tight)
+        assert all(int(fit.split()[0]) > widest for fit in set(fits) - set(tight))
 
-    def test_smallest_eps_builds_in_this_process(self, sweep_and_builds):
-        # the costliest point stays in the calling process; a forked worker builds the other
-        pids = {eps: pid for eps, pid in sweep_and_builds["sweep_2cpu"]["builds"]}
-        assert pids["0.25"] == str(os.getpid()) != pids["0.3"]
+    @pytest.mark.parametrize("sweep", ["sweep1", "sweep_2cpu"])
+    def test_every_point_builds_in_this_process_loosest_first(self, sweep_and_builds, sweep):
+        pid = str(os.getpid())
+        assert sweep_and_builds[sweep]["builds"] == [["0.3", pid], ["0.25", pid]]
 
     @pytest.mark.parametrize("sweep", ["sweep1", "sweep_2cpu"])
     def test_stderr_holds_each_point_block_in_eps_order(self, sweep_and_builds, sweep):
@@ -1215,40 +1228,113 @@ class TestSweepReuse:
         assert blocks.count("(< eps=") == 2
         assert masked_stage_times(sweep_and_builds[sweep]["stderr"]) == masked_stage_times(blocks)
 
+    def test_duplicate_eps_gives_equal_rows(self, tmp_path, monkeypatch):
+        two_cpus(monkeypatch)
+        cfg = write_config(tmp_path, sweep={"eps": [0.3, 0.5, 0.3]})
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        header, first, loose, second = without_wall_time(tmp_path / "sweep" / "sweep.csv")[1:]
+        assert first == second and first[0] == "0.3" and first[-1] == loose[-1] == "ok"
+        assert_no_child()
 
-#: Runs ``uniesn sweep`` (argv[2:]) with two usable CPUs, so this process
-#: builds the smallest eps and one worker builds the others; the worker dies
-#: at once when it builds eps == argv[1].
+    def test_point_whose_horizon_fails_keeps_its_row(self, tmp_path, monkeypatch, capsys):
+        real = ExpFadingFilter.choose_horizon
+
+        def choose_horizon(self, budget):
+            if budget < 0.01:
+                raise HorizonCapError(f"no horizon for budget {budget:g}")
+            return real(self, budget)
+
+        monkeypatch.setattr(ExpFadingFilter, "choose_horizon", choose_horizon)
+        two_cpus(monkeypatch)
+        cfg = write_config(tmp_path, sweep={"eps": [0.5, 0.001, 0.3]})
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sweep")]) == 3
+        rows = read_csv_skipping_schema(tmp_path / "sweep" / "sweep.csv")
+        assert [r["status"] for r in rows] == ["ok", "stage:choose_horizon", "ok"]
+        assert "eps=0.001: stage choose_horizon failed: no horizon for budget 0.000333333" in capsys.readouterr().err
+        assert_no_child()
+
+
+class FakeLadder:
+    """A WidthLadder stand-in: attempt i has width i + 1 and sampled error
+    errors[i], and cannot allocate from attempt ``no_memory`` on."""
+
+    def __init__(self, errors, no_memory):
+        self.errors, self.no_memory = errors, no_memory
+        self.widths = tuple(range(1, len(errors) + 1))
+
+    def attempt(self, i):
+        if i >= self.no_memory:
+            raise MemoryError
+        w = self.widths[i]
+        return shallow.ShallowNet(np.zeros((w, 1)), np.zeros(w), np.zeros((1, w))), self.errors[i]
+
+
+def fit_outcome(ladder, tol):
+    """fit_to_tolerance's result with the attempts of ``ladder``: (width, error), or the error it raises."""
+    try:
+        net, err = shallow.fit_to_tolerance(
+            None, 1, 1.0, tol, shallow.WidthPolicy(), 0, copies=1, ladder=lambda *a, **k: ladder
+        )
+        return net.width, err
+    except shallow.FitToleranceError as exc:
+        return str(exc), exc.achieved, exc.width
+
+
+class TestSharedLadder:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        errors=st.lists(st.sampled_from([0.01, 0.05, 0.08, 0.2, 0.5, 1.0]) | st.floats(0, 2), min_size=1, max_size=7),
+        no_memory=st.integers(0, 8),
+        tols=st.lists(st.sampled_from([0.1, 0.25, 1.0]) | st.floats(1e-3, 3), min_size=1, max_size=4),
+        slots=st.sampled_from([1, 2, 3]),
+    )
+    def test_each_point_gets_the_serial_result(self, errors, no_memory, tols, slots):
+        # the points take the shared attempts in any order of their
+        # tolerances; each gets what the serial loop gives it alone
+        fake = FakeLadder(errors, no_memory)
+        shared = cli._SharedLadder(fake, min(tols) * shallow.FIT_MARGIN, slots)
+        try:
+            for tol in tols:
+                assert fit_outcome(shared, tol) == fit_outcome(fake, tol)
+        finally:
+            shared.close()
+        assert not shared.running
+        assert_no_child()
+
+
+#: Runs ``uniesn sweep`` (argv[3:]) with two usable CPUs, so every fit
+#: attempt runs in its own process; the attempt of in_dim argv[1] and width
+#: argv[2] kills its process.
 DYING_SWEEP = """
-import os, sys
-from uniesn import cli
+import os, signal, sys
+from uniesn import cli, shallow
 
-real_build = cli.construct_universal_esn
+real_fit = shallow.fit_random_feature
 
-def build(f, cfg, **kw):
-    if cfg.eps == float(sys.argv[1]):
-        os._exit(9)
-    return real_build(f, cfg, **kw)
+def fit(X, Y, width, **kw):
+    if (X.shape[1], width) == (int(sys.argv[1]), int(sys.argv[2])):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_fit(X, Y, width, **kw)
 
-cli.construct_universal_esn = build
+shallow.fit_random_feature = fit
 os.sched_getaffinity = lambda pid: {0, 1}
-sys.exit(cli.main(sys.argv[2:]))
+sys.exit(cli.main(sys.argv[3:]))
 """
 
 
-#: Runs ``uniesn sweep`` (argv[1:]) with two usable CPUs; each build writes
-#: the pid of the process that runs it, then waits a minute.  The line goes
-#: out in one write: with PYTHONUNBUFFERED set, print writes the newline on
-#: its own, and two builders could interleave their lines.
+#: Runs ``uniesn sweep`` (argv[1:]) with two usable CPUs; each fit attempt
+#: writes the pid of its process, then waits a minute.  The line goes out in
+#: one write: with PYTHONUNBUFFERED set, print writes the newline on its own,
+#: and two attempts could interleave their lines.
 STALLED_SWEEP = """
 import os, sys, time
-from uniesn import cli
+from uniesn import cli, shallow
 
-def build(f, cfg, **kw):
+def fit(X, Y, width, **kw):
     os.write(1, f"{os.getpid()}\\n".encode())
     time.sleep(60)
 
-cli.construct_universal_esn = build
+shallow.fit_random_feature = fit
 os.sched_getaffinity = lambda pid: {0, 1}
 sys.exit(cli.main(sys.argv[1:]))
 """
@@ -1265,40 +1351,42 @@ class TestSweepWorkers:
     @pytest.mark.parametrize(
         "dies, statuses, unfinished",
         [
-            ("0.5", ["worker_died", "ok", "ok"], "0.5"),
-            ("0.4", ["worker_died", "worker_died", "ok"], "0.5, 0.4"),
+            (("4", "64"), ["ok", "worker_died", "ok"], "0.4"),
+            (("4", "32"), ["worker_died", "worker_died", "ok"], "0.5, 0.4"),
         ],
         ids=["after_a_finished_point", "first"],
     )
     def test_dead_worker_ends_the_sweep(self, tmp_path, dies, statuses, unfinished):
-        # this process builds 0.3; the worker takes 0.4 first (the smaller eps), then 0.5
+        # 0.5 and 0.4 share the K=3 ladder (4 inputs) and accept widths 32 and
+        # 64; 0.3 is K=4 (5 inputs).  A point that needs the killed attempt
+        # does not finish; the others keep their rows.
         cfg = write_config(tmp_path, sweep={"eps": [0.5, 0.4, 0.3]})
-        proc = run_src(["-c", DYING_SWEEP, dies, "sweep", str(cfg), "--out", str(tmp_path / "sweep")], timeout=120)
+        proc = run_src(["-c", DYING_SWEEP, *dies, "sweep", str(cfg), "--out", str(tmp_path / "sweep")], timeout=120)
         assert proc.returncode == 3
-        died = [line for line in proc.stderr.splitlines() if "worker died" in line]
-        assert died == [f"a sweep worker died; eps points not finished: {unfinished}"]
+        died = [line for line in proc.stderr.splitlines() if "died" in line]
+        assert died == [f"a fit attempt's process died; eps points not finished: {unfinished}"]
         rows = read_csv_skipping_schema(tmp_path / "sweep" / "sweep.csv")
         assert [r["eps"] for r in rows] == ["0.5", "0.4", "0.3"]
         assert [r["status"] for r in rows] == statuses
 
     def test_sigterm_ends_the_sweep_and_its_worker(self, tmp_path):
-        # this process builds 0.3 and a worker 0.5; both are mid-build at the SIGTERM
+        # the two attempts of the first point's ladder are mid-fit at the SIGTERM
         out = tmp_path / "sweep"
         argv = [sys.executable, "-c", STALLED_SWEEP, "sweep", str(write_config(tmp_path)), "--out", str(out)]
         proc = subprocess.Popen(argv, env=SRC_ENV, stdout=subprocess.PIPE, text=True)
-        builders = []
+        attempts = []
         try:
-            builders = [int(proc.stdout.readline()) for _ in range(2)]
+            attempts = [int(proc.stdout.readline()) for _ in range(2)]
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 143
-            [worker] = set(builders) - {proc.pid}
-            time.sleep(1)
-            with pytest.raises(ProcessLookupError):
-                os.kill(worker, 0)
+            assert proc.pid not in attempts
+            for pid in attempts:  # reaped by the sweep, so gone
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
         finally:
             proc.kill()
             proc.wait()
-            for pid in set(builders) - {proc.pid}:
+            for pid in attempts:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
             proc.stdout.close()
