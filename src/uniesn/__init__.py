@@ -24,7 +24,6 @@ from .construct import (
     ConstructionConfig,
     ConstructionError,
     BudgetError,
-    ChainBoundError,
     ErrorBudget,
     ConstructionResult,
     construct_universal_esn,

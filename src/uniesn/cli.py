@@ -199,7 +199,6 @@ def _report_dict(result: ConstructionResult, cfg: ConstructionConfig, filter_spe
         "budget": {"eps": result.budget.eps, **{term: value for term, value, _, _ in rows}},
         "budget_status": {term: status for term, _, status, _ in rows},
         "verdict_status": result.budget.verdict_status(),
-        "per_lag_chain": result.chain_records,
         "net_fit_achieved_validation": result.net_fit_achieved,
         "closed_form_check": {
             "windows": result.closed_form_check_windows,

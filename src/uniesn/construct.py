@@ -13,10 +13,9 @@ The pipeline mirrors the constructive argument it implements:
 4.  Write down one identity net per delay step, phi(x) = tanh(s x) / s
     coordinate-wise, with s the largest power of two whose proven chain bound
     gain * (s^2 M^3 / 3 + rho) is below eps/3 (|tanh t - t| <= |t|^3 / 3, and
-    phi maps the M-ball into itself); check the composed chain's sampled
-    drift against j * (s^2 M^3 / 3 + rho) after j steps.  With ||z|| <= M
-    that drift bound also keeps the chain inside the ball of radius
-    M + j * (s^2 M^3 / 3 + rho), so its norm needs no check of its own.
+    phi maps the M-ball into itself).  After j steps the composed chain drifts
+    less than j * (s^2 M^3 / 3 + rho) from the identity.  That depends only on
+    (d, j, s, M), so the test suite checks it as a property and no build samples it.
 5.  Assemble the block system: a sub-diagonal chain of carrier blocks feeding
     a collector block.  The reservoir matrix is nilpotent of degree
     horizon + 1 by construction, which certifies the echo state and fading
@@ -39,7 +38,7 @@ from .esn import BlockStructure, ESNParams
 from .filters import TargetFilter
 from .linalg import operator_norm
 from .shallow import FitToleranceError, ShallowNet, WidthLadder, WidthPolicy, fit_to_tolerance
-from .windows import as_int, as_real, sample_product_ball, sample_window_array
+from .windows import as_int, as_real, sample_window_array
 
 #: Each identity net's allowance for its own rounding, relative to M.  With s a
 #: power of two, s*x and the readout's 1/s are exact, so only tanh rounds, and
@@ -68,15 +67,6 @@ class ConstructionError(RuntimeError):
         self.stage = stage
 
 
-class ChainBoundError(ConstructionError):
-    """The composed identity chain's sampled drift broke its proven bound."""
-
-    def __init__(self, message: str, j: int, witness: np.ndarray):
-        super().__init__("verify_chain", message)
-        self.j = j
-        self.witness = witness
-
-
 class BudgetError(ConstructionError):
     """A budget term came out at or above its share of eps."""
 
@@ -89,8 +79,8 @@ class BudgetError(ConstructionError):
         self.limit = limit
 
 
-#: The sample-count fields of ConstructionConfig, each at least 1.
-SAMPLE_COUNTS = ("chain_samples", "budget_windows", "closed_form_check_windows")
+#: The sample counts of ConstructionConfig that a build draws, each at least 1.
+SAMPLE_COUNTS = ("budget_windows", "closed_form_check_windows")
 
 
 @dataclass(frozen=True)
@@ -108,12 +98,14 @@ class ConstructionConfig:
     # Read by nothing since the identity nets are written down, but still
     # parsed and validated: the benchmark's self-check config sets it.
     identity_policy: WidthPolicy = field(default_factory=WidthPolicy)
+    # Read by nothing since the chain's drift is a tested property; ROADMAP item 6 removes it.
     chain_samples: int = 10_000
     budget_windows: int = 10_000
     closed_form_check_windows: int = 200
 
     def __post_init__(self):
-        cast = {"eps": as_real, "seed": as_int, **dict.fromkeys(SAMPLE_COUNTS, as_int)}
+        counts = ("chain_samples", *SAMPLE_COUNTS)
+        cast = {"eps": as_real, "seed": as_int, **dict.fromkeys(counts, as_int)}
         for key, kind in cast.items():
             object.__setattr__(self, key, kind(getattr(self, key), key))
         for key in ("static_policy", "identity_policy"):
@@ -123,7 +115,7 @@ class ConstructionConfig:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for key in SAMPLE_COUNTS:
+        for key in counts:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
@@ -200,32 +192,6 @@ def compose_chain(chain: list[ShallowNet], j: int, z: np.ndarray) -> np.ndarray:
     for i in range(j):
         out = chain[i].forward(out)
     return out
-
-
-def verify_chain_bound(
-    chain: list[ShallowNet], M: float, step: float, n_samples: int, seed: int
-) -> list[dict]:
-    """Check the composed chain's sampled drift against its proven bound.
-
-    On n_samples points of the M-ball, for every depth j, the composed chain
-    must stay within j*step of the identity (strict), where step is the
-    proven per-net bound, identity_step(s, M) in a build; with ||z|| <= M
-    that keeps it inside the ball of radius M + j*step.  Returns one record
-    per depth, the witnesses of the bound; raises ChainBoundError with the
-    witness point on the first violation.
-    """
-    if not chain:
-        return []
-    points = current = sample_product_ball(chain[0].in_dim, M, 1, n_samples, seed)
-    records = []
-    for j, net in enumerate(chain, start=1):
-        current = net.forward(current)
-        errs = np.linalg.norm(current - points, axis=1)
-        worst, limit = int(np.argmax(errs)), j * step
-        if not errs[worst] < limit:
-            raise ChainBoundError(f"chain drift at depth {j}: {errs[worst]:g} >= {limit:g}", j, points[worst])
-        records.append({"lag": j, "sup_error": float(errs[worst]), "error_limit": float(limit)})
-    return records
 
 
 def assemble_esn(static: ShallowNet, chain: list[ShallowNet]) -> ESNParams:
@@ -398,7 +364,6 @@ class ConstructionResult:
     gain: float
     chain_scale: float | None
     net_fit_achieved: float
-    chain_records: list
     closed_form_check_max: float
     closed_form_check_windows: int
     wall_times: dict
@@ -456,9 +421,6 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig, *, ladder=
         step = identity_step(s, M) if K else 0.0  # the proven per-net bound
         chain = build_identity_chain(d, K, s)
 
-    with stage("verify_chain"):
-        chain_records = verify_chain_bound(chain, M, step, cfg.chain_samples, _derived_seed(cfg.seed, 3))
-
     with stage("assemble"):
         esn = assemble_esn(net, chain)
 
@@ -483,6 +445,6 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig, *, ladder=
 
     return ConstructionResult(
         esn=esn, budget=budget, static_net=net, chain=chain, horizon=K, gain=gain, chain_scale=s,
-        net_fit_achieved=net_fit_achieved, chain_records=chain_records, closed_form_check_max=gap,
-        closed_form_check_windows=n_check, wall_times=times,
+        net_fit_achieved=net_fit_achieved, closed_form_check_max=gap, closed_form_check_windows=n_check,
+        wall_times=times,
     )

@@ -7,7 +7,7 @@ import pytest
 import uniesn
 
 PUBLIC_API = [
-    "BlockStructure", "BudgetError", "ChainBoundError", "ConstructionConfig", "ConstructionError",
+    "BlockStructure", "BudgetError", "ConstructionConfig", "ConstructionError",
     "ConstructionResult", "ESNParams", "ErrorBudget", "ExpFadingFilter", "FIRFilter",
     "HorizonCapError", "ShallowNet", "TargetFilter", "Volterra2Filter", "construct_universal_esn",
     "filter_from_json", "sample_window_array",
@@ -18,9 +18,7 @@ MODULE_ONLY = {
     "windows": ["sample_product_ball"],
     "linalg": ["operator_norm"],
     "shallow": ["WidthPolicy", "FitToleranceError", "fit_random_feature", "fit_to_tolerance"],
-    "construct": [
-        "build_identity_chain", "verify_chain_bound", "assemble_esn", "closed_form_state", "direct_functional",
-    ],
+    "construct": ["build_identity_chain", "assemble_esn", "closed_form_state", "direct_functional"],
 }
 
 
@@ -30,13 +28,17 @@ def test_public_names_are_pinned():
         name for name, value in vars(uniesn).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_API) == 17
+    assert len(PUBLIC_API) == 16
     assert exported == set(PUBLIC_API)
     # ESNParams holds only strictly block-lower-triangular blocks, so nothing re-checks A^(K+1) == 0,
     # and run_batch's data flow gives echo state and finite memory, so nothing re-tests them.
     esn = importlib.import_module("uniesn.esn")
     for gone in ("check_nilpotent", "check_esp_empirical", "check_finite_memory"):
         assert not hasattr(esn, gone)
+    # The chain's drift is a tested property, so no build samples it and nothing reports a violation.
+    construct = importlib.import_module("uniesn.construct")
+    for gone in ("verify_chain_bound", "ChainBoundError"):
+        assert not hasattr(construct, gone)
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in MODULE_ONLY.items() for n in names])

@@ -137,8 +137,7 @@ def sampler_out_of_memory(real):
 
 
 def construct_samplers_out_of_memory(monkeypatch):
-    for module, name in ((shallow, "sample_product_ball"), (construct, "sample_product_ball"),
-                         (construct, "sample_window_array")):
+    for module, name in ((shallow, "sample_product_ball"), (construct, "sample_window_array")):
         monkeypatch.setattr(module, name, sampler_out_of_memory(getattr(module, name)))
 
 
@@ -307,10 +306,9 @@ class TestConstruct:
         "edit, stage",
         [
             (lambda c: c["static_policy"].update(train_samples=UNALLOCATABLE), "fit_static_net"),
-            (lambda c: c.update(chain_samples=UNALLOCATABLE), "verify_chain"),
             (lambda c: c.update(budget_windows=UNALLOCATABLE), "verify_closed_form"),
         ],
-        ids=["static_train_samples", "chain_samples", "budget_windows"],
+        ids=["static_train_samples", "budget_windows"],
     )
     def test_sample_count_that_cannot_allocate_is_stage_failure(self, tmp_path, monkeypatch, capsys, edit, stage):
         cfg = write_config(tmp_path)
@@ -321,6 +319,14 @@ class TestConstruct:
         assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert f"stage {stage} failed: could not allocate" in capsys.readouterr().err
         assert not (tmp_path / "out" / "esn.json").exists()
+
+    def test_chain_samples_is_read_by_nothing(self, tmp_path):
+        # The chain's drift is a tested property, so no build draws chain_samples.
+        for n in (1, 10**6):
+            cfg = write_config(tmp_path, construction={"chain_samples": n})
+            assert cli.main(["construct", str(cfg), "--out", str(tmp_path / str(n))]) == 0
+        for name in ("esn.json", "nets.json", "report.json", "budget.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / str(10**6) / name).read_bytes()
 
     def test_budget_violation_exit_code(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
