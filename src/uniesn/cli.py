@@ -5,9 +5,11 @@ logs.  Exit codes: 0 success, 2 config or load error or an output path that
 cannot be written, 3 pipeline stage failure, 4 budget violation, 5
 verification property failure, 143 a construct or sweep ended by SIGTERM.
 
-verify records nilpotency, the echo state property and finite memory from
-the loaded block structure, which proves them (see esn); the one check it
-runs is the recursion against the closed form of the nets in nets.json.
+verify never parses esn.json: its system check passes only if the file holds,
+byte for byte, what construct writes for the system the nets in nets.json
+wire.  It then records nilpotency, the echo state property and finite memory
+from that system's block structure, which proves them (see esn); the one
+check it runs is the recursion against the closed form of the nets.
 
 Wall-clock timings are written to a separate timings.json: report.json and
 esn.json are bitwise-deterministic functions of the config and seed, and
@@ -40,7 +42,6 @@ from .construct import (
     closed_form_gap,
     construct_universal_esn,
 )
-from .esn import ESNParams, PatternError
 from .filters import TargetFilter, filter_from_json
 from .shallow import FIT_MARGIN, ShallowNet, WidthLadder
 from .windows import as_int, as_real, required, sample_window_array
@@ -65,22 +66,10 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-class _FloatTexts(dict):
-    """json's parse_float: each text held here maps to one shared float, and
-    any other text misses and goes to float, so -0.0 keeps its sign."""
-
-    __missing__ = staticmethod(float)
-
-
-# Every "0.0", the bulk of a dense esn.json, is one +0.0 instead of a float
-# object each; a dict hit is also faster than a call of float.
-_parse_float = _FloatTexts({"0.0": 0.0}).__getitem__
-
-
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=_parse_float)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
@@ -148,20 +137,29 @@ def _json_chunks(obj, indent: str):
             return
         obj = list(obj)
     if isinstance(obj, dict) and obj:
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("JSON object keys must be str")
-        opener, closer = "{", "}"
-        items = [(json.dumps(key) + ": ", value) for key, value in sorted(obj.items())]
+        for _, chunk in _keyed_chunks(obj, indent):
+            yield chunk
     elif isinstance(obj, (list, tuple)) and obj:
-        opener, closer = "[", "]"
-        items = [("", value) for value in obj]
+        for i, value in enumerate(obj):
+            yield sep if i else "[\n" + inner
+            yield from _json_chunks(value, inner)
+        yield "\n" + indent + "]"
     else:  # a scalar, {} or []
         yield json.dumps(obj)
-        return
-    for i, (head, value) in enumerate(items):
-        yield (sep if i else opener + "\n" + inner) + head
-        yield from _json_chunks(value, inner)
-    yield "\n" + indent + closer
+
+
+def _keyed_chunks(obj: dict, indent: str):
+    """The chunks of a non-empty dict at ``indent``, each with the key whose
+    item it is part of, the item's head or its value; None with the closing
+    brace."""
+    if not all(isinstance(key, str) for key in obj):
+        raise TypeError("JSON object keys must be str")
+    inner = indent + "  "
+    for i, (key, value) in enumerate(sorted(obj.items())):
+        yield key, ("," if i else "{") + "\n" + inner + json.dumps(key) + ": "
+        for chunk in _json_chunks(value, inner):
+            yield key, chunk
+    yield None, "\n" + indent + "}"
 
 
 def _write_json(path: Path, obj: dict):
@@ -309,7 +307,7 @@ CLOSED_FORM_WINDOWS = 200
 
 def _verify_options(raw: dict, esn_path: str) -> dict:
     """Parse and validate the config's filter and verification sections, and
-    find the nets.json to read, if any (``nets``, else None)."""
+    find the nets.json to read (``nets``; None if the sibling one is absent)."""
     f = filter_from_json(raw["filter"])
     vcfg = raw.get("verification", {})
     unknown = set(vcfg) - VERIFY_KEYS
@@ -324,7 +322,7 @@ def _verify_options(raw: dict, esn_path: str) -> dict:
     for key, least in (("seed", 0), ("fmp_trials", 1)):
         if opts[key] < least:
             raise ConfigError(f"verification {key} must be >= {least}, got {opts[key]}")
-    # The sibling nets.json may be absent; a configured path must be read.
+    # An absent sibling nets.json fails the system check; a configured path must be read.
     nets_path = Path(vcfg["nets"]) if vcfg.get("nets") else Path(esn_path).parent / "nets.json"
     opts.update(filter=f, out=out, nets=nets_path if vcfg.get("nets") or nets_path.exists() else None)
     return opts
@@ -343,95 +341,77 @@ def _load_nets(nets_path: Path) -> tuple:
     return static, chain, wired
 
 
-def holds_json(path, obj) -> bool:
-    """Does the file at ``path`` hold, byte for byte, what ``_write_json(path, obj)`` writes?
+def holds_json(fh, obj: dict) -> tuple[bool, str | None]:
+    """Does the binary file ``fh`` hold, byte for byte, what ``_write_json(path, obj)`` writes?
 
-    The file is read one chunk of the writer at a time, up to the first
-    chunk that differs, so neither text is held whole.
+    If not, also the top-level key of ``obj`` whose text, its line or its
+    value, differs first; None if they all match and the rest does not: the
+    closing brace, the final newline or what follows it.  The file is read
+    one chunk of the writer at a time, up to the first chunk that differs,
+    so neither text is held whole.
     """
-    try:
-        with open(path, "rb") as fh:
-            for chunk in _json_chunks(obj, ""):
-                data = chunk.encode("utf-8")
-                if fh.read(len(data)) != data:
-                    return False
-            return fh.read(2) == b"\n"
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    for key, chunk in _keyed_chunks(obj, ""):
+        data = chunk.encode("utf-8")
+        if fh.read(len(data)) != data:
+            return False, key
+    return fh.read(2) == b"\n", None
 
 
-def _read_system(esn_path: str, opts: dict, nets: tuple | None) -> ESNParams:
-    """The system in esn.json, which must fit the filter and the nets;
-    PatternError if its A breaks its block pattern.
-
-    A file that holds construct's bytes for the system the nets wire is that
-    system itself: the writer spells every float with repr and +0.0 as 0.0,
-    so those bytes parse to exactly its blocks, C, zeta, W and structure.
-    Any other file is parsed as written.
-    """
-    wired = nets[-1] if nets else None
-    if wired is not None and holds_json(esn_path, wired.to_json()):
-        _log(f"{esn_path}: the system {opts['nets']} wires, byte for byte")
-        esn = wired
-    else:
-        if wired is None:
-            _log(f"{esn_path}: no nets.json; checked as written")
-        else:
-            _log(f"{esn_path}: differs from the system {opts['nets']} wires; checked as written")
-        esn = ESNParams.from_json(_load_json(esn_path), esn_path)
-    f = opts["filter"]
-    if (f.in_dim, f.out_dim) != (esn.in_dim, esn.out_dim):
+def _system_check(esn_file, esn_path: str, opts: dict, nets: tuple | None) -> dict:
+    """Is esn.json the system the nets wire?  It is never parsed, so any other
+    file, or one with no nets.json, is not shown to be a constructed system.
+    A filter that does not fit the wired system is a ConfigError."""
+    if nets is None:
+        _log(f"{esn_path}: no nets.json beside it; not shown to be a constructed system")
+        return {"passed": False, "reason": "no nets.json beside it, so it is not shown to be a constructed system"}
+    wired, f = nets[-1], opts["filter"]
+    if (f.in_dim, f.out_dim) != (wired.in_dim, wired.out_dim):
         raise ConfigError(
-            f"the filter maps d={f.in_dim} to m={f.out_dim}, the system in {esn_path} d={esn.in_dim} to m={esn.out_dim}"
+            f"the filter maps d={f.in_dim} to m={f.out_dim}, {opts['nets']} d={wired.in_dim} to m={wired.out_dim}"
         )
-    if wired is not None and (wired.structure, wired.in_dim, wired.out_dim) != (esn.structure, esn.in_dim, esn.out_dim):
-        raise ConfigError(f"{opts['nets']} does not fit the system in {esn_path}")
-    return esn
+    same, key = holds_json(esn_file, wired.to_json())
+    if same:
+        _log(f"{esn_path}: the system {opts['nets']} wires, byte for byte")
+        return {"passed": True}
+    _log(f"{esn_path}: differs from the system {opts['nets']} wires; first_difference: {json.dumps(key)}")
+    return {"passed": False, "first_difference": key}
 
 
-def _verify_checks(esn: ESNParams, opts: dict, nets: tuple | None) -> dict:
+def _verify_checks(nets: tuple, opts: dict) -> dict:
+    """The checks of the system the nets wire, which esn.json holds."""
+    static, chain, esn = nets
     K = esn.structure.horizon
     # Every ESNParams is strictly block-lower-triangular, so A^(K+1) == 0 by
     # its type, and run_batch's final state on K+1 or more entries reads only
     # the last K+1: neither the initial state nor the far past (see esn).
     memory = {"forgetting_depth": K + 1, "from": "block_structure", "passed": True}
-    checks = {"nilpotency": {"passed": True, "degree": K + 1}, "echo_state": memory, "finite_memory": memory}
-
-    if nets is not None:
-        static, chain, wired = nets
-        T = max(WINDOW_LEN, K + 1)
-        arr = sample_window_array(esn.in_dim, opts["filter"].input_bound, T, CLOSED_FORM_WINDOWS, opts["seed"] + 2)
-        gap = closed_form_gap(esn, static, chain, arr)
-        readout = np.array_equal(esn.W, wired.W)  # the state gap leaves out W
-        passed = bool(gap <= CLOSED_FORM_TOL and readout)
-        checks["closed_form"] = {
-            "passed": passed, "max_gap": gap, "readout_exact": readout, "windows": CLOSED_FORM_WINDOWS,
-        }
-    else:
-        checks["closed_form"] = {"skipped": True, "reason": "no nets.json available"}
-
-    return checks
+    T = max(WINDOW_LEN, K + 1)
+    arr = sample_window_array(esn.in_dim, opts["filter"].input_bound, T, CLOSED_FORM_WINDOWS, opts["seed"] + 2)
+    gap = closed_form_gap(esn, static, chain, arr)
+    return {
+        "nilpotency": {"passed": True, "degree": K + 1},
+        "echo_state": memory,
+        "finite_memory": memory,
+        "closed_form": {"passed": bool(gap <= CLOSED_FORM_TOL), "max_gap": gap, "windows": CLOSED_FORM_WINDOWS},
+    }
 
 
-def _pattern_checks(exc: PatternError) -> dict:
-    """The checks of a file whose A breaks its block pattern: it holds no
-    system, so only nilpotency has a verdict."""
-    skipped = {"skipped": True, "reason": "A breaks its block pattern, so no system was loaded"}
-    nilpotency = {"passed": False, "degree": 0, "reason": str(exc)}
-    return {"nilpotency": nilpotency, "echo_state": skipped, "finite_memory": skipped, "closed_form": skipped}
+#: What each check of the system records when esn.json is not the wired one.
+NOT_WIRED = {"skipped": True, "reason": "esn.json is not shown to be the system nets.json wires"}
 
 
 def cmd_verify(esn_path: str, config_path: str) -> int:
     try:
         opts = _verify_options(_load_config(config_path), esn_path)
-        nets = _load_nets(opts["nets"]) if opts["nets"] else None
-        try:
-            esn = _read_system(esn_path, opts, nets)
-        except PatternError as exc:
-            checks = _pattern_checks(exc)
+        # An esn.json that cannot be opened is a load error, with or without nets.json.
+        with open(esn_path, "rb") as esn_file:
+            nets = _load_nets(opts["nets"]) if opts["nets"] else None
+            checks = {"system": _system_check(esn_file, esn_path, opts, nets)}
+        if checks["system"]["passed"]:
+            checks.update(_verify_checks(nets, opts))
         else:
-            checks = _verify_checks(esn, opts, nets)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+            checks.update(dict.fromkeys(("nilpotency", "echo_state", "finite_memory", "closed_form"), NOT_WIRED))
+    except (ConfigError, KeyError, TypeError, ValueError, OSError) as exc:
         _log(f"load error: {exc}")
         return EXIT_CONFIG
     out_path = opts["out"]

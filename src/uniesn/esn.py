@@ -12,15 +12,15 @@ carriers and the input.  So on a window of T >= K+1 entries the final state
 depends on the last K+1 entries alone and never on the initial state,
 whatever C and W hold: the echo state and finite memory properties hold by
 the type too, and verify records all three from the structure.  A dense A
-exists only in esn.json: ESNParams.from_json reads it and raises
-PatternError for a nonzero entry outside the blocks.
+exists only in esn.json, which nothing parses: verify matches the file, byte
+for byte, against the system the nets in nets.json wire.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .windows import as_int, check_stated_sizes, freeze, required
+from .windows import as_int, freeze
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ def _block_spans(structure: BlockStructure) -> list:
     off, K = structure.offsets(), structure.horizon
     span = [slice(off[r], off[r + 1]) for r in range(K + 1)]
     return [(span[r], span[r - 1]) for r in range(1, K)] + [(span[K], slice(0, off[K]))]
-
-
-class PatternError(ValueError):
-    """A dense A with a nonzero entry outside the blocks its structure allows."""
 
 
 @dataclass(frozen=True)
@@ -189,41 +185,3 @@ class ESNParams:
             "W": self.W,
             "structure": {"widths": list(self.structure.widths), "K": self.structure.horizon},
         }
-
-    @classmethod
-    def from_json(cls, obj: dict, where: str = "esn.json") -> "ESNParams":
-        """The system in an esn.json object.
-
-        KeyError, TypeError or ValueError if it is malformed, a non-finite
-        entry anywhere included, and a ValueError naming ``where`` for a
-        missing key; PatternError, a ValueError, if it is well formed but its
-        dense A has a nonzero entry outside the blocks.
-        """
-        structure = obj.get("structure") if isinstance(obj, dict) else None
-        if not isinstance(structure, dict):
-            raise ValueError(f"{where} has no structure object, which construct always writes")
-        if required(obj, "activation", where) != "tanh":
-            raise ValueError(f"unknown activation {obj['activation']!r}; systems are tanh")
-        blocks = BlockStructure(widths=tuple(required(structure, "widths", f"{where} structure")))
-        N = blocks.total
-        if as_int(required(structure, "K", f"{where} structure"), "structure K") != blocks.horizon:
-            raise ValueError(f"structure K={structure['K']} does not match {len(blocks.widths)} widths")
-        A = np.array(required(obj, "A", where), dtype=np.float64)
-        if not np.isfinite(A).all():
-            raise ValueError("A holds a non-finite entry")
-        if A.shape != (N, N):
-            raise ValueError(f"A has shape {A.shape}, but structure widths sum to {N}")
-        spans = _block_spans(blocks)
-        *carriers, collector = (A[rows, cols] for rows, cols in spans)
-        C, zeta, W = (required(obj, key, where) for key in ("C", "zeta", "W"))
-        esn = cls(carriers=carriers, collector=collector, C=C, zeta=zeta, W=W, structure=blocks)
-        check_stated_sizes(obj, {"N": esn.state_dim, "d": esn.in_dim, "m": esn.out_dim}, where)
-        # What is left of A once its blocks are cleared must be zero.
-        for rows, cols in spans:
-            A[rows, cols] = 0.0
-        if A.any():
-            i, j = divmod(int(np.argmax(A != 0)), N)
-            raise PatternError(
-                f"A[{i}][{j}] = {float(A[i, j])!r} lies outside the blocks structure widths {blocks.widths} allow"
-            )
-        return esn

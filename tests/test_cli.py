@@ -608,7 +608,9 @@ def test_output_file_that_cannot_be_written_after_the_work_is_exit_2(command, bu
 NO_FILTER = "{dir}/config.json: the config has no 'filter' section"
 
 #: Each inner key esn.json and nets.json must hold: (file, path to the object
-#: that holds it, how the message names that object, key).
+#: that holds it, how the message names that object, key).  No esn.json is
+#: parsed, so one without a key is no load error: it fails the system check,
+#: which names the key, or the object that misses it.
 INNER_KEYS = [
     *(("esn.json", (), "", key) for key in ("activation", "A", "C", "zeta", "W", "N", "d", "m")),
     *(("esn.json", ("structure",), " structure", key) for key in ("widths", "K")),
@@ -643,7 +645,8 @@ def _pop_inner(path, key):
          "config error: quad term has no 'k'"),
         ("verify", "nets.json", lambda nets: nets.pop("lag_dim"), "load error: {dir}/nets.json has no 'lag_dim'"),
         *(
-            ("verify", name, _pop_inner(path, key), f"load error: {{dir}}/{name}{place} has no {key!r}")
+            ("verify", name, _pop_inner(path, key),
+             (*path, key)[0] if name == "esn.json" else f"load error: {{dir}}/{name}{place} has no {key!r}")
             for name, path, place, key in INNER_KEYS
         ),
     ],
@@ -663,27 +666,41 @@ def test_missing_key_is_named_with_where_it_is_missing(
         (tmp_path / artifact).write_bytes((built / artifact).read_bytes())
     obj = json.loads((tmp_path / name).read_text())
     edit(obj)
-    (tmp_path / name).write_text(json.dumps(obj))
     if command == "verify":
         argv = ["verify", str(tmp_path / "esn.json"), str(cfg)]
     else:
         argv = [command, str(cfg), "--out", str(tmp_path / "out")]
+    if name == "esn.json":
+        # Written as construct writes it, the file differs first where the key is missing.
+        cli._write_json(tmp_path / name, obj)
+        assert cli.main(argv) == 5
+        system = json.loads((tmp_path / "verify.json").read_text())["checks"]["system"]
+        assert system == {"passed": False, "first_difference": message}
+        return
+    (tmp_path / name).write_text(json.dumps(obj))
     assert cli.main(argv) == 2
     assert message.format(dir=tmp_path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "verify.json").exists()
 
 
-class TestVerify:
-    @pytest.fixture()
-    def constructed(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert cli.main(["construct", str(cfg), "--out", str(out)]) == 0
-        return cfg, out
+def copy_build(built, out: Path, names=("esn.json", "nets.json")):
+    for name in names:
+        (out / name).write_bytes((built / name).read_bytes())
 
+
+def verdict_of(out: Path) -> dict:
+    return json.loads((out / "verify.json").read_text())
+
+
+#: What verify.json records for each check of the system when esn.json is not shown to be it.
+NOT_WIRED = {name: cli.NOT_WIRED for name in ("nilpotency", "echo_state", "finite_memory", "closed_form")}
+
+
+class TestVerify:
     def test_constructed_system_passes(self, built, built_d2, tmp_path):
-        # The records of nilpotency, echo state and finite memory come from the
-        # block structure; only the closed form is checked by running.
+        # esn.json is the system nets.json wires, byte for byte.  The records of
+        # nilpotency, echo state and finite memory come from its block
+        # structure; only the closed form is checked by running.
         for out, K, overrides in ((built, 4, {}), (built_d2, 3, {"filter": VOLTERRA2})):
             run = tmp_path / f"K{K}"
             run.mkdir()
@@ -694,11 +711,13 @@ class TestVerify:
             verdict = json.loads((run / "verify.json").read_text())
             assert verdict["passed"]
             checks = verdict["checks"]
+            assert checks["system"] == {"passed": True}
             assert checks["nilpotency"] == {"degree": K + 1, "passed": True}
             memory = {"forgetting_depth": K + 1, "from": "block_structure", "passed": True}
             assert checks["echo_state"] == checks["finite_memory"] == memory
+            # W is part of the byte match, so the closed form compares states only.
+            assert set(checks["closed_form"]) == {"passed", "max_gap", "windows"}
             assert checks["closed_form"]["passed"]
-            assert checks["closed_form"]["readout_exact"] is True
             assert checks["closed_form"]["windows"] == cli.CLOSED_FORM_WINDOWS
 
     def test_fmp_trials_is_read_by_nothing(self, built, tmp_path):
@@ -713,21 +732,21 @@ class TestVerify:
             written.append((run / "verify.json").read_bytes())
         assert written[0] == written[1]
 
-    def test_corrupted_reservoir_flagged(self, constructed):
-        cfg, out = constructed
-        esn = json.loads((out / "esn.json").read_text())
-        esn["A"][0][-1] = 1.0  # first block row must be zero
-        corrupted = out / "esn_corrupt.json"
-        corrupted.write_text(json.dumps(esn))
-        code = cli.main(["verify", str(corrupted), str(cfg)])
-        assert code == 5
-        verdict = json.loads((out / "verify.json").read_text())
+    def test_corrupted_reservoir_flagged(self, built, tmp_path, capsys):
+        # The benchmark self-check's corruption, with nets.json beside the file:
+        # json.dumps spells the whole file otherwise, from A's line on.
+        cfg = write_config(tmp_path)
+        copy_build(built, tmp_path, ["nets.json"])
+        esn = json.loads((built / "esn.json").read_text())
+        esn["A"][0][0] = 1e-3  # first block row must be zero
+        (tmp_path / "esn.json").write_text(json.dumps(esn))
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 5
+        verdict = verdict_of(tmp_path)
         assert not verdict["passed"]
-        nilpotency = verdict["checks"].pop("nilpotency")
-        assert nilpotency["passed"] is False and nilpotency["degree"] == 0
-        assert nilpotency["reason"].startswith(f"A[0][{len(esn['A']) - 1}] = 1.0 lies outside the blocks")
-        assert set(verdict["checks"]) == {"echo_state", "finite_memory", "closed_form"}
-        assert all(c["skipped"] is True and c["reason"] for c in verdict["checks"].values())
+        assert verdict["checks"] == {"system": {"passed": False, "first_difference": "A"}, **NOT_WIRED}
+        err = capsys.readouterr().err
+        assert f'{tmp_path}/esn.json: differs from the system {tmp_path}/nets.json wires; first_difference: "A"' in err
+        assert "check system: FAIL\ncheck nilpotency: skipped\n" in err
 
     @pytest.mark.parametrize("edit", [lambda c: c.pop("filter"), lambda c: c["filter"].pop("M")], ids=["filter", "M"])
     def test_config_without_filter_or_M_is_load_error(self, built, tmp_path, capsys, edit):
@@ -755,62 +774,90 @@ class TestVerify:
         assert not (tmp_path / "verify.json").exists()
 
     def test_perturbed_collector_entry_flagged(self, built, tmp_path):
-        # inside the pattern the system stays nilpotent and runs the block
-        # recursion, but it no longer matches the nets it was assembled from
+        # inside the pattern the system would stay nilpotent, but it is no
+        # longer the one its nets wire
         cfg = write_config(tmp_path)
-        (tmp_path / "nets.json").write_bytes((built / "nets.json").read_bytes())
+        copy_build(built, tmp_path, ["nets.json"])
         esn = json.loads((built / "esn.json").read_text())
         widths = esn["structure"]["widths"]
         esn["A"][sum(widths[:-1])][sum(widths[:-2])] += 0.5  # collector row, last carrier block
-        (tmp_path / "esn.json").write_text(json.dumps(esn))
+        cli._write_json(tmp_path / "esn.json", esn)
         assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 5
-        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
-        assert checks["nilpotency"]["passed"]
-        assert not checks["closed_form"]["passed"]
+        assert verdict_of(tmp_path)["checks"] == {"system": {"passed": False, "first_difference": "A"}, **NOT_WIRED}
 
     def test_perturbed_readout_entry_flagged(self, built, tmp_path):
-        # the state gap never reads W, so verify compares it with the W the nets wire to
+        # the closed form compares states, which never read W; the match reads it
         cfg = write_config(tmp_path)
-        (tmp_path / "nets.json").write_bytes((built / "nets.json").read_bytes())
+        copy_build(built, tmp_path, ["nets.json"])
         esn = json.loads((built / "esn.json").read_text())
         esn["W"][0][-1] += 1e-9
-        (tmp_path / "esn.json").write_text(json.dumps(esn))
+        cli._write_json(tmp_path / "esn.json", esn)
         assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 5
-        closed_form = json.loads((tmp_path / "verify.json").read_text())["checks"]["closed_form"]
-        assert closed_form["max_gap"] <= 1e-10
-        assert closed_form["readout_exact"] is False
-        assert not closed_form["passed"]
+        assert verdict_of(tmp_path)["checks"]["system"] == {"passed": False, "first_difference": "W"}
 
     @pytest.mark.parametrize(
-        "edit",
+        "name, edit, key",
         [
-            lambda e: e["zeta"].__setitem__(0, float("nan")),
-            lambda e: e["A"][-1].__setitem__(0, float("inf")),
-            lambda e: e["C"][0].__setitem__(0, float("nan")),
-            lambda e: e["W"][0].__setitem__(0, float("-inf")),
-            # A[0][0] lies outside the blocks: the non-finite entry is what is reported.
-            lambda e: e["A"][0].__setitem__(0, float("nan")),
+            ("esn.json", lambda e: e.__delitem__("structure"), "structure"),
+            ("esn.json", lambda e: e.__setitem__("structure", None), "structure"),
+            ("esn.json", lambda e: e.__setitem__("activation", "logistic"), "activation"),
+            ("esn.json", lambda e: [1], "A"),
+            ("esn.json", lambda e: e.__setitem__("A", None), "A"),
+            ("esn.json", lambda e: e.__setitem__("A", 2.0), "A"),
+            ("esn.json", lambda e: e["structure"].update(widths=[w + 0.5 for w in e["structure"]["widths"]]),
+             "structure"),
+            # All-ones widths that sum to N: cast with int(), they would describe a valid structure.
+            ("esn.json", lambda e: e["structure"].update(widths=[True] * e["N"], K=e["N"] - 1), "structure"),
+            ("esn.json", lambda e: e["structure"].update(K=99), "structure"),
+            ("esn.json", lambda e: e.__setitem__("N", 7), "N"),
+            ("esn.json", lambda e: e.__setitem__("d", 9), "d"),
+            ("esn.json", lambda e: e.__setitem__("m", 0), "m"),
+            ("esn.json", lambda e: e["zeta"].__setitem__(0, float("nan")), "zeta"),
+            ("esn.json", lambda e: e["A"][-1].__setitem__(0, float("inf")), "A"),
+            ("esn.json", lambda e: e["C"][0].__setitem__(0, float("nan")), "C"),
+            ("esn.json", lambda e: e["W"][0].__setitem__(0, float("-inf")), "W"),
+            ("esn.json", lambda e: e["A"][0].__setitem__(0, float("nan")), "A"),
+            # Valid nets of a wider static net wire a wider system than esn.json holds.
+            ("nets.json", lambda nets: grow_net(nets["static_net"], units=1), "A"),
         ],
-        ids=["nan_zeta", "inf_A", "nan_C", "neg_inf_W", "nan_A_off_pattern"],
+        ids=[
+            "esn_without_structure", "esn_null_structure", "esn_logistic", "esn_not_object",
+            "esn_null_A", "esn_number_A", "esn_widths_fraction", "esn_widths_bool", "esn_K_mismatch",
+            "esn_N_mismatch", "esn_d_mismatch", "esn_m_mismatch",
+            "nan_zeta", "inf_A", "nan_C", "neg_inf_W", "nan_A_off_pattern",
+            "nets_static_wider_than_state",
+        ],
     )
-    def test_non_finite_esn_is_load_error(self, built, tmp_path, capsys, edit):
+    def test_other_esn_json_fails_the_system_check(self, built, tmp_path, name, edit, key):
+        # esn.json is never parsed: each edited file, written as construct
+        # writes it, is not the system nets.json wires, and differs from it
+        # first at the named key.
         cfg = write_config(tmp_path)
-        (tmp_path / "nets.json").write_bytes((built / "nets.json").read_bytes())
-        esn = json.loads((built / "esn.json").read_text())
-        edit(esn)
-        (tmp_path / "esn.json").write_text(json.dumps(esn))
-        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
-        assert "load error" in capsys.readouterr().err
-        assert not (tmp_path / "verify.json").exists()
+        copy_build(built, tmp_path)
+        obj = json.loads((built / name).read_text())
+        replaced = edit(obj)  # None: obj was edited in place
+        cli._write_json(tmp_path / name, obj if replaced is None else replaced)
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 5
+        verdict = verdict_of(tmp_path)
+        assert not verdict["passed"]
+        assert verdict["checks"] == {"system": {"passed": False, "first_difference": key}, **NOT_WIRED}
 
     def test_config_not_an_object_is_load_error(self, built, tmp_path, capsys):
         (tmp_path / "config.json").write_text("[1]")
         assert cli.main(["verify", str(built / "esn.json"), str(tmp_path / "config.json")]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
 
-    def test_unreadable_esn_is_load_error(self, tmp_path):
+    def test_unreadable_esn_is_load_error(self, built, tmp_path, capsys):
+        # A missing file and a directory, first without nets.json beside them, then with it.
         cfg = write_config(tmp_path)
-        assert cli.main(["verify", str(tmp_path / "missing.json"), str(cfg)]) == 2
+        (tmp_path / "dir.json").mkdir()
+        for nets in (False, True):
+            if nets:
+                copy_build(built, tmp_path, ["nets.json"])
+            for name in ("missing.json", "dir.json"):
+                assert cli.main(["verify", str(tmp_path / name), str(cfg)]) == 2
+                assert "load error: [Errno" in capsys.readouterr().err
+                assert not (tmp_path / "verify.json").exists()
 
     @pytest.mark.parametrize(
         "overrides, file_text",
@@ -850,33 +897,18 @@ class TestVerify:
             # Filters that do not fit the d=1, m=1 system.
             ({"filter": VOLTERRA2}, None),
             ({"filter": {"m": 2, "B": [[1.0], [1.0]]}}, None),
-            ({}, edited("esn.json", lambda esn: esn.pop("structure"))),
-            ({}, edited("esn.json", lambda esn: esn.__setitem__("structure", None))),
-            ({}, edited("esn.json", lambda esn: esn.__setitem__("activation", "logistic"))),
-            ({}, ("esn.json", lambda esn: "[1]")),
-            ({}, edited("esn.json", lambda esn: esn.__setitem__("A", None))),
-            ({}, edited("esn.json", lambda esn: esn.__setitem__("A", 2.0))),
             ({"verification": {"nets": "/nonexistent/nets.json"}}, None),
-            # nets.json is read first, so an esn.json that holds no system does not hide it.
+            # A configured nets.json that does not exist is a load error, whatever esn.json holds.
             ({"verification": {"nets": "/nonexistent/nets.json"}},
              edited("esn.json", lambda esn: esn["A"][0].__setitem__(0, 1e-3))),
-            ({}, edited("esn.json", lambda esn: esn["structure"].update(
-                widths=[w + 0.5 for w in esn["structure"]["widths"]]))),
-            # All-ones widths that sum to N: cast with int(), they would describe a valid structure.
-            ({}, edited("esn.json", lambda esn: esn["structure"].update(widths=[True] * esn["N"], K=esn["N"] - 1))),
-            ({}, edited("esn.json", lambda esn: esn["structure"].update(K=99))),
             ({}, edited("nets.json", lambda nets: nets.__setitem__("lag_dim", True))),
             ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("activation", "logistic"))),
-            ({}, edited("esn.json", lambda esn: esn.__setitem__("N", 7))),
-            ({}, edited("esn.json", lambda esn: esn.__setitem__("d", 9))),
-            ({}, edited("esn.json", lambda esn: esn.__setitem__("m", 0))),
             ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("width", 3))),
             ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("in_dim", 42))),
             ({}, edited("nets.json", lambda nets: nets["identity_chain"][-1].__setitem__("out_dim", 2))),
             # Nets that load but do not fit the d=1 system.
             ({}, edited("nets.json", lambda nets: grow_net(nets["identity_chain"][0], inputs=1))),
             ({}, edited("nets.json", lambda nets: grow_net(nets["identity_chain"][0], outputs=1))),
-            ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], units=1))),
             ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], outputs=1))),
             ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], inputs=1))),
         ],
@@ -891,13 +923,10 @@ class TestVerify:
             "closed_form_windows_infinite", "input_bound_bool",
             "esp_trials_at_default", "closed_form_windows_at_default", "input_bound_at_default",
             "window_len_at_default", "filter_d_2", "filter_m_2",
-            "esn_without_structure", "esn_null_structure", "esn_logistic", "esn_not_object",
-            "esn_null_A", "esn_number_A",
             "nets_missing_explicit_path", "nets_missing_explicit_path_esn_off_pattern",
-            "esn_widths_fraction", "esn_widths_bool", "esn_K_mismatch", "nets_lag_dim_bool", "nets_logistic",
-            "esn_N_mismatch", "esn_d_mismatch", "esn_m_mismatch",
+            "nets_lag_dim_bool", "nets_logistic",
             "nets_width_mismatch", "nets_in_dim_mismatch", "nets_chain_out_dim_mismatch",
-            "nets_chain_in_dim_2", "nets_chain_out_dim_2", "nets_static_wider_than_state", "nets_static_out_dim_2",
+            "nets_chain_in_dim_2", "nets_chain_out_dim_2", "nets_static_out_dim_2",
             "nets_static_extra_input",
         ],
     )
@@ -933,11 +962,20 @@ def block_systems(draw):
     return ESNParams(carriers, arr(widths[K], int(off[K])), arr(N, d), arr(N), arr(m, N), structure)
 
 
-def same_bits(a: ESNParams, b: ESNParams) -> bool:
-    """Equal structures, and blocks, C, zeta and W of equal shapes and bits."""
-    arrays_a, arrays_b = [*a.carriers, a.collector, a.C, a.zeta, a.W], [*b.carriers, b.collector, b.C, b.zeta, b.W]
-    return (a.structure, len(a.carriers)) == (b.structure, len(b.carriers)) and all(
-        (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()) for x, y in zip(arrays_a, arrays_b)
+def holds(path, esn: ESNParams) -> tuple:
+    """cli.holds_json of the file at ``path`` and esn's esn.json object."""
+    with open(path, "rb") as fh:
+        return cli.holds_json(fh, esn.to_json())
+
+
+def loads_to(path, esn: ESNParams) -> bool:
+    """Does json.load give esn's dense A, C, zeta and W, of equal shapes and
+    bits, and its structure?  The dense A holds the blocks and +0.0 elsewhere."""
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    arrays = [(np.array(obj[name], dtype=np.float64), getattr(esn, name)) for name in ("A", "C", "zeta", "W")]
+    return obj["structure"] == {"widths": list(esn.structure.widths), "K": esn.structure.horizon} and all(
+        (x.shape, x.tobytes()) == (y.shape, y.tobytes()) for x, y in arrays
     )
 
 
@@ -956,8 +994,8 @@ def verify_copy(built, out, cfg, redump=False):
 
 
 class TestVerifyMatch:
-    """verify takes an esn.json that holds construct's bytes for the system
-    nets.json wires as that system, and parses any other."""
+    """verify never parses esn.json: it passes the system check only if the
+    file holds construct's bytes for the system nets.json wires."""
 
     @settings(max_examples=150, deadline=None)
     @given(esn=block_systems())
@@ -966,50 +1004,86 @@ class TestVerifyMatch:
     def test_written_system_reads_back_bitwise(self, tmp_path_factory, esn):
         path = tmp_path_factory.mktemp("system") / "esn.json"
         cli._write_json(path, esn.to_json())
-        assert cli.holds_json(path, esn.to_json())
-        assert same_bits(ESNParams.from_json(cli._load_json(path)), esn)
+        assert holds(path, esn) == (True, None)
+        assert loads_to(path, esn)
 
     @pytest.mark.parametrize("build", ["built", "built_d2"])
     def test_build_is_the_system_its_nets_wire(self, build, request):
         out = request.getfixturevalue(build)
         wired = cli._load_nets(out / "nets.json")[-1]
-        assert cli.holds_json(out / "esn.json", wired.to_json())
-        assert same_bits(ESNParams.from_json(cli._load_json(out / "esn.json")), wired)
+        assert holds(out / "esn.json", wired) == (True, None)
+        assert loads_to(out / "esn.json", wired)
 
     @pytest.mark.parametrize(
-        "edit",
-        [lambda b: b[:-1], lambda b: b + b"\n", lambda b: b + b" ", lambda b: b[:-3], lambda b: b"[" + b[1:]],
+        "edit, key",
+        [(lambda b: b[:-1], None), (lambda b: b + b"\n", None), (lambda b: b + b" ", None), (lambda b: b[:-3], None),
+         (lambda b: b"[" + b[1:], "A")],
         ids=["no_newline", "extra_newline", "trailing_space", "cut_short", "first_byte"],
     )
-    def test_any_other_bytes_differ(self, built, tmp_path, edit):
+    def test_any_other_bytes_differ(self, built, tmp_path, edit, key):
+        # Past the last key's value only the closing brace and the newline are left: no key differs.
         wired = cli._load_nets(built / "nets.json")[-1]
         (tmp_path / "esn.json").write_bytes(edit((built / "esn.json").read_bytes()))
-        assert not cli.holds_json(tmp_path / "esn.json", wired.to_json())
+        assert holds(tmp_path / "esn.json", wired) == (False, key)
 
-    @pytest.mark.parametrize("build, overrides", [("built", {}), ("built_d2", {"filter": VOLTERRA2})])
-    def test_fresh_build_is_not_parsed_and_a_redumped_one_is_to_the_same_verdict(
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_ulp_move_is_named(self, built, built_d2, tmp_path_factory, data):
+        # One entry of A, C, zeta or W one ulp away, written as construct writes
+        # it: the file is not the wired system, and its first difference is that key.
+        out, overrides = data.draw(st.sampled_from([(built, {}), (built_d2, {"filter": VOLTERRA2})]), label="build")
+        run = tmp_path_factory.mktemp("ulp")
+        cfg = write_config(run, **overrides)
+        (run / "nets.json").write_bytes((out / "nets.json").read_bytes())
+        obj = cli._load_nets(out / "nets.json")[-1].to_json()
+        key = data.draw(st.sampled_from(["A", "C", "zeta", "W"]), label="key")
+        arr = np.array(obj[key])
+        i = data.draw(st.integers(0, arr.size - 1), label="entry")
+        arr.flat[i] = np.nextafter(arr.flat[i], data.draw(st.sampled_from([-np.inf, np.inf]), label="towards"))
+        cli._write_json(run / "esn.json", {**obj, key: arr})
+        assert cli.main(["verify", str(run / "esn.json"), str(cfg)]) == 5
+        assert verdict_of(run)["checks"]["system"] == {"passed": False, "first_difference": key}
+
+    @pytest.mark.parametrize("build, overrides", [("built", {}), ("built_d2", {"filter": VOLTERRA2})],
+                             ids=["built", "built_d2"])
+    def test_fresh_build_passes_and_a_redumped_one_fails(
         self, build, overrides, request, tmp_path, monkeypatch, capsys
     ):
         built, cfg = request.getfixturevalue(build), write_config(tmp_path, **overrides)
-        with monkeypatch.context() as patch:
-            patch.setattr(ESNParams, "from_json", classmethod(lambda *a: pytest.fail("esn.json was parsed")))
-            code, matched = verify_copy(built, tmp_path / "matched", cfg)
-        assert code == 0
-        assert verify_copy(built, tmp_path / "parsed", cfg, redump=True) == (0, matched)
+        loaded = []
+        real_load = json.load
+        monkeypatch.setattr(json, "load", lambda fh, **kw: loaded.append(Path(fh.name).name) or real_load(fh, **kw))
+        assert verify_copy(built, tmp_path / "matched", cfg)[0] == 0
+        assert verify_copy(built, tmp_path / "redumped", cfg, redump=True)[0] == 5
+        assert loaded == ["config.json", "nets.json"] * 2  # never esn.json
+        assert verdict_of(tmp_path / "redumped")["checks"]["system"] == {"passed": False, "first_difference": "A"}
         err = capsys.readouterr().err
-        matched, parsed = tmp_path / "matched", tmp_path / "parsed"
+        matched, redumped = tmp_path / "matched", tmp_path / "redumped"
         assert f"{matched}/esn.json: the system {matched}/nets.json wires, byte for byte" in err
-        assert f"{parsed}/esn.json: differs from the system {parsed}/nets.json wires; checked as written" in err
+        assert f'{redumped}/esn.json: differs from the system {redumped}/nets.json wires; first_difference: "A"' in err
 
-    def test_without_nets_esn_json_is_checked_as_written(self, built, tmp_path, capsys):
+    def test_without_nets_the_system_check_fails(self, built, tmp_path, capsys):
+        # Nothing shows that a bare esn.json is a constructed system.
         cfg = write_config(tmp_path)
-        (tmp_path / "esn.json").write_bytes((built / "esn.json").read_bytes())
-        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 0
+        copy_build(built, tmp_path, ["esn.json"])
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 5
         captured = capsys.readouterr()
         assert captured.out == f"{tmp_path / 'verify.json'}\n"
-        assert f"{tmp_path}/esn.json: no nets.json; checked as written" in captured.err
-        closed_form = json.loads((tmp_path / "verify.json").read_text())["checks"]["closed_form"]
-        assert closed_form == {"skipped": True, "reason": "no nets.json available"}
+        assert f"{tmp_path}/esn.json: no nets.json beside it; not shown to be a constructed system" in captured.err
+        checks = verdict_of(tmp_path)["checks"]
+        reason = "no nets.json beside it, so it is not shown to be a constructed system"
+        assert checks.pop("system") == {"passed": False, "reason": reason}
+        assert checks == NOT_WIRED
+
+    def test_nets_of_another_seed_fail_the_system_check(self, built, tmp_path):
+        # Two valid builds of one config: esn.json of one beside nets.json of the other.
+        cfg = write_config(tmp_path)
+        assert cli.main(["construct", str(cfg), "--out", str(tmp_path / "other"), "--seed", "7"]) == 0
+        copy_build(built, tmp_path, ["esn.json"])
+        copy_build(tmp_path / "other", tmp_path, ["nets.json"])
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 5
+        system = verdict_of(tmp_path)["checks"]["system"]
+        assert system["passed"] is False and system["first_difference"] in {"A", "C", "zeta", "W", "N", "structure"}
 
 
 class TestSweep:
@@ -1478,7 +1552,7 @@ class TestWriteJson:
 
 
 class TestLoadJson:
-    """The reader gives json.load's exact floats, with one shared +0.0."""
+    """The reader is json.load: it gives back every float the writer spells."""
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.floats(width=64), max_size=40))
@@ -1488,23 +1562,17 @@ class TestLoadJson:
         path = tmp_path_factory.mktemp("load") / "doc.json"
         arr = np.array(values, dtype=np.float64)
         cli._write_json(path, {"a": arr, "rows": [arr, arr[::-1]]})
-        with open(path, encoding="utf-8") as fh:
-            ref = json.load(fh)
         got = cli._load_json(path)
-        for key in ("a", "rows"):
-            assert np.array(got[key], dtype=np.float64).tobytes() == np.array(ref[key], dtype=np.float64).tobytes()
+        for key, want in (("a", arr), ("rows", np.array([arr, arr[::-1]]))):
+            back = np.array(got[key], dtype=np.float64)
+            nan = np.isnan(want)  # NaN is spelled NaN, whatever its payload
+            assert np.isnan(back[nan]).all()
+            assert back[~nan].tobytes() == want[~nan].tobytes()
 
     @pytest.mark.parametrize("build", ["built", "built_d2"])
     def test_blocks_rebuild_the_dense_file_bitwise(self, build, request, tmp_path):
-        # the system in memory is its blocks; the dense A it writes is rebuilt from them
-        path = request.getfixturevalue(build) / "esn.json"
-        cli._write_json(tmp_path / "esn.json", ESNParams.from_json(cli._load_json(path)).to_json())
-        assert (tmp_path / "esn.json").read_bytes() == path.read_bytes()
-
-    def test_dense_A_shares_one_zero(self, built):
-        A = cli._load_json(built / "esn.json")["A"]
-        entries = [x for row in A for x in row]
-        arr = np.array(entries)
-        not_plus_zero = np.count_nonzero((arr != 0) | np.signbit(arr))
-        assert not_plus_zero < len(entries)
-        assert len({id(x) for x in entries}) == not_plus_zero + 1
+        # the system in memory is its blocks, wired from the nets in nets.json;
+        # the dense A it writes is rebuilt from them
+        out = request.getfixturevalue(build)
+        cli._write_json(tmp_path / "esn.json", cli._load_nets(out / "nets.json")[-1].to_json())
+        assert (tmp_path / "esn.json").read_bytes() == (out / "esn.json").read_bytes()

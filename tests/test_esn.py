@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniesn import cli
-from uniesn.esn import BlockStructure, ESNParams, PatternError
+from uniesn.esn import BlockStructure, ESNParams
 from uniesn.windows import sample_window_array
 
 
@@ -49,6 +48,14 @@ def dense_io(p: ESNParams, seed) -> ESNParams:
 def dense_json(p: ESNParams) -> dict:
     """p's esn.json object with writable copies of its arrays, to edit."""
     return {key: np.array(value) if isinstance(value, np.ndarray) else value for key, value in p.to_json().items()}
+
+
+def written_matches(p: ESNParams, obj: dict, directory) -> tuple:
+    """Write ``obj`` as construct writes esn.json, and match the file against
+    p as verify does: whether it is p's file, and its first differing key."""
+    cli._write_json(directory / "esn.json", obj)
+    with open(directory / "esn.json", "rb") as fh:
+        return cli.holds_json(fh, p.to_json())
 
 
 class TestStep:
@@ -165,11 +172,12 @@ class TestNilpotency:
         )
         assert np.array_equal(p.A, np.zeros((3, 3)))
 
-    def test_corrupted_upper_entry_fails(self):
-        obj = dense_json(chain_esn([2, 2, 2], d=1, m=1, seed=35))
+    def test_corrupted_upper_entry_fails(self, tmp_path):
+        # No system holds an entry above its blocks, so no file with one is a system's.
+        p = chain_esn([2, 2, 2], d=1, m=1, seed=35)
+        obj = dense_json(p)
         obj["A"][0, 3] = 1.0  # first block row must stay zero
-        with pytest.raises(PatternError, match=re.escape("A[0][3] = 1.0")):
-            ESNParams.from_json(obj)
+        assert written_matches(p, obj, tmp_path) == (False, "A")
 
     def test_requires_structure(self):
         with pytest.raises(TypeError, match="structure"):
@@ -234,31 +242,27 @@ class TestBoundedOutputs:
 
 
 class TestSerialization:
-    @staticmethod
-    def written_and_read(p: ESNParams, tmp_path) -> ESNParams:
-        cli._write_json(tmp_path / "esn.json", p.to_json())
-        return ESNParams.from_json(json.loads((tmp_path / "esn.json").read_text()))
-
     def test_round_trip_bitwise(self, tmp_path):
+        # json.load gives back the dense A, which holds the blocks, and C, zeta and W, bit for bit.
         p = chain_esn([2, 3, 4], d=2, m=1, seed=55)
-        back = self.written_and_read(p, tmp_path)
-        assert all(map(np.array_equal, back.carriers, p.carriers)) and len(back.carriers) == len(p.carriers)
-        assert np.array_equal(back.collector, p.collector)
-        assert np.array_equal(back.A, p.A)
-        assert np.array_equal(back.C, p.C)
-        assert np.array_equal(back.zeta, p.zeta)
-        assert np.array_equal(back.W, p.W)
-        assert back.structure.widths == p.structure.widths
+        cli._write_json(tmp_path / "esn.json", p.to_json())
+        with open(tmp_path / "esn.json", encoding="utf-8") as fh:
+            back = json.load(fh)
+        for name in ("A", "C", "zeta", "W"):
+            assert np.array(back[name]).tobytes() == getattr(p, name).tobytes()
+        assert back["structure"] == {"widths": [2, 3, 4], "K": 2}
+        assert (back["N"], back["d"], back["m"], back["activation"]) == (9, 2, 1, "tanh")
 
     @pytest.mark.parametrize("name", ["A", "C", "zeta", "W"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, name, bad):
-        # A's entry lies in the collector block; test_cli's nan_A_off_pattern
-        # puts one outside the blocks
-        obj = dense_json(chain_esn([2, 3], d=1, m=1, seed=56))
-        obj[name][(2, 0) if name == "A" else 0] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            ESNParams.from_json(obj)
+        # A's entry is the collector block's first: A[2][0]
+        p = chain_esn([2, 3], d=1, m=1, seed=56)
+        field = "collector" if name == "A" else name
+        arr = np.array(getattr(p, field))
+        arr.flat[0] = bad
+        with pytest.raises(ValueError, match=f"{name} holds a non-finite entry"):
+            dataclasses.replace(p, **{field: arr})
 
     @pytest.mark.parametrize("block", ["carriers", "collector"])
     def test_non_finite_block_rejected(self, block):
@@ -286,11 +290,10 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "structure", [{"widths": [True, True], "K": 1}, {"widths": [1, 1], "K": True}], ids=["widths_bool", "K_bool"]
     )
-    def test_structure_booleans_rejected(self, structure):
-        # each would read as widths (1, 1), horizon 1, if cast with int()
-        obj = {**chain_esn([1, 1], d=1, m=1, seed=59).to_json(), "structure": structure}
-        with pytest.raises(ValueError, match="must be an integer"):
-            ESNParams.from_json(obj)
+    def test_structure_booleans_rejected(self, structure, tmp_path):
+        # each would read as widths (1, 1), horizon 1, if cast with int(); its text is not the system's
+        p = chain_esn([1, 1], d=1, m=1, seed=59)
+        assert written_matches(p, {**p.to_json(), "structure": structure}, tmp_path) == (False, "structure")
 
 
 def dense_reference(p, arr, x0):
@@ -389,7 +392,7 @@ class TestBlockRecursion:
 
     @settings(max_examples=60, deadline=None)
     @given(p=systems, data=st.data())
-    def test_entry_outside_pattern_is_load_error(self, p, data):
+    def test_entry_outside_pattern_fails_the_match(self, p, data, tmp_path_factory):
         K = p.structure.horizon
         off = p.structure.offsets()
         outside = [(r, c) for r in range(K + 1) for c in range(K + 1)
@@ -400,7 +403,7 @@ class TestBlockRecursion:
         value = data.draw(st.floats(0.1, 2.0) | st.floats(-2.0, -0.1))
         obj = dense_json(p)
         obj["A"][i, j] = value
-        with pytest.raises(PatternError, match=re.escape(f"A[{i}][{j}] = {value!r}")):
-            ESNParams.from_json(obj)
+        directory = tmp_path_factory.mktemp("outside")
+        assert written_matches(p, obj, directory) == (False, "A")
         obj["A"][i, j] = 0.0
-        assert np.array_equal(ESNParams.from_json(obj).A, p.A)
+        assert written_matches(p, obj, directory) == (True, None)
