@@ -6,10 +6,11 @@ cannot be written, 3 pipeline stage failure, 4 budget violation, 5
 verification property failure, 143 a construct or sweep ended by SIGTERM.
 
 verify never parses esn.json: its system check passes only if the file holds,
-byte for byte, what construct writes for the system the nets in nets.json
-wire.  It then records nilpotency, the echo state property and finite memory
-from that system's block structure, which proves them (see esn); the one
-check it runs is the recursion against the closed form of the nets.
+byte for byte, what construct writes for the system that nets.json's static
+net and chain scale wire.  It then records nilpotency, the echo state
+property and finite memory from that system's block structure, which proves
+them (see esn); the one check it runs is the recursion against the closed
+form of the nets.
 
 Wall-clock timings are written to a separate timings.json: report.json and
 esn.json are bitwise-deterministic functions of the config and seed, and
@@ -19,6 +20,7 @@ timings are not.
 import argparse
 import csv
 import json
+import math
 import os
 import pickle
 import select
@@ -211,12 +213,23 @@ def _nets_json(result: ConstructionResult) -> dict:
     return {
         "lag_dim": result.esn.in_dim,
         "static_net": result.static_net.to_json(),
-        "identity_chain": [net.to_json() for net in result.chain],
+        "chain_scale": result.chain_scale,
     }
 
 
 def _terminated(signum, frame):
     raise SystemExit(128 + signum)  # the shell's status for a process killed by signum
+
+
+def _remove_held(temps, previous, held: dict):
+    """Remove the temporary files with a SIGTERM held in ``held``, then give
+    SIGTERM back its ``previous`` handler, and hand that a held SIGTERM."""
+    signal.signal(signal.SIGTERM, held.__setitem__)
+    for temp in temps:
+        temp.unlink(missing_ok=True)
+    signal.signal(signal.SIGTERM, previous)
+    if held:
+        signal.raise_signal(signal.SIGTERM)
 
 
 def _run_one(f: TargetFilter, cfg: ConstructionConfig, log=_log, ladder=WidthLadder) -> ConstructionResult:
@@ -285,12 +298,7 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
             _log(f"cannot write the artifacts: {exc}")
             return EXIT_CONFIG
     finally:
-        signal.signal(signal.SIGTERM, held.__setitem__)
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
-        signal.signal(signal.SIGTERM, previous)
-        if held:
-            signal.raise_signal(signal.SIGTERM)
+        _remove_held(temps.values(), previous, held)
     print(str(out / "report.json"))
     return EXIT_OK
 
@@ -299,7 +307,7 @@ def cmd_construct(config_path: str, out_dir: str | None, seed: int | None) -> in
 VERIFY_INTS = {"seed": 2024, "fmp_trials": 1000}  # fmp_trials is read by nothing; ROADMAP item 6 removes it
 
 #: Every key the verification section accepts.
-VERIFY_KEYS = {*VERIFY_INTS, "out", "nets"}
+VERIFY_KEYS = {*VERIFY_INTS, "out"}
 
 #: Windows of the closed-form check of every verify.
 CLOSED_FORM_WINDOWS = 200
@@ -307,7 +315,7 @@ CLOSED_FORM_WINDOWS = 200
 
 def _verify_options(raw: dict, esn_path: str) -> dict:
     """Parse and validate the config's filter and verification sections, and
-    find the nets.json to read (``nets``; None if the sibling one is absent)."""
+    find the nets.json beside esn.json (``nets``; None if it is absent)."""
     f = filter_from_json(raw["filter"])
     vcfg = raw.get("verification", {})
     unknown = set(vcfg) - VERIFY_KEYS
@@ -322,23 +330,31 @@ def _verify_options(raw: dict, esn_path: str) -> dict:
     for key, least in (("seed", 0), ("fmp_trials", 1)):
         if opts[key] < least:
             raise ConfigError(f"verification {key} must be >= {least}, got {opts[key]}")
-    # An absent sibling nets.json fails the system check; a configured path must be read.
-    nets_path = Path(vcfg["nets"]) if vcfg.get("nets") else Path(esn_path).parent / "nets.json"
-    opts.update(filter=f, out=out, nets=nets_path if vcfg.get("nets") or nets_path.exists() else None)
+    # An absent nets.json fails the system check.
+    nets_path = Path(esn_path).parent / "nets.json"
+    opts.update(filter=f, out=out, nets=nets_path if nets_path.exists() else None)
     return opts
 
 
 def _load_nets(nets_path: Path) -> tuple:
-    """The nets of a nets.json, and the system they wire into as construct wires them."""
+    """The static net and chain scale of a nets.json, and the system they
+    wire into as construct wires them.
+
+    The horizon K is the static net's lag count less one.  The chain scale
+    is null exactly when K is 0, and otherwise a power of two: the chain the
+    construction's bound is proven for.
+    """
     nets = _load_json(nets_path)
     lag_dim = as_int(required(nets, "lag_dim", str(nets_path)), "nets.json lag_dim")
     static = ShallowNet.from_json(required(nets, "static_net", str(nets_path)), f"{nets_path} static_net")
-    chain = required(nets, "identity_chain", str(nets_path))
-    chain = [ShallowNet.from_json(o, f"{nets_path} identity_chain[{j}]") for j, o in enumerate(chain)]
-    wired = assemble_esn(static, chain)
-    if lag_dim != wired.in_dim:
-        raise ConfigError(f"{nets_path}: lag_dim {lag_dim}, but its nets wire a system of d={wired.in_dim}")
-    return static, chain, wired
+    s = required(nets, "chain_scale", str(nets_path))
+    if lag_dim < 1 or static.in_dim % lag_dim:
+        raise ConfigError(f"{nets_path}: a static net of {static.in_dim} inputs does not split into lag_dim={lag_dim}")
+    K = static.in_dim // lag_dim - 1
+    if not (s is None if K == 0 else type(s) is float and math.frexp(s)[0] == 0.5):
+        need = "null" if K == 0 else "a positive finite power of two"
+        raise ConfigError(f"{nets_path}: chain_scale {s!r} at horizon {K}, which needs {need}")
+    return static, s, assemble_esn(static, K, s)
 
 
 def holds_json(fh, obj: dict) -> tuple[bool, str | None]:
@@ -379,7 +395,7 @@ def _system_check(esn_file, esn_path: str, opts: dict, nets: tuple | None) -> di
 
 def _verify_checks(nets: tuple, opts: dict) -> dict:
     """The checks of the system the nets wire, which esn.json holds."""
-    static, chain, esn = nets
+    static, s, esn = nets
     K = esn.structure.horizon
     # Every ESNParams is strictly block-lower-triangular, so A^(K+1) == 0 by
     # its type, and run_batch's final state on K+1 or more entries reads only
@@ -387,7 +403,7 @@ def _verify_checks(nets: tuple, opts: dict) -> dict:
     memory = {"forgetting_depth": K + 1, "from": "block_structure", "passed": True}
     T = max(WINDOW_LEN, K + 1)
     arr = sample_window_array(esn.in_dim, opts["filter"].input_bound, T, CLOSED_FORM_WINDOWS, opts["seed"] + 2)
-    gap = closed_form_gap(esn, static, chain, arr)
+    gap = closed_form_gap(esn, static, s, arr)
     return {
         "nilpotency": {"passed": True, "degree": K + 1},
         "echo_state": memory,
@@ -477,10 +493,12 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
 
     # A SIGTERM ends the sweep with SystemExit(143), as it ends construct: the
     # running fit attempts are killed, and sweep.csv goes to a temporary name
-    # first, so no new one appears.
+    # first, so no new one appears.  A SIGTERM during the rename or the
+    # removal of the temporary file is held, then goes to the previous handler.
     previous = signal.signal(signal.SIGTERM, _terminated)
     sweep_path = out / "sweep.csv"
     temp = out / f".sweep.csv.{os.getpid()}.tmp"
+    held = {}  # its __setitem__(signum, frame) is the handler that holds a SIGTERM
     try:
         rows, worst = _sweep_rows(f, configs)
         try:
@@ -489,13 +507,13 @@ def cmd_sweep(config_path: str, eps_arg: str | None, out_dir: str | None, seed: 
                 writer = csv.writer(fh)
                 writer.writerow(SWEEP_COLUMNS)
                 writer.writerows(rows)
+            signal.signal(signal.SIGTERM, held.__setitem__)
             os.replace(temp, sweep_path)
         except OSError as exc:
             _log(f"cannot write {sweep_path}: {exc}")
             return EXIT_CONFIG
     finally:
-        temp.unlink(missing_ok=True)
-        signal.signal(signal.SIGTERM, previous)
+        _remove_held([temp], previous, held)
     print(str(sweep_path))
     return worst
 

@@ -172,100 +172,73 @@ def chain_scale(gain: float, M: float, share: float) -> float:
     return s
 
 
-def build_identity_chain(d: int, horizon: int, s: float) -> list[ShallowNet]:
-    """One identity net per delay step, each phi(x) = tanh(s x) / s coordinate-wise:
-    hidden matrix s I_d, bias 0, readout I_d / s, so width d.
-
-    |tanh t| <= |t| and tanh is 1-Lipschitz, so phi maps the M-ball into
-    itself and j nets drift at most j * identity_step(s, M).  For a
-    power-of-two s every carrier block (s I_d)(I_d / s) is exactly I_d.
-    """
-    eye = np.eye(d)
-    return [ShallowNet(hidden_matrix=s * eye, hidden_bias=np.zeros(d), readout=eye / s) for _ in range(horizon)]
-
-
-def compose_chain(chain: list[ShallowNet], j: int, z: np.ndarray) -> np.ndarray:
-    """Apply the first j chain nets in order; j=0 is the identity."""
-    if not 0 <= j <= len(chain):
-        raise ValueError(f"chain depth {j} outside 0..{len(chain)}")
+def carry(s: float, j: int, z: np.ndarray) -> np.ndarray:
+    """Apply phi(x) = tanh(s x) / s, every carrier's identity net (hidden matrix
+    s I_d, bias 0, readout I_d / s), j times to an (n, d) batch; j=0 is the
+    identity.  |tanh t| <= |t| and tanh is 1-Lipschitz, so phi maps the
+    M-ball into itself and j steps drift at most j * identity_step(s, M)."""
     out = np.asarray(z, dtype=np.float64)
-    for i in range(j):
-        out = chain[i].forward(out)
+    for _ in range(j):
+        out = np.tanh(s * out) / s
     return out
 
 
-def assemble_esn(static: ShallowNet, chain: list[ShallowNet]) -> ESNParams:
-    """Wire the fitted nets into the block state-space system.
+def assemble_esn(static: ShallowNet, horizon: int, s: float | None) -> ESNParams:
+    """Wire the static net and the identity chain of scale s (None when the
+    horizon K is 0) into the block state-space system.
 
-    State blocks 0..K-1 are the identity carriers; block K is the collector.
-    The reservoir matrix holds the carrier chain on its sub-diagonal and the
-    delayed lag blocks (composed with the carrier readouts) in its last block
-    row; the input matrix feeds the first carrier and the present-lag block;
-    the readout sees only the collector.  The horizon K is len(chain).
+    State blocks 0..K-1 are the carriers, each d wide; block K is the
+    collector.  Carrier 0 reads the input through s I_d, carrier r carrier
+    r-1 through (s I_d)(I_d / s), exactly I_d for a power-of-two s, and the
+    collector carrier j-1 through lag block j times I_d / s, exactly the
+    block / s, and the input through lag block 0.  W reads the collector.
     """
-    K = len(chain)
+    K = horizon
     blocks = lag_blocks(static, K)
     d = blocks[0].shape[1]
-    for j, net in enumerate(chain, start=1):
-        if net.in_dim != d or net.out_dim != d:
-            raise ValueError(
-                f"identity net {j} maps {net.in_dim}->{net.out_dim}, expected {d}->{d}"
-            )
-
-    structure = BlockStructure(widths=(*(net.width for net in chain), static.width))
-    off = structure.offsets()
-    N = structure.total
-    m = static.out_dim
-
-    # Carrier r reads carrier r-1 through its readout; the collector reads
-    # carrier j-1 as the lag-j input.
-    carriers = tuple(chain[r].hidden_matrix @ chain[r - 1].readout for r in range(1, K))
-    collector = np.empty((static.width, off[K]))
-    for j in range(1, K + 1):
-        collector[:, off[j - 1] : off[j]] = blocks[j] @ chain[j - 1].readout
+    structure = BlockStructure(widths=(d,) * K + (static.width,))
+    N, w = structure.total, static.width
 
     C = np.zeros((N, d))
-    if K >= 1:
-        C[off[0] : off[1]] = chain[0].hidden_matrix
-    C[off[K] : off[K + 1]] = blocks[0]
-
+    if K:
+        C[:d] = s * np.eye(d)
+    C[N - w :] = blocks[0]
     zeta = np.zeros(N)
-    for j in range(K):
-        zeta[off[j] : off[j + 1]] = chain[j].hidden_bias
-    zeta[off[K] : off[K + 1]] = static.hidden_bias
+    zeta[N - w :] = static.hidden_bias
+    W = np.zeros((static.out_dim, N))
+    W[:, N - w :] = static.readout
 
-    W = np.zeros((m, N))
-    W[:, off[K] :] = static.readout
-
+    collector = np.hstack(blocks[1:]) / s if K else np.empty((w, 0))
+    carriers = (np.eye(d),) * max(K - 1, 0)
     return ESNParams(carriers=carriers, collector=collector, C=C, zeta=zeta, W=W, structure=structure)
 
 
-def closed_form_state(net: ShallowNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
+def closed_form_state(net: ShallowNet, s: float | None, arr: np.ndarray) -> np.ndarray:
     """Collector state at time 0, evaluated directly from the solved recursion.
 
-    The static net's hidden layer on the stacked chain-composed lags,
-    tanh(Z @ hidden_matrix.T + bias) with row Z = (chain_K(z_{-K}); ...;
-    chain_0(z_0)): the unique solution's collector block without running the
-    state equation, for a (B, T, d) batch of windows; the independent oracle
-    for the recursion-computed functional.  The horizon K is len(chain).
+    The static net's hidden layer on the stacked carried lags,
+    tanh(Z @ hidden_matrix.T + bias) with row Z = (carry(s, K, z_{-K}); ...;
+    z_0): the unique solution's collector block without running the state
+    equation, for a (B, T, d) batch of windows; the independent oracle for
+    the recursion-computed functional.  The horizon is K = net.in_dim // d - 1.
     """
-    K = len(chain)
     B, T, d = arr.shape
+    K = net.in_dim // d - 1
     if T < K + 1:
         raise ValueError(f"window of length {T} too short: need >= {K + 1}")
     Z = np.empty((B, K + 1, d))  # most-delayed lag first, as direct_functional stacks them
     for j in range(K + 1):
-        Z[:, K - j] = compose_chain(chain, j, arr[:, T - 1 - j, :])
+        Z[:, K - j] = carry(s, j, arr[:, T - 1 - j, :])
     state = np.matmul(Z.reshape(B, (K + 1) * d), net.hidden_matrix.T, out=np.empty((B, net.width)))
     state += net.hidden_bias
     return np.tanh(state, out=state)
 
 
-def closed_form_gap(esn: ESNParams, net: ShallowNet, chain: list[ShallowNet], arr: np.ndarray) -> float:
+def closed_form_gap(esn: ESNParams, net: ShallowNet, s: float | None, arr: np.ndarray) -> float:
     """Largest row-norm gap, over a (B, T, d) batch of windows, between the
     recursion's collector state at time 0 and closed_form_state."""
     collector = esn.run_batch(arr)[:, esn.state_dim - net.width :]
-    return float(np.max(np.linalg.norm(collector - closed_form_state(net, chain, arr), axis=1)))
+    return float(np.max(np.linalg.norm(collector - closed_form_state(net, s, arr), axis=1)))
 
 
 def direct_functional(net: ShallowNet, arr: np.ndarray) -> np.ndarray:
@@ -283,22 +256,22 @@ def _window_blocks(n: int) -> list[slice]:
     return [slice(a, min(a + BUDGET_BLOCK, n)) for a in range(0, n, BUDGET_BLOCK)]
 
 
-def budget_errors(f: TargetFilter, net: ShallowNet, chain: list[ShallowNet], arr: np.ndarray) -> np.ndarray:
+def budget_errors(f: TargetFilter, net: ShallowNet, s: float | None, arr: np.ndarray) -> np.ndarray:
     """Per-window net_fit, chain and total errors on a (B, T, d) batch, as
     the rows of a (3, B) array.
 
     net_fit compares the truncated target with the static net, chain the
     static net with the constructed system (its closed form, read out),
     total the target with the system.  The windows are evaluated one block
-    at a time.
+    at a time.  The horizon is K = net.in_dim // d - 1.
     """
-    K = len(chain)
-    T = arr.shape[1]
-    errors = np.empty((3, arr.shape[0]))
-    for rows in _window_blocks(arr.shape[0]):
+    B, T, d = arr.shape
+    K = net.in_dim // d - 1
+    errors = np.empty((3, B))
+    for rows in _window_blocks(B):
         block = arr[rows]
         net_vals = direct_functional(net, block)
-        chained_vals = closed_form_state(net, chain, block) @ net.readout.T
+        chained_vals = closed_form_state(net, s, block) @ net.readout.T
         errors[0, rows] = np.linalg.norm(f.evaluate_batch(block[:, T - 1 - K :]) - net_vals, axis=1)
         errors[1, rows] = np.linalg.norm(net_vals - chained_vals, axis=1)
         errors[2, rows] = np.linalg.norm(f.evaluate_batch(block) - chained_vals, axis=1)
@@ -359,7 +332,6 @@ class ConstructionResult:
     esn: ESNParams
     budget: ErrorBudget
     static_net: ShallowNet
-    chain: list
     horizon: int
     gain: float
     chain_scale: float | None
@@ -419,24 +391,23 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig, *, ladder=
     with stage("fit_identity_chain"):
         s = chain_scale(gain, M, eps / 3.0) if K else None  # K = 0: no chain, and no chain error
         step = identity_step(s, M) if K else 0.0  # the proven per-net bound
-        chain = build_identity_chain(d, K, s)
 
     with stage("assemble"):
-        esn = assemble_esn(net, chain)
+        esn = assemble_esn(net, K, s)
 
     with stage("verify_closed_form") as name:
         # Budget windows: fresh inputs, long enough to expose the truncation tail.
         T = max(WINDOW_LEN, K + 1)
         arr = sample_window_array(d, M, T, cfg.budget_windows, _derived_seed(cfg.seed, 4))
         n_check = min(cfg.closed_form_check_windows, cfg.budget_windows)
-        gap = closed_form_gap(esn, net, chain, arr[:n_check])
+        gap = closed_form_gap(esn, net, s, arr[:n_check])
         if gap > CLOSED_FORM_TOL:
             raise ConstructionError(
                 name, f"recursion and closed form disagree by {gap:g} (tolerance {CLOSED_FORM_TOL:g})"
             )
 
     with stage("budget"):
-        net_fit, chain_err, total = budget_errors(f, net, chain, arr)
+        net_fit, chain_err, total = budget_errors(f, net, s, arr)
         budget = ErrorBudget(
             eps=eps, truncation_analytic=float(f.truncation_bound(K)), net_fit_sampled=float(np.max(net_fit)),
             chain_analytic=gain * step, chain_witness=float(np.max(chain_err)), total_sampled=float(np.max(total)),
@@ -444,7 +415,7 @@ def construct_universal_esn(f: TargetFilter, cfg: ConstructionConfig, *, ladder=
         budget.check()
 
     return ConstructionResult(
-        esn=esn, budget=budget, static_net=net, chain=chain, horizon=K, gain=gain, chain_scale=s,
+        esn=esn, budget=budget, static_net=net, horizon=K, gain=gain, chain_scale=s,
         net_fit_achieved=net_fit_achieved, closed_form_check_max=gap, closed_form_check_windows=n_check,
         wall_times=times,
     )

@@ -13,7 +13,7 @@ depends on the last K+1 entries alone and never on the initial state,
 whatever C and W hold: the echo state and finite memory properties hold by
 the type too, and verify records all three from the structure.  A dense A
 exists only in esn.json, which nothing parses: verify matches the file, byte
-for byte, against the system the nets in nets.json wire.
+for byte, against the system that nets.json's static net and chain scale wire.
 """
 
 from dataclasses import dataclass

@@ -1,10 +1,10 @@
 """Single-hidden-layer networks and sup-norm fitting on compact balls.
 
-These nets do double duty: one is fitted to the truncated target functional
-on a product of balls, and a chain of them, each written down in closed form
-as tanh(s x) / s, approximates the identity map so that past inputs can be
-ferried through the reservoir one step at a time.  The activation is always
-tanh: bounded, 1-Lipschitz and non-constant, the three facts every estimate
+One net is fitted here, the static net, to the truncated target functional
+on a product of balls.  The identity nets that ferry past inputs through the
+reservoir are not fitted: each is tanh(s x) / s, which construct.carry
+applies and construct.assemble_esn wires.  The activation is always tanh:
+bounded, 1-Lipschitz and non-constant, the three facts every estimate
 downstream leans on.
 
 Fitting is random features plus ridge least squares, never backprop: the

@@ -15,8 +15,8 @@ from uniesn import cli
 from uniesn.construct import (
     ConstructionConfig,
     assemble_esn,
+    carry,
     closed_form_state,
-    compose_chain,
     construct_universal_esn,
     direct_functional,
     lag_blocks,
@@ -65,14 +65,15 @@ def random_net(width, in_dim, out_dim, seed):
 
 
 def random_instance(seed):
-    """A randomly parameterized assembled system (not fitted), for structural checks."""
+    """A randomly parameterized assembled system (not fitted), for structural
+    checks: its static net, chain scale and system."""
     rng = np.random.default_rng(seed)
     K = int(rng.integers(0, 6))
     d = int(rng.integers(1, 4))
     m = int(rng.integers(1, 3))
     net = random_net(int(rng.integers(2, 9)), (K + 1) * d, m, seed + 1)
-    chain = [random_net(int(rng.integers(2, 9)), d, d, seed + 2 + j) for j in range(K)]
-    return net, chain, assemble_esn(net, chain)
+    s = 2.0 ** int(rng.integers(-10, 3)) if K else None
+    return net, s, assemble_esn(net, K, s)
 
 
 def test_01_end_to_end_universality(demo, acceptance_detail):
@@ -149,12 +150,12 @@ def test_04_finite_memory_bitwise(demo, acceptance_detail):
 def test_05_closed_form_oracle(acceptance_detail):
     worst = 0.0
     for trial in range(20):
-        static, chain, esn = random_instance(5000 + trial * 11)
+        static, s, esn = random_instance(5000 + trial * 11)
         K = esn.structure.horizon
         arr = sample_window_array(esn.in_dim, 1.0, K + 3, 1000, seed=6000 + trial)
         states = esn.run_batch(arr)
         collector = states[:, esn.state_dim - static.width :]
-        direct = closed_form_state(static, chain, arr)
+        direct = closed_form_state(static, s, arr)
         gap = float(np.max(np.linalg.norm(collector - direct, axis=1)))
         worst = max(worst, gap)
         assert gap <= 1e-10
@@ -178,7 +179,7 @@ def test_06_chain_bound(demo, tmp_path, acceptance_detail):
     assert float(chain_row["value"]) == report["gain"] * step < DEMO_EPS / 3.0
     probe = np.array([[M]])
     depths = range(1, result.horizon + 1)
-    drifts = [float(np.linalg.norm(compose_chain(result.chain, j, probe) - probe)) for j in depths]
+    drifts = [float(np.linalg.norm(carry(report["chain_scale"], j, probe) - probe)) for j in depths]
     for j, drift in enumerate(drifts, start=1):
         assert drift < j * step
     assert result.budget.chain_witness < result.budget.chain_analytic
@@ -190,18 +191,18 @@ def test_06_chain_bound(demo, tmp_path, acceptance_detail):
 
 def test_07_lipschitz_estimate(demo, acceptance_detail):
     result, _ = demo
-    static, chain, K = result.static_net, result.chain, result.horizon
+    static, s, K = result.static_net, result.chain_scale, result.horizon
     T = 30
     arr = sample_window_array(result.esn.in_dim, 1.0, T, 10_000, seed=31337)
     w_norm = operator_norm(static.readout)
     block_norms = [operator_norm(block) for block in lag_blocks(static, K)]
     lhs = np.linalg.norm(
-        direct_functional(static, arr) - closed_form_state(static, chain, arr) @ static.readout.T, axis=1
+        direct_functional(static, arr) - closed_form_state(static, s, arr) @ static.readout.T, axis=1
     )
     rhs = np.zeros(arr.shape[0])
     for j in range(K + 1):
         z_j = arr[:, T - 1 - j, :]
-        drift = np.linalg.norm(compose_chain(chain, j, z_j) - z_j, axis=1)
+        drift = np.linalg.norm(carry(s, j, z_j) - z_j, axis=1)
         rhs += block_norms[j] * drift
     rhs *= w_norm  # tanh is 1-Lipschitz
     assert np.all(lhs <= rhs)

@@ -18,7 +18,7 @@ MODULE_ONLY = {
     "windows": ["sample_product_ball"],
     "linalg": ["operator_norm"],
     "shallow": ["WidthPolicy", "FitToleranceError", "fit_random_feature", "fit_to_tolerance"],
-    "construct": ["build_identity_chain", "assemble_esn", "closed_form_state", "direct_functional"],
+    "construct": ["carry", "assemble_esn", "closed_form_state", "direct_functional"],
 }
 
 
@@ -35,9 +35,10 @@ def test_public_names_are_pinned():
     esn = importlib.import_module("uniesn.esn")
     for gone in ("check_nilpotent", "check_esp_empirical", "check_finite_memory"):
         assert not hasattr(esn, gone)
-    # The chain's drift is a tested property, so no build samples it and nothing reports a violation.
+    # The chain's drift is a tested property, so no build samples it and nothing reports a violation;
+    # the chain is its scale, so no list of identity nets is built or composed.
     construct = importlib.import_module("uniesn.construct")
-    for gone in ("verify_chain_bound", "ChainBoundError"):
+    for gone in ("verify_chain_bound", "ChainBoundError", "build_identity_chain", "compose_chain"):
         assert not hasattr(construct, gone)
 
 

@@ -166,7 +166,10 @@ class TestConstruct:
         nets = json.loads((built / "nets.json").read_text())
         assert "width_table" not in report and "functional_evaluator" not in report
         assert report["widths"][-1] == nets["static_net"]["width"]
-        assert report["widths"][:-1] == [net["width"] for net in nets["identity_chain"]]
+        # Each carrier is d wide, which nets.json states once, as lag_dim; the chain is its scale.
+        assert report["widths"][:-1] == [nets["lag_dim"]] * report["horizon"]
+        assert set(nets) == {"chain_scale", "lag_dim", "static_net"}
+        assert nets["chain_scale"] == report["chain_scale"]
 
     def test_report_labels_the_verdict_by_its_weakest_term(self, built):
         report = json.loads((built / "report.json").read_text())
@@ -369,7 +372,7 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def failing_budget(f, static, chain, arr):
+def failing_budget(f, static, s, arr):
     """budget_errors with every per-window error above any eps of these tests."""
     return np.full((3, arr.shape[0]), 10.0)
 
@@ -403,8 +406,8 @@ def terminated_construct(argv):
     return exc_info.value.code
 
 
-def construct_with_recording_handler(argv, out):
-    """Run construct with a previous SIGTERM handler that records what
+def with_recording_handler(argv, out):
+    """Run the command with a previous SIGTERM handler that records what
     ``out`` holds when it runs; the exit code and those records."""
     received = []
 
@@ -534,7 +537,7 @@ class TestArtifactWrite:
 
         monkeypatch.setattr(os, "replace", replace)
         argv = ["construct", str(write_config(tmp_path)), "--out", str(out)]
-        code, received = construct_with_recording_handler(argv, out)
+        code, received = with_recording_handler(argv, out)
         assert code == 0
         assert renamed == list(ARTIFACTS)
         assert received == [sorted(ARTIFACTS)]
@@ -559,7 +562,7 @@ class TestArtifactWrite:
         monkeypatch.setattr(cli, "_write_budget_csv", write_budget_csv)
         monkeypatch.setattr(Path, "unlink", unlink)
         argv = ["construct", str(write_config(tmp_path)), "--out", str(out), "--seed", "7"]
-        code, received = construct_with_recording_handler(argv, out)
+        code, received = with_recording_handler(argv, out)
         assert code == 2
         assert len(removed) == len(ARTIFACTS)
         assert received == [sorted(ARTIFACTS)]
@@ -615,8 +618,7 @@ INNER_KEYS = [
     *(("esn.json", (), "", key) for key in ("activation", "A", "C", "zeta", "W", "N", "d", "m")),
     *(("esn.json", ("structure",), " structure", key) for key in ("widths", "K")),
     *(
-        ("nets.json", path, place, key)
-        for path, place in ((("static_net",), " static_net"), (("identity_chain", 0), " identity_chain[0]"))
+        ("nets.json", ("static_net",), " static_net", key)
         for key in ("activation", "hidden_matrix", "hidden_bias", "readout", "in_dim", "out_dim", "width")
     ),
 ]
@@ -644,6 +646,8 @@ def _pop_inner(path, key):
         ("sweep", "config.json", lambda c: c.update(filter={**VOLTERRA2, "quad": [{"j": 0, "b": [0.3]}]}),
          "config error: quad term has no 'k'"),
         ("verify", "nets.json", lambda nets: nets.pop("lag_dim"), "load error: {dir}/nets.json has no 'lag_dim'"),
+        ("verify", "nets.json", lambda nets: nets.pop("chain_scale"),
+         "load error: {dir}/nets.json has no 'chain_scale'"),
         *(
             ("verify", name, _pop_inner(path, key),
              (*path, key)[0] if name == "esn.json" else f"load error: {{dir}}/{name}{place} has no {key!r}")
@@ -652,7 +656,7 @@ def _pop_inner(path, key):
     ],
     ids=[
         "construct_filter", "sweep_filter", "verify_filter", "construct_M", "sweep_M", "verify_M",
-        "construct_lambda", "sweep_quad_k", "verify_lag_dim",
+        "construct_lambda", "sweep_quad_k", "verify_lag_dim", "verify_chain_scale",
         *("_".join(map(str, ("verify", name[:-5], *path, key))) for name, path, _, key in INNER_KEYS),
     ],
 )
@@ -681,6 +685,21 @@ def test_missing_key_is_named_with_where_it_is_missing(
     assert cli.main(argv) == 2
     assert message.format(dir=tmp_path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "verify.json").exists()
+
+
+def present_lag_only(static):
+    """Cut a static net object of nets.json to its present-lag input, as a d=1
+    net of horizon 0."""
+    static.update(hidden_matrix=[row[-1:] for row in static["hidden_matrix"]], in_dim=1)
+
+
+def old_layout(nets):
+    """Rewrite a d=1 nets.json object in the layout that listed the identity
+    nets, one per delay step, in place of their scale."""
+    s = nets.pop("chain_scale")
+    net = {"activation": "tanh", "in_dim": 1, "out_dim": 1, "width": 1,
+           "hidden_matrix": [[s]], "hidden_bias": [0.0], "readout": [[1 / s]]}
+    nets["identity_chain"] = [net] * (nets["static_net"]["in_dim"] - 1)
 
 
 def copy_build(built, out: Path, names=("esn.json", "nets.json")):
@@ -761,16 +780,44 @@ class TestVerify:
         assert "load error" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
 
-    def test_static_net_that_does_not_split_into_lags_names_the_sizes(self, built, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        (tmp_path / "esn.json").write_bytes((built / "esn.json").read_bytes())
-        nets = json.loads((built / "nets.json").read_text())
+    def test_static_net_that_does_not_split_into_lags_names_the_sizes(self, built_d2, tmp_path, capsys):
+        # One more input of a d=2 static net: an odd count, no whole number of lags.
+        cfg = write_config(tmp_path, filter=VOLTERRA2)
+        (tmp_path / "esn.json").write_bytes((built_d2 / "esn.json").read_bytes())
+        nets = json.loads((built_d2 / "nets.json").read_text())
         grow_net(nets["static_net"], inputs=1)
         (tmp_path / "nets.json").write_text(json.dumps(nets))
-        K = len(nets["identity_chain"])
+        inputs = nets["static_net"]["in_dim"]
         assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert f"load error: a net with {K + 2} inputs does not split into {K + 1} lag blocks" in err
+        assert f"load error: {tmp_path}/nets.json: a static net of {inputs} inputs does not split into lag_dim=2" in err
+        assert not (tmp_path / "verify.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda nets: nets.update(chain_scale=0.3), "chain_scale 0.3 at horizon 4"),
+            (lambda nets: nets.update(chain_scale=-0.5), "chain_scale -0.5 at horizon 4"),
+            (lambda nets: nets.update(chain_scale=float("inf")), "chain_scale inf at horizon 4"),
+            (lambda nets: nets.update(chain_scale=True), "chain_scale True at horizon 4"),
+            (lambda nets: nets.update(chain_scale="0.25"), "chain_scale '0.25' at horizon 4"),
+            (lambda nets: nets.update(chain_scale=None), "chain_scale None at horizon 4"),
+            (lambda nets: present_lag_only(nets["static_net"]), "at horizon 0, which needs null"),
+            (old_layout, "has no 'chain_scale'"),
+        ],
+        ids=["not_power_of_two", "negative", "infinite", "bool", "string", "null_at_horizon_4",
+             "set_at_horizon_0", "identity_chain_layout"],
+    )
+    def test_chain_scale_other_than_the_proven_chain_is_load_error(self, built, tmp_path, capsys, edit, message):
+        # verify wires only the chain the bound is proven for: tanh(s x) / s, s a power of two.
+        cfg = write_config(tmp_path)
+        copy_build(built, tmp_path, ["esn.json"])
+        nets = json.loads((built / "nets.json").read_text())
+        edit(nets)
+        (tmp_path / "nets.json").write_text(json.dumps(nets))
+        assert cli.main(["verify", str(tmp_path / "esn.json"), str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"load error: {tmp_path}/nets.json" in err and message in err and "chain_scale" in err
         assert not (tmp_path / "verify.json").exists()
 
     def test_perturbed_collector_entry_flagged(self, built, tmp_path):
@@ -819,13 +866,15 @@ class TestVerify:
             ("esn.json", lambda e: e["A"][0].__setitem__(0, float("nan")), "A"),
             # Valid nets of a wider static net wire a wider system than esn.json holds.
             ("nets.json", lambda nets: grow_net(nets["static_net"], units=1), "A"),
+            # A d=1 static net with one more input is a valid one of horizon K+1.
+            ("nets.json", lambda nets: grow_net(nets["static_net"], inputs=1), "A"),
         ],
         ids=[
             "esn_without_structure", "esn_null_structure", "esn_logistic", "esn_not_object",
             "esn_null_A", "esn_number_A", "esn_widths_fraction", "esn_widths_bool", "esn_K_mismatch",
             "esn_N_mismatch", "esn_d_mismatch", "esn_m_mismatch",
             "nan_zeta", "inf_A", "nan_C", "neg_inf_W", "nan_A_off_pattern",
-            "nets_static_wider_than_state",
+            "nets_static_wider_than_state", "nets_static_extra_input",
         ],
     )
     def test_other_esn_json_fails_the_system_check(self, built, tmp_path, name, edit, key):
@@ -870,7 +919,8 @@ class TestVerify:
             ({"verification": {"window_len": -3}}, None),
             ({}, ("nets.json", lambda nets: "{not json")),
             ({}, ("nets.json", lambda nets: json.dumps({"lag_dim": nets["lag_dim"]}))),
-            ({}, ("nets.json", lambda nets: json.dumps({**nets, "identity_chain": nets["identity_chain"][:-1]}))),
+            # A chain of no steps under a static net of horizon 4.
+            ({}, ("nets.json", lambda nets: json.dumps({**nets, "chain_scale": None}))),
             ({}, ("nets.json", lambda nets: json.dumps({**nets, "lag_dim": 0}))),
             ({"verification": {"fmp_trial": 50}}, None),
             ({"verification": []}, None),
@@ -882,7 +932,7 @@ class TestVerify:
             ({"filter": {"M": float("nan")}}, None),
             ({"verification": {"seed": -5}}, None),
             ({}, edited("nets.json", lambda nets: nets["static_net"]["readout"][0].__setitem__(0, float("nan")))),
-            ({}, edited("nets.json", lambda nets: nets["identity_chain"][0]["hidden_bias"].__setitem__(0, float("inf")))),
+            ({}, edited("nets.json", lambda nets: nets["static_net"]["hidden_bias"].__setitem__(0, float("inf")))),
             ({"verification": {"fmp_trials": 50.5}}, None),
             ({"verification": {"esp_trials": True}}, None),
             ({"verification": {"seed": 1.9}}, None),
@@ -897,20 +947,17 @@ class TestVerify:
             # Filters that do not fit the d=1, m=1 system.
             ({"filter": VOLTERRA2}, None),
             ({"filter": {"m": 2, "B": [[1.0], [1.0]]}}, None),
+            # verify reads only the nets.json beside esn.json: a nets key is unknown, whatever esn.json holds.
             ({"verification": {"nets": "/nonexistent/nets.json"}}, None),
-            # A configured nets.json that does not exist is a load error, whatever esn.json holds.
             ({"verification": {"nets": "/nonexistent/nets.json"}},
              edited("esn.json", lambda esn: esn["A"][0].__setitem__(0, 1e-3))),
             ({}, edited("nets.json", lambda nets: nets.__setitem__("lag_dim", True))),
             ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("activation", "logistic"))),
             ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("width", 3))),
             ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("in_dim", 42))),
-            ({}, edited("nets.json", lambda nets: nets["identity_chain"][-1].__setitem__("out_dim", 2))),
-            # Nets that load but do not fit the d=1 system.
-            ({}, edited("nets.json", lambda nets: grow_net(nets["identity_chain"][0], inputs=1))),
-            ({}, edited("nets.json", lambda nets: grow_net(nets["identity_chain"][0], outputs=1))),
+            ({}, edited("nets.json", lambda nets: nets["static_net"].__setitem__("out_dim", 2))),
+            # A net that loads but does not fit the d=1, m=1 filter.
             ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], outputs=1))),
-            ({}, edited("nets.json", lambda nets: grow_net(nets["static_net"], inputs=1))),
         ],
         ids=[
             "esp_trials_zero", "fmp_trials_zero", "fmp_trials_not_int", "closed_form_windows_zero",
@@ -925,9 +972,8 @@ class TestVerify:
             "window_len_at_default", "filter_d_2", "filter_m_2",
             "nets_missing_explicit_path", "nets_missing_explicit_path_esn_off_pattern",
             "nets_lag_dim_bool", "nets_logistic",
-            "nets_width_mismatch", "nets_in_dim_mismatch", "nets_chain_out_dim_mismatch",
-            "nets_chain_in_dim_2", "nets_chain_out_dim_2", "nets_static_out_dim_2",
-            "nets_static_extra_input",
+            "nets_width_mismatch", "nets_in_dim_mismatch", "nets_static_out_dim_mismatch",
+            "nets_static_out_dim_2",
         ],
     )
     def test_bad_verification_input_is_config_error(self, built, tmp_path, capsys, overrides, file_text):
@@ -1189,6 +1235,51 @@ class TestSweep:
         assert [(r["eps"], r["widths"].split("|")[-1], r["status"]) for r in rows] == [
             ("0.5", "33", "ok"), ("0.3", "", "stage:fit_static_net"),
         ]
+
+    def test_sigterm_during_the_rename_waits_for_it(self, tmp_path, monkeypatch):
+        # A SIGTERM right after the rename is held: the previous handler gets
+        # it once sweep.csv is in place, and the sweep returns its code.
+        out = tmp_path / "sweep"
+        real_replace = os.replace
+        renamed = []
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            renamed.append(Path(dst).name)
+            signal.raise_signal(signal.SIGTERM)
+
+        monkeypatch.setattr(os, "replace", replace)
+        argv = ["sweep", str(write_config(tmp_path)), "--eps", "0.5", "--out", str(out)]
+        code, received = with_recording_handler(argv, out)
+        assert code == 0
+        assert renamed == ["sweep.csv"]
+        assert received == [["sweep.csv"]]
+        assert [r["status"] for r in read_csv_skipping_schema(out / "sweep.csv")] == ["ok"]
+
+    def test_sigterm_during_the_cleanup_waits_for_it(self, tmp_path, monkeypatch):
+        # The rename fails, and a SIGTERM comes as the temporary file is
+        # removed: the previous handler gets it once the file is gone.
+        out = tmp_path / "sweep"
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        real_unlink = Path.unlink
+        removed = []
+
+        def unlink(self, missing_ok=False):
+            if not removed:
+                signal.raise_signal(signal.SIGTERM)
+            real_unlink(self, missing_ok=missing_ok)
+            removed.append(self.name)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(Path, "unlink", unlink)
+        argv = ["sweep", str(write_config(tmp_path)), "--eps", "0.5", "--out", str(out)]
+        code, received = with_recording_handler(argv, out)
+        assert code == 2
+        assert removed == [f".sweep.csv.{os.getpid()}.tmp"]
+        assert received == [[]]
 
 
 @pytest.fixture(scope="module")
@@ -1571,7 +1662,7 @@ class TestLoadJson:
 
     @pytest.mark.parametrize("build", ["built", "built_d2"])
     def test_blocks_rebuild_the_dense_file_bitwise(self, build, request, tmp_path):
-        # the system in memory is its blocks, wired from the nets in nets.json;
+        # the system in memory is its blocks, wired from nets.json's static net and chain scale;
         # the dense A it writes is rebuilt from them
         out = request.getfixturevalue(build)
         cli._write_json(tmp_path / "esn.json", cli._load_nets(out / "nets.json")[-1].to_json())

@@ -23,16 +23,16 @@ from uniesn.construct import (
     STATUS_STRENGTH,
     assemble_esn,
     budget_errors,
-    build_identity_chain,
+    carry,
     chain_scale,
     closed_form_state,
-    compose_chain,
     construct_universal_esn,
     direct_functional,
     identity_error_gain,
     identity_step,
     lag_blocks,
 )
+from uniesn.esn import BlockStructure, ESNParams
 from uniesn.filters import ExpFadingFilter, FIRFilter, filter_from_json
 from uniesn.linalg import operator_norm
 from uniesn.shallow import ShallowNet, WidthPolicy
@@ -51,6 +51,18 @@ def random_net(width, in_dim, out_dim, seed, scale=1.0):
 def random_static(K, d, collector_width, seed, scale=1.0):
     """A static net over K+1 stacked lags of dimension d."""
     return random_net(collector_width, (K + 1) * d, 1, seed, scale)
+
+
+def identity_net(d, s):
+    """phi(x) = tanh(s x) / s as a net: hidden matrix s I_d, bias 0, readout I_d / s."""
+    return ShallowNet(hidden_matrix=s * np.eye(d), hidden_bias=np.zeros(d), readout=np.eye(d) / s)
+
+
+def forwards(net, j, z):
+    """net.forward applied j times; j=0 is z."""
+    for _ in range(j):
+        z = net.forward(z)
+    return z
 
 
 def small_cfg(eps, seed=0, **overrides):
@@ -114,35 +126,30 @@ class TestSplitAndGain:
 
 class TestIdentityChain:
     def test_no_horizon_means_no_nets(self):
-        assert build_identity_chain(1, 0, 0.5) == []
+        esn = assemble_esn(random_static(K=0, d=2, collector_width=3, seed=1), 0, None)
+        assert esn.carriers == () and esn.structure.widths == (3,)
 
     def test_each_net_is_tanh_of_s_x_over_s(self):
         s = 2.0**-5
         for d in (1, 3):
-            chain = build_identity_chain(d, 3, s)
-            assert len(chain) == 3
-            for net in chain:
-                assert np.array_equal(net.hidden_matrix, s * np.eye(d))
-                assert np.array_equal(net.hidden_bias, np.zeros(d))
-                assert np.array_equal(net.readout, np.eye(d) / s)
-                x = sample_product_ball(d, 1.0, 1, 50, seed=6)
-                assert np.array_equal(net.forward(x), np.tanh(s * x) / s)
+            x = sample_product_ball(d, 1.0, 1, 50, seed=6)
+            assert np.array_equal(carry(s, 1, x), np.tanh(s * x) / s)
+            for j in range(4):
+                assert np.array_equal(carry(s, j, x), forwards(identity_net(d, s), j, x))
 
     def test_gain_must_be_positive_with_horizon(self, monkeypatch):
         monkeypatch.setattr(construct, "identity_error_gain", lambda readout, blocks: 0.0)
-        monkeypatch.setattr(construct, "build_identity_chain", lambda *a: pytest.fail("the chain was fitted"))
+        monkeypatch.setattr(construct, "assemble_esn", lambda *a: pytest.fail("the system was assembled"))
         f = ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)
         with pytest.raises(ConstructionError, match="error gain is zero") as exc_info:
             construct_universal_esn(f, small_cfg(eps=0.5))
         assert exc_info.value.stage == "fit_identity_chain"
 
     def test_each_net_meets_its_tolerance_on_fresh_samples(self):
-        M, K = 1.0, 3
+        M = 1.0
         s = chain_scale(5.0, M, 0.1)
-        for net in build_identity_chain(1, K, s):
-            fresh = sample_product_ball(1, M, 1, 4000, seed=999)
-            err = np.max(np.abs(net.forward(fresh) - fresh))
-            assert err < identity_step(s, M)
+        fresh = sample_product_ball(1, M, 1, 4000, seed=999)
+        assert np.max(np.abs(carry(s, 1, fresh) - fresh)) < identity_step(s, M)
 
     def test_share_the_rounding_allowance_misses_is_stage_failure(self, monkeypatch):
         monkeypatch.setattr(construct, "identity_error_gain", lambda readout, blocks: 2.0**50)
@@ -178,11 +185,10 @@ class TestChainScale:
         # Points inside the M-ball, row 1 the boundary probe M e_1, and the
         # last 16 on its sphere.
         s = 2.0**log2_s
-        (net,) = build_identity_chain(d, 1, s)
         x = sample_product_ball(d, M, 1, 64, seed)
         sphere = np.random.default_rng(seed).standard_normal((16, d))
         x[-16:] = M * sphere / np.linalg.norm(sphere, axis=1, keepdims=True)
-        y = net.forward(x)
+        y = carry(s, 1, x)
         rho = CHAIN_ROUNDING * M
         assert np.all(np.linalg.norm(y - x, axis=1) <= s * s * M**3 / 3 + rho)
         assert np.all(np.linalg.norm(y, axis=1) <= np.linalg.norm(x, axis=1) + rho)
@@ -200,20 +206,32 @@ class TestChainScale:
 
 class TestComposeChain:
     def test_depth_zero_is_identity(self):
-        chain = [random_net(4, 1, 1, seed=8)]
         z = np.array([[0.3], [0.7]])
-        assert np.array_equal(compose_chain(chain, 0, z), z)
+        for s in (2.0**-30, 0.5, 16.0):
+            assert np.array_equal(carry(s, 0, z), z)
 
     def test_depth_one_is_first_net(self):
-        chain = [random_net(4, 1, 1, seed=9)]
-        z = np.array([[0.3]])
-        assert np.array_equal(compose_chain(chain, 1, z), chain[0].forward(z))
+        z = np.array([[0.3], [-1.0]])
+        assert np.array_equal(carry(0.25, 1, z), identity_net(1, 0.25).forward(z))
 
     def test_composition_order(self):
-        chain = [random_net(4, 1, 1, seed=10), random_net(4, 1, 1, seed=11)]
-        z = np.array([[0.5]])
-        want = chain[1].forward(chain[0].forward(z))
-        assert np.array_equal(compose_chain(chain, 2, z), want)
+        z = sample_product_ball(2, 1.0, 1, 20, seed=10)
+        for i, j in ((0, 2), (1, 1), (2, 3)):
+            assert np.array_equal(carry(0.5, i + j, z), carry(0.5, j, carry(0.5, i, z)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        j=st.integers(0, 5),
+        log2_s=st.integers(-30, 4),
+        data=st.data(),
+    )
+    def test_carry_is_j_forwards_of_the_identity_net(self, d, j, log2_s, data):
+        # forward adds a +0.0 bias, so a -0.0 entry may come back +0.0: values, not bits.
+        entries = st.sampled_from([0.0, -0.0, 5e-324, -1.5e-323, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+        z = np.array(data.draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=1, max_size=8)))
+        s = 2.0**log2_s
+        assert np.array_equal(carry(s, j, z), forwards(identity_net(d, s), j, z))
 
 
 class TestChainDrift:
@@ -238,7 +256,7 @@ class TestChainDrift:
         probe[0, 0] = M  # the boundary point M e_1
         z = np.vstack([probe, z[np.linalg.norm(z, axis=1) <= M]])  # a rescaled row may round out of the ball
         s = 2.0**log2_s
-        out = compose_chain(build_identity_chain(d, j, s), j, z)
+        out = carry(s, j, z)
         rho = CHAIN_ROUNDING * M
         assert np.all(np.linalg.norm(out, axis=1) <= np.linalg.norm(z, axis=1) + j * rho)
         assert np.all(np.linalg.norm(out, axis=1) <= M + j * rho)
@@ -249,24 +267,36 @@ class TestChainDrift:
     def test_subnormal_round_up_stays_within_the_allowance(self, log2_s):
         # s * 1.5e-323 rounds up to a whole ulp, and 1 / s scales it to 2e-323.
         z = np.array([[1.5e-323], [-1.5e-323]])
-        out = compose_chain(build_identity_chain(1, 1, 2.0**log2_s), 1, z)
+        out = carry(2.0**log2_s, 1, z)
         assert np.all(np.abs(out) > np.abs(z))
         assert np.all(np.abs(out) <= np.abs(z) + CHAIN_ROUNDING)
 
 
-class TestAssemble:
-    def _chain_for(self, static, K, seed=15):
-        rng = np.random.default_rng(seed)
-        d = static.in_dim // (K + 1)
-        nets = []
-        for j in range(K):
-            width = int(rng.integers(2, 6))
-            nets.append(random_net(width, d, d, seed=seed + j + 1))
-        return nets
+def wired_from_nets(static, chain):
+    """The system the per-block products wire from K identity nets: the
+    reference for assemble_esn, which writes the same blocks down directly."""
+    K = len(chain)
+    blocks = lag_blocks(static, K)
+    structure = BlockStructure(widths=(*(net.width for net in chain), static.width))
+    off, N, d = structure.offsets(), structure.total, blocks[0].shape[1]
+    carriers = tuple(chain[r].hidden_matrix @ chain[r - 1].readout for r in range(1, K))
+    collector = np.empty((static.width, off[K]))
+    for j in range(1, K + 1):
+        collector[:, off[j - 1] : off[j]] = blocks[j] @ chain[j - 1].readout
+    C = np.zeros((N, d))
+    if K:
+        C[: off[1]] = chain[0].hidden_matrix
+    C[off[K] :] = blocks[0]
+    zeta = np.concatenate([*(net.hidden_bias for net in chain), static.hidden_bias])
+    W = np.zeros((static.out_dim, N))
+    W[:, off[K] :] = static.readout
+    return ESNParams(carriers=carriers, collector=collector, C=C, zeta=zeta, W=W, structure=structure)
 
+
+class TestAssemble:
     def test_degenerate_static_system(self):
         static = random_static(K=0, d=2, collector_width=5, seed=16)
-        esn = assemble_esn(static, [])
+        esn = assemble_esn(static, 0, None)
         assert esn.state_dim == 5
         assert np.all(esn.A == 0.0)
         assert np.array_equal(esn.C, static.hidden_matrix)
@@ -277,17 +307,12 @@ class TestAssemble:
     def test_block_pattern_by_entry_enumeration(self):
         static = random_static(K=2, d=1, collector_width=5, seed=17)
         lag = lag_blocks(static, 2)
-        chain = [random_net(3, 1, 1, seed=18), random_net(4, 1, 1, seed=19)]
-        esn = assemble_esn(static, chain)
-        widths = (3, 4, 5)
-        assert esn.structure.widths == widths
-        assert esn.state_dim == 12
-        off = [0, 3, 7, 12]
-        expected = {
-            (1, 0): chain[1].hidden_matrix @ chain[0].readout,
-            (2, 0): lag[1] @ chain[0].readout,
-            (2, 1): lag[2] @ chain[1].readout,
-        }
+        s = 2.0**-3
+        esn = assemble_esn(static, 2, s)
+        assert esn.structure.widths == (1, 1, 5)
+        assert esn.state_dim == 7
+        off = [0, 1, 2, 7]
+        expected = {(1, 0): np.eye(1), (2, 0): lag[1] / s, (2, 1): lag[2] / s}
         for r in range(3):
             for c in range(3):
                 block = esn.A[off[r] : off[r + 1], off[c] : off[c + 1]]
@@ -296,31 +321,28 @@ class TestAssemble:
                 else:
                     assert np.all(block == 0.0)
         # input matrix feeds first carrier and collector only
-        assert np.array_equal(esn.C[0:3], chain[0].hidden_matrix)
-        assert np.all(esn.C[3:7] == 0.0)
-        assert np.array_equal(esn.C[7:12], lag[0])
-        # bias stacking
-        assert np.array_equal(esn.zeta[0:3], chain[0].hidden_bias)
-        assert np.array_equal(esn.zeta[3:7], chain[1].hidden_bias)
-        assert np.array_equal(esn.zeta[7:12], static.hidden_bias)
+        assert np.array_equal(esn.C[0:1], s * np.eye(1))
+        assert np.all(esn.C[1:2] == 0.0)
+        assert np.array_equal(esn.C[2:7], lag[0])
+        # the carriers have no bias
+        assert np.all(esn.zeta[0:2] == 0.0)
+        assert np.array_equal(esn.zeta[2:7], static.hidden_bias)
         # readout sees only the collector
-        assert np.all(esn.W[:, :7] == 0.0)
-        assert np.array_equal(esn.W[:, 7:], static.readout)
+        assert np.all(esn.W[:, :2] == 0.0)
+        assert np.array_equal(esn.W[:, 2:], static.readout)
 
     def test_assembled_is_nilpotent(self):
         static = random_static(K=3, d=2, collector_width=6, seed=20)
-        chain = self._chain_for(static, 3)
-        esn = assemble_esn(static, chain)
+        esn = assemble_esn(static, 3, 2.0**-4)
         assert np.linalg.matrix_power(esn.A, 3).any()
         assert not np.linalg.matrix_power(esn.A, 4).any()
 
     def test_assembly_allocates_less_than_one_dense_matrix(self):
         # the system is held as its blocks: no N x N array is made
-        static = random_static(K=3, d=2, collector_width=1900, seed=22)
-        chain = [random_net(50, 2, 2, seed=23 + j) for j in range(3)]
+        static = random_static(K=3, d=2, collector_width=2000, seed=22)
         tracemalloc.start()
         try:
-            esn = assemble_esn(static, chain)
+            esn = assemble_esn(static, 3, 2.0**-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,18 +351,38 @@ class TestAssemble:
         assert peak < N * N * 8
 
     def test_rejects_wrong_chain_dims(self):
+        # a horizon of 2 needs a static net of 3 lag blocks; 4 inputs do not split into 3
         static = random_static(K=1, d=2, collector_width=4, seed=21)
-        with pytest.raises(ValueError):
-            assemble_esn(static, [random_net(3, 1, 1, seed=22)])
+        with pytest.raises(ValueError, match="4 inputs does not split into 3 lag blocks"):
+            assemble_esn(static, 2, 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        K=st.integers(0, 5), d=st.integers(1, 3), width=st.integers(1, 8), m=st.integers(1, 2),
+        log2_s=st.integers(-30, 4), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_wiring_of_k_identity_nets(self, K, d, width, m, log2_s, seed):
+        # For a power-of-two s, (s I)(I / s) is exactly I and b @ (I / s) exactly b / s.
+        static = random_net(width, (K + 1) * d, m, seed)
+        s = 2.0**log2_s if K else None
+        got = assemble_esn(static, K, s)
+        want = wired_from_nets(static, [identity_net(d, s)] * K if K else [])
+        assert got.structure == want.structure and len(got.carriers) == len(want.carriers)
+        names = ("collector", "C", "zeta", "W")
+        pairs = [*zip(got.carriers, want.carriers), *((getattr(got, n), getattr(want, n)) for n in names)]
+        for a, b in pairs:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def per_lag_reference(static, chain, arr):
-    """tanh(bias + sum_j chain_j(z_{-j}) @ block_j.T): the collector state at
-    time 0 with one product per lag, as the construction argues it."""
-    T = arr.shape[1]
+def per_lag_reference(static, s, arr):
+    """tanh(bias + sum_j phi^j(z_{-j}) @ block_j.T), phi the identity net of
+    scale s applied by its forward: the collector state at time 0 with one
+    product per lag, as the construction argues it."""
+    T, d = arr.shape[1], arr.shape[2]
+    K = static.in_dim // d - 1
     acc = np.tile(static.hidden_bias, (arr.shape[0], 1))
-    for j, block in enumerate(lag_blocks(static, len(chain))):
-        acc += compose_chain(chain, j, arr[:, T - 1 - j, :]) @ block.T
+    for j, block in enumerate(lag_blocks(static, K)):
+        acc += forwards(identity_net(d, s) if K else None, j, arr[:, T - 1 - j, :]) @ block.T
     return np.tanh(acc)
 
 
@@ -349,7 +391,7 @@ class TestClosedForm:
         static = random_static(K=0, d=1, collector_width=4, seed=23)
         arr = np.array([[[0.4]]])
         want = np.tanh(static.hidden_matrix @ np.array([0.4]) + static.hidden_bias)
-        np.testing.assert_allclose(closed_form_state(static, [], arr)[0], want, atol=1e-15)
+        np.testing.assert_allclose(closed_form_state(static, None, arr)[0], want, atol=1e-15)
 
     def test_matches_recursion_within_tolerance(self):
         rng = np.random.default_rng(24)
@@ -357,33 +399,30 @@ class TestClosedForm:
             K = int(rng.integers(0, 5))
             d = int(rng.integers(1, 3))
             static = random_static(K=K, d=d, collector_width=int(rng.integers(2, 7)), seed=100 + trial)
-            chain = [
-                random_net(int(rng.integers(2, 6)), d, d, seed=200 + 10 * trial + j)
-                for j in range(K)
-            ]
-            esn = assemble_esn(static, chain)
+            s = 2.0 ** int(rng.integers(-10, 3)) if K else None
+            esn = assemble_esn(static, K, s)
             T = K + 2
             arr = sample_window_array(d, 1.0, T, 50, seed=300 + trial)
             states = esn.run_batch(arr)
             collector = states[:, esn.state_dim - static.width :]
-            direct = closed_form_state(static, chain, arr)
+            direct = closed_form_state(static, s, arr)
             gap = np.max(np.linalg.norm(collector - direct, axis=1))
             assert gap <= 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(
-        K=st.integers(0, 4), d=st.integers(1, 3), widths=st.lists(st.integers(1, 70), min_size=5, max_size=5),
+        K=st.integers(0, 4), d=st.integers(1, 3), width=st.integers(1, 70), log2_s=st.integers(-30, 4),
         B=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
     )
     # A static net as wide as a build's, on more windows than one budget block.
-    @example(K=3, d=1, widths=[65] * 4 + [1025], B=2049, seed=1)
-    @example(K=3, d=2, widths=[65] * 4 + [1025], B=2049, seed=2)
-    @example(K=3, d=3, widths=[65] * 4 + [1025], B=2049, seed=3)
-    def test_matches_per_lag_reference_sum(self, K, d, widths, B, seed):
-        static = random_static(K=K, d=d, collector_width=widths[-1], seed=seed)
-        chain = [random_net(widths[j], d, d, seed=seed + 1 + j) for j in range(K)]
+    @example(K=3, d=1, width=1025, log2_s=-4, B=2049, seed=1)
+    @example(K=3, d=2, width=1025, log2_s=-4, B=2049, seed=2)
+    @example(K=3, d=3, width=1025, log2_s=-4, B=2049, seed=3)
+    def test_matches_per_lag_reference_sum(self, K, d, width, log2_s, B, seed):
+        static = random_static(K=K, d=d, collector_width=width, seed=seed)
+        s = 2.0**log2_s if K else None
         arr = sample_window_array(d, 1.0, K + 2, B, seed=seed)
-        np.testing.assert_allclose(closed_form_state(static, chain, arr), per_lag_reference(static, chain, arr),
+        np.testing.assert_allclose(closed_form_state(static, s, arr), per_lag_reference(static, s, arr),
                                    rtol=0, atol=1e-12)
 
     def test_chained_functional_is_readout_of_state(self):
@@ -391,18 +430,17 @@ class TestClosedForm:
         # closed-form collector state and the static readout
         f = ExpFadingFilter(in_dim=1, out_dim=1, input_bound=1.0, matrix=np.array([[1.0]]), decay=0.5)
         static = random_static(K=2, d=1, collector_width=5, seed=25)
-        chain = [random_net(3, 1, 1, seed=26), random_net(3, 1, 1, seed=27)]
+        s = 2.0**-2
         arr = sample_window_array(1, 1.0, 4, 10, seed=28)
-        chained = closed_form_state(static, chain, arr) @ static.readout.T
-        errors = budget_errors(f, static, chain, arr)
+        chained = closed_form_state(static, s, arr) @ static.readout.T
+        errors = budget_errors(f, static, s, arr)
         assert np.array_equal(errors[1], np.linalg.norm(direct_functional(static, arr) - chained, axis=1))
         assert np.array_equal(errors[2], np.linalg.norm(f.evaluate_batch(arr) - chained, axis=1))
 
     def test_window_too_short(self):
         static = random_static(K=3, d=1, collector_width=4, seed=29)
-        chain = [random_net(2, 1, 1, seed=30 + j) for j in range(3)]
         with pytest.raises(ValueError, match="too short"):
-            closed_form_state(static, chain, sample_window_array(1, 1.0, 2, 3, seed=31))
+            closed_form_state(static, 0.5, sample_window_array(1, 1.0, 2, 3, seed=31))
 
 
 class TestDirectFunctional:
@@ -424,17 +462,17 @@ class TestDirectFunctional:
         # the drift each lag suffers through the chain, weighted by block norms
         # and the readout norm, bounds the output discrepancy pointwise
         static = random_static(K=3, d=1, collector_width=6, seed=37, scale=0.7)
-        chain = build_identity_chain(1, 3, chain_scale(5.0, 1.0, 0.1))
+        s = chain_scale(5.0, 1.0, 0.1)
         arr = sample_window_array(1, 1.0, 6, 500, seed=39)
         K, T = 3, 6
         w_norm = operator_norm(static.readout)
         block_norms = [operator_norm(block) for block in lag_blocks(static, K)]
-        chained = closed_form_state(static, chain, arr) @ static.readout.T
+        chained = closed_form_state(static, s, arr) @ static.readout.T
         lhs = np.linalg.norm(direct_functional(static, arr) - chained, axis=1)
         rhs = np.zeros(arr.shape[0])
         for j in range(K + 1):
             z_j = arr[:, T - 1 - j, :]
-            drift = np.linalg.norm(compose_chain(chain, j, z_j) - z_j, axis=1)
+            drift = np.linalg.norm(carry(s, j, z_j) - z_j, axis=1)
             rhs += block_norms[j] * drift
         rhs *= w_norm  # tanh is 1-Lipschitz
         assert np.all(lhs <= rhs + 1e-12)
@@ -459,7 +497,6 @@ class TestPipeline:
         f = FIRFilter(in_dim=1, out_dim=1, input_bound=1.0, coeffs=(np.array([[0.8]]),))
         res = construct_universal_esn(f, small_cfg(eps=0.2, seed=7))
         assert res.horizon == 0
-        assert res.chain == []
         assert res.budget.truncation_analytic == 0.0
         assert res.chain_scale is None
         assert res.budget.chain_analytic == res.budget.chain_witness == 0.0
@@ -553,18 +590,18 @@ class TestBudgetBlocks:
         f = filter_from_json(spec)
         cfg = small_cfg(eps=eps, seed=seed, budget_windows=4100)
         res = construct_universal_esn(f, cfg)
-        static, chain, K = res.static_net, res.chain, res.horizon
+        static, s, K = res.static_net, res.chain_scale, res.horizon
         T = max(construct.WINDOW_LEN, K + 1)
         arr = sample_window_array(f.in_dim, f.input_bound, T, cfg.budget_windows, _derived_seed(seed, 4))
         for n in (4100, 2049):
             net_vals = direct_functional(static, arr[:n])
-            chained_vals = closed_form_state(static, chain, arr[:n]) @ static.readout.T
+            chained_vals = closed_form_state(static, s, arr[:n]) @ static.readout.T
             want = np.stack([
                 np.linalg.norm(f.evaluate_batch(arr[:n, T - 1 - K :]) - net_vals, axis=1),
                 np.linalg.norm(net_vals - chained_vals, axis=1),
                 np.linalg.norm(f.evaluate_batch(arr[:n]) - chained_vals, axis=1),
             ])
-            np.testing.assert_allclose(budget_errors(f, static, chain, arr[:n]), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(budget_errors(f, static, s, arr[:n]), want, rtol=0, atol=1e-12)
             if n == cfg.budget_windows:
                 b = res.budget
                 np.testing.assert_allclose((b.net_fit_sampled, b.chain_witness, b.total_sampled),
